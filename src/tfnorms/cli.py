@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import experiments as exp
+from .errors import ToleranceNotReachedError
 from .reporting import write_report
 
 PARTITION_L = exp.PARTITION_L
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
         print(f"{args.command}: {'pass' if report.all_passed else 'FAIL'}")
         _print_assertions(report)
         return 0 if report.all_passed else 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ToleranceNotReachedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledSignal, fourier_forward, fourier_inverse
 
@@ -94,15 +95,28 @@ class FrequencyPartition:
     def block_indices(self) -> range:
         return range(-self.max_block_index, self.max_block_index + 1)
 
-    def translate_slice(self, k: int) -> tuple[slice, np.ndarray]:
-        """Index slice and profile values of phi(. - k) on the frequency grid."""
-        n = self.grid.n
-        width = self.steps_per_unit  # profile support sits inside one unit
-        center = n // 2 + k * width
-        lo = max(center - width, 0)
-        hi = min(center + width + 1, n)
-        core = self.profile.samples.real[n // 2 - width : n // 2 + width + 1]
-        return slice(lo, hi), core[lo - (center - width) : hi - (center - width)]
+    @property
+    def core(self) -> np.ndarray:
+        """phi on [-1, 1): the 2 * steps_per_unit samples of its window."""
+        n, w = self.grid.n, self.steps_per_unit
+        return self.profile.samples.real[n // 2 - w : n // 2 + w]
+
+    def window_start(self, k: int) -> int:
+        """Frequency-grid index of k - 1, where the window of phi(. - k) starts."""
+        return self.grid.n // 2 + (k - 1) * self.steps_per_unit
+
+    def block_rows(self, spectrum: np.ndarray) -> np.ndarray:
+        """Read-only (K, 2 * steps_per_unit) view of a centered spectrum.
+
+        Row i holds the spectrum on [k - 1, k + 1) for k = block_indices()[i],
+        so consecutive rows start steps_per_unit samples apart.  phi(. - k)
+        vanishes at k + 1, so the half-open window carries all of it and the
+        top window still ends inside the grid.
+        """
+        w = self.steps_per_unit
+        first = self.window_start(-self.max_block_index)
+        count = 2 * self.max_block_index + 1
+        return sliding_window_view(spectrum, 2 * w)[first : first + count * w : w]
 
 
 def build_frequency_partition(grid: Grid) -> FrequencyPartition:
@@ -147,9 +161,11 @@ def frequency_block(
         )
     if spectrum is None:
         spectrum = fourier_forward(f).samples
+    start = part.window_start(k)
     masked = np.zeros_like(spectrum)
-    window, core = part.translate_slice(k)
-    masked[window] = spectrum[window] * core
+    masked[start : start + 2 * part.steps_per_unit] = (
+        part.block_rows(spectrum)[k + part.max_block_index] * part.core
+    )
     return fourier_inverse(SampledSignal(f.grid.dual(), masked))
 
 

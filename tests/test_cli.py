@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from tfnorms.cli import main
 from tfnorms.grid import Grid, SampledSignal
 from tfnorms.reporting import dumps_canonical, load_signal, save_signal
 
@@ -118,6 +119,12 @@ class TestCommands:
         result = run_cli(["norm", "--signal", "missing.csv", "--out", "out"], tmp_path)
         assert result.returncode == 1
         assert "error" in result.stderr.lower()
+
+    def test_exhausted_search_exits_one(self, tmp_path, capsys):
+        # n = 512 leaves the local composition too few dilations to converge.
+        assert main(["reciprocal", "--n", "512", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: composition at x0")
 
     def test_assertion_failure_exits_two(self, tmp_path):
         # an impossible grid for the partition: L not a multiple of pi

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnorms.corpus import make_corpus
 from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_inverse, weighted_lp_norm
@@ -17,6 +19,7 @@ from tfnorms.norms import (
     norm_value,
     partition_for,
 )
+from tfnorms.partition import frequency_block
 from tfnorms.stft import gaussian_window
 
 GRID = Grid(4096, 16.0 * math.pi)
@@ -224,3 +227,71 @@ class TestDilationBoundedness:
         base_fine = norm_value(gaussian(fine.grid), spec, fine)
         refined = norm_value(f_half, spec, fine) / base_fine
         assert abs(refined / ratios[1] - 1.0) <= 0.05
+
+
+def _check_blocks_against_oracle(n, m, lo, hi, p, s, seed):
+    """Every block contribution against its full-length n-point inverse.
+
+    The spectrum is random on [lo + 1/2, hi + 1/2] and exactly zero
+    elsewhere, so a block is either well inside the band or exactly zero.
+    """
+    grid = Grid(n, m * math.pi)
+    part = partition_for(grid)
+    xi = grid.frequencies()
+    rng = np.random.default_rng(seed)
+    inside = (xi >= lo + 0.5) & (xi <= hi + 0.5)
+    spectrum = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * inside
+    f = fourier_inverse(SampledSignal(grid.dual(), spectrum))
+    report = modulation_norm(f, p, 1.0, s, part, spectrum=spectrum)
+    assert [k for k, _ in report.block_contributions] == list(part.block_indices())
+    for k, value in report.block_contributions:
+        block = frequency_block(f, k, part, spectrum=spectrum)
+        oracle = (1.0 + k**2) ** (s / 2.0) * weighted_lp_norm(block, p)
+        assert (value == 0.0) == (oracle == 0.0), (k, value, oracle)
+        assert abs(value - oracle) <= 1e-12 * oracle, (k, value, oracle)
+
+
+@st.composite
+def banded_grids(draw):
+    n = 1 << draw(st.integers(3, 9))
+    m = draw(st.sampled_from([1, 2, 3, 5, n // 4]).filter(lambda m: 4 * m <= n))
+    top = int(math.floor(n / (2.0 * m)))  # max_block_index + 1
+    lo = draw(st.integers(-top, top - 1))
+    hi = draw(st.integers(lo + 1, top))
+    return n, m, lo, hi
+
+
+class TestFoldedBlockNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=banded_grids(),
+        p=st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+        s=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_length_oracle(self, case, p, s, seed):
+        _check_blocks_against_oracle(*case, p, s, seed)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize(
+        "n, m, lo, hi",
+        [
+            (8, 2, -2, 2),  # W = M = n / 2: no zero padding, P = 2 is the least P
+            (64, 2, 10, 16),  # band up to the grid edge: the top window ends there
+            (256, 3, -43, -30),  # band down to the grid edge, odd steps per unit
+        ],
+    )
+    def test_edge_cases(self, n, m, lo, hi, p):
+        _check_blocks_against_oracle(n, m, lo, hi, p, 0.5, seed=n + m)
+
+
+class TestPartitionCache:
+    def test_equal_grids_share_one_partition(self):
+        first = partition_for(Grid(1024, 4.0 * math.pi))
+        assert partition_for(Grid(1024, 4.0 * math.pi)) is first
+
+    def test_cache_is_bounded(self):
+        first = partition_for(Grid(512, math.pi))
+        for m in range(2, 12):
+            partition_for(Grid(512, m * math.pi))
+        assert partition_for(Grid(512, math.pi)) is not first
