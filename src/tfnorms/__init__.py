@@ -28,6 +28,7 @@ from .stft import (
     gaussian_window,
     moyal_residual,
     stft,
+    stft_gram,
     stft_l2_identity_ratio,
 )
 from .partition import FrequencyPartition, build_frequency_partition, frequency_block

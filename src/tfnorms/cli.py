@@ -250,6 +250,10 @@ def _print_assertions(report) -> None:
 
 
 def run_all(args: argparse.Namespace) -> int:
+    if args.n is not None or args.L is not None:
+        print("error: `all` runs every experiment on its own default grid; "
+              "--n and --L apply to single experiments only", file=sys.stderr)
+        return 1
     out_root = Path(args.out)
     jobs = max(1, args.jobs)
     seed = args.seed if args.seed is not None else 0

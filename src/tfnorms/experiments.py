@@ -7,6 +7,7 @@ acceptance tests share one implementation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .grid import (
     Grid,
     NormSpec,
     SampledSignal,
+    convolve,
     fourier_forward,
     fourier_inverse,
     inner_product,
@@ -43,7 +45,7 @@ from .compose import (
     pointwise_oracle,
     reciprocal_on_compact,
 )
-from .stft import gaussian_window, stft
+from .stft import _stft_rows, gaussian_window, stft_gram
 from .windows import plateau_window, translation_difference_bound
 
 __all__ = [
@@ -116,36 +118,53 @@ def _corpus_on(n: int, L: float, seed: int):
 def stft_experiment(
     n: int = 2048, L: float = 30.0, seed: int = 0, dump_matrix: str | None = None
 ) -> SweepReport:
-    """Gaussian STFT against its closed form, plus the convolution-form identity."""
+    """Gaussian STFT against its closed form, plus the convolution-form identity.
+
+    The plane is checked one row chunk at a time; with dump_matrix the
+    magnitude rows go to the CSV file as they come.
+    """
     report = SweepReport("stft", axis="xi")
     grid = Grid(n, L)
     g = gaussian_window(grid)
-    tfm = stft(g, g)
+    x = grid.points()
+    xi = np.fft.ifftshift(grid.frequencies())[None, :]  # chunk columns come in FFT order
+    columns = (n // 2 - n // 8, n // 2, n // 2 + n // 16)
+    fft_columns = [(k + n // 2) % n for k in columns]
+    picked = np.empty((n, len(columns)), dtype=complex)
+    closed_error = 0.0
     if dump_matrix:
-        np.savetxt(dump_matrix, tfm.magnitude(), delimiter=",", fmt="%.17g")
         report.extras["matrix_dump"] = str(dump_matrix)
-    x = grid.points()[:, None]
-    xi = grid.frequencies()[None, :]
-    closed = math.sqrt(math.pi) * np.exp(-1j * x * xi / 2.0) * np.exp(-(x**2 + xi**2) / 4.0)
-    report.check_le("gaussian_closed_form_sup_error", float(np.max(np.abs(tfm.values - closed))), 1e-6)
+    with open(dump_matrix, "w") if dump_matrix else contextlib.nullcontext() as dump:
+        for j0, block in _stft_rows([g], [g], buffers=4):
+            v = block[0]
+            xj = x[j0 : j0 + v.shape[0], None]
+            closed = (
+                math.sqrt(math.pi) * np.exp(-1j * xj * xi / 2.0) * np.exp(-(xj**2 + xi**2) / 4.0)
+            )
+            closed_error = max(closed_error, float(np.max(np.abs(v - closed))))
+            picked[j0 : j0 + v.shape[0]] = v[:, fft_columns]
+            if dump is not None:
+                np.savetxt(dump, np.abs(np.fft.fftshift(v, axes=-1)), delimiter=",", fmt="%.17g")
+    report.check_le("gaussian_closed_form_sup_error", closed_error, 1e-6)
 
     # convolution form exp(-i x xi) (f * M_xi w~)(x) at sampled columns
-    from .grid import convolve
-
     wconj = np.roll(np.conj(g.samples[::-1]), 1)
     worst = 0.0
-    for k in (n // 2 - n // 8, n // 2, n // 2 + n // 16):
+    for k, column in zip(columns, picked.T):
         xi_k = grid.frequencies()[k]
-        modulated = SampledSignal(grid, np.exp(1j * xi_k * grid.points()) * wconj)
-        row = np.exp(-1j * grid.points() * xi_k) * convolve(g, modulated).samples
-        worst = max(worst, float(np.max(np.abs(row - tfm.values[:, k]))))
+        modulated = SampledSignal(grid, np.exp(1j * xi_k * x) * wconj)
+        row = np.exp(-1j * x * xi_k) * convolve(g, modulated).samples
+        worst = max(worst, float(np.max(np.abs(row - column))))
         report.rows.append({"xi": float(xi_k), "conv_form_error": worst})
     report.check_le("convolution_form_sup_error", worst, 1e-8)
     return report
 
 
 def moyal_experiment(n: int = 2048, L: float = 30.0, seed: int = 0) -> SweepReport:
-    """Moyal residuals over all corpus pairs and the L2 identity ratio."""
+    """Moyal residuals over all corpus pairs and the L2 identity ratio.
+
+    Both come from one Gram matrix of the corpus STFTs (:func:`stft_gram`).
+    """
     report = SweepReport("moyal", axis="pair")
     grid = Grid(n, L)
     window = gaussian_window(grid)
@@ -153,26 +172,21 @@ def moyal_experiment(n: int = 2048, L: float = 30.0, seed: int = 0) -> SweepRepo
     names = [name for name, _ in corpus]
     signals = [sig for _, sig in corpus]
 
-    mats = [stft(sig, window) for sig in signals]
+    gram = stft_gram(signals, window)
     l2 = [weighted_lp_norm(sig, 2.0) for sig in signals]
     w_l2 = weighted_lp_norm(window, 2.0)
-    scale = grid.dx * grid.dxi
 
     worst = 0.0
     for i in range(len(signals)):
         for j in range(i, len(signals)):
-            lhs = scale * np.vdot(mats[j].values, mats[i].values)
             rhs = 2.0 * math.pi * (w_l2**2) * inner_product(signals[i], signals[j])
-            residual = abs(lhs - rhs) / (l2[i] * l2[j] * w_l2**2)
+            residual = abs(gram[i, j] - rhs) / (l2[i] * l2[j] * w_l2**2)
             worst = max(worst, residual)
             report.rows.append({"pair": f"{names[i]}|{names[j]}", "residual": float(residual)})
     report.check_le("moyal_max_residual", worst, 1e-6)
 
     expected = math.sqrt(2.0 * math.pi) * w_l2
-    ratios = [
-        math.sqrt(scale * float(np.sum(np.abs(mat.values) ** 2))) / nf
-        for mat, nf in zip(mats, l2)
-    ]
+    ratios = [math.sqrt(gram[i, i].real) / nf for i, nf in enumerate(l2)]
     report.extras["identity_ratio_expected"] = expected
     report.check_le(
         "l2_identity_ratio_error",
@@ -290,8 +304,6 @@ def plateau_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> 
     """Plateau, support, and factorization invariants over the test matrix."""
     report = SweepReport("plateau", axis="window")
     grid = Grid(n, L)
-    from .grid import convolve
-
     from .grid import support_leakage
 
     for center, radius in [(0.0, 1.0), (2.0, 0.5), (-3.0, 0.25)]:

@@ -44,6 +44,10 @@ __all__ = [
     "support_leakage",
 ]
 
+# Batched transforms (block norms, STFT row chunks) are chunked so that the
+# working set of one batch never exceeds about this many samples.
+_BATCH_LIMIT = 1 << 22
+
 
 @dataclass(frozen=True)
 class Grid:

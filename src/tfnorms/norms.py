@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    _BATCH_LIMIT,
     Grid,
     NormSpec,
     SampledSignal,
@@ -47,7 +48,7 @@ from .grid import (
     weighted_lp_norm,
 )
 from .partition import FrequencyPartition, build_frequency_partition
-from .stft import stft
+from .stft import _stft_rows
 
 __all__ = [
     "NormReport",
@@ -61,10 +62,6 @@ __all__ = [
     "algebra_ratio",
     "algebra_constant",
 ]
-
-# Batched inverse FFTs keep block loops fast on desk-scale grids; the batch
-# is chunked so the working set never exceeds about this many samples.
-_BATCH_LIMIT = 1 << 22
 
 # Relative magnitude below which a masked block is double-rounding noise.
 _NOISE_FLOOR = 1e-13
@@ -191,17 +188,23 @@ def modulation_norm_stft(
 ) -> float:
     """Direct time-frequency modulation norm, by tensor quadrature over the STFT.
 
-    Diagnostic cross-check of :func:`modulation_norm`; inherits the dense-STFT
-    size gate.
+    Diagnostic cross-check of :func:`modulation_norm`.  The per-frequency
+    L^p sums over x accumulate over the STFT's row chunks, so no n x n array
+    is formed; the STFT size gate applies.
     """
     NormSpec.modulation(p, q, s)  # validate exponents
-    tfm = stft(f, window)
     grid = f.grid
-    mags = np.abs(tfm.values)
-    if math.isinf(p):
-        per_xi = np.max(mags, axis=0)
-    else:
-        per_xi = (grid.dx * np.sum(mags**p, axis=0)) ** (1.0 / p)
+    per_xi = np.zeros(grid.n)
+    for _, block in _stft_rows([f], [window], buffers=2):
+        mags = np.abs(block[0])
+        if math.isinf(p):
+            np.maximum(per_xi, np.max(mags, axis=0), out=per_xi)
+        else:
+            mags **= p
+            per_xi += np.sum(mags, axis=0)
+    if not math.isinf(p):
+        per_xi = (grid.dx * per_xi) ** (1.0 / p)
+    per_xi = np.fft.fftshift(per_xi)  # chunk columns come in FFT order
     xi = grid.frequencies()
     weighted = (1.0 + xi**2) ** (s / 2.0) * per_xi
     if math.isinf(q):

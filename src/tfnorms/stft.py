@@ -5,35 +5,61 @@ The STFT with window phi is
     V f(x, xi) = integral f(t) conj(phi(t - x)) exp(-i t xi) dt,
 
 equivalently exp(-i x xi) (f * M_xi phi~)(x) with phi~(t) = conj(phi(-t)).
-For fixed x the integrand is a windowed copy of f, so each column of the
-time-frequency matrix is one forward transform; the full matrix is a single
-batched FFT.  On the periodic grid the discrete Moyal identity
+For fixed x_j the integrand is a windowed copy of f, so row j of the
+time-frequency plane is one forward transform.  Every consumer walks the
+plane in chunks of rows from one generator, ``_stft_rows``: it gathers r
+translated windows as a strided view of the doubled window, multiplies in
+the signals, and transforms the chunk in place in one reused buffer.  The
+rows per chunk keep every live chunk-sized buffer within ``_BATCH_LIMIT``
+samples, so no pass needs n^2 memory:
+
+- ``stft`` copies the chunks into the dense matrix, with the same values,
+  bit for bit, as one batched transform of the whole plane;
+- ``stft_gram`` accumulates the Gram matrix <V f_a, V f_b> of a stack of
+  signals with one matrix product per chunk, which is where the Moyal
+  residual and the L2 identity ratio come from;
+- the ``stft`` experiment and ``norms.modulation_norm_stft`` reduce each
+  chunk as it comes.
+
+On the periodic grid the discrete Moyal identity
 
     <V_phi f, V_psi g> = 2 pi <psi, phi> <f, g>
 
-holds exactly up to rounding, which the residual diagnostics verify.
+holds exactly up to rounding.  Its left side is a sum over x-rows, so the
+chunked accumulation is exact too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CostGateError
-from .grid import Grid, SampledSignal, _check_same_grid, inner_product, weighted_lp_norm
+from .grid import (
+    _BATCH_LIMIT,
+    Grid,
+    SampledSignal,
+    _check_same_grid,
+    inner_product,
+    weighted_lp_norm,
+)
 
 __all__ = [
     "TimeFrequencyMatrix",
     "gaussian_window",
     "stft",
+    "stft_gram",
     "moyal_residual",
     "stft_l2_identity_ratio",
 ]
 
-# Full matrices cost O(n^2 log n) time and O(n^2) memory; block-based norm
-# computation is the intended path for anything larger.
+# A pass over the plane costs O(n^2 log n) time; its memory is bounded by the
+# row chunks, so this gate is a time budget, not a memory wall.  Block-based
+# norm computation is the intended path for anything larger.
 MAX_STFT_SIZE = 4096
 
 
@@ -43,7 +69,6 @@ class TimeFrequencyMatrix:
 
     grid: Grid
     values: np.ndarray
-    window_l2: float
 
     def __post_init__(self):
         n = self.grid.n
@@ -51,13 +76,62 @@ class TimeFrequencyMatrix:
             raise ValueError(f"expected a {n} x {n} matrix, got {self.values.shape}")
         self.values.setflags(write=False)
 
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def gaussian_window(grid: Grid) -> SampledSignal:
     """Default analysis window exp(-t^2 / 2)."""
     return SampledSignal.from_function(grid, lambda t: np.exp(-(t**2) / 2.0))
+
+
+def _stft_rows(
+    signals: Sequence[SampledSignal], windows: Sequence[SampledSignal], buffers: int = 1
+):
+    """Iterator over row chunks (j0, block) of the STFTs V_{w_s} f_s.
+
+    windows holds one window per signal, or a single window for all of them.
+    block has shape (S, r, n) and holds rows j0 .. j0 + r - 1 of the S
+    transforms, with the frequencies in FFT order: column c is xi_k for
+    k = c - n if c >= n/2, else k = c, so ``np.fft.fftshift(block, axes=-1)``
+    gives rows of :func:`stft`.  block is one reused buffer, overwritten by
+    the next chunk.  ``buffers`` counts the chunk-sized arrays the caller
+    keeps alive, this one included; r is chosen so that together they hold
+    at most ``_BATCH_LIMIT`` samples.  The inputs are checked here, before
+    the first chunk is computed.
+    """
+    if len(windows) not in (1, len(signals)):
+        raise ValueError(
+            f"need one window or one per signal, got {len(windows)} for {len(signals)}"
+        )
+    grid = signals[0].grid
+    for h in (*signals, *windows):
+        _check_same_grid(signals[0], h, "stft")
+    n = grid.n
+    if n > MAX_STFT_SIZE:
+        raise CostGateError(
+            f"the STFT is gated at n <= {MAX_STFT_SIZE} (got n={n}); "
+            "use the frequency-block norm path for larger grids"
+        )
+    if any(weighted_lp_norm(w, 2.0) == 0.0 for w in windows):
+        raise ValueError("stft window must be nonzero")
+
+    # ifftshift puts x = 0 at t = 0 before the transform: shifted[s, t] = f_s(x_{t + n/2}).
+    shifted = np.fft.ifftshift(np.stack([f.samples for f in signals]), axes=-1)
+    doubled = np.conj(np.stack([w.samples for w in windows]))
+    # translates[s, m, t] = conj(w_s(x_{(m + t) mod n})); row j needs m = n - j.
+    translates = sliding_window_view(np.concatenate([doubled, doubled], axis=-1), n, axis=-1)
+    stack = len(signals)
+    rows = min(n, max(1, _BATCH_LIMIT // (buffers * stack * n)))
+    buf = np.empty(stack * rows * n, dtype=complex)
+
+    def chunks():
+        for j0 in range(0, n, rows):
+            r = min(rows, n - j0)
+            block = buf[: stack * r * n].reshape(stack, r, n)
+            np.multiply(shifted[:, None, :], translates[:, n - j0 : n - j0 - r : -1], out=block)
+            np.fft.fft(block, axis=-1, out=block)
+            block *= grid.dx
+            yield j0, block
+
+    return chunks()
 
 
 def stft(f: SampledSignal, window: SampledSignal) -> TimeFrequencyMatrix:
@@ -67,32 +141,39 @@ def stft(f: SampledSignal, window: SampledSignal) -> TimeFrequencyMatrix:
     t -> f(t) conj(window(t - x_j)); the translated windows wrap
     periodically, so the window should decay inside the domain.
     """
-    _check_same_grid(f, window, "stft")
-    grid = f.grid
-    n = grid.n
-    if n > MAX_STFT_SIZE:
-        raise CostGateError(
-            f"dense STFT is gated at n <= {MAX_STFT_SIZE} (got n={n}); "
-            "use the frequency-block norm path for larger grids"
-        )
-    wnorm = weighted_lp_norm(window, 2.0)
-    if wnorm == 0.0:
-        raise ValueError("stft window must be nonzero")
-
-    # windowed[j, t] = f(t) * conj(window(t - x_j)) with periodic translation
-    t_idx = np.arange(n)
-    shift = (t_idx[None, :] - t_idx[:, None] + n // 2) % n
-    windowed = f.samples[None, :] * np.conj(window.samples[shift])
-
-    spectrum = grid.dx * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(windowed, axes=1), axis=1), axes=1
-    )
-    return TimeFrequencyMatrix(grid, spectrum, wnorm)
+    chunks = _stft_rows([f], [window])
+    n = f.grid.n
+    half = n // 2
+    values = np.empty((n, n), dtype=complex)
+    for j0, block in chunks:
+        rows = values[j0 : j0 + block.shape[1]]
+        rows[:, :half] = block[0, :, half:]
+        rows[:, half:] = block[0, :, :half]
+    return TimeFrequencyMatrix(f.grid, values)
 
 
-def _planar_inner(a: TimeFrequencyMatrix, b: TimeFrequencyMatrix) -> complex:
-    grid = a.grid
-    return complex(grid.dx * grid.dxi * np.vdot(b.values, a.values))
+def stft_gram(
+    signals: Sequence[SampledSignal], window: SampledSignal | Sequence[SampledSignal]
+) -> np.ndarray:
+    """Gram matrix G[a, b] = <V f_a, V f_b> of the STFTs of a stack of signals.
+
+    G[a, b] = dx dxi sum V f_a conj(V f_b) over the whole plane, accumulated
+    in one chunked pass with one matrix product per chunk; the diagonal holds
+    the squared L2 norms of the transforms.  window is shared by all signals,
+    or is a sequence with one window per signal.
+    """
+    windows = [window] if isinstance(window, SampledSignal) else list(window)
+    chunks = _stft_rows(signals, windows, buffers=2)
+    gram = np.zeros((len(signals), len(signals)), dtype=complex)
+    conj = None
+    for _, block in chunks:
+        flat = block.reshape(len(signals), -1)
+        if conj is None:
+            conj = np.empty_like(flat)
+        c = np.conjugate(flat, out=conj[:, : flat.shape[1]])
+        gram += flat @ c.T
+    grid = signals[0].grid
+    return grid.dx * grid.dxi * gram
 
 
 def moyal_residual(
@@ -109,7 +190,7 @@ def moyal_residual(
     norms = [weighted_lp_norm(h, 2.0) for h in (f, g, phi, psi)]
     if min(norms) == 0.0:
         raise ValueError("moyal residual needs four nonzero signals")
-    lhs = _planar_inner(stft(f, phi), stft(g, psi))
+    lhs = stft_gram([f, g], [phi, psi])[0, 1]
     rhs = 2.0 * math.pi * inner_product(psi, phi) * inner_product(f, g)
     return abs(lhs - rhs) / math.prod(norms)
 
@@ -119,7 +200,4 @@ def stft_l2_identity_ratio(f: SampledSignal, window: SampledSignal) -> float:
     norm_f = weighted_lp_norm(f, 2.0)
     if norm_f == 0.0:
         raise ValueError("identity ratio needs a nonzero signal")
-    tfm = stft(f, window)
-    grid = f.grid
-    planar = math.sqrt(grid.dx * grid.dxi * float(np.sum(np.abs(tfm.values) ** 2)))
-    return planar / norm_f
+    return math.sqrt(stft_gram([f], window)[0, 0].real) / norm_f

@@ -126,6 +126,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: composition at x0")
 
+    @pytest.mark.parametrize("flag", [["--n", "1024"], ["--L", "30"]])
+    def test_all_rejects_grid_flags(self, tmp_path, capsys, flag):
+        # `all` runs each experiment on its own grid; a grid flag would be ignored.
+        out = tmp_path / "out"
+        assert main(["all", *flag, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: `all` runs every experiment")
+        assert not out.exists()
+
     def test_assertion_failure_exits_two(self, tmp_path):
         # an impossible grid for the partition: L not a multiple of pi
         result = run_cli(["bupu-check", "--L", "40", "--out", "out"], tmp_path)

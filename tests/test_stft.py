@@ -1,13 +1,27 @@
-"""STFT values, covariance, and the Moyal identity."""
+"""STFT values, covariance, the Moyal identity, and the chunked passes."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnorms.errors import CostGateError
+from tfnorms.experiments import stft_experiment
 from tfnorms.grid import Grid, SampledSignal, convolve, fourier_inverse
-from tfnorms.stft import gaussian_window, moyal_residual, stft, stft_l2_identity_ratio
+from tfnorms.norms import modulation_norm_stft
+from tfnorms.stft import (
+    gaussian_window,
+    moyal_residual,
+    stft,
+    stft_gram,
+    stft_l2_identity_ratio,
+)
+
+# The package re-exports the function `stft`, which shadows the module name.
+stft_module = importlib.import_module("tfnorms.stft")
 
 GRID = Grid(1024, 20.0)
 
@@ -25,6 +39,30 @@ def band_limited(grid, seed, fraction=0.4):
     f = fourier_inverse(SampledSignal(grid.dual(), coeffs))
     # localize in space as well so translated windows never wrap
     return f * SampledSignal.from_function(grid, lambda x: np.exp(-(x**2) / 60.0))
+
+
+def dense_oracle(f, window):
+    """The one-shot formula: an n x n shift-index gather, one batched transform."""
+    grid = f.grid
+    n = grid.n
+    t_idx = np.arange(n)
+    shift = (t_idx[None, :] - t_idx[:, None] + n // 2) % n
+    windowed = f.samples[None, :] * np.conj(window.samples[shift])
+    return grid.dx * np.fft.fftshift(
+        np.fft.fft(np.fft.ifftshift(windowed, axes=1), axis=1), axes=1
+    )
+
+
+def vdot_gram(signals, windows):
+    """G[a, b] = dx dxi vdot(V_b, V_a) from dense oracle matrices."""
+    grid = signals[0].grid
+    mats = [dense_oracle(f, w) for f, w in zip(signals, windows)]
+    return grid.dx * grid.dxi * np.array([[np.vdot(b, a) for b in mats] for a in mats])
+
+
+def limit_rows(monkeypatch, rows, stack, n, buffers):
+    """Shrink the working-set budget so that a pass takes `rows` rows per chunk."""
+    monkeypatch.setattr(stft_module, "_BATCH_LIMIT", rows * buffers * stack * n)
 
 
 class TestStftValues:
@@ -148,3 +186,91 @@ class TestIdentityRatio:
         r1 = stft_l2_identity_ratio(f, w)
         r3 = stft_l2_identity_ratio(f, 3.0 * w)
         assert r3 == pytest.approx(3.0 * r1, rel=1e-12)
+
+
+class TestChunkedPasses:
+    @pytest.mark.parametrize("rows", [None, 7, 160])
+    def test_dense_matrix_bitwise_equals_oracle(self, monkeypatch, rows):
+        # 7 and 160 do not divide n = 1024, so the last chunk is short.
+        if rows is not None:
+            limit_rows(monkeypatch, rows, 1, GRID.n, 1)
+        f = band_limited(GRID, seed=71)
+        w = gaussian(GRID, width=1.3)
+        assert stft(f, w).values.tobytes() == dense_oracle(f, w).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_gram_matches_vdot_oracle(self, monkeypatch, rows):
+        grid = Grid(512, 20.0)
+        signals = [band_limited(grid, seed=s) for s in (81, 82, 83)]
+        signals.append(gaussian(grid, width=0.7))
+        if rows is not None:
+            limit_rows(monkeypatch, rows, len(signals), grid.n, 2)
+        w = gaussian_window(grid)
+        oracle = vdot_gram(signals, [w] * len(signals))
+        gram = stft_gram(signals, w)
+        assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_gram_with_one_window_per_signal(self, monkeypatch):
+        grid = Grid(256, 16.0)
+        signals = [band_limited(grid, seed=84), band_limited(grid, seed=85)]
+        windows = [gaussian_window(grid), gaussian(grid, width=1.5)]
+        limit_rows(monkeypatch, 3, len(signals), grid.n, 2)
+        oracle = vdot_gram(signals, windows)
+        gram = stft_gram(signals, windows)
+        assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize(
+        "p, q, s", [(1.0, 1.0, 0.0), (2.0, 1.5, 1.0), (math.inf, 1.0, 0.5), (1.5, math.inf, 0.0)]
+    )
+    def test_modulation_norm_stft_matches_dense_quadrature(self, monkeypatch, p, q, s):
+        limit_rows(monkeypatch, 7, 1, GRID.n, 2)
+        f = band_limited(GRID, seed=87)
+        w = gaussian_window(GRID)
+        mags = np.abs(dense_oracle(f, w))
+        if math.isinf(p):
+            per_xi = np.max(mags, axis=0)
+        else:
+            per_xi = (GRID.dx * np.sum(mags**p, axis=0)) ** (1.0 / p)
+        weighted = (1.0 + GRID.frequencies() ** 2) ** (s / 2.0) * per_xi
+        if math.isinf(q):
+            expected = np.max(weighted)
+        else:
+            expected = (GRID.dxi * np.sum(weighted**q)) ** (1.0 / q)
+        assert modulation_norm_stft(f, p, q, s, w) == pytest.approx(expected, rel=1e-12)
+
+    def test_gram_rejects_window_count(self):
+        f = band_limited(GRID, seed=86)
+        w = gaussian_window(GRID)
+        with pytest.raises(ValueError, match="one window"):
+            stft_gram([f, f, f], [w, w])
+
+    def test_gram_shares_the_size_gate(self):
+        big = Grid(8192, 20.0)
+        with pytest.raises(CostGateError):
+            stft_gram([gaussian(big)], gaussian_window(big))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([256, 512]),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        fraction=st.floats(0.05, 0.8),
+        widths=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    )
+    def test_moyal_identity_property(self, n, seeds, fraction, widths):
+        grid = Grid(n, 16.0)
+        f = band_limited(grid, seed=seeds[0], fraction=fraction)
+        g = band_limited(grid, seed=seeds[1], fraction=fraction)
+        phi, psi = (gaussian(grid, width=w) for w in widths)
+        assert moyal_residual(f, g, phi, psi) <= 1e-12
+
+    def test_matrix_dump_bytes_equal_dense_savetxt(self, monkeypatch, tmp_path):
+        # buffers = 4 in the experiment: 5 rows per chunk, which does not divide 512.
+        n = 512
+        limit_rows(monkeypatch, 5, 1, n, 4)
+        streamed = tmp_path / "streamed.csv"
+        report = stft_experiment(n=n, L=20.0, dump_matrix=str(streamed))
+        assert report.all_passed
+        g = gaussian_window(Grid(n, 20.0))
+        dense = tmp_path / "dense.csv"
+        np.savetxt(dense, np.abs(dense_oracle(g, g)), delimiter=",", fmt="%.17g")
+        assert streamed.read_bytes() == dense.read_bytes()
