@@ -8,6 +8,7 @@ acceptance tests share one implementation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -566,6 +567,8 @@ def algebra_sweep(
 # The two counterexamples
 
 
+# Both depths of a counterexample run ask for the same (p, frac).
+@functools.lru_cache(maxsize=8)
 def _invphi_tail_halfwidth(p: float, frac: float) -> float:
     """Half-width containing all but `frac` of the L^p mass of F^-1 phi."""
     ref = Grid(1 << 17, 2048.0 * math.pi)
@@ -608,16 +611,16 @@ def flat_measurement(p: float, m: int, r: int, tail_frac: float | None = None) -
     phi_sig = SampledSignal(grid.dual(), phi.astype(complex))
     inv_phi = fourier_inverse(phi_sig)
 
-    _, nu_hat = rudin_shapiro_transforms(r, n_nu, xi, Normalization.LP_ATOMS, p=p)
-    base = nu_hat * phi
+    nu_hat = rudin_shapiro_transforms(r, n_nu, xi, Normalization.LP_ATOMS, p=p)[1]
+    support_idx = np.nonzero(phi > 0)[0]
+    lo, hi = int(support_idx[0]), int(support_idx[-1]) + 1
+    base = nu_hat[lo:hi] * phi[lo:hi]
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
     fhat = np.zeros(grid.n, dtype=complex)
     steps = part.steps_per_unit
-    support_idx = np.nonzero(phi > 0)[0]
-    lo, hi = int(support_idx[0]), int(support_idx[-1]) + 1
     for loc, w in zip(mu.locations, mu.weights):
         shift = int(round(loc)) * steps
-        fhat[lo + shift : hi + shift] += w * base[lo:hi]
+        fhat[lo + shift : hi + shift] += w * base
     fhat_sig = SampledSignal(grid.dual(), fhat)
     f = fourier_inverse(fhat_sig)
 

@@ -22,6 +22,8 @@ transform pair exactly unitary up to the 2 pi factor.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +49,51 @@ __all__ = [
 # Batched transforms (block norms, STFT row chunks) are chunked so that the
 # working set of one batch never exceeds about this many samples.
 _BATCH_LIMIT = 1 << 22
+
+# Thread pool for _each_span, created on first use in each process: a pool
+# inherited through fork has no threads behind it.
+_pool = None
+_pool_pid = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _span_pool():
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool is None or _pool_pid != os.getpid():
+            # Imported here so that importing the package loads no new module.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=_cpu_count())
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _each_span(fn, count: int, span: int) -> None:
+    """Call fn(lo, hi) for the spans [lo, hi) of length `span` covering [0, count).
+
+    With more than one span and more than one CPU the spans run concurrently
+    on a pool with one thread per CPU; otherwise they run in order in the
+    calling thread.  Callers keep each span's work independent of the others
+    (numpy releases the interpreter lock inside it), so the results do not
+    depend on which way they ran.
+    """
+    bounds = [(lo, min(lo + span, count)) for lo in range(0, count, span)]
+    if len(bounds) <= 1 or _cpu_count() == 1:
+        for lo, hi in bounds:
+            fn(lo, hi)
+        return
+    pool = _span_pool()
+    for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
+        future.result()
 
 
 @dataclass(frozen=True)

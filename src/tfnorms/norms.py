@@ -21,7 +21,13 @@ power of two >= W and P = n / M, grid index j = b + P a gives
 for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
-n log n.
+n log n.  The (b P, M) rows of a batch of b blocks are independent, so they
+are transformed in spans of at least 2^18 samples (a span may cross a block
+boundary), concurrently on the CPUs of the process's affinity mask once a
+batch holds two spans or more.  Each span writes its own rows of one shared
+buffer, and the per-block sums and maxima run over the whole batch in the
+calling thread, so every value is bitwise the same whatever the number of
+CPUs.
 
 The direct time-frequency definition (an integral over the STFT magnitude)
 is kept as a cross-check; the two are equivalent norms whose ratio is
@@ -40,6 +46,7 @@ import numpy as np
 
 from .grid import (
     _BATCH_LIMIT,
+    _each_span,
     Grid,
     NormSpec,
     SampledSignal,
@@ -65,6 +72,9 @@ __all__ = [
 
 # Relative magnitude below which a masked block is double-rounding noise.
 _NOISE_FLOOR = 1e-13
+
+# Least samples per span of folded inverse transforms (see _folded_lp).
+_FOLD_SPAN = 1 << 18
 
 
 def _index_weight(k: np.ndarray, s: float) -> np.ndarray:
@@ -158,7 +168,8 @@ def _folded_lp(
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
     Uses the fold described in the module docstring, in batches of at most
-    _BATCH_LIMIT samples.
+    _BATCH_LIMIT samples whose (b P, M) rows are transformed in spans of at
+    least _FOLD_SPAN samples.
     """
     width = core.size
     m_len = 1 << (width - 1).bit_length()
@@ -168,17 +179,35 @@ def _folded_lp(
     step = max(1, _BATCH_LIMIT // n)
     stack = np.empty((min(step, which.size), p_len, m_len), dtype=complex)
     mags = np.empty(stack.shape)
+    span = -(-_FOLD_SPAN // m_len)  # rows of M samples
     for lo in range(0, which.size, step):
         coeffs = rows[which[lo : lo + step]] * core
+        count = coeffs.shape[0] * p_len
         z, a = stack[: coeffs.shape[0]], mags[: coeffs.shape[0]]
-        z[:, :, width:] = 0.0
-        np.multiply(coeffs[:, None, :], twiddle, out=z[:, :, :width])
-        np.fft.ifft(z, axis=-1, out=z)
-        np.abs(z, out=a)
+        z_rows, a_rows = z.reshape(count, m_len), a.reshape(count, m_len)
+
+        def run(r0: int, r1: int) -> None:
+            # Row b * P + a of the batch is block b at fold offset a.
+            for b in range(r0 // p_len, (r1 - 1) // p_len + 1):
+                b0, b1 = max(r0, b * p_len), min(r1, (b + 1) * p_len)
+                np.multiply(
+                    coeffs[b],
+                    twiddle[b0 - b * p_len : b1 - b * p_len],
+                    out=z_rows[b0:b1, :width],
+                )
+            zs, az = z_rows[r0:r1], a_rows[r0:r1]
+            zs[:, width:] = 0.0
+            np.fft.ifft(zs, axis=-1, out=zs)
+            np.abs(zs, out=az)
+            if not math.isinf(p):
+                az **= p
+
+        _each_span(run, count, span)
+        # The reductions stay whole-batch, so their order does not depend
+        # on the spans.
         if math.isinf(p):
             out[lo : lo + step] = np.max(a, axis=(1, 2))
         else:
-            a **= p
             out[lo : lo + step] = (dx * np.sum(a, axis=(1, 2))) ** (1.0 / p)
     return out * (m_len / n / dx)
 

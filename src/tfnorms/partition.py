@@ -12,7 +12,10 @@ denominator is 1-periodic.  Frequency blocks are
 
     block_k(f) = F^-1( phi(. - k) . Ff ),
 
-band-limited to [k-1, k+1] and summing back to f.
+band-limited to [k-1, k+1] and summing back to f.  A partition stores only
+the core of phi, its samples on [-1, 1), which every block reuses: the
+translates phi(. - k) are the core moved by whole windows of the frequency
+grid, so no n-length profile is built or kept.
 """
 
 from __future__ import annotations
@@ -80,12 +83,14 @@ class FrequencyPartition:
     """Partition data bound to one grid.
 
     steps_per_unit is the number of frequency samples per unit shift, so the
-    translate phi(. - k) is the stored profile moved by k * steps_per_unit
-    index positions.
+    translate phi(. - k) is the stored core moved by k * steps_per_unit
+    index positions.  core (read-only) holds phi on [-1, 1): its
+    2 * steps_per_unit samples at the grid frequencies j * dxi,
+    j = -steps_per_unit .. steps_per_unit - 1, which carry all of supp phi.
     """
 
     grid: Grid
-    profile: SampledSignal
+    core: np.ndarray
     steps_per_unit: int
 
     @property
@@ -94,12 +99,6 @@ class FrequencyPartition:
 
     def block_indices(self) -> range:
         return range(-self.max_block_index, self.max_block_index + 1)
-
-    @property
-    def core(self) -> np.ndarray:
-        """phi on [-1, 1): the 2 * steps_per_unit samples of its window."""
-        n, w = self.grid.n, self.steps_per_unit
-        return self.profile.samples.real[n // 2 - w : n // 2 + w]
 
     def window_start(self, k: int) -> int:
         """Frequency-grid index of k - 1, where the window of phi(. - k) starts."""
@@ -133,10 +132,10 @@ def build_frequency_partition(grid: Grid) -> FrequencyPartition:
             f"L / pi = {steps:.6f})"
         )
     steps = int(round(steps))
-    xi = grid.frequencies()
-    # Precompute profile values centered in its own unit window.
-    profile = SampledSignal(grid.dual(), partition_profile(xi).astype(complex))
-    part = FrequencyPartition(grid, profile, steps)
+    # The same floats as grid.frequencies()[n/2 - steps : n/2 + steps].
+    core = partition_profile(grid.dxi * np.arange(-steps, steps))
+    core.setflags(write=False)
+    part = FrequencyPartition(grid, core, steps)
     if part.max_block_index < 1:
         raise ValueError(
             f"grid resolves no frequency blocks: nyquist = {grid.nyquist:.3f}"

@@ -1,0 +1,201 @@
+"""Span runner: pooled and inline runs give bit-identical results.
+
+The Rudin-Shapiro transform recursion and the folded block inverses of
+modulation_norm split their work into spans (grid._each_span) that run on a
+thread pool when there are several spans and several CPUs.  These tests
+shrink the spans so small inputs split many ways, then compare a pooled run
+with the same spans forced inline and with the default spans.
+"""
+
+import concurrent.futures
+import contextlib
+import importlib
+import math
+import multiprocessing
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tfnorms.experiments import flat_measurement
+from tfnorms.grid import Grid, SampledSignal, fourier_inverse
+from tfnorms.measures import Normalization, rudin_shapiro_transforms
+from tfnorms.norms import modulation_norm, partition_for
+
+grid_module = importlib.import_module("tfnorms.grid")
+measures = importlib.import_module("tfnorms.measures")
+norms = importlib.import_module("tfnorms.norms")
+
+GRID = Grid(4096, 16.0 * math.pi)
+PART = partition_for(GRID)
+XIS = np.linspace(-40.0, 40.0, 10007)
+
+
+def band_limited(grid, seed, cutoff=20.0):
+    rng = np.random.default_rng(seed)
+    xi = grid.frequencies()
+    envelope = np.exp(-((xi / cutoff) ** 2) * 4.0) * (np.abs(xi) < cutoff)
+    coeffs = envelope * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    return fourier_inverse(SampledSignal(grid.dual(), coeffs))
+
+
+def fold_rows(part):
+    """(M, P) of the fold for a partition: row length and rows per block."""
+    m_len = 1 << (2 * part.steps_per_unit - 1).bit_length()
+    return m_len, part.grid.n // m_len
+
+
+@contextlib.contextmanager
+def spans(cpus, rs_span=None, fold_span=None):
+    """Run with `cpus` CPUs and, when given, shrunken span sizes.
+
+    Yields a log of (module, count, span, ran_off_main_thread) per runner call.
+    """
+    log = []
+    real = grid_module._each_span
+
+    def recording(module):
+        def runner(fn, count, span):
+            threads = set()
+
+            def traced(lo, hi):
+                threads.add(threading.get_ident())
+                fn(lo, hi)
+
+            real(traced, count, span)
+            off_main = any(t != threading.main_thread().ident for t in threads)
+            log.append((module, count, span, off_main))
+
+        return runner
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "_cpu_count", lambda: cpus)
+        mp.setattr(measures, "_each_span", recording("measures"))
+        mp.setattr(norms, "_each_span", recording("norms"))
+        if rs_span is not None:
+            mp.setattr(measures, "_RS_SPAN", rs_span)
+            mp.setattr(measures, "_RS_POOL_MIN", 1)
+        if fold_span is not None:
+            mp.setattr(norms, "_FOLD_SPAN", fold_span)
+        yield log
+
+
+def full_length_transforms(m, base_spacing, xis, scale):
+    """The recursion in one full-length pass, as a reference."""
+    mu_hat = np.ones(xis.size, dtype=complex)
+    nu_hat = np.ones(xis.size, dtype=complex)
+    for j in range(1, m + 1):
+        phase = np.exp(-1j * (2 ** (j - 1) * base_spacing) * xis)
+        shifted = phase * nu_hat
+        mu_hat, nu_hat = mu_hat + shifted, mu_hat - shifted
+    return scale * mu_hat, scale * nu_hat
+
+
+class TestSpanRunner:
+    @pytest.mark.parametrize("count, span", [(0, 4), (1, 4), (10, 3), (12, 4), (5, 8)])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_covers_each_index_once(self, count, span, cpus):
+        hits = np.zeros(count, dtype=int)
+
+        def fn(lo, hi):
+            assert 0 <= lo < hi <= count and hi - lo <= span
+            hits[lo:hi] += 1
+
+        with spans(cpus):
+            grid_module._each_span(fn, count, span)
+        assert np.all(hits == 1)
+
+    def test_errors_reach_the_caller(self):
+        def fn(lo, hi):
+            if lo == 4:
+                raise ValueError("span failed")
+
+        with spans(3), pytest.raises(ValueError, match="span failed"):
+            grid_module._each_span(fn, 10, 2)
+
+
+class TestBitIdentical:
+    def test_rudin_shapiro_transforms(self):
+        scale = 2.0 ** (-7 / 1.5)
+        args = (7, 3, XIS, Normalization.LP_ATOMS, 1.5)
+        with spans(3, rs_span=1000) as log:
+            pooled = rudin_shapiro_transforms(*args)
+        with spans(1, rs_span=1000):
+            inline = rudin_shapiro_transforms(*args)
+        default = rudin_shapiro_transforms(*args)
+        # 10007 frequencies in spans of 1000: the last span is ragged.
+        assert log == [("measures", XIS.size, 1000, True)]
+        oracle = full_length_transforms(7, 3, XIS, scale)
+        for got in (pooled, inline, default):
+            for a, b in zip(got, oracle):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    def test_modulation_norm(self, p):
+        f = band_limited(GRID, seed=91)
+        m_len, p_len = fold_rows(PART)
+        # Three rows per span: P = 128 is no multiple of 3, so spans cross
+        # block boundaries.
+        with spans(3, fold_span=3 * m_len) as log:
+            pooled = modulation_norm(f, p, 1.0, 0.5, PART)
+        with spans(1, fold_span=3 * m_len):
+            inline = modulation_norm(f, p, 1.0, 0.5, PART)
+        default = modulation_norm(f, p, 1.0, 0.5, PART)
+        ((module, count, span, off_main),) = log
+        assert (module, span, off_main) == ("norms", 3, True)
+        assert p_len % span != 0 and count % span != 0  # ragged last span
+        assert pooled.value == inline.value == default.value
+        assert pooled.block_contributions == inline.block_contributions
+        assert pooled.block_contributions == default.block_contributions
+
+    def test_flat_measurement(self):
+        with spans(3, rs_span=1001, fold_span=3000) as log:
+            pooled = flat_measurement(1.0, 3, 3)
+        with spans(1, rs_span=1001, fold_span=3000):
+            inline = flat_measurement(1.0, 3, 3)
+        default = flat_measurement(1.0, 3, 3)
+        assert {module for module, _, _, off_main in log if off_main} == {"measures", "norms"}
+        assert pooled == inline == default
+
+
+class TestFlatnessIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(0, 12),
+        base_spacing=st.integers(1, 64),
+        xis=st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=300,
+        ),
+    )
+    def test_identity_on_pooled_path(self, m, base_spacing, xis):
+        with spans(3, rs_span=7):
+            mu_hat, nu_hat = rudin_shapiro_transforms(m, base_spacing, np.array(xis))
+        identity = np.abs(mu_hat) ** 2 + np.abs(nu_hat) ** 2
+        target = 2.0 ** (m + 1)
+        assert np.max(np.abs(identity - target)) <= 1e-12 * target
+
+
+def _pooled_transform_bytes():
+    with spans(2, rs_span=1000):
+        mu_hat, nu_hat = rudin_shapiro_transforms(5, 2, XIS)
+    return mu_hat.tobytes() + nu_hat.tobytes()
+
+
+class TestFork:
+    def test_pool_used_before_fork_works_in_child(self):
+        parent = _pooled_transform_bytes()  # the parent's pool now has threads
+        before = set(multiprocessing.active_children())
+        context = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+            future = pool.submit(_pooled_transform_bytes)
+            try:
+                child = future.result(timeout=60)
+            except concurrent.futures.TimeoutError:
+                for proc in set(multiprocessing.active_children()) - before:
+                    proc.kill()  # a hung child would block the pool's shutdown
+                raise
+        assert child == parent

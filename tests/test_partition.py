@@ -48,8 +48,12 @@ class TestProfile:
 
     def test_profile_samples_vanish_outside_unit(self):
         xi = GRID.frequencies()
-        outside = np.abs(xi) >= 1.0
-        assert np.all(PART.profile.samples.real[outside] == 0.0)
+        profile = partition_profile(xi)
+        assert np.all(profile[np.abs(xi) >= 1.0] == 0.0)
+        # The stored core is that grid profile on [-1, 1), bit for bit.
+        n, w = GRID.n, PART.steps_per_unit
+        assert np.array_equal(PART.core, profile[n // 2 - w : n // 2 + w])
+        assert not PART.core.flags.writeable
 
 
 class TestBuild:
