@@ -18,7 +18,7 @@ from .grid import (
     fourier_forward,
     fourier_inverse,
     inner_product,
-    resample,
+    resample_progression,
     support_leakage,
     upsample,
     weighted_lp_norm,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverError, ToleranceNotReachedError
-from .grid import Grid, NormSpec, SampledSignal, Space, upsample
+from .grid import Grid, NormSpec, SampledSignal, Space, resample_progression, upsample
 from .norms import norm_value, partition_for
 from .partition import FrequencyPartition, bump_profile
 from .windows import PlateauWindow
@@ -307,26 +307,6 @@ def dilation_difference_norm(
     return norm_value(SampledSignal(grid, samples), spec, part)
 
 
-def resample_progression(
-    f: SampledSignal, start: float, step: float, count: int
-) -> np.ndarray:
-    """Trigonometric interpolation of f along start + m*step, via chirp-z."""
-    from scipy.signal import czt
-
-    from .grid import fourier_forward
-
-    grid = f.grid
-    spectrum = fourier_forward(f).samples
-    dxi = grid.dxi
-    half = grid.n // 2
-    # sum_k spectrum_k e^{i (start + m step)(k - half) dxi}, evaluated as a czt
-    weighted = spectrum * np.exp(1j * start * dxi * np.arange(grid.n))
-    transformed = czt(weighted, m=count, w=np.exp(1j * step * dxi), a=1.0 + 0.0j)
-    m = np.arange(count)
-    phase = np.exp(-1j * (start + m * step) * half * dxi)
-    return (dxi / (2.0 * math.pi)) * phase * transformed
-
-
 @dataclass(frozen=True, eq=False)
 class LocalPatch:
     """One local composition around a grid point.
@@ -431,9 +411,7 @@ class GlueResult:
     patch_count: int
 
 
-def glue_local(
-    f: SampledSignal, interval: tuple, patches: list
-) -> GlueResult:
+def glue_local(interval: tuple, patches: list) -> GlueResult:
     """Combine local patches with the telescoping partition of unity.
 
     h_1 = sigma_1 and h_j = sigma_j (1 - sigma_1) ... (1 - sigma_{j-1}),
@@ -514,7 +492,7 @@ def reciprocal_on_compact(
     if minimum <= 0.0:
         raise ValueError("f vanishes on the interval; no reciprocal exists there")
     patches = _patch_cover(f, (a, b), series_reciprocal, spec, c_hat, part)
-    glued = glue_local(f, (a, b), patches)
+    glued = glue_local((a, b), patches)
     return glued.values, glued, patches
 
 
@@ -561,7 +539,7 @@ def global_compose(
     tau0 = bump_profile(grid.points(), inner=support_radius, outer=support_radius + 2.0)
     patch_interval = (-support_radius - 2.0, support_radius + 2.0)
     patches = _patch_cover(f, patch_interval, series.recenter, spec, c_hat, part)
-    glued = glue_local(f, patch_interval, patches)
+    glued = glue_local(patch_interval, patches)
 
     values = (1.0 - tau0) * g0 + tau0 * glued.values.samples
     diagnostics = {

@@ -24,6 +24,7 @@ from .grid import (
     fourier_forward,
     fourier_inverse,
     inner_product,
+    support_leakage,
     weighted_lp_norm,
 )
 from .measures import (
@@ -38,7 +39,7 @@ from .norms import (
     norm_value,
     partition_for,
 )
-from .partition import bump_profile, partition_defect
+from .partition import bump_profile, frequency_block, partition_defect, partition_profile
 from .compose import (
     _dilated_window_samples,
     global_compose,
@@ -46,6 +47,7 @@ from .compose import (
     pointwise_oracle,
     reciprocal_on_compact,
 )
+from .reporting import load_signal
 from .stft import _stft_rows, gaussian_window, stft_gram
 from .windows import plateau_window, translation_difference_bound
 
@@ -219,8 +221,6 @@ def norm_experiment(
     """
     report = SweepReport("norm", axis="k")
     if str(signal).endswith(".csv"):
-        from .reporting import load_signal
-
         f = load_signal(signal)
         grid = f.grid
     else:
@@ -246,13 +246,9 @@ def bupu_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> Swe
     report.check_le("partition_sum_defect", partition_defect(part), 1e-12)
 
     xi = np.array([0.0, 0.1, -0.1, 1.0, -1.0])
-    from .partition import partition_profile
-
     vals = partition_profile(xi)
     report.check("plateau_and_support_exact", float(np.max(np.abs(vals - [1, 1, 1, 0, 0]))), 0.0,
                  bool(np.all(vals == [1, 1, 1, 0, 0])))
-
-    from .partition import frequency_block
 
     worst = 0.0
     for name, f in _corpus_on(n, L, seed):
@@ -305,8 +301,6 @@ def plateau_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> 
     """Plateau, support, and factorization invariants over the test matrix."""
     report = SweepReport("plateau", axis="window")
     grid = Grid(n, L)
-    from .grid import support_leakage
-
     for center, radius in [(0.0, 1.0), (2.0, 0.5), (-3.0, 0.25)]:
         w = plateau_window(center, radius, grid)
         x = grid.points()
@@ -650,7 +644,6 @@ def counterexample_flat(
     p: float = 1.0,
     m: int | None = None,
     r: int | None = None,
-    step: int = 2,
     seed: int = 0,
 ) -> SweepReport:
     """Scaling run of the flat counterexample at (m, r) and (m+2, r+2).
@@ -661,7 +654,7 @@ def counterexample_flat(
     if m is None or r is None:
         m, r = (4, 4) if p == 1.0 else (2, 8)
     report = SweepReport("counterexample-flat", axis="depth")
-    runs = [flat_measurement(p, m, r), flat_measurement(p, m + step, r + step)]
+    runs = [flat_measurement(p, m, r), flat_measurement(p, m + 2, r + 2)]
     for run in runs:
         report.rows.append(run)
         tag = f"m={run['m']},r={run['r']}"

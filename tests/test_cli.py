@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report files, determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -9,11 +10,35 @@ import sys
 import numpy as np
 import pytest
 
-from tfnorms.cli import main
+from tfnorms.cli import build_parser, main
 from tfnorms.grid import Grid, SampledSignal
 from tfnorms.reporting import dumps_canonical, load_signal, save_signal
 
 CLI = [sys.executable, "-m", "tfnorms.cli"]
+
+
+GRID_FLAGS = {"--n", "--L"}
+FILE_FLAGS = {"--seed", "--out", "--config"}
+
+# Every subcommand's flags, spelled out so that renaming a runner parameter
+# cannot rename a flag unnoticed.
+EXPECTED_FLAGS = {
+    "stft": GRID_FLAGS | FILE_FLAGS | {"--dump-matrix"},
+    "moyal": GRID_FLAGS | FILE_FLAGS,
+    "norm": GRID_FLAGS | FILE_FLAGS | {"--signal", "--space", "--p", "--q", "--s"},
+    "bupu-check": GRID_FLAGS | FILE_FLAGS,
+    "rudin-shapiro": FILE_FLAGS | {"--m", "--samples"},
+    "plateau": GRID_FLAGS | FILE_FLAGS,
+    "translation-bound": GRID_FLAGS | FILE_FLAGS,
+    "compose": GRID_FLAGS | FILE_FLAGS | {"--function", "--p", "--s"},
+    "reciprocal": GRID_FLAGS | FILE_FLAGS | {"--interval", "--p", "--s"},
+    "approx-unit": GRID_FLAGS | FILE_FLAGS | {"--signal", "--p", "--q", "--s", "--halvings"},
+    "embedding-sweep": GRID_FLAGS | FILE_FLAGS,
+    "algebra-sweep": GRID_FLAGS | FILE_FLAGS | {"--pairs"},
+    "counterexample-flat": FILE_FLAGS | {"--p", "--m", "--r"},
+    "counterexample-l2": FILE_FLAGS | {"--k0", "--checkpoints"},
+    "all": GRID_FLAGS | {"--seed", "--out", "--jobs"},
+}
 
 
 def run_cli(args, cwd):
@@ -164,3 +189,51 @@ class TestDeterminism:
         assert (tmp_path / "a" / "report.csv").read_bytes() == (
             tmp_path / "b" / "report.csv"
         ).read_bytes()
+
+
+class TestRegistry:
+    def test_flags_are_runner_parameters(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert flags == EXPECTED_FLAGS
+
+    def test_flag_the_runner_lacks_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["rudin-shapiro", "--n", "4096", "--out", str(out)])
+        assert exit_.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"m_max": 6, "bogus": 1}')
+        out = tmp_path / "out"
+        assert main(["rudin-shapiro", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'bogus'" in err
+        assert not out.exists()
+
+    def test_all_takes_no_config(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            main(["all", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rudin-shapiro", "--m", "6", "--samples", "512"],
+            ["counterexample-l2", "--checkpoints", "1e2,1e4,1e8"],
+        ],
+    )
+    def test_report_config_feeds_back(self, tmp_path, args):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*args, "--out", str(first)]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads((first / "report.json").read_text())["config"]))
+        assert main([args[0], "--config", str(config), "--out", str(second)]) == 0
+        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()

@@ -14,7 +14,6 @@ from tfnorms.compose import (
     point_ditkin_window,
     pointwise_oracle,
     reciprocal_on_compact,
-    resample_progression,
     series_expm1,
     series_identity,
     series_mobius,
@@ -89,14 +88,6 @@ class TestPowerSeries:
             named_series("tangent")
 
 
-class TestResample:
-    def test_progression_matches_closed_form(self):
-        f = gaussian()
-        vals = resample_progression(f, -1.0, 0.0123, 300)
-        x = -1.0 + 0.0123 * np.arange(300)
-        assert np.max(np.abs(vals - np.exp(-(x**2) / 2.0))) <= 1e-8
-
-
 class TestDilationDifference:
     def test_constant_signal_is_zero(self):
         f = SampledSignal(GRID, np.full(GRID.n, 1.5 + 0.0j))
@@ -169,7 +160,7 @@ class TestGlue:
         f = gaussian()
         patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0, PART)
         rho = patch.glue_radius
-        glued = glue_local(f, (-rho / 2.0, rho / 2.0), [patch])
+        glued = glue_local((-rho / 2.0, rho / 2.0), [patch])
         x = GRID.points()
         inside = np.abs(x) <= rho / 2.0
         assert np.max(np.abs(glued.values.samples[inside] - patch.values.samples[inside])) == 0.0
@@ -182,7 +173,7 @@ class TestGlue:
         idx1 = int(round((x1 + GRID.half_width) / GRID.dx))
         p2 = local_compose(f, x1, series_square(f.samples[idx1]), SPEC, 1.0, PART)
         interval = (0.0, p2.center + p2.glue_radius)
-        glued = glue_local(f, interval, [p1, p2])
+        glued = glue_local(interval, [p1, p2])
         x = GRID.points()
         inside = (x >= interval[0]) & (x <= interval[1])
         err = np.max(np.abs(glued.values.samples[inside] - f.samples[inside] ** 2))
@@ -193,7 +184,7 @@ class TestGlue:
         f = gaussian()
         patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0, PART)
         with pytest.raises(CoverError):
-            glue_local(f, (-10.0, 10.0), [patch])
+            glue_local((-10.0, 10.0), [patch])
 
 
 class TestReciprocal:

@@ -15,7 +15,7 @@ from tfnorms.grid import (
     fourier_forward,
     fourier_inverse,
     inner_product,
-    resample,
+    resample_progression,
     support_leakage,
     weighted_lp_norm,
 )
@@ -217,14 +217,20 @@ class TestInnerProduct:
 class TestResample:
     def test_matches_closed_form_gaussian(self):
         f = gaussian(GRID)
-        pts = np.linspace(-5.0, 5.0, 101) + 0.123456
-        values = resample(f, pts)
+        pts = -5.0 + 0.123456 + 0.1 * np.arange(101)
+        values = resample_progression(f, pts[0], 0.1, pts.size)
         assert np.max(np.abs(values - np.exp(-(pts**2) / 2.0))) <= 1e-10
 
     def test_reproduces_grid_samples(self):
         f = band_limited(GRID, seed=4)
-        values = resample(f, GRID.points()[100:110])
+        values = resample_progression(f, GRID.points()[100], GRID.dx, 10)
         assert np.max(np.abs(values - f.samples[100:110])) <= 1e-9 * np.max(np.abs(f.samples))
+
+    def test_progression_matches_closed_form(self):
+        f = gaussian(Grid(8192, 16.0 * math.pi))
+        vals = resample_progression(f, -1.0, 0.0123, 300)
+        x = -1.0 + 0.0123 * np.arange(300)
+        assert np.max(np.abs(vals - np.exp(-(x**2) / 2.0))) <= 1e-8
 
 
 class TestSupportLeakage:
