@@ -18,7 +18,6 @@ from .grid import (
     fourier_forward,
     fourier_inverse,
     inner_product,
-    resample_progression,
     support_leakage,
     upsample,
     weighted_lp_norm,
@@ -66,6 +65,7 @@ from .compose import (
     named_series,
     point_ditkin_window,
     reciprocal_on_compact,
+    resample_progression,
 )
 from .corpus import make_corpus, make_signal
 

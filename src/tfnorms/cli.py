@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, get_args
 
 from . import experiments as exp
+from .compose import SERIES_BUILDERS
 from .errors import ToleranceNotReachedError
 from .grid import Space
 from .reporting import write_report
@@ -39,7 +40,7 @@ class Param(NamedTuple):
 _FLAGS = {"m_max": "--m", "count": "--pairs"}
 _CHOICES = {
     "space": tuple(s.value for s in Space),
-    "function": ("identity", "square", "mobius", "expm1"),
+    "function": tuple(SERIES_BUILDERS),
 }
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverError, ToleranceNotReachedError
-from .grid import Grid, NormSpec, SampledSignal, Space, resample_progression, upsample
+from .grid import Grid, NormSpec, SampledSignal, Space, fourier_forward, upsample
 from .norms import norm_value, partition_for
 from .partition import FrequencyPartition, bump_profile
 from .windows import PlateauWindow
@@ -40,6 +40,7 @@ __all__ = [
     "series_expm1",
     "named_series",
     "dilation_difference_norm",
+    "resample_progression",
     "LocalPatch",
     "local_compose",
     "GlueResult",
@@ -215,7 +216,7 @@ def series_expm1(center: complex = 0.0) -> PowerSeries:
     return PowerSeries("expm1", z0, np.exp(z0) - 1.0, coeffs, math.inf)
 
 
-_SERIES_BUILDERS = {
+SERIES_BUILDERS = {
     "identity": series_identity,
     "square": series_square,
     "mobius": series_mobius,
@@ -235,9 +236,9 @@ def named_series(name: str, center: complex = 0.0) -> PowerSeries:
     if name == "reciprocal":
         return series_reciprocal(center)
     try:
-        return _SERIES_BUILDERS[name](center)
+        return SERIES_BUILDERS[name](center)
     except KeyError:
-        raise ValueError(f"unknown series {name!r}; choose from {sorted(_SERIES_BUILDERS) + ['reciprocal']}")
+        raise ValueError(f"unknown series {name!r}; choose from {sorted(SERIES_BUILDERS) + ['reciprocal']}")
 
 
 def pointwise_oracle(name: str):
@@ -305,6 +306,29 @@ def dilation_difference_norm(
     samples = np.zeros(grid.n, dtype=complex)
     samples[lo : hi + 1] = (values - fx0) * tau.samples[lo : hi + 1]
     return norm_value(SampledSignal(grid, samples), spec, part)
+
+
+def resample_progression(
+    f: SampledSignal, start: float, step: float, count: int
+) -> np.ndarray:
+    """Trigonometric interpolation of f along start + m*step, via chirp-z.
+
+    The interpolant is the band-limited extension determined by the samples,
+    f(x) = (dxi / 2 pi) * sum_k Ff(xi_k) exp(i x xi_k); points outside
+    [-L, L) see the periodic extension.
+    """
+    from scipy.signal import czt
+
+    grid = f.grid
+    spectrum = fourier_forward(f).samples
+    dxi = grid.dxi
+    half = grid.n // 2
+    # sum_k spectrum_k e^{i (start + m step)(k - half) dxi}, evaluated as a czt
+    weighted = spectrum * np.exp(1j * start * dxi * np.arange(grid.n))
+    transformed = czt(weighted, m=count, w=np.exp(1j * step * dxi), a=1.0 + 0.0j)
+    m = np.arange(count)
+    phase = np.exp(-1j * (start + m * step) * half * dxi)
+    return (dxi / (2.0 * math.pi)) * phase * transformed
 
 
 @dataclass(frozen=True, eq=False)

@@ -422,6 +422,9 @@ def reciprocal_experiment(
     s: float = 0.0,
 ) -> SweepReport:
     """Reciprocal of 2 + sin x on a compact interval, with refinement stability."""
+    if len(interval) != 2:
+        raise ValueError(f"interval needs two end points, got {len(interval)}")
+    a, b = map(float, interval)
     report = SweepReport("reciprocal", axis="n")
     spec = NormSpec.modulation(p, 1.0, s)
 
@@ -430,8 +433,8 @@ def reciprocal_experiment(
         part = partition_for(grid)
         c_hat = measured_algebra_constant(spec, min(n_run, 4096), L, seed)
         f = SampledSignal(grid, (2.0 + np.sin(grid.points())).astype(complex))
-        g, glued, _ = reciprocal_on_compact(f, interval, spec, c_hat, part)
-        inside = (grid.points() >= interval[0]) & (grid.points() <= interval[1])
+        g, glued, _ = reciprocal_on_compact(f, (a, b), spec, c_hat, part)
+        inside = (grid.points() >= a) & (grid.points() <= b)
         sup = float(np.max(np.abs(f.samples[inside] * g.samples[inside] - 1.0)))
         return sup, norm_value(g, spec, part), glued
 

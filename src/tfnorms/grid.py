@@ -41,7 +41,6 @@ __all__ = [
     "convolve",
     "weighted_lp_norm",
     "inner_product",
-    "resample_progression",
     "upsample",
     "support_leakage",
 ]
@@ -328,7 +327,8 @@ def upsample(f: SampledSignal, factor: int) -> SampledSignal:
     """Exact band-limited upsampling onto the factor-refined grid.
 
     Zero-pads the spectrum, so the result samples the same trigonometric
-    interpolant as :func:`resample_progression` on the refined grid points.
+    interpolant as :func:`tfnorms.compose.resample_progression` on the
+    refined grid points.
     """
     if factor < 1 or factor != int(factor):
         raise ValueError(f"upsampling factor must be a positive integer, got {factor}")
@@ -341,29 +341,6 @@ def upsample(f: SampledSignal, factor: int) -> SampledSignal:
     offset = (fine_grid.n - f.grid.n) // 2
     padded[offset : offset + f.grid.n] = spectrum
     return fourier_inverse(SampledSignal(fine_grid.dual(), padded))
-
-
-def resample_progression(
-    f: SampledSignal, start: float, step: float, count: int
-) -> np.ndarray:
-    """Trigonometric interpolation of f along start + m*step, via chirp-z.
-
-    The interpolant is the band-limited extension determined by the samples,
-    f(x) = (dxi / 2 pi) * sum_k Ff(xi_k) exp(i x xi_k); points outside
-    [-L, L) see the periodic extension.
-    """
-    from scipy.signal import czt
-
-    grid = f.grid
-    spectrum = fourier_forward(f).samples
-    dxi = grid.dxi
-    half = grid.n // 2
-    # sum_k spectrum_k e^{i (start + m step)(k - half) dxi}, evaluated as a czt
-    weighted = spectrum * np.exp(1j * start * dxi * np.arange(grid.n))
-    transformed = czt(weighted, m=count, w=np.exp(1j * step * dxi), a=1.0 + 0.0j)
-    m = np.arange(count)
-    phase = np.exp(-1j * (start + m * step) * half * dxi)
-    return (dxi / (2.0 * math.pi)) * phase * transformed
 
 
 def support_leakage(f: SampledSignal, outer_fraction: float = 0.1) -> float:

@@ -218,6 +218,13 @@ class TestRegistry:
         assert err.startswith("error: ") and "'bogus'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("interval", ["1,2,3", "1"])
+    def test_interval_needs_two_values(self, tmp_path, capsys, interval):
+        out = tmp_path / "out"
+        assert main(["reciprocal", "--interval", interval, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: interval needs two end points")
+        assert not out.exists()
+
     def test_all_takes_no_config(self, tmp_path):
         with pytest.raises(SystemExit) as exit_:
             main(["all", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path / "out")])

@@ -14,6 +14,7 @@ from tfnorms.compose import (
     point_ditkin_window,
     pointwise_oracle,
     reciprocal_on_compact,
+    resample_progression,
     series_expm1,
     series_identity,
     series_mobius,
@@ -86,6 +87,14 @@ class TestPowerSeries:
         assert named_series("square", 2.0).constant == 4.0
         with pytest.raises(ValueError):
             named_series("tangent")
+
+
+class TestResample:
+    def test_progression_matches_closed_form(self):
+        f = gaussian()
+        vals = resample_progression(f, -1.0, 0.0123, 300)
+        x = -1.0 + 0.0123 * np.arange(300)
+        assert np.max(np.abs(vals - np.exp(-(x**2) / 2.0))) <= 1e-8
 
 
 class TestDilationDifference:

