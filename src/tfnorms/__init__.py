@@ -22,23 +22,13 @@ from .grid import (
     upsample,
     weighted_lp_norm,
 )
-from .stft import (
-    TimeFrequencyMatrix,
-    gaussian_window,
-    moyal_residual,
-    stft,
-    stft_gram,
-    stft_l2_identity_ratio,
-)
+from .stft import TimeFrequencyMatrix, gaussian_window, stft_gram
 from .partition import FrequencyPartition, build_frequency_partition, frequency_block
 from .norms import (
     NormReport,
-    algebra_ratio,
-    embedding_ratio,
     fourier_beurling_norm,
     fourier_segal_norm,
     modulation_norm,
-    modulation_norm_stft,
     norm_value,
     partition_for,
 )
@@ -49,8 +39,6 @@ from .measures import (
     convolve_measures,
     dirac,
     disjointness_spacing,
-    fourier_stieltjes,
-    measure_signal_convolve,
     rudin_shapiro,
     rudin_shapiro_transforms,
 )
@@ -63,7 +51,6 @@ from .compose import (
     glue_local,
     local_compose,
     named_series,
-    point_ditkin_window,
     reciprocal_on_compact,
     resample_progression,
 )

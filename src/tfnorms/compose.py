@@ -47,7 +47,6 @@ __all__ = [
     "glue_local",
     "reciprocal_on_compact",
     "global_compose",
-    "point_ditkin_window",
 ]
 
 DEFAULT_TERMS = 400
@@ -574,47 +573,6 @@ def global_compose(
         "partition_defect": glued.partition_defect,
     }
     return SampledSignal(grid, values), diagnostics, patches
-
-
-def point_ditkin_window(
-    f: SampledSignal,
-    x0: float,
-    spec: NormSpec,
-    eps: float,
-    base: PlateauWindow,
-    part: FrequencyPartition | None = None,
-    lam_start: float = 1.0,
-    max_doublings: int = 24,
-) -> tuple:
-    """Shrinking dilations of a plateau window until ||(f - f(x0)) w|| < eps.
-
-    The dilated window w(x) = base(lam (x - x0)) keeps the value 1 on a
-    neighborhood of x0 of radius inner_radius / lam; returns
-    (window, lam, residual).
-    """
-    if spec.space is not Space.MODULATION or spec.q != 1.0 or not 0.0 <= spec.s < 1.0:
-        raise ValueError("the one-point window search needs a modulation spec with q = 1 and 0 <= s < 1")
-    grid = f.grid
-    if part is None:
-        part = partition_for(grid)
-    idx, x0g = _snap_to_grid(grid, x0)
-    fx0 = complex(f.samples[idx])
-    support_radius = base.support_radius
-
-    lam = float(lam_start)
-    history = []
-    for _ in range(max_doublings):
-        window = _dilated_window_samples(base, grid, x0g, lam, support_radius)
-        residual = norm_value(
-            SampledSignal(grid, (f.samples - fx0) * window), spec, part
-        )
-        history.append((lam, residual))
-        if residual < eps:
-            return SampledSignal(grid, window.astype(complex)), lam, residual
-        lam *= 2.0
-    raise ToleranceNotReachedError(
-        f"residual never fell below {eps:.3g}; history = {history}"
-    )
 
 
 def _dilated_window_samples(

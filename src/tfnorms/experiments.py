@@ -216,19 +216,24 @@ def norm_experiment(
 ) -> SweepReport:
     """Evaluate one norm and dump its block breakdown.
 
-    The signal is either a corpus name or a path to a signal CSV (with its
-    JSON sidecar fixing the grid).
+    The signal is either a corpus name or a path to a signal CSV, whose JSON
+    sidecar must name the grid Grid(n, L), so that the config names the grid
+    that was measured.
     """
     report = SweepReport("norm", axis="k")
+    grid = Grid(n, L)
     if str(signal).endswith(".csv"):
         f = load_signal(signal)
-        grid = f.grid
+        if not f.grid.compatible(grid):
+            raise ValueError(
+                f"{signal} holds a grid with n={f.grid.n}, L={f.grid.half_width!r}, "
+                f"not the requested n={n}, L={L!r}"
+            )
     else:
-        grid = Grid(n, L)
         f = make_signal(signal, grid, seed)
     spec = NormSpec(space, p=p, q=q, s=s)
     if spec.space.value == "modulation":
-        result = modulation_norm(f, p, q, s, partition_for(grid))
+        result = modulation_norm(f, p, q, s, partition_for(f.grid))
         report.extras = result.to_json_dict()
         report.rows = report.extras.pop("blocks")
     else:

@@ -234,12 +234,6 @@ class NormSpec:
         return cls(Space.FOURIER_BEURLING, p=1.0, q=1.0, s=s)
 
     @classmethod
-    def fourier_segal(cls, p: float) -> "NormSpec":
-        if not math.isfinite(p):
-            raise ValueError("Fourier-Segal norm needs a finite exponent p")
-        return cls(Space.FOURIER_SEGAL, p=p, q=1.0, s=0.0)
-
-    @classmethod
     def weighted_lebesgue(cls, p: float, s: float = 0.0) -> "NormSpec":
         return cls(Space.WEIGHTED_LEBESGUE, p=p, q=1.0, s=s)
 

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CostGateError
-from .grid import SampledSignal, _each_span
+from .grid import _each_span
 
 __all__ = [
     "DiscreteMeasure",
@@ -38,11 +38,9 @@ __all__ = [
     "RudinShapiroPair",
     "dirac",
     "convolve_measures",
-    "fourier_stieltjes",
     "rudin_shapiro",
     "rudin_shapiro_transforms",
     "disjointness_spacing",
-    "measure_signal_convolve",
 ]
 
 CONVOLUTION_ATOM_GATE = 10**7
@@ -135,12 +133,6 @@ def convolve_measures(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasu
     locations = np.add.outer(mu.locations, nu.locations).ravel()
     weights = np.multiply.outer(mu.weights, nu.weights).ravel()
     return DiscreteMeasure(locations, weights)
-
-
-def fourier_stieltjes(mu: DiscreteMeasure, xis: np.ndarray) -> np.ndarray:
-    """Exact transform values sum_j w_j exp(-i x_j xi); no quadrature."""
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    return np.exp(-1j * np.outer(xis, mu.locations)) @ mu.weights
 
 
 class Normalization(str, Enum):
@@ -258,35 +250,3 @@ def disjointness_spacing(k_halfwidth: float, m: int) -> int:
         raise ValueError("depth m must be >= 0")
     return int(math.floor(2.0 * k_halfwidth)) + 1
 
-
-def measure_signal_convolve(mu: DiscreteMeasure, f: SampledSignal) -> SampledSignal:
-    """sum_j w_j f(. - x_j) by exact index shifts.
-
-    Atom locations must be grid aligned and the shifted essential supports
-    must stay inside the domain; wraparound is an error, not a warning.
-    """
-    grid = f.grid
-    dx = grid.dx
-    steps = mu.locations / dx
-    rounded = np.rint(steps)
-    if np.max(np.abs(steps - rounded)) > 1e-9:
-        raise ValueError("atom locations must be integer multiples of the grid spacing")
-    shifts = rounded.astype(int)
-
-    mags = np.abs(f.samples)
-    peak = float(np.max(mags))
-    out = np.zeros(grid.n, dtype=complex)
-    if peak == 0.0:
-        return SampledSignal(grid, out)
-    essential = np.nonzero(mags > 1e-13 * peak)[0]
-    lo, hi = int(essential[0]), int(essential[-1])
-    for shift, w in zip(shifts, mu.weights):
-        if lo + shift < 0 or hi + shift >= grid.n:
-            raise ValueError(
-                f"shift by {shift * dx:+.6g} pushes the signal support outside the domain"
-            )
-        if shift >= 0:
-            out[shift:] += w * f.samples[: grid.n - shift]
-        else:
-            out[:shift] += w * f.samples[-shift:]
-    return SampledSignal(grid, out)

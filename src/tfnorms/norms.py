@@ -1,4 +1,4 @@
-"""Norms built from frequency blocks, plus embedding and algebra diagnostics.
+"""Norms built from frequency blocks, and the measured algebra constant.
 
 The canonical modulation norm is the block characterization
 
@@ -29,11 +29,8 @@ buffer, and the per-block sums and maxima run over the whole batch in the
 calling thread, so every value is bitwise the same whatever the number of
 CPUs.
 
-The direct time-frequency definition (an integral over the STFT magnitude)
-is kept as a cross-check; the two are equivalent norms whose ratio is
-measured, never assumed.  The sum over blocks is truncated at the frequency
-grid edge and the mass of the outermost two blocks is reported as a tail
-estimate.
+The sum over blocks is truncated at the frequency grid edge and the mass of
+the outermost two blocks is reported as a tail estimate.
 """
 
 from __future__ import annotations
@@ -55,18 +52,14 @@ from .grid import (
     weighted_lp_norm,
 )
 from .partition import FrequencyPartition, build_frequency_partition
-from .stft import _stft_rows
 
 __all__ = [
     "NormReport",
     "modulation_norm",
-    "modulation_norm_stft",
     "fourier_beurling_norm",
     "fourier_segal_norm",
     "norm_value",
     "partition_for",
-    "embedding_ratio",
-    "algebra_ratio",
     "algebra_constant",
 ]
 
@@ -212,35 +205,6 @@ def _folded_lp(
     return out * (m_len / n / dx)
 
 
-def modulation_norm_stft(
-    f: SampledSignal, p: float, q: float, s: float, window: SampledSignal
-) -> float:
-    """Direct time-frequency modulation norm, by tensor quadrature over the STFT.
-
-    Diagnostic cross-check of :func:`modulation_norm`.  The per-frequency
-    L^p sums over x accumulate over the STFT's row chunks, so no n x n array
-    is formed; the STFT size gate applies.
-    """
-    NormSpec.modulation(p, q, s)  # validate exponents
-    grid = f.grid
-    per_xi = np.zeros(grid.n)
-    for _, block in _stft_rows([f], [window], buffers=2):
-        mags = np.abs(block[0])
-        if math.isinf(p):
-            np.maximum(per_xi, np.max(mags, axis=0), out=per_xi)
-        else:
-            mags **= p
-            per_xi += np.sum(mags, axis=0)
-    if not math.isinf(p):
-        per_xi = (grid.dx * per_xi) ** (1.0 / p)
-    per_xi = np.fft.fftshift(per_xi)  # chunk columns come in FFT order
-    xi = grid.frequencies()
-    weighted = (1.0 + xi**2) ** (s / 2.0) * per_xi
-    if math.isinf(q):
-        return float(np.max(weighted))
-    return float((grid.dxi * np.sum(weighted**q)) ** (1.0 / q))
-
-
 def fourier_beurling_norm(f: SampledSignal, s: float = 0.0) -> float:
     """Weighted L1 norm of the transform, integral <xi>^s |Ff(xi)| dxi."""
     if s < 0:
@@ -286,51 +250,8 @@ def norm_value(
     return weighted_lp_norm(f, spec.p, spec.s)
 
 
-def embedding_ratio(
-    f: SampledSignal,
-    from_spec: NormSpec,
-    to_spec: NormSpec,
-    part: FrequencyPartition | None = None,
-) -> float:
-    """||f||_to / ||f||_from for a nonzero signal."""
-    denom = norm_value(f, from_spec, part)
-    if denom == 0.0:
-        raise ValueError("embedding ratio needs a nonzero signal")
-    return norm_value(f, to_spec, part) / denom
-
-
-def algebra_ratio(
-    f: SampledSignal,
-    g: SampledSignal,
-    spec: NormSpec,
-    part: FrequencyPartition | None = None,
-    mixed: bool = False,
-) -> float:
-    """Multiplicative defect ||f g|| / (||f|| ||g||) in an algebra regime.
-
-    With mixed=True the first factor is measured in the sup-type companion
-    space (p = inf, same q and s).
-    """
-    if not spec.in_algebra_regime():
-        raise ValueError(
-            "algebra ratio is only asserted for modulation specs with q = 1 "
-            "and s >= 0, or s > 1 - 1/q"
-        )
-    if part is None:
-        part = partition_for(f.grid)
-    nf = (
-        norm_value(f, NormSpec.modulation(math.inf, spec.q, spec.s), part)
-        if mixed
-        else norm_value(f, spec, part)
-    )
-    ng = norm_value(g, spec, part)
-    if nf == 0.0 or ng == 0.0:
-        raise ValueError("algebra ratio needs nonzero signals")
-    return norm_value(f * g, spec, part) / (nf * ng)
-
-
 def algebra_constant(pairs, spec: NormSpec, part: FrequencyPartition) -> float:
-    """Empirical multiplication constant: max algebra ratio over signal pairs.
+    """Empirical multiplication constant: max ||f g|| / (||f|| ||g||) over signal pairs.
 
     Downstream series constructions gate convergence on this measured value
     (with their own safety margin); it is an estimate, not a proof.

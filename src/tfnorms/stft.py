@@ -18,8 +18,7 @@ samples, so no pass needs n^2 memory:
 - ``stft_gram`` accumulates the Gram matrix <V f_a, V f_b> of a stack of
   signals with one matrix product per chunk, which is where the Moyal
   residual and the L2 identity ratio come from;
-- the ``stft`` experiment and ``norms.modulation_norm_stft`` reduce each
-  chunk as it comes.
+- the ``stft`` experiment reduces each chunk as it comes.
 
 On the periodic grid the discrete Moyal identity
 
@@ -31,7 +30,6 @@ chunked accumulation is exact too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,7 +42,6 @@ from .grid import (
     Grid,
     SampledSignal,
     _check_same_grid,
-    inner_product,
     weighted_lp_norm,
 )
 
@@ -53,8 +50,6 @@ __all__ = [
     "gaussian_window",
     "stft",
     "stft_gram",
-    "moyal_residual",
-    "stft_l2_identity_ratio",
 ]
 
 # A pass over the plane costs O(n^2 log n) time; its memory is bounded by the
@@ -175,29 +170,3 @@ def stft_gram(
     grid = signals[0].grid
     return grid.dx * grid.dxi * gram
 
-
-def moyal_residual(
-    f: SampledSignal,
-    g: SampledSignal,
-    phi: SampledSignal,
-    psi: SampledSignal,
-) -> float:
-    """Normalized defect of the Moyal identity for the quadruple (f, g, phi, psi).
-
-    Returns |<V_phi f, V_psi g> - 2 pi <psi, phi> <f, g>| divided by the
-    product of the four L2 norms.
-    """
-    norms = [weighted_lp_norm(h, 2.0) for h in (f, g, phi, psi)]
-    if min(norms) == 0.0:
-        raise ValueError("moyal residual needs four nonzero signals")
-    lhs = stft_gram([f, g], [phi, psi])[0, 1]
-    rhs = 2.0 * math.pi * inner_product(psi, phi) * inner_product(f, g)
-    return abs(lhs - rhs) / math.prod(norms)
-
-
-def stft_l2_identity_ratio(f: SampledSignal, window: SampledSignal) -> float:
-    """Ratio (integral |V f|^2)^(1/2) / ||f||_2; equals sqrt(2 pi) ||window||_2."""
-    norm_f = weighted_lp_norm(f, 2.0)
-    if norm_f == 0.0:
-        raise ValueError("identity ratio needs a nonzero signal")
-    return math.sqrt(stft_gram([f], window)[0, 0].real) / norm_f

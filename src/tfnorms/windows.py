@@ -51,9 +51,6 @@ class PlateauWindow:
         """Common support radius R0 of the two pieces around the origin."""
         return max(4.0 * self.inner_radius, abs(self.center) + self.inner_radius)
 
-    def plateau_interval(self) -> tuple[float, float]:
-        return (self.center - self.inner_radius, self.center + self.inner_radius)
-
 
 def plateau_window(center: float, inner_radius: float, grid: Grid) -> PlateauWindow:
     """Construct the window equal to 1 on [center - R, center + R].

@@ -47,6 +47,28 @@ def run_cli(args, cwd):
     )
 
 
+class TestImportCost:
+    def test_import_loads_only_the_library_layers(self, tmp_path):
+        # Every run pays for `import tfnorms`: the span pool (grid) and the
+        # chirp-z transform (compose) are imported on first use, and the
+        # experiments and the CLI only when asked for.
+        code = "import sys, tfnorms; print(*sorted(sys.modules))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        assert [m for m in loaded if m.split(".")[0] == "tfnorms"] == [
+            "tfnorms",
+            *(f"tfnorms.{layer}" for layer in (
+                "compose", "corpus", "errors", "grid", "measures",
+                "norms", "partition", "stft", "windows",
+            )),
+        ]
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+        assert "concurrent.futures" not in loaded
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         text = dumps_canonical({"a": 0.1, "b": [1.0, 2], "c": None, "d": True})
@@ -132,13 +154,24 @@ class TestCommands:
         f = SampledSignal.from_function(grid, lambda x: np.exp(-(x**2) / 2.0))
         save_signal(tmp_path / "sig.csv", f)
         result = run_cli(
-            ["norm", "--signal", "sig.csv", "--space", "fourier_segal", "--p", "2", "--out", "out"],
+            ["norm", "--signal", "sig.csv", "--space", "fourier_segal", "--p", "2",
+             "--n", "1024", "--L", repr(16.0 * math.pi), "--out", "out"],
             tmp_path,
         )
         assert result.returncode == 0, result.stderr
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         expected = math.pi**0.25 + 2.0 * math.pi
         assert abs(report["extras"]["value"] - expected) <= 1e-6 * expected
+        assert (report["config"]["n"], report["config"]["L"]) == (1024, 16.0 * math.pi)
+
+    def test_norm_rejects_signal_file_on_another_grid(self, tmp_path):
+        # The config must name the grid that was measured, not a flag's value.
+        grid = Grid(1024, 16.0 * math.pi)
+        save_signal(tmp_path / "sig.csv", SampledSignal.from_function(grid, lambda x: np.exp(-(x**2))))
+        result = run_cli(["norm", "--signal", "sig.csv", "--n", "8192", "--out", "out"], tmp_path)
+        assert result.returncode == 1
+        assert f"n=1024, L={16.0 * math.pi!r}" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_input_exits_one(self, tmp_path):
         result = run_cli(["norm", "--signal", "missing.csv", "--out", "out"], tmp_path)

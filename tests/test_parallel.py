@@ -9,7 +9,6 @@ with the same spans forced inline and with the default spans.
 
 import concurrent.futures
 import contextlib
-import importlib
 import math
 import multiprocessing
 import threading
@@ -19,14 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfnorms.grid as grid_module
+import tfnorms.measures as measures
+import tfnorms.norms as norms
 from tfnorms.experiments import flat_measurement
 from tfnorms.grid import Grid, SampledSignal, fourier_inverse
 from tfnorms.measures import Normalization, rudin_shapiro_transforms
 from tfnorms.norms import modulation_norm, partition_for
-
-grid_module = importlib.import_module("tfnorms.grid")
-measures = importlib.import_module("tfnorms.measures")
-norms = importlib.import_module("tfnorms.norms")
 
 GRID = Grid(4096, 16.0 * math.pi)
 PART = partition_for(GRID)
