@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverError, ToleranceNotReachedError
-from .grid import Grid, NormSpec, SampledSignal, Space, fourier_forward, upsample
+from .errors import CostGateError, CoverError, ToleranceNotReachedError
+from .grid import _BATCH_LIMIT, Grid, NormSpec, SampledSignal, Space, fourier_forward, upsample
 from .norms import norm_value, partition_for
 from .partition import FrequencyPartition, bump_profile
 from .windows import PlateauWindow
@@ -97,10 +97,14 @@ class PowerSeries:
     def max_terms(self) -> int:
         return self.coefficients.size
 
-    def _tail_radius(self, w_abs: float) -> float:
+    def _tail_envelope(self, w_abs: float) -> tuple[float, float]:
+        """(max_j |c_j| r^j, |w| / r) for the tail radius r between |w| and the radius."""
         if math.isinf(self.radius):
-            return 2.0 * w_abs if w_abs > 0 else 1.0
-        return min(0.5 * (w_abs + self.radius), 0.999 * self.radius)
+            r = 2.0 * w_abs if w_abs > 0 else 1.0
+        else:
+            r = min(0.5 * (w_abs + self.radius), 0.999 * self.radius)
+        j = np.arange(1, self.max_terms + 1)
+        return float(np.max(np.abs(self.coefficients) * r**j)), w_abs / r
 
     def tail_bound(self, w_abs: float, terms: int) -> float:
         """Upper bound on the dropped tail for |w| <= w_abs after `terms` terms."""
@@ -110,10 +114,7 @@ class PowerSeries:
             return 0.0
         if w_abs >= self.radius:
             return math.inf
-        r = self._tail_radius(w_abs)
-        j = np.arange(1, self.max_terms + 1)
-        envelope = float(np.max(np.abs(self.coefficients) * r**j))
-        rho = w_abs / r
+        envelope, rho = self._tail_envelope(w_abs)
         return envelope * rho ** (terms + 1) / (1.0 - rho)
 
     def choose_truncation(self, w_abs: float, tol: float = TAIL_TOLERANCE) -> int:
@@ -124,10 +125,7 @@ class PowerSeries:
             raise ToleranceNotReachedError(
                 f"series {self.name}: |w| = {w_abs:.4g} reaches the radius {self.radius:.4g}"
             )
-        r = self._tail_radius(w_abs)
-        rho = w_abs / r
-        j = np.arange(1, self.max_terms + 1)
-        envelope = float(np.max(np.abs(self.coefficients) * r**j))
+        envelope, rho = self._tail_envelope(w_abs)
         if envelope == 0.0:
             return 1
         needed = math.log(tol * (1.0 - rho) / envelope) / math.log(rho) - 1.0
@@ -251,12 +249,38 @@ def _snap_to_grid(grid: Grid, x0: float) -> tuple[int, float]:
     return idx, float(grid.points()[idx])
 
 
-def _aligned_index(grid: Grid, x0: float) -> int | None:
+def _grid_index(grid: Grid, x0: float) -> int:
     pos = (x0 + grid.half_width) / grid.dx
     idx = int(round(pos))
-    if abs(pos - idx) <= 1e-9 and 0 <= idx < grid.n:
-        return idx
-    return None
+    if abs(pos - idx) > 1e-9 or not 0 <= idx < grid.n:
+        raise ValueError(f"dilation center {x0!r} is not a grid point")
+    return idx
+
+
+def _integer_ratio(lam: float) -> tuple[int, int]:
+    """(num, den) with lam = num / den and one of them 1."""
+    if not lam > 0:
+        raise ValueError("dilation parameter must be positive")
+    num, den = (round(lam), 1) if lam >= 1 else (1, round(1.0 / lam))
+    if not math.isclose(num / den, lam, rel_tol=1e-12):
+        raise ValueError(f"dilation {lam!r} is neither an integer nor the reciprocal of one")
+    return num, den
+
+
+def _refined_progression(
+    h: SampledSignal, factor: int, first: int, stride: int, count: int
+) -> np.ndarray:
+    """h's band-limited interpolant at indices first + stride*m of the refined grid.
+
+    The factor-refined grid has the points -L + i dx / factor, i taken mod
+    n * factor (the periodic extension); m = 0 .. count-1.
+    """
+    size = h.grid.n * factor
+    if size > _BATCH_LIMIT:
+        raise CostGateError(
+            f"dilation needs a {size}-point refined grid, above the {_BATCH_LIMIT}-point gate"
+        )
+    return upsample(h, factor).samples[(first + stride * np.arange(count)) % size]
 
 
 def dilation_difference_norm(
@@ -271,13 +295,13 @@ def dilation_difference_norm(
 
     f is evaluated off the grid by band-limited interpolation, so the
     spectral support assumptions behind the block norms survive the
-    rescaling.  For integer lam and a grid-aligned x0 the interpolation is
-    done exactly by zero-padded upsampling; other parameters fall back to a
-    chirp-z evaluation of the interpolant.
+    rescaling.  x0 must be a grid point and lam an integer or the reciprocal
+    of one; then the points x0 + x_j / lam are points of f's lam-refined grid
+    (integer lam) or every 1/lam-th grid point, read off
+    :func:`tfnorms.grid.upsample`.
     """
-    if lam <= 0:
-        raise ValueError("dilation parameter must be positive")
     grid = f.grid
+    num, den = _integer_ratio(lam)
     support = np.nonzero(np.abs(tau.samples) > 0.0)[0]
     if support.size == 0:
         return 0.0
@@ -291,17 +315,10 @@ def dilation_difference_norm(
             f"[{start:.3g}, {stop:.3g}] vs [{-grid.half_width:.3g}, {grid.half_width:.3g})"
         )
 
-    idx0 = _aligned_index(grid, x0)
-    lam_int = int(round(lam))
-    if idx0 is not None and abs(lam - lam_int) <= 1e-12 and lam_int >= 1:
-        fine = upsample(f, lam_int)
-        half = grid.n // 2
-        first = lam_int * idx0 + lo - half
-        values = fine.samples[first : first + (hi - lo + 1)]
-        fx0 = complex(f.samples[idx0])
-    else:
-        values = resample_progression(f, start, grid.dx / lam, hi - lo + 1)
-        fx0 = complex(resample_progression(f, x0, grid.dx, 1)[0])
+    idx0 = _grid_index(grid, x0)
+    first = num * idx0 + den * (lo - grid.n // 2)
+    values = _refined_progression(f, num, first, den, hi - lo + 1)
+    fx0 = complex(f.samples[idx0])
     samples = np.zeros(grid.n, dtype=complex)
     samples[lo : hi + 1] = (values - fx0) * tau.samples[lo : hi + 1]
     return norm_value(SampledSignal(grid, samples), spec, part)
@@ -578,12 +595,15 @@ def global_compose(
 def _dilated_window_samples(
     base: PlateauWindow, grid: Grid, x0: float, lam: float, support_radius: float
 ) -> np.ndarray:
-    """Samples of base(lam (x - x0)).
+    """Samples of base(lam (x - x0)) for a grid point x0.
 
-    For integer lam and grid-aligned x0 the scaled arguments are grid points
-    of the base window, so the values are exact samples; otherwise the base
-    window is interpolated.
+    lam must be an integer or the reciprocal of one.  The arguments
+    lam (x_j - x0) are then every lam-th sample of the base window (integer
+    lam) or consecutive points of its 1/lam-refined grid, read off
+    :func:`tfnorms.grid.upsample`.
     """
+    num, den = _integer_ratio(lam)
+    idx0 = _grid_index(grid, x0)
     x = grid.points()
     out = np.zeros(grid.n)
     scaled_lo = (base.center - support_radius) / lam + x0
@@ -592,17 +612,7 @@ def _dilated_window_samples(
     if inside.size == 0:
         return out
 
-    idx0 = _aligned_index(grid, x0)
-    lam_int = int(round(lam))
-    if idx0 is not None and abs(lam - lam_int) <= 1e-12 and lam_int >= 1:
-        src = lam_int * (inside - idx0) + grid.n // 2
-        valid = (src >= 0) & (src < grid.n)
-        out[inside[valid]] = base.window.samples.real[src[valid]]
-        return out
-
-    lo = int(inside[0])
-    values = resample_progression(
-        base.window, lam * (x[lo] - x0), lam * grid.dx, inside.size
-    )
+    first = num * (int(inside[0]) - idx0) + den * (grid.n // 2)
+    values = _refined_progression(base.window, den, first, num, inside.size)
     out[inside] = np.clip(values.real, 0.0, None)
     return out

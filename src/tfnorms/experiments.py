@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expi
 
 from .corpus import make_corpus, make_signal
 from .grid import (
@@ -694,6 +693,9 @@ def _series_segment(kind: str, a: int, b: int) -> float:
     kind selects g: 'mod' -> sqrt(2)/(k ln k), 'beurling' -> 2/(k ln^2 k),
     'l2' -> 2/(k^2 ln^2 k).  Valid far from the lower summation limit.
     """
+    # Imported here: only counterexample-l2 needs it, and scipy is slow to load.
+    from scipy.special import expi
+
     la, lb = math.log(a), math.log(b)
     if kind == "mod":
         integral = math.sqrt(2.0) * (math.log(lb) - math.log(la))

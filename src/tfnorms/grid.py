@@ -320,9 +320,9 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 def upsample(f: SampledSignal, factor: int) -> SampledSignal:
     """Exact band-limited upsampling onto the factor-refined grid.
 
-    Zero-pads the spectrum, so the result samples the same trigonometric
-    interpolant as :func:`tfnorms.compose.resample_progression` on the
-    refined grid points.
+    Zero-pads the spectrum, so the result samples the trigonometric
+    interpolant of f at the refined grid points; the dilations in
+    :mod:`tfnorms.compose` read their samples off this grid.
     """
     if factor < 1 or factor != int(factor):
         raise ValueError(f"upsampling factor must be a positive integer, got {factor}")

@@ -49,9 +49,9 @@ def run_cli(args, cwd):
 
 class TestImportCost:
     def test_import_loads_only_the_library_layers(self, tmp_path):
-        # Every run pays for `import tfnorms`: the span pool (grid) and the
-        # chirp-z transform (compose) are imported on first use, and the
-        # experiments and the CLI only when asked for.
+        # Every run pays for `import tfnorms`: the span pool (grid) is
+        # imported on first use, and the experiments and the CLI only when
+        # asked for.
         code = "import sys, tfnorms; print(*sorted(sys.modules))"
         result = subprocess.run(
             [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=60
@@ -67,6 +67,16 @@ class TestImportCost:
         ]
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
         assert "concurrent.futures" not in loaded
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        # scipy is imported only where a run needs it (the exponential
+        # integral of counterexample-l2).
+        code = "import sys, tfnorms.cli; print(*sorted(sys.modules))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert not [m for m in result.stdout.split() if m.split(".")[0] == "scipy"]
 
 
 class TestCanonicalJson:
@@ -183,6 +193,13 @@ class TestCommands:
         assert main(["reciprocal", "--n", "512", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: composition at x0")
+
+    def test_refined_grid_gate_exits_one(self, tmp_path):
+        # The 11th halving reads the n = 4096 window off a 2^23-point grid.
+        result = run_cli(["approx-unit", "--halvings", "11", "--out", "out"], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: dilation needs a 8388608-point refined grid")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [["--n", "1024"], ["--L", "30"]])
     def test_all_rejects_grid_flags(self, tmp_path, capsys, flag):

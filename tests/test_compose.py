@@ -1,6 +1,7 @@
 """Power series, local/global composition, and window searches."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from tfnorms.compose import (
     series_reciprocal,
     series_square,
 )
-from tfnorms.errors import CoverError, ToleranceNotReachedError
+from tfnorms.errors import CostGateError, CoverError, ToleranceNotReachedError
 from tfnorms.grid import Grid, NormSpec, SampledSignal
 from tfnorms.norms import norm_value, partition_for
 from tfnorms.partition import bump_profile
@@ -95,6 +96,59 @@ class TestResample:
         vals = resample_progression(f, -1.0, 0.0123, 300)
         x = -1.0 + 0.0123 * np.arange(300)
         assert np.max(np.abs(vals - np.exp(-(x**2) / 2.0))) <= 1e-8
+
+
+class TestRefinedGrid:
+    """Dyadic dilations read off the refined grid of upsample."""
+
+    # resample_progression is itself off by up to ~4e-10 on this grid; its
+    # chirp-z error grows with n.
+    COARSE = Grid(4096, 16.0 * math.pi)
+    COARSE_BASE = plateau_window(0.0, 1.0, COARSE)
+    BASE = plateau_window(0.0, 1.0, GRID)
+
+    @pytest.mark.parametrize("lam", [2.0**k for k in range(1, 7)] + [0.5**k for k in range(1, 7)])
+    @pytest.mark.parametrize("offset", [0, 300])
+    def test_window_matches_resample_progression(self, lam, offset):
+        grid, base = self.COARSE, self.COARSE_BASE
+        x = grid.points()
+        x0 = x[grid.n // 2 + offset]
+        window = _dilated_window_samples(base, grid, x0, lam, base.support_radius)
+        arg = lam * (x - x0)
+        expected = resample_progression(base.window, arg[0], lam * grid.dx, grid.n).real
+        # arguments outside [-L, L) would see the periodic extension
+        expected[np.abs(arg) >= grid.half_width] = 0.0
+        assert np.max(np.abs(window - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_gaussian_compression_matches_closed_form(self, k):
+        # resample_progression is off by 3e-10 to 1e-9 here
+        base = SimpleNamespace(center=0.0, window=gaussian())
+        lam = 0.5**k
+        for x0 in (0.0, GRID.points()[GRID.n // 2 + 300]):
+            window = _dilated_window_samples(base, GRID, x0, lam, 10.0)
+            exact = np.exp(-((lam * (GRID.points() - x0)) ** 2) / 2.0)
+            assert np.max(np.abs(window - exact)) <= 1e-12
+
+    def test_unaligned_center_rejected(self):
+        x0 = 0.5 * GRID.dx
+        with pytest.raises(ValueError, match="not a grid point"):
+            _dilated_window_samples(self.BASE, GRID, x0, 2.0, self.BASE.support_radius)
+        with pytest.raises(ValueError, match="not a grid point"):
+            dilation_difference_norm(gaussian(), x0, base_cutoff(), 2.0, SPEC, PART)
+
+    def test_non_dyadic_dilation_rejected(self):
+        with pytest.raises(ValueError, match="reciprocal"):
+            _dilated_window_samples(self.BASE, GRID, 0.0, 0.3, self.BASE.support_radius)
+        with pytest.raises(ValueError, match="reciprocal"):
+            dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 0.3, SPEC, PART)
+
+    def test_refined_grid_gate(self):
+        # 8192 * 1024 = 2^23 samples, past the 2^22-sample gate
+        with pytest.raises(CostGateError):
+            _dilated_window_samples(self.BASE, GRID, 0.0, 1.0 / 1024, self.BASE.support_radius)
+        with pytest.raises(CostGateError):
+            dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 1024.0, SPEC, PART)
 
 
 class TestDilationDifference:

@@ -165,11 +165,27 @@ class TestClassicalNorms:
         )
 
 
+INVARIANT_SPECS = [NormSpec.modulation(p, 1.0, 0.5) for p in (1.0, 2.0, math.inf)] + [
+    NormSpec.fourier_beurling(0.5)
+]
+
+
 class TestRatios:
-    def test_identity_ratio_is_one(self):
-        spec = NormSpec.modulation(2.0, 1.0, 0.5)
-        f = gaussian()
-        assert norm_value(f, spec, PART) / norm_value(f, spec, PART) == pytest.approx(1.0, rel=1e-14)
+    def test_circular_shift_invariance(self):
+        # A circular shift only changes the phase of every block's spectrum.
+        for spec in INVARIANT_SPECS:
+            for name, f in CORPUS:
+                value = norm_value(f, spec, PART)
+                for j in (1, 37, -500):
+                    shifted = SampledSignal(GRID, np.roll(f.samples, j))
+                    assert norm_value(shifted, spec, PART) == pytest.approx(value, rel=1e-12), name
+
+    def test_absolute_homogeneity(self):
+        c = -1.5 + 2.0j
+        for spec in INVARIANT_SPECS:
+            for name, f in CORPUS:
+                expected = abs(c) * norm_value(f, spec, PART)
+                assert norm_value(c * f, spec, PART) == pytest.approx(expected, rel=1e-12), name
 
     def test_embedding_111_to_210(self):
         frm = NormSpec.modulation(1.0, 1.0, 1.0)
