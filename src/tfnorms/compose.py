@@ -267,6 +267,14 @@ def _integer_ratio(lam: float) -> tuple[int, int]:
     return num, den
 
 
+def _check_refined_size(size: int) -> None:
+    """Raise CostGateError for a refined grid of more than _BATCH_LIMIT samples."""
+    if size > _BATCH_LIMIT:
+        raise CostGateError(
+            f"dilation needs a {size}-point refined grid, above the {_BATCH_LIMIT}-point gate"
+        )
+
+
 def _refined_progression(
     h: SampledSignal, factor: int, first: int, stride: int, count: int
 ) -> np.ndarray:
@@ -276,10 +284,7 @@ def _refined_progression(
     n * factor (the periodic extension); m = 0 .. count-1.
     """
     size = h.grid.n * factor
-    if size > _BATCH_LIMIT:
-        raise CostGateError(
-            f"dilation needs a {size}-point refined grid, above the {_BATCH_LIMIT}-point gate"
-        )
+    _check_refined_size(size)
     return upsample(h, factor).samples[(first + stride * np.arange(count)) % size]
 
 

@@ -259,22 +259,49 @@ class NormSpec:
         return cls(Space(d["space"]), p=dec(d["p"]), q=dec(d["q"]), s=float(d["s"]))
 
 
+def _centered_transform(samples: np.ndarray, transform) -> np.ndarray:
+    """fftshift(transform(ifftshift(samples))) in one n-length buffer.
+
+    For the even lengths of a :class:`Grid` both shifts swap the two halves,
+    so the swapped input is copied into a new buffer, transformed in place,
+    and swapped back through a half-length temporary.
+    """
+    half = samples.size // 2
+    out = np.concatenate((samples[half:], samples[:half]))
+    transform(out, out=out)
+    head = out[:half].copy()
+    out[:half] = out[half:]
+    out[half:] = head
+    return out
+
+
 def fourier_forward(f: SampledSignal) -> SampledSignal:
     """Forward transform of f, sampled on the dual grid.
 
     Computed as dx times the DFT with the phase bookkeeping for the grid
     origin at -L folded into an ifftshift/fftshift pair.  Spectrally accurate
     for smooth signals that decay inside [-L, L).
+
+    The working set is the input, one n-length output buffer that is
+    shifted, transformed and scaled in place, and a half-length temporary
+    (plus the FFT library's own scratch); the values are bitwise those of
+    ``dx * fftshift(fft(ifftshift(samples)))``.
     """
-    spectrum = f.grid.dx * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.samples)))
+    spectrum = _centered_transform(f.samples, np.fft.fft)
+    spectrum *= f.grid.dx
     return SampledSignal(f.grid.dual(), spectrum)
 
 
 def fourier_inverse(h: SampledSignal) -> SampledSignal:
     """Inverse transform with the 1/(2 pi) factor; exact inverse of
-    :func:`fourier_forward` up to rounding."""
+    :func:`fourier_forward` up to rounding.
+
+    Same working set as :func:`fourier_forward`; the values are bitwise those
+    of ``fftshift(ifft(ifftshift(samples))) / dx``.
+    """
     out_grid = h.grid.dual()
-    values = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(h.samples))) / out_grid.dx
+    values = _centered_transform(h.samples, np.fft.ifft)
+    values /= out_grid.dx
     return SampledSignal(out_grid, values)
 
 
@@ -292,20 +319,18 @@ def convolve(f: SampledSignal, g: SampledSignal) -> SampledSignal:
     return SampledSignal(f.grid, values)
 
 
-def _weight(x: np.ndarray, s: float) -> np.ndarray:
-    if s == 0.0:
-        return np.ones_like(x)
-    return (1.0 + x * x) ** (s / 2.0)
-
-
 def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
     """Weighted Lebesgue norm (integral of (<x>^s |f|)^p)^(1/p).
 
-    Riemann-sum quadrature for finite p, grid maximum for p = inf.
+    Riemann-sum quadrature for finite p, grid maximum for p = inf.  With
+    s = 0 the weight is 1 and is not built.
     """
     if not p >= 1.0:
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
-    weighted = _weight(f.grid.points(), s) * np.abs(f.samples)
+    weighted = np.abs(f.samples)
+    if s != 0.0:
+        x = f.grid.points()
+        weighted *= (1.0 + x * x) ** (s / 2.0)
     if math.isinf(p):
         return float(np.max(weighted))
     return float((f.grid.dx * np.sum(weighted**p)) ** (1.0 / p))

@@ -100,24 +100,26 @@ class NormReport:
 
 
 def modulation_norm(
-    f: SampledSignal,
+    f: SampledSignal | None,
     p: float,
     q: float,
     s: float,
     part: FrequencyPartition,
-    spectrum: np.ndarray | None = None,
+    spectrum: SampledSignal | None = None,
 ) -> NormReport:
     """Block-characterization modulation norm of f.
 
-    A caller that already knows the transform (for instance because the
-    signal was synthesized in the frequency domain) can pass it to keep
-    exact zero blocks exactly zero.
+    A caller that already holds the transform (for instance because the
+    signal was synthesized in the frequency domain) passes it as
+    `spectrum`, a signal on the dual grid; exact zero blocks then stay
+    exactly zero, and f may be None, so the caller need not keep the signal
+    alive.
     """
     spec = NormSpec.modulation(p, q, s)
-    if not part.grid.compatible(f.grid):
+    grid = spectrum.grid.dual() if f is None else f.grid
+    if not part.grid.compatible(grid):
         raise ValueError("partition was built for a different grid")
-    if spectrum is None:
-        spectrum = fourier_forward(f).samples
+    spectrum = (fourier_forward(f) if spectrum is None else spectrum).samples
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no
     # signal content; skipping them changes the value below reporting
     # precision and keeps the inverse transforms proportional to the
@@ -140,7 +142,7 @@ def modulation_norm(
         block_norms *= live
     else:
         block_norms[live] = _folded_lp(
-            rows, np.flatnonzero(live), core, p, part.grid.n, f.grid.dx
+            rows, np.flatnonzero(live), core, p, part.grid.n, grid.dx
         )
 
     contributions = _index_weight(ks, s) * block_norms

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report files, determinism."""
 
 import argparse
+import importlib
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from tfnorms.cli import build_parser, main
-from tfnorms.grid import Grid, SampledSignal
+from tfnorms.grid import Grid, SampledSignal, upsample
 from tfnorms.reporting import dumps_canonical, load_signal, save_signal
 
 CLI = [sys.executable, "-m", "tfnorms.cli"]
@@ -200,6 +201,22 @@ class TestCommands:
         assert result.returncode == 1
         assert result.stderr.startswith("error: dilation needs a 8388608-point refined grid")
         assert not (tmp_path / "out").exists()
+
+    def test_refined_grid_gate_builds_no_grid(self, tmp_path, monkeypatch, capsys):
+        # The gate is known before the loop: no refined grid is built first.
+        compose = importlib.import_module("tfnorms.compose")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return upsample(*args)
+
+        monkeypatch.setattr(compose, "upsample", counted)
+        out = tmp_path / "out"
+        assert main(["approx-unit", "--halvings", "11", "--out", str(out)]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: dilation needs a 8388608-point refined grid")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--n", "1024"], ["--L", "30"]])
     def test_all_rejects_grid_flags(self, tmp_path, capsys, flag):

@@ -23,7 +23,7 @@ from tfnorms.compose import (
     series_square,
 )
 from tfnorms.errors import CostGateError, CoverError, ToleranceNotReachedError
-from tfnorms.grid import Grid, NormSpec, SampledSignal
+from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_forward
 from tfnorms.norms import norm_value, partition_for
 from tfnorms.partition import bump_profile
 from tfnorms.windows import plateau_window
@@ -119,6 +119,28 @@ class TestRefinedGrid:
         # arguments outside [-L, L) would see the periodic extension
         expected[np.abs(arg) >= grid.half_width] = 0.0
         assert np.max(np.abs(window - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("lam", [0.5**6, 0.5, 4.0])
+    @pytest.mark.parametrize("offset", [0, 300])
+    def test_window_matches_direct_interpolant_sum(self, lam, offset):
+        # The reference sums the trigonometric interpolant
+        # (dxi / 2 pi) sum_k Ff(xi_k) exp(i x xi_k) term by term, which is
+        # exact to rounding on the n = 8192 grid, where chirp-z is not.  It
+        # runs on every 7th argument inside [-L, L) (outside, the periodic
+        # extension would be seen) to keep the O(n count) sum short.
+        base = self.BASE
+        x = GRID.points()
+        x0 = x[GRID.n // 2 + offset]
+        window = _dilated_window_samples(base, GRID, x0, lam, base.support_radius)
+        arg = lam * (x - x0)
+        near = np.flatnonzero(np.abs(arg) < GRID.half_width)[::7]
+        spectrum = fourier_forward(base.window).samples
+        xi = GRID.frequencies()
+        direct = np.empty(near.size, dtype=complex)
+        for lo in range(0, near.size, 256):
+            direct[lo : lo + 256] = np.exp(1j * np.outer(arg[near[lo : lo + 256]], xi)) @ spectrum
+        expected = np.clip((GRID.dxi / (2.0 * math.pi)) * direct.real, 0.0, None)
+        assert np.max(np.abs(window[near] - expected)) <= 1e-12
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_gaussian_compression_matches_closed_form(self, k):

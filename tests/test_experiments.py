@@ -1,17 +1,23 @@
 """Experiment-level checks, on light configurations where that is sound."""
 
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tfnorms import experiments
+from tfnorms.grid import NormSpec
 from tfnorms.experiments import (
+    PARTITION_L,
     algebra_sweep,
     approx_unit_experiment,
     bupu_experiment,
     counterexample_l2,
     embedding_sweep,
     flat_measurement,
+    measured_algebra_constant,
     plateau_experiment,
     rudin_shapiro_experiment,
     stft_experiment,
@@ -82,6 +88,43 @@ class TestCounterexampleFlat:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             flat_measurement(2.0, 3, 3)
+
+    def test_peak_memory_stays_under_four_complex_arrays(self, monkeypatch):
+        # Budgets shrunk as for the n = 2^21-2^22 runs, relative to n = 2^19,
+        # and one CPU, so that no concurrent span temporaries count.
+        monkeypatch.setattr("tfnorms.norms._BATCH_LIMIT", 1 << 16)
+        monkeypatch.setattr("tfnorms.measures._RS_POOL_MIN", 1 << 16)
+        monkeypatch.setattr(importlib.import_module("tfnorms.grid"), "_cpu_count", lambda: 1)
+        tracemalloc.start()
+        try:
+            run = flat_measurement(1.5, 2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run["n"] == 1 << 19
+        assert peak <= 4 * 16 * run["n"]
+
+
+class TestAlgebraConstantCache:
+    def test_repeated_call_reuses_the_constant(self, monkeypatch):
+        calls = []
+        original = experiments.algebra_constant
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        experiments._cached_algebra_constant.cache_clear()
+        monkeypatch.setattr(experiments, "algebra_constant", counted)
+        spec = NormSpec.modulation(2.0, 1.0, 0.0)
+        try:
+            first = measured_algebra_constant(spec, 512, PARTITION_L, 0, 4)
+            assert measured_algebra_constant(spec, 512, PARTITION_L, 0, 4) == first
+            assert len(calls) == 1
+            measured_algebra_constant(spec, 512, PARTITION_L, 1, 4)
+            assert len(calls) == 2
+        finally:
+            experiments._cached_algebra_constant.cache_clear()
 
 
 class TestLightReports:

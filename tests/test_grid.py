@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnorms.compose import resample_progression
 from tfnorms.errors import GridMismatchError
@@ -185,6 +187,45 @@ class TestWeightedNorm:
     def test_infinity_norm_is_grid_max(self):
         f = gaussian(GRID)
         assert weighted_lp_norm(f, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def grid_signals(draw):
+    """A random complex signal on a grid with n from 2^3 to 2^14."""
+    n = 1 << draw(st.integers(3, 14))
+    half_width = draw(st.sampled_from([1.0, 7.3, 16.0 * math.pi, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return SampledSignal(Grid(n, half_width), samples)
+
+
+class TestAgainstShiftFormulas:
+    """The half-swapping transforms and the weight-free sum change no bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_signals())
+    def test_transforms_bitwise(self, f):
+        x, grid = f.samples, f.grid
+        forward = grid.dx * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(x)))
+        inverse = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(x))) / grid.dual().dx
+        assert fourier_forward(f).samples.tobytes() == forward.tobytes()
+        assert fourier_inverse(f).samples.tobytes() == inverse.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_signals(),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    def test_weighted_lp_norm_bitwise(self, f, p, s):
+        x = f.grid.points()
+        weight = np.ones_like(x) if s == 0.0 else (1.0 + x * x) ** (s / 2.0)
+        weighted = weight * np.abs(f.samples)
+        if math.isinf(p):
+            expected = float(np.max(weighted))
+        else:
+            expected = float((f.grid.dx * np.sum(weighted**p)) ** (1.0 / p))
+        assert weighted_lp_norm(f, p, s) == expected
 
 
 class TestInnerProduct:

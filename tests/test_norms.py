@@ -245,7 +245,7 @@ def _check_blocks_against_oracle(n, m, lo, hi, p, s, seed):
     inside = (xi >= lo + 0.5) & (xi <= hi + 0.5)
     spectrum = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * inside
     f = fourier_inverse(SampledSignal(grid.dual(), spectrum))
-    report = modulation_norm(f, p, 1.0, s, part, spectrum=spectrum)
+    report = modulation_norm(None, p, 1.0, s, part, spectrum=SampledSignal(grid.dual(), spectrum))
     assert [k for k, _ in report.block_contributions] == list(part.block_indices())
     for k, value in report.block_contributions:
         block = frequency_block(f, k, part, spectrum=spectrum)
