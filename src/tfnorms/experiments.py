@@ -614,6 +614,10 @@ def flat_measurement(p: float, m: int, r: int, tail_frac: float | None = None) -
     taken, the signal f is released after its L^p norm, and the block norm
     runs on the transform alone.  At most about three complex n-length
     arrays are live at any point.
+
+    The 2^m translates carry one block up to the sign of their weight
+    +-2^-m, so the block norm folds that one block and reuses its value for
+    all of them.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -692,8 +696,9 @@ def counterexample_flat(
     Checks the inequality chain at both depths and the growth of the
     headline ratio (block norm over Segal norm).
     """
-    if m is None or r is None:
-        m, r = (4, 4) if p == 1.0 else (2, 8)
+    default_m, default_r = (4, 4) if p == 1.0 else (2, 8)
+    m = default_m if m is None else m
+    r = default_r if r is None else r
     report = SweepReport("counterexample-flat", axis="depth")
     runs = [flat_measurement(p, m, r), flat_measurement(p, m + 2, r + 2)]
     for run in runs:

@@ -29,6 +29,18 @@ buffer, and the per-block sums and maxima run over the whole batch in the
 calling thread, so every value is bitwise the same whatever the number of
 CPUs.
 
+Only distinct blocks are folded.  Two blocks are the same when their masked
+rows are equal as values, or equal after negating one of them: a block
+holding -c_m folds to the negated intermediates of one holding c_m, because
+under round-to-nearest negation commutes with the twiddle product, every FFT
+butterfly and abs, and a zero of either sign stays a zero.  So each group is
+folded once, for its first block, and its value is bitwise the value every
+block of the group would fold to.  Integer frequency translates of one
+spectrum weighted by +-c (the flat counterexample's 2^m Rudin-Shapiro
+translates) are such a group.  The liveness scan keeps the maxima of each
+masked row on its two halves; rows are compared exactly only when those
+pairs agree, which also keeps mirrored rows of real signals apart.
+
 The sum over blocks is truncated at the frequency grid edge and the mass of
 the outermost two blocks is reported as a tail estimate.
 """
@@ -127,23 +139,29 @@ def modulation_norm(
     floor = _NOISE_FLOOR * float(np.max(np.abs(spectrum)))
     ks = np.array(part.block_indices())
     rows, core = part.block_rows(spectrum), part.core
-    live = np.zeros(ks.size, dtype=bool)
     block_norms = np.zeros(ks.size)
     scale = part.grid.dxi / (2.0 * math.pi)
     step = max(1, _BATCH_LIMIT // core.size)
+    # The maxima of |masked row| on [k - 1, k) and [k, k + 1): their larger
+    # one is the liveness test, and the pair is the key that _distinct_rows
+    # groups candidate duplicate rows by.
+    halves = np.empty((ks.size, 2))
     for lo in range(0, ks.size, step):
         mags = np.abs(rows[lo : lo + step] * core)
-        live[lo : lo + step] = np.max(mags, axis=1) > floor
+        np.max(mags.reshape(mags.shape[0], 2, -1), axis=2, out=halves[lo : lo + step])
         if p == 2.0:
             # Parseval on the masked rows: no inverse transform needed.
             block_norms[lo : lo + step] = np.sqrt(scale * np.sum(mags**2, axis=1))
     del mags  # the inverse transforms below need the room
+    live = np.max(halves, axis=1) > floor
     if p == 2.0:
         block_norms *= live
     else:
-        block_norms[live] = _folded_lp(
-            rows, np.flatnonzero(live), core, p, part.grid.n, grid.dx
-        )
+        which = np.flatnonzero(live)
+        # Each row's two maxima as one complex key, so np.unique sorts 1-D.
+        keys = halves[which].view(complex)[:, 0]
+        heads, owner = _distinct_rows(rows, which, core, keys)
+        block_norms[which] = _folded_lp(rows, heads, core, p, part.grid.n, grid.dx)[owner]
 
     contributions = _index_weight(ks, s) * block_norms
     value = _combine(contributions, q)
@@ -155,6 +173,33 @@ def modulation_norm(
         tuple((int(k), float(c)) for k, c in zip(ks, contributions)),
         tail,
     )
+
+
+def _distinct_rows(
+    rows: np.ndarray, which: np.ndarray, core: np.ndarray, keys: np.ndarray
+) -> tuple:
+    """Group the masked rows rows[which] * core that are equal up to sign.
+
+    keys[i] must be equal for masked rows that are equal up to sign; only
+    rows that share a key are compared, exactly.  Returns the blocks that
+    head the groups, each the first of its group in block order, and for
+    each block of `which` the index of its group's head among them.
+    """
+    _, first, key_of, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    head = first[key_of]
+    seen: dict = {}  # canonical bytes of a masked row -> its group's head
+    for i in np.flatnonzero(counts[key_of] > 1):
+        row = rows[which[i]] * core
+        values = row.view(float)
+        # The sign that makes the first nonzero component positive; x + 0.0
+        # and 0.0 - x also turn -0.0 into 0.0, so the bytes of two rows are
+        # equal exactly when the rows are equal up to sign as values.
+        row = 0.0 - row if values[np.argmax(values != 0.0)] < 0.0 else row + 0.0
+        head[i] = seen.setdefault(row.tobytes(), i)
+    heads, owner = np.unique(head, return_inverse=True)
+    return which[heads], owner
 
 
 def _folded_lp(

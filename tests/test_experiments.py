@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfnorms import experiments
+from tfnorms import experiments, norms
 from tfnorms.grid import NormSpec
 from tfnorms.experiments import (
     PARTITION_L,
@@ -103,6 +103,38 @@ class TestCounterexampleFlat:
             tracemalloc.stop()
         assert run["n"] == 1 << 19
         assert peak <= 4 * 16 * run["n"]
+
+    def test_translates_fold_one_row(self, monkeypatch):
+        folded = []
+        fold = norms._folded_lp
+
+        def counted(rows, which, *args):
+            folded.append(len(which))
+            return fold(rows, which, *args)
+
+        monkeypatch.setattr(norms, "_folded_lp", counted)
+        grouped = flat_measurement(1.0, 4, 4)
+        monkeypatch.setattr(
+            norms, "_distinct_rows", lambda rows, which, core, keys: (which, np.arange(which.size))
+        )
+        assert flat_measurement(1.0, 4, 4) == grouped
+        assert folded == [1, 16]
+
+    @pytest.mark.parametrize(
+        "p, flags, depths",
+        [(1.0, {"m": 2}, [(2, 4), (4, 6)]), (1.5, {"r": 6}, [(2, 6), (4, 8)])],
+    )
+    def test_lone_depth_flag_keeps_the_other_default(self, monkeypatch, p, flags, depths):
+        asked = []
+
+        def measured(p, m, r):
+            asked.append((m, r))
+            quantities = ("modulation_norm", "invphi_lp", "fhat_l1", "nu_hat_sup", "phi_l1", "f_lp")
+            return {"m": m, "r": r, "headline_ratio": 2.0 ** m, **dict.fromkeys(quantities, 1.0)}
+
+        monkeypatch.setattr(experiments, "flat_measurement", measured)
+        experiments.counterexample_flat(p, **flags)
+        assert asked == depths
 
 
 class TestAlgebraConstantCache:

@@ -1,15 +1,18 @@
 """Norm engine: modulation, Fourier-Beurling, Fourier-Segal, ratios."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfnorms.norms as norms
 from tfnorms.corpus import make_corpus
 from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_inverse, weighted_lp_norm
 from tfnorms.norms import (
+    NormReport,
     fourier_beurling_norm,
     fourier_segal_norm,
     modulation_norm,
@@ -286,6 +289,99 @@ class TestFoldedBlockNorms:
     )
     def test_edge_cases(self, n, m, lo, hi, p):
         _check_blocks_against_oracle(n, m, lo, hi, p, 0.5, seed=n + m)
+
+
+# What each block of a grouped-fold spectrum holds, around its centre k:
+# the base atom c a up to sign, near-duplicates of it that must not merge
+# with it, a fresh random atom, or nothing.
+_ROW_KINDS = ["plus", "minus", "times-i", "conj", "mirror", "ulp", "random", "empty"]
+
+
+@st.composite
+def grouped_spectra(draw):
+    """(grid, spectrum) whose blocks hold the kinds of _ROW_KINDS.
+
+    Each atom lives on |xi - k| <= 1/10, where no other translate of phi
+    reaches, so the masked row of block k is exactly phi(. - k) times its
+    own atom, and zero (of either sign) elsewhere.
+    """
+    steps = draw(st.sampled_from([10, 20, 30]))
+    n = 1 << draw(st.integers(8, 10))
+    grid = Grid(n, steps * math.pi)
+    part = partition_for(grid)
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=len(part.block_indices()),
+                          max_size=len(part.block_indices())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = steps // 10
+
+    def atom():
+        values = rng.standard_normal(2 * half + 1) + 1j * rng.standard_normal(2 * half + 1)
+        return values * (rng.random(values.size) < 0.7)  # exact zeros, signed below
+
+    base = complex(*rng.standard_normal(2)) * atom()
+    ulp = base.copy()
+    ulp[half] = complex(np.nextafter(ulp[half].real, np.inf), ulp[half].imag)
+    rows = {"plus": base, "minus": -base, "times-i": 1j * base, "conj": np.conj(base),
+            "mirror": base[::-1], "ulp": ulp}
+    spectrum = np.zeros(n, dtype=complex)
+    for k, kind in zip(part.block_indices(), kinds):
+        centre = n // 2 + k * steps
+        if kind != "empty":
+            row = rows[kind] if kind in rows else complex(*rng.standard_normal(2)) * atom()
+            spectrum[centre - half : centre + half + 1] = row
+    return grid, spectrum
+
+
+def _fold_every_live_row(signal, part, p, s):
+    """modulation_norm's report on the spectrum `signal`, every live row folded.
+
+    Also returns the live blocks that head the classes of masked rows equal
+    up to sign, each the first of its class in block order.
+    """
+    spectrum = signal.samples
+    rows, core = part.block_rows(spectrum), part.core
+    masked = rows * core
+    floor = norms._NOISE_FLOOR * np.max(np.abs(spectrum))
+    live = np.flatnonzero(np.max(np.abs(masked), axis=1) > floor)
+    heads = []
+    for i in live:
+        if not any(np.array_equal(masked[i], masked[j]) or np.array_equal(masked[i], -masked[j])
+                   for j in heads):
+            heads.append(i)
+    block_norms = np.zeros(len(rows))
+    # dx as modulation_norm reads it off the dual grid: the dual of the dual
+    # grid can differ from part.grid in the last bit of L.
+    dx = signal.grid.dual().dx
+    block_norms[live] = norms._folded_lp(rows, live, core, p, part.grid.n, dx)
+    ks = np.array(part.block_indices())
+    contributions = norms._index_weight(ks, s) * block_norms
+    report = NormReport(
+        NormSpec.modulation(p, 1.0, s),
+        norms._combine(contributions, 1.0),
+        tuple((int(k), float(c)) for k, c in zip(ks, contributions)),
+        norms._combine(np.array([contributions[0], contributions[-1]]), 1.0),
+    )
+    return report, heads
+
+
+def _bits(report):
+    values = [report.value, report.tail_estimate, *(c for _, c in report.block_contributions)]
+    return np.array(values).tobytes()
+
+
+class TestGroupedFold:
+    @settings(max_examples=40, deadline=None)
+    @given(case=grouped_spectra(), p=st.sampled_from([1.0, 1.5, 3.0, math.inf]))
+    def test_bitwise_equal_to_folding_every_row(self, case, p):
+        grid, spectrum = case
+        part, signal = partition_for(grid), SampledSignal(grid.dual(), spectrum)
+        oracle, heads = _fold_every_live_row(signal, part, p, 0.5)
+        with mock.patch.object(norms, "_folded_lp", wraps=norms._folded_lp) as fold:
+            report = modulation_norm(None, p, 1.0, 0.5, part, spectrum=signal)
+        assert report == oracle
+        assert _bits(report) == _bits(oracle)
+        if heads:
+            assert list(fold.call_args.args[1]) == heads
 
 
 class TestPartitionCache:
