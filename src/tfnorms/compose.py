@@ -384,7 +384,6 @@ def local_compose(
     c_hat: float,
     part: FrequencyPartition | None = None,
     lam_start: float = 1.0,
-    tail_tol: float = TAIL_TOLERANCE,
 ) -> LocalPatch:
     """Compose F with f near x0, returning g = F(f) on the cutoff plateau.
 
@@ -427,7 +426,7 @@ def local_compose(
                 f"resolution budget; history = {history}"
             )
 
-    terms = series.choose_truncation(wsup, tail_tol)
+    terms = series.choose_truncation(wsup, TAIL_TOLERANCE)
     tail = series.tail_bound(wsup, terms)
     values = series.constant * tau_l + series.evaluate_increment(w, terms)
     glue = bump_profile(

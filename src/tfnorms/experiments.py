@@ -38,7 +38,7 @@ from .norms import (
     norm_value,
     partition_for,
 )
-from .partition import bump_profile, frequency_block, partition_defect, partition_profile
+from .partition import bump_profile, partition_defect, partition_profile
 from .compose import (
     _check_refined_size,
     _dilated_window_samples,
@@ -110,10 +110,6 @@ class SweepReport:
         return all(a.passed for a in self.assertions)
 
 
-def _corpus_on(n: int, L: float, seed: int):
-    return make_corpus(Grid(n, L), seed=seed)
-
-
 # ----------------------------------------------------------------------
 # STFT and Moyal
 
@@ -171,7 +167,7 @@ def moyal_experiment(n: int = 2048, L: float = 30.0, seed: int = 0) -> SweepRepo
     report = SweepReport("moyal", axis="pair")
     grid = Grid(n, L)
     window = gaussian_window(grid)
-    corpus = _corpus_on(n, L, seed)
+    corpus = make_corpus(grid, seed=seed)
     names = [name for name, _ in corpus]
     signals = [sig for _, sig in corpus]
 
@@ -244,7 +240,7 @@ def norm_experiment(
 
 
 def bupu_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> SweepReport:
-    """Partition-of-unity identity and block reconstruction on the corpus."""
+    """Partition-of-unity identity and reconstruction from the block rows on the corpus."""
     report = SweepReport("bupu-check", axis="signal")
     grid = Grid(n, L)
     part = partition_for(grid)
@@ -256,11 +252,10 @@ def bupu_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> Swe
                  bool(np.all(vals == [1, 1, 1, 0, 0])))
 
     worst = 0.0
-    for name, f in _corpus_on(n, L, seed):
-        spectrum = fourier_forward(f).samples
-        total = np.zeros(grid.n, dtype=complex)
-        for k in part.block_indices():
-            total += frequency_block(f, k, part, spectrum=spectrum).samples
+    for name, f in make_corpus(grid, seed=seed):
+        spectrum = fourier_forward(f)
+        rows = part.block_rows(spectrum.samples) * part.core
+        total = fourier_inverse(SampledSignal(spectrum.grid, part.overlap_add(rows))).samples
         err = weighted_lp_norm(SampledSignal(grid, total) - f, 2.0) / weighted_lp_norm(f, 2.0)
         worst = max(worst, err)
         report.rows.append({"signal": name, "reconstruction_error": float(err)})
@@ -600,7 +595,7 @@ def _invphi_tail_halfwidth(p: float, frac: float) -> float:
 _TAIL_FRACTION = {1.0: 1e-2, 1.5: 1e-3}
 
 
-def flat_measurement(p: float, m: int, r: int, tail_frac: float | None = None) -> dict:
+def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
     Builds the transform as exact integer translates of nu-hat times the
@@ -621,9 +616,7 @@ def flat_measurement(p: float, m: int, r: int, tail_frac: float | None = None) -
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
-    if tail_frac is None:
-        tail_frac = _TAIL_FRACTION.get(p, 1e-3)
-    r_half = _invphi_tail_halfwidth(p, tail_frac)
+    r_half = _invphi_tail_halfwidth(p, _TAIL_FRACTION.get(p, 1e-3))
     n_nu = disjointness_spacing(r_half, r)
     support = n_nu * (2**r - 1) + 2.2 * r_half
     m_int = int(math.ceil(1.15 * support / math.pi))

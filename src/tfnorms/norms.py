@@ -128,6 +128,7 @@ def modulation_norm(
     alive.
     """
     spec = NormSpec.modulation(p, q, s)
+    # dx is part.grid's: the dual of the spectrum's grid can be off in the last bit.
     grid = spectrum.grid.dual() if f is None else f.grid
     if not part.grid.compatible(grid):
         raise ValueError("partition was built for a different grid")
@@ -161,7 +162,7 @@ def modulation_norm(
         # Each row's two maxima as one complex key, so np.unique sorts 1-D.
         keys = halves[which].view(complex)[:, 0]
         heads, owner = _distinct_rows(rows, which, core, keys)
-        block_norms[which] = _folded_lp(rows, heads, core, p, part.grid.n, grid.dx)[owner]
+        block_norms[which] = _folded_lp(rows, heads, core, p, part.grid.n, part.grid.dx)[owner]
 
     contributions = _index_weight(ks, s) * block_norms
     value = _combine(contributions, q)

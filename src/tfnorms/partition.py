@@ -13,9 +13,9 @@ denominator is 1-periodic.  Frequency blocks are
     block_k(f) = F^-1( phi(. - k) . Ff ),
 
 band-limited to [k-1, k+1] and summing back to f.  A partition stores only
-the core of phi, its samples on [-1, 1), which every block reuses: the
-translates phi(. - k) are the core moved by whole windows of the frequency
-grid, so no n-length profile is built or kept.
+the core of phi (see FrequencyPartition) and alone knows the block layout:
+block_rows reads the windows of all blocks as rows of one strided view of a
+spectrum, and overlap_add, its adjoint, puts such rows back on their windows.
 """
 
 from __future__ import annotations
@@ -112,10 +112,19 @@ class FrequencyPartition:
         vanishes at k + 1, so the half-open window carries all of it and the
         top window still ends inside the grid.
         """
-        w = self.steps_per_unit
-        first = self.window_start(-self.max_block_index)
-        count = 2 * self.max_block_index + 1
-        return sliding_window_view(spectrum, 2 * w)[first : first + count * w : w]
+        w, first = self.steps_per_unit, self.window_start(-self.max_block_index)
+        return sliding_window_view(spectrum, 2 * w)[first::w][: 2 * self.max_block_index + 1]
+
+    def overlap_add(self, rows: np.ndarray) -> np.ndarray:
+        """Adjoint of block_rows: each row summed back onto its window of an n-length spectrum."""
+        w, first = self.steps_per_unit, self.window_start(-self.max_block_index)
+        out = np.zeros(self.grid.n, dtype=rows.dtype)
+        # Windows overlap by halves: segment i of w samples is the upper half
+        # of row i - 1 plus the lower half of row i, for i = 0 .. K.
+        segments = out[first : first + (len(rows) + 1) * w].reshape(-1, w)
+        segments[:-1] += rows[:, :w]
+        segments[1:] += rows[:, w:]
+        return out
 
 
 def build_frequency_partition(grid: Grid) -> FrequencyPartition:
@@ -161,19 +170,17 @@ def frequency_block(
     if spectrum is None:
         spectrum = fourier_forward(f).samples
     start = part.window_start(k)
+    window = slice(start, start + part.core.size)
     masked = np.zeros_like(spectrum)
-    masked[start : start + 2 * part.steps_per_unit] = (
-        part.block_rows(spectrum)[k + part.max_block_index] * part.core
-    )
+    masked[window] = spectrum[window] * part.core
     return fourier_inverse(SampledSignal(f.grid.dual(), masked))
 
 
 def partition_defect(part: FrequencyPartition) -> float:
-    """Max |sum_k phi(xi - k) - 1| over all grid frequencies."""
-    xi = part.grid.frequencies()
-    total = np.zeros_like(xi)
-    kmin = int(math.floor(xi[0])) - 1
-    kmax = int(math.ceil(xi[-1])) + 1
-    for k in range(kmin, kmax + 1):
-        total += partition_profile(xi - k)
-    return float(np.max(np.abs(total - 1.0)))
+    """Max |sum_k phi(xi - k) - 1| over the grid: the stored core against its unit translate.
+
+    On [0, 1) only phi(xi - 1) = core[:w] and phi(xi) = core[w:] are nonzero,
+    and every grid frequency is an integer shift of one there.
+    """
+    w = part.steps_per_unit
+    return float(np.max(np.abs(part.core[:w] + part.core[w:] - 1.0)))

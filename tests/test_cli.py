@@ -232,6 +232,15 @@ class TestCommands:
         assert result.returncode == 1  # rejected input with guidance
         assert "m * pi" in result.stderr
 
+    # The blocks in use miss part of the edge bands next to the Nyquist
+    # frequency, which on these coarser grids carry more of bump-2 than the
+    # 1e-8 reconstruction tolerance (5.7e-5 and 2.1e-6).  The wrapped block
+    # k = N closes the gap; these markers go when it lands.
+    @pytest.mark.xfail(strict=True, reason="the edge bands miss the wrapped block k = N")
+    @pytest.mark.parametrize("n", ["1024", "2048"])
+    def test_bupu_check_passes_on_coarse_grids(self, tmp_path, n):
+        assert main(["bupu-check", "--n", n, "--out", str(tmp_path / "out")]) == 0
+
     def test_stft_matrix_dump(self, tmp_path):
         result = run_cli(
             ["stft", "--n", "512", "--L", "20", "--dump-matrix", "mat.csv", "--out", "out"],

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tfnorms import experiments, norms
-from tfnorms.grid import NormSpec
+from tfnorms.corpus import make_corpus
+from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_forward, weighted_lp_norm
 from tfnorms.experiments import (
     PARTITION_L,
     algebra_sweep,
@@ -24,6 +25,8 @@ from tfnorms.experiments import (
     translation_bound_experiment,
     _series_partial,
 )
+from tfnorms.norms import partition_for
+from tfnorms.partition import frequency_block
 
 
 class TestSeriesSums:
@@ -177,6 +180,21 @@ class TestLightReports:
 
     def test_bupu_report(self):
         assert bupu_experiment().all_passed
+
+    def test_bupu_rows_match_the_per_block_sum(self):
+        # Each row against the signal rebuilt from one inverse per block.
+        report = bupu_experiment()
+        grid = Grid(4096, PARTITION_L)
+        part = partition_for(grid)
+        corpus = make_corpus(grid, seed=0)
+        assert [row["signal"] for row in report.rows] == [name for name, _ in corpus]
+        for row, (_, f) in zip(report.rows, corpus):
+            spectrum = fourier_forward(f).samples
+            total = np.zeros(grid.n, dtype=complex)
+            for k in part.block_indices():
+                total += frequency_block(f, k, part, spectrum=spectrum).samples
+            err = weighted_lp_norm(SampledSignal(grid, total) - f, 2.0) / weighted_lp_norm(f, 2.0)
+            assert abs(row["reconstruction_error"] - err) <= 1e-15, row
 
     def test_approx_unit_report(self):
         report = approx_unit_experiment(n=2048, halvings=5)

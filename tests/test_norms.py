@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import tfnorms.norms as norms
 from tfnorms.corpus import make_corpus
-from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_inverse, weighted_lp_norm
+from tfnorms.grid import (
+    Grid,
+    NormSpec,
+    SampledSignal,
+    fourier_forward,
+    fourier_inverse,
+    weighted_lp_norm,
+)
 from tfnorms.norms import (
     NormReport,
     fourier_beurling_norm,
@@ -90,6 +97,24 @@ class TestModulationNorm:
     def test_tail_estimate_small_for_smooth(self):
         report = modulation_norm(gaussian(), 2.0, 1.0, 0.0, PART)
         assert report.tail_estimate <= 1e-12 * report.value
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_call_forms_bitwise_equal(self, p):
+        # The dual of this grid's dual is off in the last bit of L, so a norm
+        # that took dx from the spectrum's grid would differ from one on f.
+        grid = Grid(512, 30.0 * math.pi)
+        assert grid.dual().dual().half_width != grid.half_width
+        part = partition_for(grid)
+        for name, f in make_corpus(grid, seed=0):
+            on_signal = modulation_norm(f, p, 1.0, 0.5, part)
+            on_spectrum = modulation_norm(None, p, 1.0, 0.5, part, spectrum=fourier_forward(f))
+            assert on_signal.value == on_spectrum.value, name
+            assert on_signal.block_contributions == on_spectrum.block_contributions, name
+
+    def test_rejects_spectrum_of_another_grid(self):
+        other = fourier_forward(gaussian(Grid(4096, 15.0 * math.pi)))
+        with pytest.raises(ValueError, match="different grid"):
+            modulation_norm(None, 2.0, 1.0, 0.0, PART, spectrum=other)
 
     def test_report_serializes(self):
         report = modulation_norm(gaussian(), 2.0, 1.0, 0.0, PART)
@@ -349,10 +374,7 @@ def _fold_every_live_row(signal, part, p, s):
                    for j in heads):
             heads.append(i)
     block_norms = np.zeros(len(rows))
-    # dx as modulation_norm reads it off the dual grid: the dual of the dual
-    # grid can differ from part.grid in the last bit of L.
-    dx = signal.grid.dual().dx
-    block_norms[live] = norms._folded_lp(rows, live, core, p, part.grid.n, dx)
+    block_norms[live] = norms._folded_lp(rows, live, core, p, part.grid.n, part.grid.dx)
     ks = np.array(part.block_indices())
     contributions = norms._index_weight(ks, s) * block_norms
     report = NormReport(

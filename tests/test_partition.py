@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnorms.grid import Grid, SampledSignal, fourier_forward, fourier_inverse, weighted_lp_norm
 from tfnorms.partition import (
+    FrequencyPartition,
     build_frequency_partition,
     frequency_block,
     partition_defect,
@@ -28,6 +31,13 @@ def band_limited(grid, seed, cutoff=20.0):
 class TestProfile:
     def test_partition_of_unity(self):
         assert partition_defect(PART) <= 1e-12
+
+    @pytest.mark.parametrize("index", [0, 5, 16, 31])
+    def test_defect_sees_a_moved_core_sample(self, index):
+        core = PART.core.copy()
+        core[index] += 1e-9
+        moved = FrequencyPartition(GRID, core, PART.steps_per_unit)
+        assert partition_defect(moved) > 1e-12
 
     def test_plateau_and_support(self):
         xi = np.array([0.0, 0.05, -0.1, 0.1])
@@ -108,3 +118,37 @@ class TestBlocks:
             lhs = np.abs(frequency_block(mod, k, PART).samples)
             rhs = np.abs(frequency_block(f, k - m, PART).samples)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(rhs), 1e-30)
+
+
+@st.composite
+def partitioned_grids(draw):
+    n = 1 << draw(st.integers(6, 12))
+    m = draw(st.sampled_from([1, 2, 3, 5, 16, n // 4]))
+    return build_frequency_partition(Grid(n, m * math.pi))
+
+
+class TestOverlapAdd:
+    @settings(max_examples=60, deadline=None)
+    @given(part=partitioned_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_of_block_rows(self, part, seed):
+        # <block_rows(s), R> = <s, overlap_add(R)> for every spectrum s and rows R.
+        rng = np.random.default_rng(seed)
+        n, w = part.grid.n, part.steps_per_unit
+        spectrum = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows = part.block_rows(spectrum)
+        coeffs = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+        spread = part.overlap_add(coeffs)
+        assert spread.shape == (n,) and rows.shape[1] == 2 * w
+        lhs, rhs = np.vdot(rows, coeffs), np.vdot(spectrum, spread)
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(rows) * np.linalg.norm(coeffs)
+
+    # The blocks in use, k = -(N - 1) .. N - 1 for the Nyquist frequency N,
+    # leave the edge bands [-N, -N + 1) and [N - 1, N) covered by one
+    # neighbour only.  Adding the wrapped block k = N closes the gap; these
+    # markers go when it lands.
+    @pytest.mark.xfail(strict=True, reason="the edge bands miss the wrapped block k = N")
+    @pytest.mark.parametrize("n, m", [(64, 1), (1024, 16), (4096, 16), (4096, 5)])
+    def test_blocks_in_use_cover_every_frequency(self, n, m):
+        part = build_frequency_partition(Grid(n, m * math.pi))
+        cover = part.overlap_add(np.tile(part.core, (len(part.block_indices()), 1)))
+        assert np.max(np.abs(cover - 1.0)) <= 1e-12
