@@ -40,6 +40,7 @@ from .measures import (
     dirac,
     disjointness_spacing,
     rudin_shapiro,
+    rudin_shapiro_sup,
     rudin_shapiro_transforms,
 )
 from .windows import PlateauWindow, plateau_window, translation_difference_bound

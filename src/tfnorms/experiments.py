@@ -30,6 +30,7 @@ from .measures import (
     Normalization,
     disjointness_spacing,
     rudin_shapiro,
+    rudin_shapiro_sup,
     rudin_shapiro_transforms,
 )
 from .norms import (
@@ -595,20 +596,36 @@ def _invphi_tail_halfwidth(p: float, frac: float) -> float:
 _TAIL_FRACTION = {1.0: 1e-2, 1.5: 1e-3}
 
 
+def _flat_layout(p: float, m: int, r: int) -> tuple[Grid, int]:
+    """Grid and nu spacing of one flat-counterexample run.
+
+    The spacing keeps the translates of F^-1 phi by the support of nu
+    disjoint; the grid fits the translate train with margin, and its
+    frequency grid resolves every occupied block.
+    """
+    r_half = _invphi_tail_halfwidth(p, _TAIL_FRACTION.get(p, 1e-3))
+    n_nu = disjointness_spacing(r_half, r)
+    support = n_nu * (2**r - 1) + 2.2 * r_half
+    m_int = int(math.ceil(1.15 * support / math.pi))
+    nyq_needed = 2**m + 2
+    n = 1 << int(math.ceil(math.log2(2 * m_int * nyq_needed)))
+    return Grid(n, m_int * math.pi), n_nu
+
+
 def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
     Builds the transform as exact integer translates of nu-hat times the
     frequency bump, inverts once, and measures every norm in the inequality
-    chain.  The grid is sized so the translate train fits with margin and
-    the frequency grid resolves every occupied block.
+    chain, on the grid of :func:`_flat_layout`.
 
-    The grid holds 2^21-2^22 samples here, so each full-length array is
-    released as soon as its norms are taken: the bump phi is evaluated on
-    its support only, nu-hat is kept on that support once its maximum is
-    taken, the signal f is released after its L^p norm, and the block norm
-    runs on the transform alone.  At most about three complex n-length
-    arrays are live at any point.
+    The grid holds 2^17-2^22 samples here, so no full-length frequency or
+    nu-hat array is made: the bump phi and nu-hat are evaluated on phi's
+    support only, and the maximum of |nu-hat| over the whole grid comes
+    from :func:`rudin_shapiro_sup`, whose buffer is freed on return.  The
+    signal f is released after its L^p norm, and the block norm runs on the
+    transform alone.  At most about three complex n-length arrays are live
+    at any point.
 
     The 2^m translates carry one block up to the sign of their weight
     +-2^-m, so the block norm folds that one block and reuses its value for
@@ -616,29 +633,24 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
-    r_half = _invphi_tail_halfwidth(p, _TAIL_FRACTION.get(p, 1e-3))
-    n_nu = disjointness_spacing(r_half, r)
-    support = n_nu * (2**r - 1) + 2.2 * r_half
-    m_int = int(math.ceil(1.15 * support / math.pi))
-    nyq_needed = 2**m + 2
-    n = 1 << int(math.ceil(math.log2(2 * m_int * nyq_needed)))
-    grid = Grid(n, m_int * math.pi)
+    grid, n_nu = _flat_layout(p, m, r)
     part = partition_for(grid)
 
-    # The bump vanishes on |xi| >= 0.1; it is elementwise, so its values on
-    # that window are those of a full-grid evaluation.  [lo, hi) is its
-    # support.
-    xi = grid.frequencies()
-    near = np.flatnonzero(np.abs(xi) < 0.1)
-    phi = bump_profile(xi[near[0] : near[-1] + 1], 0.025, 0.1)
+    # The bump vanishes on |xi| >= 0.1, so only the frequencies k dxi with
+    # |k| < reach are built; they and the bump are elementwise, so their
+    # values are those of a full-grid evaluation.  [first, last) is the
+    # bump's support in xi, [lo, hi) in grid indices.
+    half = grid.n // 2
+    reach = min(int(0.1 / grid.dxi) + 2, half)
+    xi = grid.dxi * np.arange(-reach, reach)
+    phi = bump_profile(xi, 0.025, 0.1)
     inside = np.flatnonzero(phi > 0)
-    lo, hi = int(near[0] + inside[0]), int(near[0] + inside[-1]) + 1
-    phi = phi[inside[0] : inside[-1] + 1]
-    nu_hat = rudin_shapiro_transforms(r, n_nu, xi, Normalization.LP_ATOMS, p=p)[1]
-    del xi
-    nu_inf = float(np.max(np.abs(nu_hat)))
-    base = nu_hat[lo:hi] * phi
-    del nu_hat
+    first, last = int(inside[0]), int(inside[-1]) + 1
+    lo, hi = first + half - reach, last + half - reach
+    phi = phi[first:last]
+    nu_inf = rudin_shapiro_sup(r, n_nu, grid, Normalization.LP_ATOMS, p=p)
+    nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
+    base = nu_hat * phi
 
     phi_samples = np.zeros(grid.n, dtype=complex)
     phi_samples[lo:hi] = phi

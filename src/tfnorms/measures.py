@@ -19,6 +19,25 @@ frequencies it runs in spans of 2^15 frequencies, concurrently on the CPUs of
 the process's affinity mask; each span writes its slice of the scaled
 outputs, so the values are bitwise those of one full-length pass whatever the
 number of CPUs.  Smaller sets run as one span in the calling thread.
+
+The maximum of |nu_m^| over the dual grid xi_k = k dxi, k = -n/2 .. n/2 - 1
+(:func:`rudin_shapiro_sup`) rests on two identities that hold bit for bit in
+floating point:
+
+- Doubling.  xi_{2k} = 2 xi_k exactly, since scaling by 2 commutes with
+  rounding, so the phase exp(-i N_j xi_k) of step j at k is that of step
+  j - 1 at 2k.  Run over k = 0 .. n/2 - 1 step by step, each step after the
+  first copies its lower half from the even indices of the previous step's
+  phases and evaluates exponentials on its upper half only.
+- Mirror.  nu_m^(-xi) = conj nu_m^(xi), because every operation of the
+  recursion commutes with conjugation, so the k < 0 side repeats the
+  moduli of the k > 0 side.  Only k = -n/2 has no mirror on the grid and is
+  evaluated on its own.
+
+Together they cut the exponentials from m n to n (m + 1) / 4.  The
+exponentials and the steps run in the same spans as the transforms, the
+rule keyed to the grid's n; moduli are taken on contiguous arrays only,
+since numpy's modulus of a strided view can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -30,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CostGateError
-from .grid import _each_span
+from .grid import Grid, _each_span
 
 __all__ = [
     "DiscreteMeasure",
@@ -40,14 +59,15 @@ __all__ = [
     "convolve_measures",
     "rudin_shapiro",
     "rudin_shapiro_transforms",
+    "rudin_shapiro_sup",
     "disjointness_spacing",
 ]
 
 CONVOLUTION_ATOM_GATE = 10**7
 
-# rudin_shapiro_transforms runs sets of at least _RS_POOL_MIN frequencies in
-# spans of _RS_SPAN, whose temporaries stay in cache; smaller sets run as
-# one span in the calling thread.
+# rudin_shapiro_transforms and rudin_shapiro_sup run sets of at least
+# _RS_POOL_MIN frequencies in spans of _RS_SPAN, whose temporaries stay in
+# cache; smaller sets run as one span in the calling thread.
 _RS_SPAN = 1 << 15
 _RS_POOL_MIN = 1 << 20
 
@@ -235,6 +255,64 @@ def rudin_shapiro_transforms(
     span = _RS_SPAN if xis.size >= _RS_POOL_MIN else max(xis.size, 1)
     _each_span(run, xis.size, span)
     return mu_out, nu_out
+
+
+def rudin_shapiro_sup(
+    m: int,
+    base_spacing: int,
+    grid: Grid,
+    normalization: Normalization | str = Normalization.RAW,
+    p: float | None = None,
+) -> float:
+    """max |nu_m^| over ``grid.frequencies()``, with n (m + 1) / 4 exponentials.
+
+    Bitwise equal to ``np.max(np.abs(rudin_shapiro_transforms(m,
+    base_spacing, grid.frequencies(), normalization, p)[1]))``: the
+    recursion runs on k = 0 .. n/2 - 1 only, reusing each step's phases at
+    doubled frequencies (see the module docstring), and k = -n/2 runs on its
+    own.  One (3, n/2) complex buffer holds mu^, nu^ and the phases.
+    """
+    if m < 0:
+        raise ValueError("depth m must be >= 0")
+    normalization = Normalization(normalization)
+    scale = _scale_factor(m, normalization, p)
+    half = grid.n // 2
+    quarter = half // 2
+    dxi = grid.dxi
+    mu_hat, nu_hat, phase = np.empty((3, half), dtype=complex)
+    mu_hat.fill(1.0)
+    nu_hat.fill(1.0)
+    span = _RS_SPAN if grid.n >= _RS_POOL_MIN else half
+
+    for j in range(1, m + 1):
+        rate = -1j * (2 ** (j - 1) * base_spacing)
+        fresh = 0 if j == 1 else quarter
+        # The source runs ahead of the destination, so numpy copies forward
+        # without a temporary.
+        phase[:fresh] = phase[: 2 * fresh : 2]
+
+        def step(lo: int, hi: int) -> None:
+            top = max(lo, fresh)
+            if top < hi:
+                # The expression of rudin_shapiro_transforms, written in place.
+                np.multiply(rate, dxi * np.arange(top, hi), out=phase[top:hi])
+                np.exp(phase[top:hi], out=phase[top:hi])
+            shifted = phase[lo:hi] * nu_hat[lo:hi]
+            np.subtract(mu_hat[lo:hi], shifted, out=nu_hat[lo:hi])
+            np.add(mu_hat[lo:hi], shifted, out=mu_hat[lo:hi])
+
+        _each_span(step, half, span)
+
+    peaks = np.empty(-(-half // span))
+
+    def peak(lo: int, hi: int) -> None:
+        scaled = np.multiply(scale, nu_hat[lo:hi], out=phase[lo:hi])
+        peaks[lo // span] = np.max(np.abs(scaled))
+
+    _each_span(peak, half, span)
+    lowest = dxi * np.arange(-half, 1 - half)
+    edge = rudin_shapiro_transforms(m, base_spacing, lowest, normalization, p)[1]
+    return float(max(np.max(peaks), np.abs(edge[0])))
 
 
 def disjointness_spacing(k_halfwidth: float, m: int) -> int:

@@ -1,11 +1,16 @@
 """Atomic measures, exact transforms, and the flat-measure recursion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tfnorms.grid as grid_module
+import tfnorms.measures as measures
 from tfnorms.errors import CostGateError
+from tfnorms.experiments import _flat_layout
+from tfnorms.grid import Grid
 from tfnorms.measures import (
     DiscreteMeasure,
     Normalization,
@@ -13,6 +18,7 @@ from tfnorms.measures import (
     dirac,
     disjointness_spacing,
     rudin_shapiro,
+    rudin_shapiro_sup,
     rudin_shapiro_transforms,
 )
 
@@ -173,6 +179,80 @@ class TestRudinShapiro:
             pair = rudin_shapiro(5, normalization=norm, p=p)
             mags = np.abs(pair.mu.weights)
             assert np.max(mags) == np.min(mags)
+
+
+# The (p, m, r) of the two depths of each default counterexample-flat run.
+FLAT_RUNS = [(1.0, 4, 4), (1.0, 6, 6), (1.5, 2, 8), (1.5, 4, 10)]
+
+
+class TestRudinShapiroSup:
+    """The identities rudin_shapiro_sup rests on, and what it holds."""
+
+    @pytest.mark.parametrize("p, m, r", FLAT_RUNS)
+    def test_doubled_frequencies_repeat_the_phases(self, p, m, r):
+        grid, spacing = _flat_layout(p, m, r)
+        half = grid.n // 2
+        xi = grid.frequencies()[half:]
+        assert np.array_equal(xi[: half // 2] * 2.0, xi[::2])
+        # Step j's phase at k is step j - 1's at 2k, on a sample of k.
+        k = np.random.default_rng(r).integers(0, half // 2, 4096)
+        for j in range(2, r + 1):
+            later = np.exp(-1j * (2 ** (j - 1) * spacing) * xi[k])
+            earlier = np.exp(-1j * (2 ** (j - 2) * spacing) * xi[2 * k])
+            assert later.tobytes() == earlier.tobytes()
+
+    @pytest.mark.parametrize("p, m, r", FLAT_RUNS)
+    def test_mirrored_frequencies_conjugate_nu_hat(self, p, m, r):
+        grid, spacing = _flat_layout(p, m, r)
+        half = grid.n // 2
+        xi = grid.frequencies()
+        k = np.random.default_rng(r).integers(1, half, 4096)
+        assert np.array_equal(xi[half - k], -xi[half + k])
+        above = rudin_shapiro_transforms(r, spacing, xi[half + k], Normalization.LP_ATOMS, p)[1]
+        below = rudin_shapiro_transforms(r, spacing, xi[half - k], Normalization.LP_ATOMS, p)[1]
+        assert below.tobytes() == np.conj(above).tobytes()
+        assert np.abs(below).tobytes() == np.abs(above).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_lowest_frequency_counts(self, n):
+        # With L = n/2 the lowest frequency is -pi, the only grid point where
+        # |nu_1^(xi)| = |1 - exp(-i xi)| reaches 2; it has no mirror on the grid.
+        grid = Grid(n, n / 2.0)
+        assert grid.frequencies()[0] == -math.pi
+        assert rudin_shapiro_sup(1, 1, grid) == 2.0
+        inner = rudin_shapiro_transforms(1, 1, grid.frequencies()[1:])[1]
+        assert np.max(np.abs(inner)) < 2.0
+
+    def test_depth_validation(self):
+        with pytest.raises(ValueError):
+            rudin_shapiro_sup(-1, 1, Grid(64, 1.0))
+
+    def test_holds_one_and_a_half_complex_arrays(self, monkeypatch):
+        # One CPU and short spans, so that the span temporaries stay small
+        # next to the n-length arrays.
+        n, span = 1 << 16, 1 << 10
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(measures, "_RS_SPAN", span)
+        monkeypatch.setattr(measures, "_RS_POOL_MIN", 1)
+        grid = Grid(n, 3000.0)
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def full_grid():
+            nu_hat = rudin_shapiro_transforms(10, 284, grid.frequencies(), "lp_atoms", 1.5)[1]
+            return float(np.max(np.abs(nu_hat)))
+
+        value, peak = peak_bytes(lambda: rudin_shapiro_sup(10, 284, grid, "lp_atoms", 1.5))
+        assert peak <= 1.5 * 16 * n + 4 * 16 * span
+        # The full-grid path holds mu^, nu^ and the frequencies: 2.5 arrays.
+        full, full_peak = peak_bytes(full_grid)
+        assert full == value
+        assert full_peak > 2.5 * 16 * n
 
 
 class TestDisjointnessSpacing:

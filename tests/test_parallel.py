@@ -1,10 +1,11 @@
 """Span runner: pooled and inline runs give bit-identical results.
 
-The Rudin-Shapiro transform recursion and the folded block inverses of
-modulation_norm split their work into spans (grid._each_span) that run on a
-thread pool when there are several spans and several CPUs.  These tests
-shrink the spans so small inputs split many ways, then compare a pooled run
-with the same spans forced inline and with the default spans.
+The Rudin-Shapiro transform recursion, its maximum over a grid, and the
+folded block inverses of modulation_norm split their work into spans
+(grid._each_span) that run on a thread pool when there are several spans and
+several CPUs.  These tests shrink the spans so small inputs split many ways,
+then compare a pooled run with the same spans forced inline and with the
+default spans.
 """
 
 import concurrent.futures
@@ -15,15 +16,15 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfnorms.grid as grid_module
 import tfnorms.measures as measures
 import tfnorms.norms as norms
-from tfnorms.experiments import flat_measurement
+from tfnorms.experiments import _flat_layout, flat_measurement
 from tfnorms.grid import Grid, SampledSignal, fourier_inverse
-from tfnorms.measures import Normalization, rudin_shapiro_transforms
+from tfnorms.measures import Normalization, rudin_shapiro_sup, rudin_shapiro_transforms
 from tfnorms.norms import modulation_norm, partition_for
 
 GRID = Grid(4096, 16.0 * math.pi)
@@ -155,7 +156,37 @@ class TestBitIdentical:
             inline = flat_measurement(1.0, 3, 3)
         default = flat_measurement(1.0, 3, 3)
         assert {module for module, _, _, off_main in log if off_main} == {"measures", "norms"}
+        # rudin_shapiro_sup: three recursion steps and the peak pass, each
+        # over the k >= 0 half of the grid, pooled.
+        half = _flat_layout(1.0, 3, 3)[0].n // 2
+        assert log.count(("measures", half, 1001, True)) == 4
         assert pooled == inline == default
+
+
+class TestRudinShapiroSup:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n=st.integers(3, 16),
+        m=st.integers(0, 12),
+        base_spacing=st.integers(1, 500),
+        half_width=st.floats(0.5, 1e5),
+        normalization=st.sampled_from(list(Normalization)),
+        pieces=st.integers(1, 40),
+    )
+    # L = n/2 puts -pi at k = -n/2, where |nu_1^| = 2 is largest.
+    @example(3, 1, 1, 4.0, Normalization.RAW, 3)
+    @example(10, 1, 1, 512.0, Normalization.RAW, 1)
+    def test_bitwise_equal_to_full_grid_maximum(
+        self, log_n, m, base_spacing, half_width, normalization, pieces
+    ):
+        grid = Grid(1 << log_n, half_width)
+        p = 1.5 if normalization is Normalization.LP_ATOMS else None
+        full = rudin_shapiro_transforms(m, base_spacing, grid.frequencies(), normalization, p)
+        expected = float(np.max(np.abs(full[1])))
+        # The k >= 0 half in about `pieces` spans, the last one often ragged.
+        for cpus in (1, 3):
+            with spans(cpus, rs_span=max(1, grid.n // 2 // pieces)):
+                assert rudin_shapiro_sup(m, base_spacing, grid, normalization, p) == expected
 
 
 class TestFlatnessIdentity:
