@@ -333,7 +333,8 @@ def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
         weighted *= (1.0 + x * x) ** (s / 2.0)
     if math.isinf(p):
         return float(np.max(weighted))
-    return float((f.grid.dx * np.sum(weighted**p)) ** (1.0 / p))
+    weighted **= p
+    return float((f.grid.dx * np.sum(weighted)) ** (1.0 / p))
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:

@@ -21,13 +21,15 @@ power of two >= W and P = n / M, grid index j = b + P a gives
 for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
-n log n.  The (b P, M) rows of a batch of b blocks are independent, so they
-are transformed in spans of at least 2^18 samples (a span may cross a block
-boundary), concurrently on the CPUs of the process's affinity mask once a
-batch holds two spans or more.  Each span writes its own rows of one shared
-buffer, and the per-block sums and maxima run over the whole batch in the
-calling thread, so every value is bitwise the same whatever the number of
-CPUs.
+n log n.  The fold runs in spans of at most 2^16 samples (or one row, when M
+is larger), each doing all of its work while the data is still in cache:
+twiddle product, length-M inverse transforms into span-local buffers, |.|^p,
+and each block's sum or maximum.  A span holds whole blocks when a block
+fits in one, and reduces each of them over exactly that block's P M values;
+a larger block is split into spans of whole rows, which write |.|^p into one
+n-float buffer of that block, reduced once.  Spans run concurrently on the
+CPUs of the process's affinity mask, and no sum depends on where the spans
+start, so every value is bitwise the same whatever the number of CPUs.
 
 Only distinct blocks are folded.  Two blocks are the same when their masked
 rows are equal as values, or equal after negating one of them: a block
@@ -78,8 +80,8 @@ __all__ = [
 # Relative magnitude below which a masked block is double-rounding noise.
 _NOISE_FLOOR = 1e-13
 
-# Least samples per span of folded inverse transforms (see _folded_lp).
-_FOLD_SPAN = 1 << 18
+# Most samples per span of folded inverse transforms (see _folded_lp).
+_FOLD_SPAN = 1 << 16
 
 
 def _index_weight(k: np.ndarray, s: float) -> np.ndarray:
@@ -208,48 +210,48 @@ def _folded_lp(
 ) -> np.ndarray:
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
-    Uses the fold described in the module docstring, in batches of at most
-    _BATCH_LIMIT samples whose (b P, M) rows are transformed in spans of at
-    least _FOLD_SPAN samples.
+    Uses the fold described in the module docstring, span by span: a span of
+    at most _FOLD_SPAN samples holds whole blocks, or, for a block larger
+    than that, whole rows of one block (one row at least).
     """
     width = core.size
     m_len = 1 << (width - 1).bit_length()
     p_len = n // m_len
     twiddle = np.exp((2j * math.pi / n) * np.outer(np.arange(p_len), np.arange(width)))
+
+    def fold(coeffs: np.ndarray, r0: int, r1: int, mags: np.ndarray) -> None:
+        # mags[b, a - r0] = |IFFT_M(coeffs[b] * twiddle[a])|^p for a in [r0, r1).
+        z = np.empty(mags.shape, dtype=complex)
+        np.multiply(coeffs[:, None, :], twiddle[r0:r1], out=z[..., :width])
+        z[..., width:] = 0.0
+        np.fft.ifft(z, axis=-1, out=z)
+        np.abs(z, out=mags)
+        if p != 1.0 and not math.isinf(p):
+            mags **= p
+
+    def reduce(mags: np.ndarray) -> np.ndarray:
+        # Over each block's P M values alone, so the spans do not change the
+        # order of any sum.
+        return np.max(mags, axis=(1, 2)) if math.isinf(p) else np.sum(mags, axis=(1, 2))
+
     out = np.empty(which.size)
-    step = max(1, _BATCH_LIMIT // n)
-    stack = np.empty((min(step, which.size), p_len, m_len), dtype=complex)
-    mags = np.empty(stack.shape)
-    span = -(-_FOLD_SPAN // m_len)  # rows of M samples
-    for lo in range(0, which.size, step):
-        coeffs = rows[which[lo : lo + step]] * core
-        count = coeffs.shape[0] * p_len
-        z, a = stack[: coeffs.shape[0]], mags[: coeffs.shape[0]]
-        z_rows, a_rows = z.reshape(count, m_len), a.reshape(count, m_len)
+    if n <= _FOLD_SPAN:
 
-        def run(r0: int, r1: int) -> None:
-            # Row b * P + a of the batch is block b at fold offset a.
-            for b in range(r0 // p_len, (r1 - 1) // p_len + 1):
-                b0, b1 = max(r0, b * p_len), min(r1, (b + 1) * p_len)
-                np.multiply(
-                    coeffs[b],
-                    twiddle[b0 - b * p_len : b1 - b * p_len],
-                    out=z_rows[b0:b1, :width],
-                )
-            zs, az = z_rows[r0:r1], a_rows[r0:r1]
-            zs[:, width:] = 0.0
-            np.fft.ifft(zs, axis=-1, out=zs)
-            np.abs(zs, out=az)
-            if not math.isinf(p):
-                az **= p
+        def run(lo: int, hi: int) -> None:
+            mags = np.empty((hi - lo, p_len, m_len))
+            fold(rows[which[lo:hi]] * core, 0, p_len, mags)
+            out[lo:hi] = reduce(mags)
 
-        _each_span(run, count, span)
-        # The reductions stay whole-batch, so their order does not depend
-        # on the spans.
-        if math.isinf(p):
-            out[lo : lo + step] = np.max(a, axis=(1, 2))
-        else:
-            out[lo : lo + step] = (dx * np.sum(a, axis=(1, 2))) ** (1.0 / p)
+        _each_span(run, which.size, _FOLD_SPAN // n)
+    else:
+        span_rows = max(1, _FOLD_SPAN // m_len)
+        mags = np.empty((1, p_len, m_len))
+        for i, b in enumerate(which):
+            coeffs = rows[b : b + 1] * core
+            _each_span(lambda r0, r1: fold(coeffs, r0, r1, mags[:, r0:r1]), p_len, span_rows)
+            out[i] = reduce(mags)[0]
+    if not math.isinf(p):
+        out = (dx * out) ** (1.0 / p)
     return out * (m_len / n / dx)
 
 

@@ -94,7 +94,9 @@ class TestCounterexampleFlat:
 
     def test_peak_memory_stays_under_four_complex_arrays(self, monkeypatch):
         # Budgets shrunk as for the n = 2^21-2^22 runs, relative to n = 2^19,
-        # and one CPU, so that no concurrent span temporaries count.
+        # and one CPU, so that no concurrent span temporaries count.  The
+        # batch limit reaches the liveness scan of modulation_norm only: the
+        # fold's one block, larger than a span, keeps one float n-array.
         monkeypatch.setattr("tfnorms.norms._BATCH_LIMIT", 1 << 16)
         monkeypatch.setattr("tfnorms.measures._RS_POOL_MIN", 1 << 16)
         monkeypatch.setattr(importlib.import_module("tfnorms.grid"), "_cpu_count", lambda: 1)

@@ -1,6 +1,7 @@
 """Fourier core: transform pair, convolution, quadrature, inner products."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestWeightedNorm:
     def test_infinity_norm_is_grid_max(self):
         f = gaussian(GRID)
         assert weighted_lp_norm(f, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_peak_is_one_float_array(self, p):
+        # |f| is the only n-length temporary: the power is taken in place.
+        f = band_limited(Grid(1 << 16, 20.0), seed=3)
+        tracemalloc.start()
+        try:
+            weighted_lp_norm(f, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * f.grid.n
 
 
 @st.composite

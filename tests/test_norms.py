@@ -1,6 +1,7 @@
 """Norm engine: modulation, Fourier-Beurling, Fourier-Segal, ratios."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfnorms.grid as grid_module
 import tfnorms.norms as norms
 from tfnorms.corpus import make_corpus
+from tfnorms.experiments import PARTITION_L
 from tfnorms.grid import (
     Grid,
     NormSpec,
@@ -314,6 +317,32 @@ class TestFoldedBlockNorms:
     )
     def test_edge_cases(self, n, m, lo, hi, p):
         _check_blocks_against_oracle(n, m, lo, hi, p, 0.5, seed=n + m)
+
+    def test_peak_follows_the_span_not_the_live_blocks(self, monkeypatch):
+        # One CPU, so that one span's buffers are alive at a time.
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
+        grid = Grid(8192, PARTITION_L)
+        part, n, xi = partition_for(grid), grid.n, grid.frequencies()
+        rng = np.random.default_rng(5)
+        peaks, live = [], []
+        # About 13 live blocks, and all 511: both fill whole spans of
+        # _FOLD_SPAN / n = 8 blocks.
+        for cutoff in (6.0, math.inf):
+            samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (abs(xi) < cutoff)
+            spectrum = SampledSignal(grid.dual(), samples)
+            tracemalloc.start()
+            try:
+                report = modulation_norm(None, 1.0, 1.0, 0.5, part, spectrum=spectrum)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            live.append(sum(c > 0.0 for _, c in report.block_contributions))
+        assert norms._FOLD_SPAN // n <= live[0] < live[1] == len(part.block_indices())
+        assert peaks[1] <= peaks[0] + 16 * n
+        # One span's complex and float buffers; the rest is the liveness
+        # scan's masked rows (about 2 n complex) or the twiddle table (n
+        # complex at W = M = 32) next to the spectrum.
+        assert peaks[1] <= 24 * norms._FOLD_SPAN + 4 * 16 * n
 
 
 # What each block of a grouped-fold spectrum holds, around its centre k:

@@ -135,31 +135,44 @@ class TestBitIdentical:
     def test_modulation_norm(self, p):
         f = band_limited(GRID, seed=91)
         m_len, p_len = fold_rows(PART)
-        # Three rows per span: P = 128 is no multiple of 3, so spans cross
-        # block boundaries.
-        with spans(3, fold_span=3 * m_len) as log:
-            pooled = modulation_norm(f, p, 1.0, 0.5, PART)
-        with spans(1, fold_span=3 * m_len):
-            inline = modulation_norm(f, p, 1.0, 0.5, PART)
         default = modulation_norm(f, p, 1.0, 0.5, PART)
-        ((module, count, span, off_main),) = log
-        assert (module, span, off_main) == ("norms", 3, True)
-        assert p_len % span != 0 and count % span != 0  # ragged last span
-        assert pooled.value == inline.value == default.value
-        assert pooled.block_contributions == inline.block_contributions
-        assert pooled.block_contributions == default.block_contributions
+        # Three whole blocks per span, then each block in spans of five
+        # rows; P = 128 is no multiple of 5.
+        for fold_span in (3 * GRID.n, 5 * m_len):
+            with spans(3, fold_span=fold_span) as log:
+                pooled = modulation_norm(f, p, 1.0, 0.5, PART)
+            with spans(1, fold_span=fold_span):
+                inline = modulation_norm(f, p, 1.0, 0.5, PART)
+            if fold_span > GRID.n:
+                # One runner call over the distinct live blocks.
+                ((module, count, span, off_main),) = log
+                assert (module, span, off_main) == ("norms", 3, True)
+                assert count % span != 0  # ragged last span
+            else:
+                # One runner call per distinct live block, over its P rows.
+                assert len(log) > 1
+                assert set(log) == {("norms", p_len, 5, True)}
+                assert p_len % 5 != 0  # ragged last span
+            assert pooled.value == inline.value == default.value
+            assert pooled.block_contributions == inline.block_contributions
+            assert pooled.block_contributions == default.block_contributions
 
     def test_flat_measurement(self):
-        with spans(3, rs_span=1001, fold_span=3000) as log:
+        grid = _flat_layout(1.0, 3, 3)[0]
+        m_len, p_len = fold_rows(partition_for(grid))
+        # The one distinct block, n samples, in spans of three rows of M.
+        fold_span = 3 * m_len
+        with spans(3, rs_span=1001, fold_span=fold_span) as log:
             pooled = flat_measurement(1.0, 3, 3)
-        with spans(1, rs_span=1001, fold_span=3000):
+        with spans(1, rs_span=1001, fold_span=fold_span):
             inline = flat_measurement(1.0, 3, 3)
         default = flat_measurement(1.0, 3, 3)
         assert {module for module, _, _, off_main in log if off_main} == {"measures", "norms"}
         # rudin_shapiro_sup: three recursion steps and the peak pass, each
         # over the k >= 0 half of the grid, pooled.
-        half = _flat_layout(1.0, 3, 3)[0].n // 2
-        assert log.count(("measures", half, 1001, True)) == 4
+        assert log.count(("measures", grid.n // 2, 1001, True)) == 4
+        assert [entry for entry in log if entry[0] == "norms"] == [("norms", p_len, 3, True)]
+        assert p_len % 3 != 0  # ragged last span
         assert pooled == inline == default
 
 
