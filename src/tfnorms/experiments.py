@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus import make_corpus, make_signal
 from .grid import (
+    _fourier_inverse,
     Grid,
     NormSpec,
     SampledSignal,
@@ -622,10 +623,13 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     The grid holds 2^17-2^22 samples here, so no full-length frequency or
     nu-hat array is made: the bump phi and nu-hat are evaluated on phi's
     support only, and the maximum of |nu-hat| over the whole grid comes
-    from :func:`rudin_shapiro_sup`, whose buffer is freed on return.  The
-    signal f is released after its L^p norm, and the block norm runs on the
-    transform alone.  At most about three complex n-length arrays are live
-    at any point.
+    from :func:`rudin_shapiro_sup`, whose buffer is freed on return.  Each
+    phase holds one complex n-length array: phi's spectrum is inverted in
+    place once its L^1 norm is taken, and the spectrum of f once its block
+    norm and L^1 norm are, so f never exists next to its transform.  The
+    block norm's liveness scan and twiddle rows are span-sized, so beyond
+    that one array only n-length floats (|f|, and the magnitudes of the one
+    folded block) and the FFT library's own scratch are live.
 
     The 2^m translates carry one block up to the sign of their weight
     +-2^-m, so the block norm folds that one block and reuses its value for
@@ -652,12 +656,13 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
     base = nu_hat * phi
 
+    # The signals below wrap views, which freezes the views only, so that
+    # each buffer stays writable for its in-place inverse.
     phi_samples = np.zeros(grid.n, dtype=complex)
     phi_samples[lo:hi] = phi
-    phi_sig = SampledSignal(grid.dual(), phi_samples)
-    phi_l1 = weighted_lp_norm(phi_sig, 1.0)
-    invphi_lp = weighted_lp_norm(fourier_inverse(phi_sig), p)
-    del phi_sig, phi_samples
+    phi_l1 = weighted_lp_norm(SampledSignal(grid.dual(), phi_samples.view()), 1.0)
+    invphi_lp = weighted_lp_norm(_fourier_inverse(phi_samples, grid.dual(), in_place=True), p)
+    del phi_samples
 
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
     fhat = np.zeros(grid.n, dtype=complex)
@@ -665,13 +670,11 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     for loc, w in zip(mu.locations, mu.weights):
         shift = int(round(loc)) * steps
         fhat[lo + shift : hi + shift] += w * base
-    fhat_sig = SampledSignal(grid.dual(), fhat)
-    f = fourier_inverse(fhat_sig)
-    f_lp = weighted_lp_norm(f, p)
-    del f
-
+    fhat_sig = SampledSignal(grid.dual(), fhat.view())
     mod = modulation_norm(None, p, 1.0, 0.0, part, spectrum=fhat_sig).value
     fhat_l1 = weighted_lp_norm(fhat_sig, 1.0)
+    del fhat_sig
+    f_lp = weighted_lp_norm(_fourier_inverse(fhat, grid.dual(), in_place=True), p)
     return {
         "p": p,
         "m": m,

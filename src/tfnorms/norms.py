@@ -27,9 +27,12 @@ twiddle product, length-M inverse transforms into span-local buffers, |.|^p,
 and each block's sum or maximum.  A span holds whole blocks when a block
 fits in one, and reduces each of them over exactly that block's P M values;
 a larger block is split into spans of whole rows, which write |.|^p into one
-n-float buffer of that block, reduced once.  Spans run concurrently on the
-CPUs of the process's affinity mask, and no sum depends on where the spans
-start, so every value is bitwise the same whatever the number of CPUs.
+n-float buffer of that block, reduced once.  The (P, W) twiddle table is
+built once per call when n fits in a span (n samples at most); otherwise
+each span builds its own rows of it, in place in its transform buffer.
+Spans run concurrently on the CPUs of the process's affinity mask, and no
+sum depends on where the spans start, so every value is bitwise the same
+whatever the number of CPUs.
 
 Only distinct blocks are folded.  Two blocks are the same when their masked
 rows are equal as values, or equal after negating one of them: a block
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    _BATCH_LIMIT,
     _each_span,
     Grid,
     NormSpec,
@@ -144,18 +146,25 @@ def modulation_norm(
     rows, core = part.block_rows(spectrum), part.core
     block_norms = np.zeros(ks.size)
     scale = part.grid.dxi / (2.0 * math.pi)
-    step = max(1, _BATCH_LIMIT // core.size)
     # The maxima of |masked row| on [k - 1, k) and [k, k + 1): their larger
     # one is the liveness test, and the pair is the key that _distinct_rows
-    # groups candidate duplicate rows by.
+    # groups candidate duplicate rows by.  Every reduction is per row, so
+    # the rows are scanned in spans of at most _FOLD_SPAN samples (one row
+    # at least) through two span-sized buffers.
     halves = np.empty((ks.size, 2))
+    step = max(1, _FOLD_SPAN // core.size)
+    masked = np.empty((min(step, ks.size), core.size), dtype=complex)
+    mags = np.empty(masked.shape)
     for lo in range(0, ks.size, step):
-        mags = np.abs(rows[lo : lo + step] * core)
-        np.max(mags.reshape(mags.shape[0], 2, -1), axis=2, out=halves[lo : lo + step])
+        hi = min(lo + step, ks.size)
+        span = mags[: hi - lo]
+        np.multiply(rows[lo:hi], core, out=masked[: hi - lo])
+        np.abs(masked[: hi - lo], out=span)
+        np.max(span.reshape(hi - lo, 2, -1), axis=2, out=halves[lo:hi])
         if p == 2.0:
             # Parseval on the masked rows: no inverse transform needed.
-            block_norms[lo : lo + step] = np.sqrt(scale * np.sum(mags**2, axis=1))
-    del mags  # the inverse transforms below need the room
+            block_norms[lo:hi] = np.sqrt(scale * np.sum(np.square(span, out=span), axis=1))
+    del masked, mags  # the folds below need the room
     live = np.max(halves, axis=1) > floor
     if p == 2.0:
         block_norms *= live
@@ -170,12 +179,7 @@ def modulation_norm(
     value = _combine(contributions, q)
     outer = np.array([contributions[0], contributions[-1]])
     tail = _combine(outer, q)
-    return NormReport(
-        spec,
-        value,
-        tuple((int(k), float(c)) for k, c in zip(ks, contributions)),
-        tail,
-    )
+    return NormReport(spec, value, tuple(zip(ks.tolist(), contributions.tolist())), tail)
 
 
 def _distinct_rows(
@@ -217,12 +221,20 @@ def _folded_lp(
     width = core.size
     m_len = 1 << (width - 1).bit_length()
     p_len = n // m_len
-    twiddle = np.exp((2j * math.pi / n) * np.outer(np.arange(p_len), np.arange(width)))
 
-    def fold(coeffs: np.ndarray, r0: int, r1: int, mags: np.ndarray) -> None:
-        # mags[b, a - r0] = |IFFT_M(coeffs[b] * twiddle[a])|^p for a in [r0, r1).
+    def twiddle(r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        # Rows [r0, r1) of the (P, W) table e^(2 pi i a m / n).
+        out = np.multiply(2j * math.pi / n, np.outer(np.arange(r0, r1), np.arange(width)), out=out)
+        return np.exp(out, out=out)
+
+    def fold(coeffs: np.ndarray, mags: np.ndarray, r0: int, table: np.ndarray | None = None) -> None:
+        # mags[b, a] = |IFFT_M(coeffs[b] * twiddle row r0 + a)|^p.  Without a
+        # shared table the span builds its rows in its own buffer.
         z = np.empty(mags.shape, dtype=complex)
-        np.multiply(coeffs[:, None, :], twiddle[r0:r1], out=z[..., :width])
+        head = z[..., :width]
+        if table is None:
+            table = twiddle(r0, r0 + mags.shape[1], out=head[0])
+        np.multiply(coeffs[:, None, :], table, out=head)
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
         np.abs(z, out=mags)
@@ -236,10 +248,12 @@ def _folded_lp(
 
     out = np.empty(which.size)
     if n <= _FOLD_SPAN:
+        # One table of n samples at most, shared by every span.
+        table = twiddle(0, p_len)
 
         def run(lo: int, hi: int) -> None:
             mags = np.empty((hi - lo, p_len, m_len))
-            fold(rows[which[lo:hi]] * core, 0, p_len, mags)
+            fold(rows[which[lo:hi]] * core, mags, 0, table)
             out[lo:hi] = reduce(mags)
 
         _each_span(run, which.size, _FOLD_SPAN // n)
@@ -248,7 +262,7 @@ def _folded_lp(
         mags = np.empty((1, p_len, m_len))
         for i, b in enumerate(which):
             coeffs = rows[b : b + 1] * core
-            _each_span(lambda r0, r1: fold(coeffs, r0, r1, mags[:, r0:r1]), p_len, span_rows)
+            _each_span(lambda r0, r1: fold(coeffs, mags[:, r0:r1], r0), p_len, span_rows)
             out[i] = reduce(mags)[0]
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)

@@ -9,7 +9,14 @@ import pytest
 
 from tfnorms import experiments, norms
 from tfnorms.corpus import make_corpus
-from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_forward, weighted_lp_norm
+from tfnorms.grid import (
+    Grid,
+    NormSpec,
+    SampledSignal,
+    fourier_forward,
+    fourier_inverse,
+    weighted_lp_norm,
+)
 from tfnorms.experiments import (
     PARTITION_L,
     algebra_sweep,
@@ -25,8 +32,14 @@ from tfnorms.experiments import (
     translation_bound_experiment,
     _series_partial,
 )
-from tfnorms.norms import partition_for
-from tfnorms.partition import frequency_block
+from tfnorms.measures import (
+    Normalization,
+    rudin_shapiro,
+    rudin_shapiro_sup,
+    rudin_shapiro_transforms,
+)
+from tfnorms.norms import modulation_norm, partition_for
+from tfnorms.partition import bump_profile, frequency_block
 
 
 class TestSeriesSums:
@@ -92,12 +105,11 @@ class TestCounterexampleFlat:
         with pytest.raises(ValueError):
             flat_measurement(2.0, 3, 3)
 
-    def test_peak_memory_stays_under_four_complex_arrays(self, monkeypatch):
-        # Budgets shrunk as for the n = 2^21-2^22 runs, relative to n = 2^19,
-        # and one CPU, so that no concurrent span temporaries count.  The
-        # batch limit reaches the liveness scan of modulation_norm only: the
-        # fold's one block, larger than a span, keeps one float n-array.
-        monkeypatch.setattr("tfnorms.norms._BATCH_LIMIT", 1 << 16)
+    def test_peak_memory_stays_under_two_and_a_quarter_complex_arrays(self, monkeypatch):
+        # The Rudin-Shapiro budget shrunk as for the n = 2^21-2^22 runs,
+        # relative to n = 2^19, and one CPU, so that no concurrent span
+        # temporaries count.  Each phase holds one complex n-array, next to
+        # n-length floats and span-sized buffers.
         monkeypatch.setattr("tfnorms.measures._RS_POOL_MIN", 1 << 16)
         monkeypatch.setattr(importlib.import_module("tfnorms.grid"), "_cpu_count", lambda: 1)
         tracemalloc.start()
@@ -107,7 +119,11 @@ class TestCounterexampleFlat:
         finally:
             tracemalloc.stop()
         assert run["n"] == 1 << 19
-        assert peak <= 4 * 16 * run["n"]
+        assert peak <= 2.25 * 16 * run["n"]
+
+    @pytest.mark.parametrize("p, m, r", [(1.0, 2, 2), (1.5, 2, 4)])
+    def test_in_place_order_changes_no_value(self, p, m, r):
+        assert flat_measurement(p, m, r) == _flat_measurement_out_of_place(p, m, r)
 
     def test_translates_fold_one_row(self, monkeypatch):
         folded = []
@@ -140,6 +156,52 @@ class TestCounterexampleFlat:
         monkeypatch.setattr(experiments, "flat_measurement", measured)
         experiments.counterexample_flat(p, **flags)
         assert asked == depths
+
+
+def _flat_measurement_out_of_place(p: float, m: int, r: int) -> dict:
+    """flat_measurement in its former order: f = F^-1 fhat out of place, before the block norm."""
+    grid, n_nu = experiments._flat_layout(p, m, r)
+    part = partition_for(grid)
+    half = grid.n // 2
+    reach = min(int(0.1 / grid.dxi) + 2, half)
+    xi = grid.dxi * np.arange(-reach, reach)
+    phi = bump_profile(xi, 0.025, 0.1)
+    inside = np.flatnonzero(phi > 0)
+    first, last = int(inside[0]), int(inside[-1]) + 1
+    lo, hi = first + half - reach, last + half - reach
+    nu_inf = rudin_shapiro_sup(r, n_nu, grid, Normalization.LP_ATOMS, p=p)
+    nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
+    base = nu_hat * phi[first:last]
+    phi_samples = np.zeros(grid.n, dtype=complex)
+    phi_samples[lo:hi] = phi[first:last]
+    phi_sig = SampledSignal(grid.dual(), phi_samples)
+    phi_l1 = weighted_lp_norm(phi_sig, 1.0)
+    invphi_lp = weighted_lp_norm(fourier_inverse(phi_sig), p)
+    fhat = np.zeros(grid.n, dtype=complex)
+    mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
+    for loc, w in zip(mu.locations, mu.weights):
+        shift = int(round(loc)) * part.steps_per_unit
+        fhat[lo + shift : hi + shift] += w * base
+    fhat_sig = SampledSignal(grid.dual(), fhat)
+    f_lp = weighted_lp_norm(fourier_inverse(fhat_sig), p)
+    mod = modulation_norm(None, p, 1.0, 0.0, part, spectrum=fhat_sig).value
+    fhat_l1 = weighted_lp_norm(fhat_sig, 1.0)
+    return {
+        "p": p,
+        "m": m,
+        "r": r,
+        "n": grid.n,
+        "L": grid.half_width,
+        "nu_spacing": n_nu,
+        "nu_hat_sup": nu_inf,
+        "phi_l1": phi_l1,
+        "invphi_lp": invphi_lp,
+        "modulation_norm": mod,
+        "f_lp": f_lp,
+        "fhat_l1": fhat_l1,
+        "segal_norm": f_lp + fhat_l1,
+        "headline_ratio": mod / (f_lp + fhat_l1),
+    }
 
 
 class TestAlgebraConstantCache:

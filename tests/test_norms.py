@@ -345,6 +345,26 @@ class TestFoldedBlockNorms:
         assert peaks[1] <= 24 * norms._FOLD_SPAN + 4 * 16 * n
 
 
+    def test_large_block_builds_twiddle_rows_per_span(self, monkeypatch):
+        # One block larger than a span, W = 820 of M = 1024 and P = 256, so
+        # the whole (P, W) twiddle table would be 0.8 n complex.  One CPU, so
+        # that one span's buffers are alive at a time.
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
+        n, width = 1 << 18, 820
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((1, width)) + 1j * rng.standard_normal((1, width))
+        core = np.hanning(width)
+        tracemalloc.start()
+        try:
+            norms._folded_lp(rows, np.array([0]), core, 1.5, n, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The block's n float magnitudes, and one span's complex buffer next
+        # to its twiddle rows as they are built.
+        assert peak <= 8 * n + 48 * norms._FOLD_SPAN
+
+
 # What each block of a grouped-fold spectrum holds, around its centre k:
 # the base atom c a up to sign, near-duplicates of it that must not merge
 # with it, a fresh random atom, or nothing.
