@@ -11,14 +11,19 @@ plane in chunks of rows from one generator, ``_stft_rows``: it gathers r
 translated windows as a strided view of the doubled window, multiplies in
 the signals, and transforms the chunk in place in one reused buffer.  The
 rows per chunk keep every live chunk-sized buffer within ``_BATCH_LIMIT``
-samples, so no pass needs n^2 memory:
+samples, so no pass needs n^2 memory.  Each chunk is worked in spans of at
+most ``_STFT_SPAN`` samples (one row at least) on the span pool
+(``grid._each_span``): a span multiplies, transforms and scales its own rows,
+with the same values, bit for bit, as the batched calls, and then hands them
+to the consumer's per-span hook while they are still in cache:
 
 - ``stft`` copies the chunks into the dense matrix, with the same values,
   bit for bit, as one batched transform of the whole plane;
 - ``stft_gram`` accumulates the Gram matrix <V f_a, V f_b> of a stack of
-  signals with one matrix product per chunk, which is where the Moyal
-  residual and the L2 identity ratio come from;
-- the ``stft`` experiment reduces each chunk as it comes.
+  signals: its hook conjugates each span, and one matrix product per chunk
+  adds the chunk's share, which is where the Moyal residual and the L2
+  identity ratio come from;
+- the ``stft`` experiment checks the closed form span by span in its hook.
 
 On the periodic grid the discrete Moyal identity
 
@@ -42,6 +47,7 @@ from .grid import (
     Grid,
     SampledSignal,
     _check_same_grid,
+    _each_span,
     weighted_lp_norm,
 )
 
@@ -56,6 +62,10 @@ __all__ = [
 # row chunks, so this gate is a time budget, not a memory wall.  Block-based
 # norm computation is the intended path for anything larger.
 MAX_STFT_SIZE = 4096
+
+# Samples per span of rows within a chunk: a span's rows stay in cache from
+# the multiply through the transform to the consumer's hook.
+_STFT_SPAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,16 @@ def gaussian_window(grid: Grid) -> SampledSignal:
     return SampledSignal.from_function(grid, lambda t: np.exp(-(t**2) / 2.0))
 
 
+def _chunk_rows(n: int, stack: int, buffers: int) -> int:
+    """Rows per chunk of _stft_rows: `buffers` chunks of S x r x n fit in _BATCH_LIMIT."""
+    return min(n, max(1, _BATCH_LIMIT // (buffers * stack * n)))
+
+
 def _stft_rows(
-    signals: Sequence[SampledSignal], windows: Sequence[SampledSignal], buffers: int = 1
+    signals: Sequence[SampledSignal],
+    windows: Sequence[SampledSignal],
+    buffers: int = 1,
+    hook=None,
 ):
     """Iterator over row chunks (j0, block) of the STFTs V_{w_s} f_s.
 
@@ -89,8 +107,16 @@ def _stft_rows(
     gives rows of :func:`stft`.  block is one reused buffer, overwritten by
     the next chunk.  ``buffers`` counts the chunk-sized arrays the caller
     keeps alive, this one included; r is chosen so that together they hold
-    at most ``_BATCH_LIMIT`` samples.  The inputs are checked here, before
-    the first chunk is computed.
+    at most ``_BATCH_LIMIT`` samples.  Work done in the hook is span-sized
+    and does not count.
+
+    Each chunk is computed in spans of at most ``_STFT_SPAN`` samples (one
+    row at least), which may run concurrently.  When hook is given,
+    ``hook(j0, block, lo, hi)`` is called on the span's thread once rows
+    lo .. hi - 1 of block are final; calls for one chunk touch disjoint rows
+    and all return before the chunk is yielded, and an exception in one
+    reaches the consumer of the iterator.  The inputs are checked here,
+    before the first chunk is computed.
     """
     if len(windows) not in (1, len(signals)):
         raise ValueError(
@@ -114,16 +140,25 @@ def _stft_rows(
     # translates[s, m, t] = conj(w_s(x_{(m + t) mod n})); row j needs m = n - j.
     translates = sliding_window_view(np.concatenate([doubled, doubled], axis=-1), n, axis=-1)
     stack = len(signals)
-    rows = min(n, max(1, _BATCH_LIMIT // (buffers * stack * n)))
+    rows = _chunk_rows(n, stack, buffers)
+    span = max(1, _STFT_SPAN // (stack * n))
     buf = np.empty(stack * rows * n, dtype=complex)
 
     def chunks():
         for j0 in range(0, n, rows):
             r = min(rows, n - j0)
             block = buf[: stack * r * n].reshape(stack, r, n)
-            np.multiply(shifted[:, None, :], translates[:, n - j0 : n - j0 - r : -1], out=block)
-            np.fft.fft(block, axis=-1, out=block)
-            block *= grid.dx
+
+            def run(lo, hi):
+                part = block[:, lo:hi]
+                m0 = n - j0 - lo
+                np.multiply(shifted[:, None, :], translates[:, m0 : m0 - (hi - lo) : -1], out=part)
+                np.fft.fft(part, axis=-1, out=part)
+                part *= grid.dx
+                if hook is not None:
+                    hook(j0, block, lo, hi)
+
+            _each_span(run, r, span)
             yield j0, block
 
     return chunks()
@@ -153,20 +188,24 @@ def stft_gram(
     """Gram matrix G[a, b] = <V f_a, V f_b> of the STFTs of a stack of signals.
 
     G[a, b] = dx dxi sum V f_a conj(V f_b) over the whole plane, accumulated
-    in one chunked pass with one matrix product per chunk; the diagonal holds
-    the squared L2 norms of the transforms.  window is shared by all signals,
-    or is a sequence with one window per signal.
+    in one chunked pass: each span of rows is conjugated into a second
+    chunk-sized buffer as it is finished, and one matrix product per chunk
+    adds the chunk's share, so the sums do not depend on the spans.  The
+    diagonal holds the squared L2 norms of the transforms.  window is shared
+    by all signals, or is a sequence with one window per signal.
     """
     windows = [window] if isinstance(window, SampledSignal) else list(window)
-    chunks = _stft_rows(signals, windows, buffers=2)
-    gram = np.zeros((len(signals), len(signals)), dtype=complex)
-    conj = None
-    for _, block in chunks:
-        flat = block.reshape(len(signals), -1)
-        if conj is None:
-            conj = np.empty_like(flat)
-        c = np.conjugate(flat, out=conj[:, : flat.shape[1]])
-        gram += flat @ c.T
     grid = signals[0].grid
-    return grid.dx * grid.dxi * gram
+    stack = len(signals)
 
+    def conjugate(j0, block, lo, hi):
+        c = conj[:, : block.shape[1] * grid.n].reshape(stack, -1, grid.n)
+        np.conjugate(block[:, lo:hi], out=c[:, lo:hi])
+
+    chunks = _stft_rows(signals, windows, buffers=2, hook=conjugate)
+    conj = np.empty((stack, _chunk_rows(grid.n, stack, 2) * grid.n), dtype=complex)
+    gram = np.zeros((stack, stack), dtype=complex)
+    for _, block in chunks:
+        flat = block.reshape(stack, -1)
+        gram += flat @ conj[:, : flat.shape[1]].T
+    return grid.dx * grid.dxi * gram

@@ -1,11 +1,11 @@
 """Span runner: pooled and inline runs give bit-identical results.
 
-The Rudin-Shapiro transform recursion, its maximum over a grid, and the
-folded block inverses of modulation_norm split their work into spans
-(grid._each_span) that run on a thread pool when there are several spans and
-several CPUs.  These tests shrink the spans so small inputs split many ways,
-then compare a pooled run with the same spans forced inline and with the
-default spans.
+The Rudin-Shapiro transform recursion, its maximum over a grid, the folded
+block inverses of modulation_norm, and the row chunks of the STFT split their
+work into spans (grid._each_span) that run on a thread pool when there are
+several spans and several CPUs.  These tests shrink the spans so small inputs
+split many ways, then compare a pooled run with the same spans forced inline
+and with the default spans.
 """
 
 import concurrent.futures
@@ -22,10 +22,12 @@ from hypothesis import strategies as st
 import tfnorms.grid as grid_module
 import tfnorms.measures as measures
 import tfnorms.norms as norms
-from tfnorms.experiments import _flat_layout, flat_measurement
+import tfnorms.stft as stft_module
+from tfnorms.experiments import _flat_layout, flat_measurement, stft_experiment
 from tfnorms.grid import Grid, SampledSignal, fourier_inverse
 from tfnorms.measures import Normalization, rudin_shapiro_sup, rudin_shapiro_transforms
 from tfnorms.norms import modulation_norm, partition_for
+from tfnorms.stft import gaussian_window, stft, stft_gram
 
 GRID = Grid(4096, 16.0 * math.pi)
 PART = partition_for(GRID)
@@ -47,8 +49,8 @@ def fold_rows(part):
 
 
 @contextlib.contextmanager
-def spans(cpus, rs_span=None, fold_span=None):
-    """Run with `cpus` CPUs and, when given, shrunken span sizes.
+def spans(cpus, rs_span=None, fold_span=None, stft_span=None, stft_batch=None):
+    """Run with `cpus` CPUs and, when given, shrunken span and batch sizes.
 
     Yields a log of (module, count, span, ran_off_main_thread) per runner call.
     """
@@ -73,11 +75,16 @@ def spans(cpus, rs_span=None, fold_span=None):
         mp.setattr(grid_module, "_cpu_count", lambda: cpus)
         mp.setattr(measures, "_each_span", recording("measures"))
         mp.setattr(norms, "_each_span", recording("norms"))
+        mp.setattr(stft_module, "_each_span", recording("stft"))
         if rs_span is not None:
             mp.setattr(measures, "_RS_SPAN", rs_span)
             mp.setattr(measures, "_RS_POOL_MIN", 1)
         if fold_span is not None:
             mp.setattr(norms, "_FOLD_SPAN", fold_span)
+        if stft_span is not None:
+            mp.setattr(stft_module, "_STFT_SPAN", stft_span)
+        if stft_batch is not None:
+            mp.setattr(stft_module, "_BATCH_LIMIT", stft_batch)
         yield log
 
 
@@ -173,6 +180,72 @@ class TestBitIdentical:
         assert log.count(("measures", grid.n // 2, 1001, True)) == 4
         assert [entry for entry in log if entry[0] == "norms"] == [("norms", p_len, 3, True)]
         assert p_len % 3 != 0  # ragged last span
+        assert pooled == inline == default
+
+
+STFT_GRID = Grid(256, 16.0)
+
+
+def stft_runs(run, stack, buffers):
+    """run() in spans of 7 rows pooled and inline, and in the default spans.
+
+    All three take chunks of 40 rows, so the Gram products see the same
+    chunks; the default spans hold a whole chunk, so that run makes one
+    batched call per chunk.  40 does not divide n = 256 and 7 does not divide
+    40 or the last chunk's 16 rows: the last chunk and the last span of each
+    chunk are ragged.  stack and buffers are those of the pass.
+    """
+    n = STFT_GRID.n
+    batch = 40 * buffers * stack * n
+    with spans(3, stft_span=7 * stack * n, stft_batch=batch) as log:
+        pooled = run()
+    with spans(1, stft_span=7 * stack * n, stft_batch=batch):
+        inline = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stft_module, "_BATCH_LIMIT", batch)
+        assert stft_module._STFT_SPAN >= 40 * stack * n
+        default = run()
+    assert log == [("stft", 40, 7, True)] * 6 + [("stft", 16, 7, True)]
+    return pooled, inline, default
+
+
+class TestStftBitIdentical:
+    def test_gram_with_a_shared_window(self):
+        signals = [band_limited(STFT_GRID, seed=s) for s in (93, 94, 95)]
+        w = gaussian_window(STFT_GRID)
+        grams = stft_runs(lambda: stft_gram(signals, w), len(signals), 2)
+        assert len({gram.tobytes() for gram in grams}) == 1
+
+    def test_gram_with_one_window_per_signal(self):
+        signals = [band_limited(STFT_GRID, seed=s) for s in (96, 97)]
+        windows = [
+            gaussian_window(STFT_GRID),
+            SampledSignal.from_function(STFT_GRID, lambda t: np.exp(-(t**2) / 4.5)),
+        ]
+        grams = stft_runs(lambda: stft_gram(signals, windows), len(signals), 2)
+        assert len({gram.tobytes() for gram in grams}) == 1
+
+    def test_dense_stft(self):
+        f = band_limited(STFT_GRID, seed=98)
+        w = gaussian_window(STFT_GRID)
+        matrices = stft_runs(lambda: stft(f, w).values, 1, 1)
+        assert len({values.tobytes() for values in matrices}) == 1
+
+    def test_experiment_report(self):
+        def run():
+            report = stft_experiment(n=STFT_GRID.n, L=STFT_GRID.half_width)
+            return report.rows, report.assertions
+
+        pooled, inline, default = stft_runs(run, 1, 4)
+        assert pooled == inline == default
+
+    def test_matrix_dump_bytes(self, tmp_path):
+        def run():
+            path = tmp_path / "matrix.csv"
+            stft_experiment(n=STFT_GRID.n, L=STFT_GRID.half_width, dump_matrix=str(path))
+            return path.read_bytes()
+
+        pooled, inline, default = stft_runs(run, 1, 4)
         assert pooled == inline == default
 
 

@@ -1,6 +1,7 @@
 """STFT values, covariance, the Moyal identity, and the chunked passes."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfnorms.grid as grid_module
 import tfnorms.stft as stft_module
 from tfnorms.errors import CostGateError
 from tfnorms.experiments import stft_experiment
@@ -308,6 +310,84 @@ class TestChunkedPasses:
         dense = tmp_path / "dense.csv"
         np.savetxt(dense, np.abs(dense_oracle(g, g)), delimiter=",", fmt="%.17g")
         assert streamed.read_bytes() == dense.read_bytes()
+
+
+class TestSpanHook:
+    """The per-span hook of _stft_rows, and what is checked before it runs."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_hook_sees_each_final_row_once(self, monkeypatch, cpus):
+        # Chunks of 40 rows and spans of 7: neither divides the next.
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        limit_rows(monkeypatch, 40, 1, GRID.n, 1)
+        monkeypatch.setattr(stft_module, "_STFT_SPAN", 7 * GRID.n)
+        f = band_limited(GRID, seed=72)
+        w = gaussian(GRID, width=1.3)
+        seen = np.zeros(GRID.n, dtype=int)
+        rows = np.empty((GRID.n, GRID.n), dtype=complex)
+
+        def hook(j0, block, lo, hi):
+            assert hi - lo <= 7
+            seen[j0 + lo : j0 + hi] += 1
+            rows[j0 + lo : j0 + hi] = block[0, lo:hi]
+
+        for _ in _stft_rows([f], [w], hook=hook):
+            pass
+        assert np.all(seen == 1)
+        assert np.fft.fftshift(rows, axes=-1).tobytes() == dense_oracle(f, w).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_hook_error_reaches_the_consumer(self, monkeypatch, cpus):
+        # One chunk of n = 1024 rows in spans of 64: the third span fails.
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        g = gaussian(GRID)
+
+        def hook(j0, block, lo, hi):
+            if j0 + lo >= 100:
+                raise RuntimeError("hook failed")
+
+        chunks = _stft_rows([g], [g], hook=hook)
+        with pytest.raises(RuntimeError, match="hook failed"):
+            next(chunks)
+
+    def test_bad_inputs_raise_before_any_chunk(self, monkeypatch):
+        def no_chunk(*args):
+            raise AssertionError("a chunk was computed")
+
+        monkeypatch.setattr(stft_module, "_each_span", no_chunk)
+        f = band_limited(GRID, seed=73)
+        w = gaussian_window(GRID)
+        zero = SampledSignal.zero(GRID)
+        big = Grid(8192, 20.0)
+        with pytest.raises(ValueError, match="nonzero"):
+            _stft_rows([f], [zero], hook=no_chunk)
+        with pytest.raises(ValueError, match="nonzero"):
+            stft_gram([f, f], [w, zero])
+        with pytest.raises(ValueError, match="one window"):
+            _stft_rows([f, f, f], [w, w], hook=no_chunk)
+        with pytest.raises(CostGateError):
+            _stft_rows([gaussian(big)], [gaussian_window(big)], hook=no_chunk)
+        with pytest.raises(CostGateError):
+            stft_gram([gaussian(big)], gaussian_window(big))
+        with pytest.raises(CostGateError):
+            stft_experiment(n=8192)
+
+    def test_experiment_peak_stays_under_one_and_a_half_chunks(self, monkeypatch):
+        # The closed form is evaluated span by span in the hook, so next to
+        # the one 16 MiB chunk only span-sized temporaries are live: two
+        # CPUs' worth, whatever the host has.
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 2)
+        n = 2048
+        chunk_bytes = 16 * stft_module._chunk_rows(n, 1, 4) * n
+        tracemalloc.start()
+        try:
+            report = stft_experiment(n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert chunk_bytes == 16 << 20
+        assert peak <= 1.5 * chunk_bytes
 
 
 def test_package_attribute_is_the_module():
