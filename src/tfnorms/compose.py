@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CostGateError, CoverError, ToleranceNotReachedError
-from .grid import _BATCH_LIMIT, Grid, NormSpec, SampledSignal, Space, fourier_forward, upsample
+from .grid import Grid, NormSpec, SampledSignal, Space, fourier_forward, upsample
 from .norms import norm_value, partition_for
 from .partition import FrequencyPartition, bump_profile
 from .windows import PlateauWindow
@@ -55,6 +55,10 @@ TAIL_TOLERANCE = 1e-8
 # Local cutoff: 1 on [-1, 1], supported in [-2, 2], dilated per patch.
 CUTOFF_PLATEAU = 1.0
 CUTOFF_SUPPORT = 2.0
+
+# Dilations read their samples off a refined grid of at most this many
+# samples, so approx-unit at n = 4096 takes at most 10 halvings.
+_MAX_REFINED_SIZE = 1 << 22
 
 
 def _cutoff_samples(grid: Grid, center: float, lam: float) -> np.ndarray:
@@ -268,10 +272,10 @@ def _integer_ratio(lam: float) -> tuple[int, int]:
 
 
 def _check_refined_size(size: int) -> None:
-    """Raise CostGateError for a refined grid of more than _BATCH_LIMIT samples."""
-    if size > _BATCH_LIMIT:
+    """Raise CostGateError for a refined grid of more than _MAX_REFINED_SIZE samples."""
+    if size > _MAX_REFINED_SIZE:
         raise CostGateError(
-            f"dilation needs a {size}-point refined grid, above the {_BATCH_LIMIT}-point gate"
+            f"dilation needs a {size}-point refined grid, above the {_MAX_REFINED_SIZE}-point gate"
         )
 
 

@@ -7,7 +7,6 @@ acceptance tests share one implementation.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -121,34 +120,39 @@ def stft_experiment(
 ) -> SweepReport:
     """Gaussian STFT against its closed form, plus the convolution-form identity.
 
-    The plane is checked one span of rows at a time, as the spans are
-    finished; with dump_matrix the magnitude rows go to the CSV file chunk by
-    chunk, in row order.
+    The plane is checked one span of rows at a time in the hook of
+    ``_stft_rows``, as the spans are finished, so only span-sized arrays of
+    it are live.  With dump_matrix the hook also fills an n x n magnitude
+    array, which goes to the CSV file in row order at the end; only that
+    option pays n^2 memory.
     """
     report = SweepReport("stft", axis="xi")
     grid = Grid(n, L)
     g = gaussian_window(grid)
     x = grid.points()
-    xi = np.fft.ifftshift(grid.frequencies())[None, :]  # chunk columns come in FFT order
+    xi = np.fft.ifftshift(grid.frequencies())[None, :]  # span columns come in FFT order
     columns = (n // 2 - n // 8, n // 2, n // 2 + n // 16)
     fft_columns = [(k + n // 2) % n for k in columns]
     picked = np.empty((n, len(columns)), dtype=complex)
     span_errors = []  # one max per span; the spans may finish in any order
+    magnitudes = np.empty((n, n)) if dump_matrix else None
+    half = n // 2
 
-    def check(j0, block, lo, hi):
-        v = block[0, lo:hi]
-        xj = x[j0 + lo : j0 + hi, None]
+    def check(j0, rows):
+        v = rows[0]
+        j1 = j0 + len(v)
+        xj = x[j0:j1, None]
         closed = math.sqrt(math.pi) * np.exp(-1j * xj * xi / 2.0) * np.exp(-(xj**2 + xi**2) / 4.0)
         span_errors.append(float(np.max(np.abs(v - closed))))
-        picked[j0 + lo : j0 + hi] = v[:, fft_columns]
+        picked[j0:j1] = v[:, fft_columns]
+        if magnitudes is not None:
+            np.abs(v[:, half:], out=magnitudes[j0:j1, :half])
+            np.abs(v[:, :half], out=magnitudes[j0:j1, half:])
 
+    _stft_rows([g], [g], check)
     if dump_matrix:
         report.extras["matrix_dump"] = str(dump_matrix)
-    with open(dump_matrix, "w") if dump_matrix else contextlib.nullcontext() as dump:
-        for _, block in _stft_rows([g], [g], buffers=4, hook=check):
-            if dump is not None:
-                magnitudes = np.abs(np.fft.fftshift(block[0], axes=-1))
-                np.savetxt(dump, magnitudes, delimiter=",", fmt="%.17g")
+        np.savetxt(dump_matrix, magnitudes, delimiter=",", fmt="%.17g")
     closed_error = max(span_errors)
     report.check_le("gaussian_closed_form_sup_error", closed_error, 1e-6)
 

@@ -45,10 +45,6 @@ __all__ = [
     "support_leakage",
 ]
 
-# Batched transforms (block norms, STFT row chunks) are chunked so that the
-# working set of one batch never exceeds about this many samples.
-_BATCH_LIMIT = 1 << 22
-
 # Thread pool for _each_span, created on first use in each process: a pool
 # inherited through fork has no threads behind it.
 _pool = None

@@ -7,22 +7,19 @@ The STFT with window phi is
 equivalently exp(-i x xi) (f * M_xi phi~)(x) with phi~(t) = conj(phi(-t)).
 For fixed x_j the integrand is a windowed copy of f, so row j of the
 time-frequency plane is one forward transform.  Every consumer walks the
-plane in chunks of rows from one generator, ``_stft_rows``: it gathers r
-translated windows as a strided view of the doubled window, multiplies in
-the signals, and transforms the chunk in place in one reused buffer.  The
-rows per chunk keep every live chunk-sized buffer within ``_BATCH_LIMIT``
-samples, so no pass needs n^2 memory.  Each chunk is worked in spans of at
-most ``_STFT_SPAN`` samples (one row at least) on the span pool
-(``grid._each_span``): a span multiplies, transforms and scales its own rows,
-with the same values, bit for bit, as the batched calls, and then hands them
-to the consumer's per-span hook while they are still in cache:
+plane through one pass, ``_stft_rows``, in spans of at most ``_STFT_SPAN``
+samples (one row at least) on the span pool (``grid._each_span``): a span
+gathers its translated windows as a strided view of the doubled window,
+multiplies in the signals, transforms and scales its rows in a buffer of its
+own, and hands them to the consumer's hook while they are still in cache.
+No pass keeps more than span-sized buffers of the plane:
 
-- ``stft`` copies the chunks into the dense matrix, with the same values,
+- ``stft`` copies each span into the dense matrix, with the same values,
   bit for bit, as one batched transform of the whole plane;
-- ``stft_gram`` accumulates the Gram matrix <V f_a, V f_b> of a stack of
-  signals: its hook conjugates each span, and one matrix product per chunk
-  adds the chunk's share, which is where the Moyal residual and the L2
-  identity ratio come from;
+- ``stft_gram`` computes the Gram matrix <V f_a, V f_b> of a stack of
+  signals, which is where the Moyal residual and the L2 identity ratio come
+  from: its hook writes the S x S Gram of each row, and the per-row Grams
+  are summed in row order, so the sum does not depend on the spans;
 - the ``stft`` experiment checks the closed form span by span in its hook.
 
 On the periodic grid the discrete Moyal identity
@@ -30,7 +27,7 @@ On the periodic grid the discrete Moyal identity
     <V_phi f, V_psi g> = 2 pi <psi, phi> <f, g>
 
 holds exactly up to rounding.  Its left side is a sum over x-rows, so the
-chunked accumulation is exact too.
+per-row accumulation is exact too.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CostGateError
 from .grid import (
-    _BATCH_LIMIT,
     Grid,
     SampledSignal,
     _check_same_grid,
@@ -59,13 +55,16 @@ __all__ = [
 ]
 
 # A pass over the plane costs O(n^2 log n) time; its memory is bounded by the
-# row chunks, so this gate is a time budget, not a memory wall.  Block-based
+# spans, so this gate is a time budget, not a memory wall.  Block-based
 # norm computation is the intended path for anything larger.
 MAX_STFT_SIZE = 4096
 
-# Samples per span of rows within a chunk: a span's rows stay in cache from
-# the multiply through the transform to the consumer's hook.
-_STFT_SPAN = 1 << 16
+# Samples per span of rows: a span's rows stay in cache from the multiply
+# through the transform to the consumer's hook.  Measured on the 12-signal
+# corpus at n = 2048 on 2 CPUs: the Gram takes 1.1 s in spans of 2^16 samples
+# (2 rows), 0.64 s at 2^17 (5 rows) and 0.59 s at 2^18, which doubles the
+# span buffers; the closed-form check of the stft run is fastest at 2^17.
+_STFT_SPAN = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -87,37 +86,24 @@ def gaussian_window(grid: Grid) -> SampledSignal:
     return SampledSignal.from_function(grid, lambda t: np.exp(-(t**2) / 2.0))
 
 
-def _chunk_rows(n: int, stack: int, buffers: int) -> int:
-    """Rows per chunk of _stft_rows: `buffers` chunks of S x r x n fit in _BATCH_LIMIT."""
-    return min(n, max(1, _BATCH_LIMIT // (buffers * stack * n)))
-
-
-def _stft_rows(
-    signals: Sequence[SampledSignal],
-    windows: Sequence[SampledSignal],
-    buffers: int = 1,
-    hook=None,
-):
-    """Iterator over row chunks (j0, block) of the STFTs V_{w_s} f_s.
+def _stft_rows(signals: Sequence[SampledSignal], windows: Sequence[SampledSignal], hook) -> None:
+    """Hand every row of the STFTs V_{w_s} f_s to ``hook(j0, rows)``, span by span.
 
     windows holds one window per signal, or a single window for all of them.
-    block has shape (S, r, n) and holds rows j0 .. j0 + r - 1 of the S
-    transforms, with the frequencies in FFT order: column c is xi_k for
-    k = c - n if c >= n/2, else k = c, so ``np.fft.fftshift(block, axes=-1)``
-    gives rows of :func:`stft`.  block is one reused buffer, overwritten by
-    the next chunk.  ``buffers`` counts the chunk-sized arrays the caller
-    keeps alive, this one included; r is chosen so that together they hold
-    at most ``_BATCH_LIMIT`` samples.  Work done in the hook is span-sized
-    and does not count.
-
-    Each chunk is computed in spans of at most ``_STFT_SPAN`` samples (one
-    row at least), which may run concurrently.  When hook is given,
-    ``hook(j0, block, lo, hi)`` is called on the span's thread once rows
-    lo .. hi - 1 of block are final; calls for one chunk touch disjoint rows
-    and all return before the chunk is yielded, and an exception in one
-    reaches the consumer of the iterator.  The inputs are checked here,
-    before the first chunk is computed.
+    The inputs are checked first, before any row is computed.  Then one pass
+    covers the n rows in spans of at most ``_STFT_SPAN`` samples (one row at
+    least), which may run concurrently on the span pool.  A span multiplies,
+    transforms and scales its rows in a buffer of its own and calls the hook
+    on its thread: rows has shape (S, r, n) and holds rows j0 .. j0 + r - 1 of
+    the S transforms, with the frequencies in FFT order (column c is xi_k for
+    k = c - n if c >= n/2, else k = c, so ``np.fft.fftshift(rows, axes=-1)``
+    gives rows of :func:`stft`).  Hook calls touch disjoint rows and may come
+    in any order; they all return before this does, and an exception in one
+    reaches the caller.  The values are bit for bit those of one batched
+    transform of the whole plane, whatever the spans.
     """
+    if not signals:
+        raise ValueError("need at least one signal")
     if len(windows) not in (1, len(signals)):
         raise ValueError(
             f"need one window or one per signal, got {len(windows)} for {len(signals)}"
@@ -139,29 +125,14 @@ def _stft_rows(
     doubled = np.conj(np.stack([w.samples for w in windows]))
     # translates[s, m, t] = conj(w_s(x_{(m + t) mod n})); row j needs m = n - j.
     translates = sliding_window_view(np.concatenate([doubled, doubled], axis=-1), n, axis=-1)
-    stack = len(signals)
-    rows = _chunk_rows(n, stack, buffers)
-    span = max(1, _STFT_SPAN // (stack * n))
-    buf = np.empty(stack * rows * n, dtype=complex)
 
-    def chunks():
-        for j0 in range(0, n, rows):
-            r = min(rows, n - j0)
-            block = buf[: stack * r * n].reshape(stack, r, n)
+    def run(lo, hi):
+        rows = np.multiply(shifted[:, None, :], translates[:, n - lo : n - hi : -1])
+        np.fft.fft(rows, axis=-1, out=rows)
+        rows *= grid.dx
+        hook(lo, rows)
 
-            def run(lo, hi):
-                part = block[:, lo:hi]
-                m0 = n - j0 - lo
-                np.multiply(shifted[:, None, :], translates[:, m0 : m0 - (hi - lo) : -1], out=part)
-                np.fft.fft(part, axis=-1, out=part)
-                part *= grid.dx
-                if hook is not None:
-                    hook(j0, block, lo, hi)
-
-            _each_span(run, r, span)
-            yield j0, block
-
-    return chunks()
+    _each_span(run, n, max(1, _STFT_SPAN // (len(signals) * n)))
 
 
 def stft(f: SampledSignal, window: SampledSignal) -> TimeFrequencyMatrix:
@@ -171,14 +142,16 @@ def stft(f: SampledSignal, window: SampledSignal) -> TimeFrequencyMatrix:
     t -> f(t) conj(window(t - x_j)); the translated windows wrap
     periodically, so the window should decay inside the domain.
     """
-    chunks = _stft_rows([f], [window])
     n = f.grid.n
     half = n // 2
     values = np.empty((n, n), dtype=complex)
-    for j0, block in chunks:
-        rows = values[j0 : j0 + block.shape[1]]
-        rows[:, :half] = block[0, :, half:]
-        rows[:, half:] = block[0, :, :half]
+
+    def copy(j0, rows):
+        span = values[j0 : j0 + rows.shape[1]]
+        span[:, :half] = rows[0, :, half:]
+        span[:, half:] = rows[0, :, :half]
+
+    _stft_rows([f], [window], copy)
     return TimeFrequencyMatrix(f.grid, values)
 
 
@@ -187,25 +160,23 @@ def stft_gram(
 ) -> np.ndarray:
     """Gram matrix G[a, b] = <V f_a, V f_b> of the STFTs of a stack of signals.
 
-    G[a, b] = dx dxi sum V f_a conj(V f_b) over the whole plane, accumulated
-    in one chunked pass: each span of rows is conjugated into a second
-    chunk-sized buffer as it is finished, and one matrix product per chunk
-    adds the chunk's share, so the sums do not depend on the spans.  The
-    diagonal holds the squared L2 norms of the transforms.  window is shared
-    by all signals, or is a sequence with one window per signal.
+    G[a, b] = dx dxi sum V f_a conj(V f_b) over the whole plane.  Each span
+    of rows writes the S x S Gram of each of its rows, rows[:, j] @
+    conj(rows[:, j]).T in one batched product, into an (n, S, S) array, and
+    the per-row Grams are then summed in row order, so the bits depend
+    neither on the spans nor on the CPU count.  The diagonal holds the
+    squared L2 norms of the transforms.  window is shared by all signals, or
+    is a sequence with one window per signal.
     """
     windows = [window] if isinstance(window, SampledSignal) else list(window)
-    grid = signals[0].grid
     stack = len(signals)
+    n = signals[0].grid.n if signals else 0  # _stft_rows rejects an empty stack
+    per_row = np.empty((n, stack, stack), dtype=complex)
 
-    def conjugate(j0, block, lo, hi):
-        c = conj[:, : block.shape[1] * grid.n].reshape(stack, -1, grid.n)
-        np.conjugate(block[:, lo:hi], out=c[:, lo:hi])
+    def gram_rows(j0, rows):
+        by_row = rows.transpose(1, 0, 2)
+        np.matmul(by_row, np.conjugate(by_row).transpose(0, 2, 1), out=per_row[j0 : j0 + len(by_row)])
 
-    chunks = _stft_rows(signals, windows, buffers=2, hook=conjugate)
-    conj = np.empty((stack, _chunk_rows(grid.n, stack, 2) * grid.n), dtype=complex)
-    gram = np.zeros((stack, stack), dtype=complex)
-    for _, block in chunks:
-        flat = block.reshape(stack, -1)
-        gram += flat @ conj[:, : flat.shape[1]].T
-    return grid.dx * grid.dxi * gram
+    _stft_rows(signals, windows, gram_rows)
+    grid = signals[0].grid
+    return grid.dx * grid.dxi * np.add.reduce(per_row, axis=0)

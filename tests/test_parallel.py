@@ -1,7 +1,7 @@
 """Span runner: pooled and inline runs give bit-identical results.
 
 The Rudin-Shapiro transform recursion, its maximum over a grid, the folded
-block inverses of modulation_norm, and the row chunks of the STFT split their
+block inverses of modulation_norm, and the rows of the STFT split their
 work into spans (grid._each_span) that run on a thread pool when there are
 several spans and several CPUs.  These tests shrink the spans so small inputs
 split many ways, then compare a pooled run with the same spans forced inline
@@ -49,8 +49,8 @@ def fold_rows(part):
 
 
 @contextlib.contextmanager
-def spans(cpus, rs_span=None, fold_span=None, stft_span=None, stft_batch=None):
-    """Run with `cpus` CPUs and, when given, shrunken span and batch sizes.
+def spans(cpus, rs_span=None, fold_span=None, stft_span=None):
+    """Run with `cpus` CPUs and, when given, shrunken span sizes.
 
     Yields a log of (module, count, span, ran_off_main_thread) per runner call.
     """
@@ -83,8 +83,6 @@ def spans(cpus, rs_span=None, fold_span=None, stft_span=None, stft_batch=None):
             mp.setattr(norms, "_FOLD_SPAN", fold_span)
         if stft_span is not None:
             mp.setattr(stft_module, "_STFT_SPAN", stft_span)
-        if stft_batch is not None:
-            mp.setattr(stft_module, "_BATCH_LIMIT", stft_batch)
         yield log
 
 
@@ -186,26 +184,20 @@ class TestBitIdentical:
 STFT_GRID = Grid(256, 16.0)
 
 
-def stft_runs(run, stack, buffers):
+def stft_runs(run, stack):
     """run() in spans of 7 rows pooled and inline, and in the default spans.
 
-    All three take chunks of 40 rows, so the Gram products see the same
-    chunks; the default spans hold a whole chunk, so that run makes one
-    batched call per chunk.  40 does not divide n = 256 and 7 does not divide
-    40 or the last chunk's 16 rows: the last chunk and the last span of each
-    chunk are ragged.  stack and buffers are those of the pass.
+    7 does not divide n = 256, so the last span is ragged; the default spans
+    hold at least 170 rows.  stack is the number of signals of the pass.
     """
     n = STFT_GRID.n
-    batch = 40 * buffers * stack * n
-    with spans(3, stft_span=7 * stack * n, stft_batch=batch) as log:
+    with spans(3, stft_span=7 * stack * n) as log:
         pooled = run()
-    with spans(1, stft_span=7 * stack * n, stft_batch=batch):
+    with spans(1, stft_span=7 * stack * n):
         inline = run()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stft_module, "_BATCH_LIMIT", batch)
-        assert stft_module._STFT_SPAN >= 40 * stack * n
-        default = run()
-    assert log == [("stft", 40, 7, True)] * 6 + [("stft", 16, 7, True)]
+    default = run()
+    assert log == [("stft", n, 7, True)]
+    assert stft_module._STFT_SPAN // (stack * n) >= 170
     return pooled, inline, default
 
 
@@ -213,7 +205,7 @@ class TestStftBitIdentical:
     def test_gram_with_a_shared_window(self):
         signals = [band_limited(STFT_GRID, seed=s) for s in (93, 94, 95)]
         w = gaussian_window(STFT_GRID)
-        grams = stft_runs(lambda: stft_gram(signals, w), len(signals), 2)
+        grams = stft_runs(lambda: stft_gram(signals, w), len(signals))
         assert len({gram.tobytes() for gram in grams}) == 1
 
     def test_gram_with_one_window_per_signal(self):
@@ -222,13 +214,13 @@ class TestStftBitIdentical:
             gaussian_window(STFT_GRID),
             SampledSignal.from_function(STFT_GRID, lambda t: np.exp(-(t**2) / 4.5)),
         ]
-        grams = stft_runs(lambda: stft_gram(signals, windows), len(signals), 2)
+        grams = stft_runs(lambda: stft_gram(signals, windows), len(signals))
         assert len({gram.tobytes() for gram in grams}) == 1
 
     def test_dense_stft(self):
         f = band_limited(STFT_GRID, seed=98)
         w = gaussian_window(STFT_GRID)
-        matrices = stft_runs(lambda: stft(f, w).values, 1, 1)
+        matrices = stft_runs(lambda: stft(f, w).values, 1)
         assert len({values.tobytes() for values in matrices}) == 1
 
     def test_experiment_report(self):
@@ -236,7 +228,7 @@ class TestStftBitIdentical:
             report = stft_experiment(n=STFT_GRID.n, L=STFT_GRID.half_width)
             return report.rows, report.assertions
 
-        pooled, inline, default = stft_runs(run, 1, 4)
+        pooled, inline, default = stft_runs(run, 1)
         assert pooled == inline == default
 
     def test_matrix_dump_bytes(self, tmp_path):
@@ -245,7 +237,7 @@ class TestStftBitIdentical:
             stft_experiment(n=STFT_GRID.n, L=STFT_GRID.half_width, dump_matrix=str(path))
             return path.read_bytes()
 
-        pooled, inline, default = stft_runs(run, 1, 4)
+        pooled, inline, default = stft_runs(run, 1)
         assert pooled == inline == default
 
 

@@ -1,4 +1,4 @@
-"""STFT values, covariance, the Moyal identity, and the chunked passes."""
+"""STFT values, covariance, the Moyal identity, and the passes in spans of rows."""
 
 import math
 import tracemalloc
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tfnorms.grid as grid_module
 import tfnorms.stft as stft_module
+from tfnorms.corpus import make_corpus
 from tfnorms.errors import CostGateError
 from tfnorms.experiments import stft_experiment
 from tfnorms.grid import (
@@ -75,30 +76,50 @@ def identity_ratio(f, window):
 def modulation_norm_stft(f, p, q, s, window):
     """Direct time-frequency modulation norm, by tensor quadrature over the STFT.
 
-    An independent cross-check of the block norm: the per-frequency L^p sums
-    over x accumulate over the STFT's row chunks, so no n x n array is formed.
+    An independent cross-check of the block norm: each span of STFT rows
+    leaves its per-frequency partial L^p sum over x (or maximum), and the
+    partials are combined in span order, so no n x n array is formed.
     """
     grid = f.grid
-    per_xi = np.zeros(grid.n)
-    for _, block in _stft_rows([f], [window], buffers=2):
-        mags = np.abs(block[0])
+    partials = {}
+
+    def partial(j0, rows):
+        mags = np.abs(rows[0])
         if math.isinf(p):
-            np.maximum(per_xi, np.max(mags, axis=0), out=per_xi)
+            partials[j0] = np.max(mags, axis=0)
         else:
             mags **= p
-            per_xi += np.sum(mags, axis=0)
-    if not math.isinf(p):
+            partials[j0] = np.sum(mags, axis=0)
+
+    _stft_rows([f], [window], partial)
+    in_order = [partials[j0] for j0 in sorted(partials)]
+    if math.isinf(p):
+        per_xi = np.max(in_order, axis=0)
+    else:
+        per_xi = np.zeros(grid.n)
+        for part in in_order:
+            per_xi += part
         per_xi = (grid.dx * per_xi) ** (1.0 / p)
-    per_xi = np.fft.fftshift(per_xi)  # chunk columns come in FFT order
+    per_xi = np.fft.fftshift(per_xi)  # span columns come in FFT order
     weighted = (1.0 + grid.frequencies() ** 2) ** (s / 2.0) * per_xi
     if math.isinf(q):
         return float(np.max(weighted))
     return float((grid.dxi * np.sum(weighted**q)) ** (1.0 / q))
 
 
-def limit_rows(monkeypatch, rows, stack, n, buffers):
-    """Shrink the working-set budget so that a pass takes `rows` rows per chunk."""
-    monkeypatch.setattr(stft_module, "_BATCH_LIMIT", rows * buffers * stack * n)
+def span_rows(monkeypatch, rows, stack, n):
+    """Shrink the spans so that a pass over `stack` signals takes `rows` rows per span."""
+    monkeypatch.setattr(stft_module, "_STFT_SPAN", rows * stack * n)
+
+
+@pytest.fixture
+def two_cpu_pool(monkeypatch):
+    """Two CPUs and a span pool of two threads, whatever pool earlier tests left."""
+    monkeypatch.setattr(grid_module, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(grid_module, "_pool", None)
+    yield
+    if grid_module._pool is not None:
+        grid_module._pool.shutdown()
 
 
 class TestStftValues:
@@ -227,9 +248,9 @@ class TestIdentityRatio:
 class TestChunkedPasses:
     @pytest.mark.parametrize("rows", [None, 7, 160])
     def test_dense_matrix_bitwise_equals_oracle(self, monkeypatch, rows):
-        # 7 and 160 do not divide n = 1024, so the last chunk is short.
+        # 7 and 160 do not divide n = 1024, so the last span is short.
         if rows is not None:
-            limit_rows(monkeypatch, rows, 1, GRID.n, 1)
+            span_rows(monkeypatch, rows, 1, GRID.n)
         f = band_limited(GRID, seed=71)
         w = gaussian(GRID, width=1.3)
         assert stft(f, w).values.tobytes() == dense_oracle(f, w).tobytes()
@@ -240,7 +261,7 @@ class TestChunkedPasses:
         signals = [band_limited(grid, seed=s) for s in (81, 82, 83)]
         signals.append(gaussian(grid, width=0.7))
         if rows is not None:
-            limit_rows(monkeypatch, rows, len(signals), grid.n, 2)
+            span_rows(monkeypatch, rows, len(signals), grid.n)
         w = gaussian_window(grid)
         oracle = vdot_gram(signals, [w] * len(signals))
         gram = stft_gram(signals, w)
@@ -250,7 +271,7 @@ class TestChunkedPasses:
         grid = Grid(256, 16.0)
         signals = [band_limited(grid, seed=84), band_limited(grid, seed=85)]
         windows = [gaussian_window(grid), gaussian(grid, width=1.5)]
-        limit_rows(monkeypatch, 3, len(signals), grid.n, 2)
+        span_rows(monkeypatch, 3, len(signals), grid.n)
         oracle = vdot_gram(signals, windows)
         gram = stft_gram(signals, windows)
         assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -259,7 +280,7 @@ class TestChunkedPasses:
         "p, q, s", [(1.0, 1.0, 0.0), (2.0, 1.5, 1.0), (math.inf, 1.0, 0.5), (1.5, math.inf, 0.0)]
     )
     def test_modulation_norm_stft_matches_dense_quadrature(self, monkeypatch, p, q, s):
-        limit_rows(monkeypatch, 7, 1, GRID.n, 2)
+        span_rows(monkeypatch, 7, 1, GRID.n)
         f = band_limited(GRID, seed=87)
         w = gaussian_window(GRID)
         mags = np.abs(dense_oracle(f, w))
@@ -300,9 +321,9 @@ class TestChunkedPasses:
         assert moyal_residual(f, g, phi, psi) <= 1e-12
 
     def test_matrix_dump_bytes_equal_dense_savetxt(self, monkeypatch, tmp_path):
-        # buffers = 4 in the experiment: 5 rows per chunk, which does not divide 512.
+        # Spans of 5 rows, which does not divide 512.
         n = 512
-        limit_rows(monkeypatch, 5, 1, n, 4)
+        span_rows(monkeypatch, 5, 1, n)
         streamed = tmp_path / "streamed.csv"
         report = stft_experiment(n=n, L=20.0, dump_matrix=str(streamed))
         assert report.all_passed
@@ -313,81 +334,96 @@ class TestChunkedPasses:
 
 
 class TestSpanHook:
-    """The per-span hook of _stft_rows, and what is checked before it runs."""
+    """The per-span hook of _stft_rows, what is checked before it runs, and its memory."""
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_hook_sees_each_final_row_once(self, monkeypatch, cpus):
-        # Chunks of 40 rows and spans of 7: neither divides the next.
+        # Spans of 7 rows, which does not divide n = 1024.
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
-        limit_rows(monkeypatch, 40, 1, GRID.n, 1)
-        monkeypatch.setattr(stft_module, "_STFT_SPAN", 7 * GRID.n)
+        span_rows(monkeypatch, 7, 1, GRID.n)
         f = band_limited(GRID, seed=72)
         w = gaussian(GRID, width=1.3)
         seen = np.zeros(GRID.n, dtype=int)
-        rows = np.empty((GRID.n, GRID.n), dtype=complex)
+        plane = np.empty((GRID.n, GRID.n), dtype=complex)
 
-        def hook(j0, block, lo, hi):
-            assert hi - lo <= 7
-            seen[j0 + lo : j0 + hi] += 1
-            rows[j0 + lo : j0 + hi] = block[0, lo:hi]
+        def hook(j0, rows):
+            assert rows.shape[:2] == (1, min(7, GRID.n - j0))
+            seen[j0 : j0 + 7] += 1
+            plane[j0 : j0 + 7] = rows[0]
 
-        for _ in _stft_rows([f], [w], hook=hook):
-            pass
+        _stft_rows([f], [w], hook)
         assert np.all(seen == 1)
-        assert np.fft.fftshift(rows, axes=-1).tobytes() == dense_oracle(f, w).tobytes()
+        assert np.fft.fftshift(plane, axes=-1).tobytes() == dense_oracle(f, w).tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_hook_error_reaches_the_consumer(self, monkeypatch, cpus):
-        # One chunk of n = 1024 rows in spans of 64: the third span fails.
+        # n = 1024 rows in spans of 64: the second span fails.
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        span_rows(monkeypatch, 64, 1, GRID.n)
         g = gaussian(GRID)
 
-        def hook(j0, block, lo, hi):
-            if j0 + lo >= 100:
+        def hook(j0, rows):
+            if j0 + rows.shape[1] > 100:
                 raise RuntimeError("hook failed")
 
-        chunks = _stft_rows([g], [g], hook=hook)
         with pytest.raises(RuntimeError, match="hook failed"):
-            next(chunks)
+            _stft_rows([g], [g], hook)
 
     def test_bad_inputs_raise_before_any_chunk(self, monkeypatch):
-        def no_chunk(*args):
-            raise AssertionError("a chunk was computed")
+        def no_span(*args):
+            raise AssertionError("a span was computed")
 
-        monkeypatch.setattr(stft_module, "_each_span", no_chunk)
+        monkeypatch.setattr(stft_module, "_each_span", no_span)
         f = band_limited(GRID, seed=73)
         w = gaussian_window(GRID)
         zero = SampledSignal.zero(GRID)
         big = Grid(8192, 20.0)
         with pytest.raises(ValueError, match="nonzero"):
-            _stft_rows([f], [zero], hook=no_chunk)
+            _stft_rows([f], [zero], no_span)
         with pytest.raises(ValueError, match="nonzero"):
             stft_gram([f, f], [w, zero])
         with pytest.raises(ValueError, match="one window"):
-            _stft_rows([f, f, f], [w, w], hook=no_chunk)
+            _stft_rows([f, f, f], [w, w], no_span)
+        for windows in (w, [w], []):
+            with pytest.raises(ValueError, match="at least one signal"):
+                stft_gram([], windows)
         with pytest.raises(CostGateError):
-            _stft_rows([gaussian(big)], [gaussian_window(big)], hook=no_chunk)
+            _stft_rows([gaussian(big)], [gaussian_window(big)], no_span)
         with pytest.raises(CostGateError):
             stft_gram([gaussian(big)], gaussian_window(big))
         with pytest.raises(CostGateError):
             stft_experiment(n=8192)
 
-    def test_experiment_peak_stays_under_one_and_a_half_chunks(self, monkeypatch):
-        # The closed form is evaluated span by span in the hook, so next to
-        # the one 16 MiB chunk only span-sized temporaries are live: two
-        # CPUs' worth, whatever the host has.
-        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 2)
-        n = 2048
-        chunk_bytes = 16 * stft_module._chunk_rows(n, 1, 4) * n
+    def test_gram_peak_stays_within_span_buffers(self, two_cpu_pool):
+        # The 12-signal corpus at n = 2048: next to the (n, 12, 12) per-row
+        # Grams (4.5 MiB), each of the two pool threads holds one span of
+        # rows and its conjugate, 2 MiB each at 2^17 samples.  A chunk of
+        # rows kept for the whole pass (16 MiB or more) breaks the bound.
+        grid = Grid(2048, 30.0)
+        signals = [signal for _, signal in make_corpus(grid, seed=0)]
+        window = gaussian_window(grid)
         tracemalloc.start()
         try:
-            report = stft_experiment(n=n)
+            stft_gram(signals, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(signals) == 12 and stft_module._STFT_SPAN == 1 << 17
+        assert peak <= 16 << 20
+
+    def test_experiment_peak_stays_within_span_buffers(self, two_cpu_pool):
+        # The closed form is evaluated span by span in the hook, so only
+        # span-sized arrays are live: at most five per pool thread.
+        span_bytes = 16 * stft_module._STFT_SPAN
+        tracemalloc.start()
+        try:
+            report = stft_experiment(n=2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.all_passed
-        assert chunk_bytes == 16 << 20
-        assert peak <= 1.5 * chunk_bytes
+        assert span_bytes == 2 << 20
+        assert peak <= 2 * 5 * span_bytes
 
 
 def test_package_attribute_is_the_module():
