@@ -50,7 +50,10 @@ def _converter(default, annotation) -> Callable[[str], object]:
         kind = type(default[0])
 
         def comma_separated(text: str) -> tuple:
-            return tuple(kind(float(v)) for v in text.split(","))
+            try:
+                return tuple(kind(float(v)) for v in text.split(","))
+            except OverflowError as err:  # int(inf); argparse catches ValueError only
+                raise ValueError(str(err)) from err
 
         return comma_separated
     if default is None:

@@ -535,7 +535,11 @@ def reciprocal_on_compact(
     if part is None:
         part = partition_for(grid)
     a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError(f"interval needs a < b, got ({a:g}, {b:g})")
     inside = (grid.points() >= a) & (grid.points() <= b)
+    if not np.any(inside):
+        raise ValueError(f"interval ({a:g}, {b:g}) holds no grid point")
     minimum = float(np.min(np.abs(f.samples[inside])))
     if minimum <= 0.0:
         raise ValueError("f vanishes on the interval; no reciprocal exists there")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import make_corpus, make_signal
+from .errors import CostGateError
 from .grid import (
     _fourier_inverse,
     Grid,
@@ -41,6 +42,7 @@ from .norms import (
 )
 from .partition import bump_profile, partition_defect, partition_profile
 from .compose import (
+    _MAX_REFINED_SIZE,
     _check_refined_size,
     _dilated_window_samples,
     global_compose,
@@ -279,6 +281,8 @@ def bupu_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> Swe
 
 def rudin_shapiro_experiment(m_max: int = 12, samples: int = 4096, seed: int = 0) -> SweepReport:
     """Exact flatness identity and the total-variation flatness bound."""
+    if samples < 1:
+        raise ValueError(f"need at least one frequency sample, got {samples}")
     report = SweepReport("rudin-shapiro", axis="depth")
     xis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     worst = 0.0
@@ -488,6 +492,8 @@ def approx_unit_experiment(
     spec = NormSpec.modulation(p, q, s)
     if not spec.in_algebra_regime():
         raise ValueError("approximate-unit sweep needs an algebra-regime spec")
+    if halvings < 0:
+        raise ValueError(f"halvings must be >= 0, got {halvings}")
     # The smallest lam, 2^-halvings, reads the window off the largest
     # refined grid; refuse it before building the smaller ones.
     _check_refined_size(n * 2**halvings)
@@ -570,6 +576,8 @@ def algebra_sweep(
     count: int = 50,
 ) -> SweepReport:
     """Empirical multiplication constants, exported for the composition ops."""
+    if count < 1:
+        raise ValueError(f"need at least one pair, got {count}")
     report = SweepReport("algebra-sweep", axis="spec")
     specs = [NormSpec.modulation(2.0, 1.0, 0.0), NormSpec.modulation(1.0, 1.0, 0.5)]
     for spec in specs:
@@ -610,7 +618,8 @@ def _flat_layout(p: float, m: int, r: int) -> tuple[Grid, int]:
 
     The spacing keeps the translates of F^-1 phi by the support of nu
     disjoint; the grid fits the translate train with margin, and its
-    frequency grid resolves every occupied block.
+    frequency grid resolves every occupied block.  A grid above compose's
+    refined-grid gate is refused before anything is built on it.
     """
     r_half = _invphi_tail_halfwidth(p, _TAIL_FRACTION.get(p, 1e-3))
     n_nu = disjointness_spacing(r_half, r)
@@ -618,6 +627,11 @@ def _flat_layout(p: float, m: int, r: int) -> tuple[Grid, int]:
     m_int = int(math.ceil(1.15 * support / math.pi))
     nyq_needed = 2**m + 2
     n = 1 << int(math.ceil(math.log2(2 * m_int * nyq_needed)))
+    if n > _MAX_REFINED_SIZE:
+        raise CostGateError(
+            f"flat counterexample at m={m}, r={r} needs a {n}-point grid, "
+            f"above the {_MAX_REFINED_SIZE}-point gate"
+        )
     return Grid(n, m_int * math.pi), n_nu
 
 
@@ -801,6 +815,10 @@ def counterexample_l2(
     if k0 < 3:
         raise ValueError("k0 must be at least 3 so ln k stays above 1")
     checkpoints = tuple(int(c) for c in checkpoints)
+    if len(checkpoints) < 2:
+        raise ValueError(f"need at least two checkpoints, got {len(checkpoints)}")
+    if checkpoints[0] < k0:
+        raise ValueError(f"checkpoints must be at least k0 = {k0}, got {checkpoints[0]}")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     report = SweepReport("counterexample-l2", axis="K")

@@ -17,6 +17,11 @@ and its transform lives on the dual grid
 With these spacings dx * dxi * n = 2 pi, and the quadrature rule
 dx * sum (trapezoid on the periodic extension) makes the discrete
 transform pair exactly unitary up to the 2 pi factor.
+
+The large computations (folded block inverses, the Rudin-Shapiro recursion,
+STFT rows) run through ``_each_span``: spans of whole items, at most ``_SPAN``
+= 2^17 samples (one item at least), concurrent on one thread per CPU, or
+inline when there is one span or one CPU.
 """
 
 from __future__ import annotations
@@ -45,10 +50,17 @@ __all__ = [
     "support_leakage",
 ]
 
-# Thread pool for _each_span, created on first use in each process: a pool
-# inherited through fork has no threads behind it.
+# Samples per span of _each_span, so that a span's temporaries stay in cache.
+# On the 12-signal STFT corpus at n = 2048 (2 CPUs) the Gram took 1.1 s in
+# spans of 2^16 samples, 0.64 s at 2^17 and 0.59 s at 2^18, with twice the
+# span buffers.
+_SPAN = 1 << 17
+
+# Thread pool for _each_span, one thread per CPU, created on first use in
+# each process (a pool inherited through fork has no threads behind it) and
+# again when the CPU count changes.
 _pool = None
-_pool_pid = None
+_pool_key = None
 _pool_lock = threading.Lock()
 
 
@@ -60,33 +72,39 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _span_pool():
-    global _pool, _pool_pid
+def _span_pool(cpus: int):
+    global _pool, _pool_key
+    key = (os.getpid(), cpus)
     with _pool_lock:
-        if _pool is None or _pool_pid != os.getpid():
+        if _pool_key != key:
             # Imported here so that importing the package loads no new module.
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max_workers=_cpu_count())
-            _pool_pid = os.getpid()
+            if _pool is not None and _pool_key[0] == key[0]:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(max_workers=cpus)
+            _pool_key = key
         return _pool
 
 
-def _each_span(fn, count: int, span: int) -> None:
-    """Call fn(lo, hi) for the spans [lo, hi) of length `span` covering [0, count).
+def _each_span(fn, count: int, size: int) -> None:
+    """Call fn(lo, hi) for spans [lo, hi) covering [0, count), items of `size` samples.
 
-    With more than one span and more than one CPU the spans run concurrently
-    on a pool with one thread per CPU; otherwise they run in order in the
-    calling thread.  Callers keep each span's work independent of the others
-    (numpy releases the interpreter lock inside it), so the results do not
-    depend on which way they ran.
+    Each span holds max(1, _SPAN // size) items.  With more than one span
+    and more than one CPU the spans run concurrently on a pool with one
+    thread per CPU, the CPUs counted on every call; otherwise they run in
+    order in the calling thread.  Callers keep each span's work independent
+    of the others (numpy releases the interpreter lock inside it), so the
+    results do not depend on which way they ran.
     """
+    span = max(1, _SPAN // size)
     bounds = [(lo, min(lo + span, count)) for lo in range(0, count, span)]
-    if len(bounds) <= 1 or _cpu_count() == 1:
+    cpus = _cpu_count()
+    if len(bounds) <= 1 or cpus == 1:
         for lo, hi in bounds:
             fn(lo, hi)
         return
-    pool = _span_pool()
+    pool = _span_pool(cpus)
     for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
         future.result()
 

@@ -14,11 +14,11 @@ points with all weights +-1 and satisfies the exact flatness identity
 so ||mu_m^||_inf <= 2^((m+1)/2) against total variation 2^m.  Locations are
 integers, so atom merging compares exactly, never by float tolerance.
 
-The transform recursion is elementwise in xi.  On a set of at least 2^20
-frequencies it runs in spans of 2^15 frequencies, concurrently on the CPUs of
-the process's affinity mask; each span writes its slice of the scaled
-outputs, so the values are bitwise those of one full-length pass whatever the
-number of CPUs.  Smaller sets run as one span in the calling thread.
+The transform recursion is elementwise in xi, so it runs in spans of
+``grid._SPAN`` frequencies (see ``grid._each_span``), concurrently on the
+CPUs of the process's affinity mask.  Each span writes its slice of the
+scaled outputs, so the values are bitwise those of one full-length pass
+whatever the number of CPUs.
 
 The maximum of |nu_m^| over the dual grid xi_k = k dxi, k = -n/2 .. n/2 - 1
 (:func:`rudin_shapiro_sup`) rests on two identities that hold bit for bit in
@@ -35,9 +35,9 @@ floating point:
   evaluated on its own.
 
 Together they cut the exponentials from m n to n (m + 1) / 4.  The
-exponentials and the steps run in the same spans as the transforms, the
-rule keyed to the grid's n; moduli are taken on contiguous arrays only,
-since numpy's modulus of a strided view can differ in the last bit.
+exponentials, the steps and the maximum run in the same spans as the
+transforms; moduli are taken on contiguous arrays only, since numpy's
+modulus of a strided view can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ __all__ = [
 ]
 
 CONVOLUTION_ATOM_GATE = 10**7
-
-# rudin_shapiro_transforms and rudin_shapiro_sup run sets of at least
-# _RS_POOL_MIN frequencies in spans of _RS_SPAN, whose temporaries stay in
-# cache; smaller sets run as one span in the calling thread.
-_RS_SPAN = 1 << 15
-_RS_POOL_MIN = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +246,7 @@ def rudin_shapiro_transforms(
         np.multiply(scale, mu_hat, out=mu_out[lo:hi])
         np.multiply(scale, nu_hat, out=nu_out[lo:hi])
 
-    span = _RS_SPAN if xis.size >= _RS_POOL_MIN else max(xis.size, 1)
-    _each_span(run, xis.size, span)
+    _each_span(run, xis.size, 1)
     return mu_out, nu_out
 
 
@@ -282,7 +275,6 @@ def rudin_shapiro_sup(
     mu_hat, nu_hat, phase = np.empty((3, half), dtype=complex)
     mu_hat.fill(1.0)
     nu_hat.fill(1.0)
-    span = _RS_SPAN if grid.n >= _RS_POOL_MIN else half
 
     for j in range(1, m + 1):
         rate = -1j * (2 ** (j - 1) * base_spacing)
@@ -301,18 +293,18 @@ def rudin_shapiro_sup(
             np.subtract(mu_hat[lo:hi], shifted, out=nu_hat[lo:hi])
             np.add(mu_hat[lo:hi], shifted, out=mu_hat[lo:hi])
 
-        _each_span(step, half, span)
+        _each_span(step, half, 1)
 
-    peaks = np.empty(-(-half // span))
+    peaks = []  # one per span, in any order
 
     def peak(lo: int, hi: int) -> None:
         scaled = np.multiply(scale, nu_hat[lo:hi], out=phase[lo:hi])
-        peaks[lo // span] = np.max(np.abs(scaled))
+        peaks.append(np.max(np.abs(scaled)))
 
-    _each_span(peak, half, span)
+    _each_span(peak, half, 1)
     lowest = dxi * np.arange(-half, 1 - half)
     edge = rudin_shapiro_transforms(m, base_spacing, lowest, normalization, p)[1]
-    return float(max(np.max(peaks), np.abs(edge[0])))
+    return float(max(*peaks, np.abs(edge[0])))
 
 
 def disjointness_spacing(k_halfwidth: float, m: int) -> int:

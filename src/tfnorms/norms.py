@@ -21,15 +21,16 @@ power of two >= W and P = n / M, grid index j = b + P a gives
 for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
-n log n.  The fold runs in spans of at most 2^16 samples (or one row, when M
-is larger), each doing all of its work while the data is still in cache:
-twiddle product, length-M inverse transforms into span-local buffers, |.|^p,
-and each block's sum or maximum.  A span holds whole blocks when a block
-fits in one, and reduces each of them over exactly that block's P M values;
-a larger block is split into spans of whole rows, which write |.|^p into one
-n-float buffer of that block, reduced once.  The (P, W) twiddle table is
-built once per call when n fits in a span (n samples at most); otherwise
-each span builds its own rows of it, in place in its transform buffer.
+n log n.  The fold runs in spans of at most ``grid._SPAN`` samples (or one
+row, when M is larger), each doing all of its work while the data is still
+in cache: twiddle product, length-M inverse transforms into span-local
+buffers, |.|^p, and each block's sum or maximum.  A span holds whole blocks
+when a block fits in one, and reduces each of them over exactly that
+block's P M values; a larger block is split into spans of whole rows, which
+write |.|^p into one n-float buffer of that block, reduced once.  The (P, W)
+twiddle table is built once per call when n fits in a span (n samples at
+most); otherwise each span builds its own rows of it, in place in its
+transform buffer.
 Spans run concurrently on the CPUs of the process's affinity mask, and no
 sum depends on where the spans start, so every value is bitwise the same
 whatever the number of CPUs.
@@ -58,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as _grid
 from .grid import (
     _each_span,
     Grid,
@@ -81,9 +83,6 @@ __all__ = [
 
 # Relative magnitude below which a masked block is double-rounding noise.
 _NOISE_FLOOR = 1e-13
-
-# Most samples per span of folded inverse transforms (see _folded_lp).
-_FOLD_SPAN = 1 << 16
 
 
 def _index_weight(k: np.ndarray, s: float) -> np.ndarray:
@@ -149,22 +148,17 @@ def modulation_norm(
     # The maxima of |masked row| on [k - 1, k) and [k, k + 1): their larger
     # one is the liveness test, and the pair is the key that _distinct_rows
     # groups candidate duplicate rows by.  Every reduction is per row, so
-    # the rows are scanned in spans of at most _FOLD_SPAN samples (one row
-    # at least) through two span-sized buffers.
+    # the rows are scanned span by span.
     halves = np.empty((ks.size, 2))
-    step = max(1, _FOLD_SPAN // core.size)
-    masked = np.empty((min(step, ks.size), core.size), dtype=complex)
-    mags = np.empty(masked.shape)
-    for lo in range(0, ks.size, step):
-        hi = min(lo + step, ks.size)
-        span = mags[: hi - lo]
-        np.multiply(rows[lo:hi], core, out=masked[: hi - lo])
-        np.abs(masked[: hi - lo], out=span)
-        np.max(span.reshape(hi - lo, 2, -1), axis=2, out=halves[lo:hi])
+
+    def scan(lo: int, hi: int) -> None:
+        mags = np.abs(rows[lo:hi] * core)
+        np.max(mags.reshape(hi - lo, 2, -1), axis=2, out=halves[lo:hi])
         if p == 2.0:
             # Parseval on the masked rows: no inverse transform needed.
-            block_norms[lo:hi] = np.sqrt(scale * np.sum(np.square(span, out=span), axis=1))
-    del masked, mags  # the folds below need the room
+            block_norms[lo:hi] = np.sqrt(scale * np.sum(np.square(mags, out=mags), axis=1))
+
+    _each_span(scan, ks.size, core.size)
     live = np.max(halves, axis=1) > floor
     if p == 2.0:
         block_norms *= live
@@ -215,7 +209,7 @@ def _folded_lp(
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
     Uses the fold described in the module docstring, span by span: a span of
-    at most _FOLD_SPAN samples holds whole blocks, or, for a block larger
+    at most grid._SPAN samples holds whole blocks, or, for a block larger
     than that, whole rows of one block (one row at least).
     """
     width = core.size
@@ -247,7 +241,7 @@ def _folded_lp(
         return np.max(mags, axis=(1, 2)) if math.isinf(p) else np.sum(mags, axis=(1, 2))
 
     out = np.empty(which.size)
-    if n <= _FOLD_SPAN:
+    if n <= _grid._SPAN:
         # One table of n samples at most, shared by every span.
         table = twiddle(0, p_len)
 
@@ -256,13 +250,12 @@ def _folded_lp(
             fold(rows[which[lo:hi]] * core, mags, 0, table)
             out[lo:hi] = reduce(mags)
 
-        _each_span(run, which.size, _FOLD_SPAN // n)
+        _each_span(run, which.size, n)
     else:
-        span_rows = max(1, _FOLD_SPAN // m_len)
         mags = np.empty((1, p_len, m_len))
         for i, b in enumerate(which):
             coeffs = rows[b : b + 1] * core
-            _each_span(lambda r0, r1: fold(coeffs, mags[:, r0:r1], r0), p_len, span_rows)
+            _each_span(lambda r0, r1: fold(coeffs, mags[:, r0:r1], r0), p_len, m_len)
             out[i] = reduce(mags)[0]
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)

@@ -7,8 +7,9 @@ The STFT with window phi is
 equivalently exp(-i x xi) (f * M_xi phi~)(x) with phi~(t) = conj(phi(-t)).
 For fixed x_j the integrand is a windowed copy of f, so row j of the
 time-frequency plane is one forward transform.  Every consumer walks the
-plane through one pass, ``_stft_rows``, in spans of at most ``_STFT_SPAN``
-samples (one row at least) on the span pool (``grid._each_span``): a span
+plane through one pass, ``_stft_rows``, on the span runner
+(``grid._each_span``), in spans of at most ``grid._SPAN`` samples of the
+stack's rows (one row at least), concurrently on several CPUs: a span
 gathers its translated windows as a strided view of the doubled window,
 multiplies in the signals, transforms and scales its rows in a buffer of its
 own, and hands them to the consumer's hook while they are still in cache.
@@ -59,13 +60,6 @@ __all__ = [
 # norm computation is the intended path for anything larger.
 MAX_STFT_SIZE = 4096
 
-# Samples per span of rows: a span's rows stay in cache from the multiply
-# through the transform to the consumer's hook.  Measured on the 12-signal
-# corpus at n = 2048 on 2 CPUs: the Gram takes 1.1 s in spans of 2^16 samples
-# (2 rows), 0.64 s at 2^17 (5 rows) and 0.59 s at 2^18, which doubles the
-# span buffers; the closed-form check of the stft run is fastest at 2^17.
-_STFT_SPAN = 1 << 17
-
 
 @dataclass(frozen=True)
 class TimeFrequencyMatrix:
@@ -91,13 +85,13 @@ def _stft_rows(signals: Sequence[SampledSignal], windows: Sequence[SampledSignal
 
     windows holds one window per signal, or a single window for all of them.
     The inputs are checked first, before any row is computed.  Then one pass
-    covers the n rows in spans of at most ``_STFT_SPAN`` samples (one row at
-    least), which may run concurrently on the span pool.  A span multiplies,
-    transforms and scales its rows in a buffer of its own and calls the hook
-    on its thread: rows has shape (S, r, n) and holds rows j0 .. j0 + r - 1 of
-    the S transforms, with the frequencies in FFT order (column c is xi_k for
-    k = c - n if c >= n/2, else k = c, so ``np.fft.fftshift(rows, axes=-1)``
-    gives rows of :func:`stft`).  Hook calls touch disjoint rows and may come
+    covers the n rows in spans of at most ``grid._SPAN`` samples (S n per
+    row, one row at least), which may run concurrently on the span pool.  A
+    span multiplies, transforms and scales its rows in a buffer of its own
+    and calls the hook on its thread: rows has shape (S, r, n) and holds rows
+    j0 .. j0 + r - 1 of the S transforms, with the frequencies in FFT order
+    (column c is xi_k for k = c - n if c >= n/2, else k = c, so
+    ``np.fft.fftshift(rows, axes=-1)`` gives rows of :func:`stft`).  Hook calls touch disjoint rows and may come
     in any order; they all return before this does, and an exception in one
     reaches the caller.  The values are bit for bit those of one batched
     transform of the whole plane, whatever the spans.
@@ -132,7 +126,7 @@ def _stft_rows(signals: Sequence[SampledSignal], windows: Sequence[SampledSignal
         rows *= grid.dx
         hook(lo, rows)
 
-    _each_span(run, n, max(1, _STFT_SPAN // (len(signals) * n)))
+    _each_span(run, n, len(signals) * n)
 
 
 def stft(f: SampledSignal, window: SampledSignal) -> TimeFrequencyMatrix:

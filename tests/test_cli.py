@@ -218,6 +218,32 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: dilation needs a 8388608-point refined grid")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["approx-unit", "--halvings", "-1"], "halvings must be >= 0, got -1"),
+            (["algebra-sweep", "--pairs", "0"], "need at least one pair, got 0"),
+            (["counterexample-l2", "--checkpoints", "5"], "need at least two checkpoints, got 1"),
+            (["counterexample-l2", "--checkpoints", "1,2"], "checkpoints must be at least k0 = 3, got 1"),
+            (["reciprocal", "--interval", "5,-5"], "interval needs a < b, got (5, -5)"),
+            (["reciprocal", "--interval", "100,200"], "interval (100, 200) holds no grid point"),
+            (["rudin-shapiro", "--samples", "0"], "need at least one frequency sample, got 0"),
+        ],
+    )
+    def test_bad_input_exits_one_with_its_message(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["counterexample-l2", "--checkpoints", "1e400", "--out", str(out)])
+        assert exit_.value.code == 2  # argparse usage error
+        assert "invalid comma_separated value: '1e400'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--n", "1024"], ["--L", "30"]])
     def test_all_rejects_grid_flags(self, tmp_path, capsys, flag):
         # `all` runs each experiment on its own grid; a grid flag would be ignored.

@@ -9,6 +9,7 @@ import pytest
 
 from tfnorms import experiments, norms
 from tfnorms.corpus import make_corpus
+from tfnorms.errors import CostGateError
 from tfnorms.grid import (
     Grid,
     NormSpec,
@@ -105,13 +106,33 @@ class TestCounterexampleFlat:
         with pytest.raises(ValueError):
             flat_measurement(2.0, 3, 3)
 
+    @pytest.mark.parametrize(
+        "p, m, r, n", [(1.0, 6, 12, 1 << 27), (1.0, 8, 8, 1 << 25), (1.0, 30, 4, 1 << 43)]
+    )
+    def test_layout_above_the_gate_is_refused(self, p, m, r, n):
+        # The layout only computes n, so a missing gate fails here without
+        # allocating anything.
+        with pytest.raises(CostGateError, match=f"needs a {n}-point grid, above the 4194304-point"):
+            experiments._flat_layout(p, m, r)
+
+    def test_default_layouts_stay_within_the_gate(self):
+        # Both depths of both default runs; the largest sits on the gate.
+        sizes = [
+            experiments._flat_layout(p, m, r)[0].n
+            for p, m, r in [(1.0, 4, 4), (1.0, 6, 6), (1.5, 2, 8), (1.5, 4, 10)]
+        ]
+        assert max(sizes) == 1 << 22
+
     def test_peak_memory_stays_under_two_and_a_quarter_complex_arrays(self, monkeypatch):
-        # The Rudin-Shapiro budget shrunk as for the n = 2^21-2^22 runs,
-        # relative to n = 2^19, and one CPU, so that no concurrent span
-        # temporaries count.  Each phase holds one complex n-array, next to
-        # n-length floats and span-sized buffers.
-        monkeypatch.setattr("tfnorms.measures._RS_POOL_MIN", 1 << 16)
-        monkeypatch.setattr(importlib.import_module("tfnorms.grid"), "_cpu_count", lambda: 1)
+        # The span budget shrunk to the 2^15 Rudin-Shapiro spans this test
+        # had before the budgets were merged, so that the span temporaries
+        # stay small next to n = 2^19 as they do at n = 2^21-2^22, and one
+        # CPU, so that no concurrent span temporaries count.  Each phase
+        # holds one complex n-array, next to n-length floats and span-sized
+        # buffers.
+        grid_module = importlib.import_module("tfnorms.grid")
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 15)
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
         tracemalloc.start()
         try:
             run = flat_measurement(1.5, 2, 8)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import tfnorms.grid as grid_module
-import tfnorms.measures as measures
 from tfnorms.errors import CostGateError
 from tfnorms.experiments import _flat_layout
 from tfnorms.grid import Grid
@@ -232,8 +231,7 @@ class TestRudinShapiroSup:
         # next to the n-length arrays.
         n, span = 1 << 16, 1 << 10
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
-        monkeypatch.setattr(measures, "_RS_SPAN", span)
-        monkeypatch.setattr(measures, "_RS_POOL_MIN", 1)
+        monkeypatch.setattr(grid_module, "_SPAN", span)
         grid = Grid(n, 3000.0)
 
         def peak_bytes(fn):

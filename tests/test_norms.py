@@ -319,14 +319,16 @@ class TestFoldedBlockNorms:
         _check_blocks_against_oracle(n, m, lo, hi, p, 0.5, seed=n + m)
 
     def test_peak_follows_the_span_not_the_live_blocks(self, monkeypatch):
-        # One CPU, so that one span's buffers are alive at a time.
+        # One CPU, so that one span's buffers are alive at a time, and a
+        # budget of 2^16 samples, 8 blocks of n.
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 16)
         grid = Grid(8192, PARTITION_L)
         part, n, xi = partition_for(grid), grid.n, grid.frequencies()
         rng = np.random.default_rng(5)
         peaks, live = [], []
         # About 13 live blocks, and all 511: both fill whole spans of
-        # _FOLD_SPAN / n = 8 blocks.
+        # _SPAN / n = 8 blocks.
         for cutoff in (6.0, math.inf):
             samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (abs(xi) < cutoff)
             spectrum = SampledSignal(grid.dual(), samples)
@@ -337,19 +339,21 @@ class TestFoldedBlockNorms:
             finally:
                 tracemalloc.stop()
             live.append(sum(c > 0.0 for _, c in report.block_contributions))
-        assert norms._FOLD_SPAN // n <= live[0] < live[1] == len(part.block_indices())
+        assert grid_module._SPAN // n <= live[0] < live[1] == len(part.block_indices())
         assert peaks[1] <= peaks[0] + 16 * n
         # One span's complex and float buffers; the rest is the liveness
         # scan's masked rows (about 2 n complex) or the twiddle table (n
         # complex at W = M = 32) next to the spectrum.
-        assert peaks[1] <= 24 * norms._FOLD_SPAN + 4 * 16 * n
+        assert peaks[1] <= 24 * grid_module._SPAN + 4 * 16 * n
 
 
     def test_large_block_builds_twiddle_rows_per_span(self, monkeypatch):
         # One block larger than a span, W = 820 of M = 1024 and P = 256, so
         # the whole (P, W) twiddle table would be 0.8 n complex.  One CPU, so
-        # that one span's buffers are alive at a time.
+        # that one span's buffers are alive at a time, and a budget of 2^16
+        # samples, 64 rows, so that the table would break the bound.
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 16)
         n, width = 1 << 18, 820
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((1, width)) + 1j * rng.standard_normal((1, width))
@@ -362,7 +366,7 @@ class TestFoldedBlockNorms:
             tracemalloc.stop()
         # The block's n float magnitudes, and one span's complex buffer next
         # to its twiddle rows as they are built.
-        assert peak <= 8 * n + 48 * norms._FOLD_SPAN
+        assert peak <= 8 * n + 48 * grid_module._SPAN
 
 
 # What each block of a grouped-fold spectrum holds, around its centre k:

@@ -3,9 +3,10 @@
 The Rudin-Shapiro transform recursion, its maximum over a grid, the folded
 block inverses of modulation_norm, and the rows of the STFT split their
 work into spans (grid._each_span) that run on a thread pool when there are
-several spans and several CPUs.  These tests shrink the spans so small inputs
-split many ways, then compare a pooled run with the same spans forced inline
-and with the default spans.
+several spans and several CPUs.  Every span is sized from one budget,
+grid._SPAN.  These tests shrink it so small inputs split many ways, then
+compare a pooled run with the same spans forced inline and with the default
+spans.
 """
 
 import concurrent.futures
@@ -49,25 +50,26 @@ def fold_rows(part):
 
 
 @contextlib.contextmanager
-def spans(cpus, rs_span=None, fold_span=None, stft_span=None):
-    """Run with `cpus` CPUs and, when given, shrunken span sizes.
+def spans(cpus, budget=None):
+    """Run with `cpus` CPUs and, when given, a span budget of `budget` samples.
 
-    Yields a log of (module, count, span, ran_off_main_thread) per runner call.
+    Yields a log of (module, count, items per span, ran_off_main_thread) per
+    runner call.
     """
     log = []
     real = grid_module._each_span
 
     def recording(module):
-        def runner(fn, count, span):
+        def runner(fn, count, size):
             threads = set()
 
             def traced(lo, hi):
                 threads.add(threading.get_ident())
                 fn(lo, hi)
 
-            real(traced, count, span)
+            real(traced, count, size)
             off_main = any(t != threading.main_thread().ident for t in threads)
-            log.append((module, count, span, off_main))
+            log.append((module, count, max(1, grid_module._SPAN // size), off_main))
 
         return runner
 
@@ -76,13 +78,8 @@ def spans(cpus, rs_span=None, fold_span=None, stft_span=None):
         mp.setattr(measures, "_each_span", recording("measures"))
         mp.setattr(norms, "_each_span", recording("norms"))
         mp.setattr(stft_module, "_each_span", recording("stft"))
-        if rs_span is not None:
-            mp.setattr(measures, "_RS_SPAN", rs_span)
-            mp.setattr(measures, "_RS_POOL_MIN", 1)
-        if fold_span is not None:
-            mp.setattr(norms, "_FOLD_SPAN", fold_span)
-        if stft_span is not None:
-            mp.setattr(stft_module, "_STFT_SPAN", stft_span)
+        if budget is not None:
+            mp.setattr(grid_module, "_SPAN", budget)
         yield log
 
 
@@ -98,35 +95,75 @@ def full_length_transforms(m, base_spacing, xis, scale):
 
 
 class TestSpanRunner:
+    @staticmethod
+    def covered(cpus, budget, count, size):
+        """The sorted spans of one runner call, checking that each index is hit once."""
+        hits = np.zeros(count, dtype=int)
+        bounds = []
+
+        def fn(lo, hi):
+            assert 0 <= lo < hi <= count
+            hits[lo:hi] += 1
+            bounds.append((lo, hi))
+
+        with spans(cpus, budget):
+            grid_module._each_span(fn, count, size)
+        assert np.all(hits == 1)
+        return sorted(bounds)
+
     @pytest.mark.parametrize("count, span", [(0, 4), (1, 4), (10, 3), (12, 4), (5, 8)])
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_covers_each_index_once(self, count, span, cpus):
-        hits = np.zeros(count, dtype=int)
+        # Items of one sample, so a budget of `span` samples is `span` items.
+        bounds = self.covered(cpus, span, count, 1)
+        assert bounds == [(lo, min(lo + span, count)) for lo in range(0, count, span)]
 
-        def fn(lo, hi):
-            assert 0 <= lo < hi <= count and hi - lo <= span
-            hits[lo:hi] += 1
-
-        with spans(cpus):
-            grid_module._each_span(fn, count, span)
-        assert np.all(hits == 1)
+    @pytest.mark.parametrize(
+        "count, budget, size, items",
+        [
+            (12, 8, 2, 4),
+            (11, 9, 2, 4),  # the budget is no multiple of the item size
+            (7, 3, 5, 1),  # an item larger than the budget spans alone
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_items_per_span_follow_the_item_size(self, count, budget, size, items, cpus):
+        bounds = self.covered(cpus, budget, count, size)
+        assert bounds == [(lo, min(lo + items, count)) for lo in range(0, count, items)]
 
     def test_errors_reach_the_caller(self):
         def fn(lo, hi):
             if lo == 4:
                 raise ValueError("span failed")
 
-        with spans(3), pytest.raises(ValueError, match="span failed"):
+        # Spans of 2 items of 2 samples each.
+        with spans(3, 4), pytest.raises(ValueError, match="span failed"):
             grid_module._each_span(fn, 10, 2)
+
+    def test_pool_follows_the_cpu_count(self):
+        threads = set()
+
+        def fn(lo, hi):
+            threads.add(threading.get_ident())
+
+        with spans(2, 1):
+            grid_module._each_span(fn, 4, 1)
+            first = grid_module._pool
+            assert first._max_workers == 2
+        with spans(3, 1):
+            grid_module._each_span(fn, 4, 1)
+            assert grid_module._pool._max_workers == 3
+        assert grid_module._pool is not first and first._shutdown
+        assert threading.main_thread().ident not in threads
 
 
 class TestBitIdentical:
     def test_rudin_shapiro_transforms(self):
         scale = 2.0 ** (-7 / 1.5)
         args = (7, 3, XIS, Normalization.LP_ATOMS, 1.5)
-        with spans(3, rs_span=1000) as log:
+        with spans(3, 1000) as log:
             pooled = rudin_shapiro_transforms(*args)
-        with spans(1, rs_span=1000):
+        with spans(1, 1000):
             inline = rudin_shapiro_transforms(*args)
         default = rudin_shapiro_transforms(*args)
         # 10007 frequencies in spans of 1000: the last span is ragged.
@@ -140,15 +177,19 @@ class TestBitIdentical:
     def test_modulation_norm(self, p):
         f = band_limited(GRID, seed=91)
         m_len, p_len = fold_rows(PART)
+        width, blocks = 2 * PART.steps_per_unit, len(PART.block_indices())
         default = modulation_norm(f, p, 1.0, 0.5, PART)
         # Three whole blocks per span, then each block in spans of five
         # rows; P = 128 is no multiple of 5.
-        for fold_span in (3 * GRID.n, 5 * m_len):
-            with spans(3, fold_span=fold_span) as log:
+        for budget in (3 * GRID.n, 5 * m_len):
+            with spans(3, budget) as log:
                 pooled = modulation_norm(f, p, 1.0, 0.5, PART)
-            with spans(1, fold_span=fold_span):
+            with spans(1, budget):
                 inline = modulation_norm(f, p, 1.0, 0.5, PART)
-            if fold_span > GRID.n:
+            # First the liveness scan over all blocks, W samples each.
+            scan = log.pop(0)
+            assert scan == ("norms", blocks, budget // width, blocks > budget // width)
+            if budget > GRID.n:
                 # One runner call over the distinct live blocks.
                 ((module, count, span, off_main),) = log
                 assert (module, span, off_main) == ("norms", 3, True)
@@ -164,19 +205,27 @@ class TestBitIdentical:
 
     def test_flat_measurement(self):
         grid = _flat_layout(1.0, 3, 3)[0]
-        m_len, p_len = fold_rows(partition_for(grid))
-        # The one distinct block, n samples, in spans of three rows of M.
-        fold_span = 3 * m_len
-        with spans(3, rs_span=1001, fold_span=fold_span) as log:
+        part = partition_for(grid)
+        m_len, p_len = fold_rows(part)
+        # The one distinct block, n samples, in spans of three rows of M;
+        # the Rudin-Shapiro recursion in spans of 3 M frequencies.
+        budget = 3 * m_len
+        with spans(3, budget) as log:
             pooled = flat_measurement(1.0, 3, 3)
-        with spans(1, rs_span=1001, fold_span=fold_span):
+        with spans(1, budget):
             inline = flat_measurement(1.0, 3, 3)
         default = flat_measurement(1.0, 3, 3)
         assert {module for module, _, _, off_main in log if off_main} == {"measures", "norms"}
         # rudin_shapiro_sup: three recursion steps and the peak pass, each
         # over the k >= 0 half of the grid, pooled.
-        assert log.count(("measures", grid.n // 2, 1001, True)) == 4
-        assert [entry for entry in log if entry[0] == "norms"] == [("norms", p_len, 3, True)]
+        assert log.count(("measures", grid.n // 2, budget, True)) == 4
+        assert (grid.n // 2) % budget != 0  # ragged last span
+        # The liveness scan over all blocks, then the fold.
+        blocks, width = len(part.block_indices()), 2 * part.steps_per_unit
+        assert [entry for entry in log if entry[0] == "norms"] == [
+            ("norms", blocks, budget // width, True),
+            ("norms", p_len, 3, True),
+        ]
         assert p_len % 3 != 0  # ragged last span
         assert pooled == inline == default
 
@@ -191,13 +240,13 @@ def stft_runs(run, stack):
     hold at least 170 rows.  stack is the number of signals of the pass.
     """
     n = STFT_GRID.n
-    with spans(3, stft_span=7 * stack * n) as log:
+    with spans(3, 7 * stack * n) as log:
         pooled = run()
-    with spans(1, stft_span=7 * stack * n):
+    with spans(1, 7 * stack * n):
         inline = run()
     default = run()
     assert log == [("stft", n, 7, True)]
-    assert stft_module._STFT_SPAN // (stack * n) >= 170
+    assert grid_module._SPAN // (stack * n) >= 170
     return pooled, inline, default
 
 
@@ -263,7 +312,7 @@ class TestRudinShapiroSup:
         expected = float(np.max(np.abs(full[1])))
         # The k >= 0 half in about `pieces` spans, the last one often ragged.
         for cpus in (1, 3):
-            with spans(cpus, rs_span=max(1, grid.n // 2 // pieces)):
+            with spans(cpus, max(1, grid.n // 2 // pieces)):
                 assert rudin_shapiro_sup(m, base_spacing, grid, normalization, p) == expected
 
 
@@ -279,7 +328,7 @@ class TestFlatnessIdentity:
         ),
     )
     def test_identity_on_pooled_path(self, m, base_spacing, xis):
-        with spans(3, rs_span=7):
+        with spans(3, 7):
             mu_hat, nu_hat = rudin_shapiro_transforms(m, base_spacing, np.array(xis))
         identity = np.abs(mu_hat) ** 2 + np.abs(nu_hat) ** 2
         target = 2.0 ** (m + 1)
@@ -287,7 +336,7 @@ class TestFlatnessIdentity:
 
 
 def _pooled_transform_bytes():
-    with spans(2, rs_span=1000):
+    with spans(2, 1000):
         mu_hat, nu_hat = rudin_shapiro_transforms(5, 2, XIS)
     return mu_hat.tobytes() + nu_hat.tobytes()
 

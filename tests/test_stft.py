@@ -109,17 +109,13 @@ def modulation_norm_stft(f, p, q, s, window):
 
 def span_rows(monkeypatch, rows, stack, n):
     """Shrink the spans so that a pass over `stack` signals takes `rows` rows per span."""
-    monkeypatch.setattr(stft_module, "_STFT_SPAN", rows * stack * n)
+    monkeypatch.setattr(grid_module, "_SPAN", rows * stack * n)
 
 
 @pytest.fixture
 def two_cpu_pool(monkeypatch):
-    """Two CPUs and a span pool of two threads, whatever pool earlier tests left."""
+    """Two CPUs, so a span pool of two threads."""
     monkeypatch.setattr(grid_module, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(grid_module, "_pool", None)
-    yield
-    if grid_module._pool is not None:
-        grid_module._pool.shutdown()
 
 
 class TestStftValues:
@@ -408,13 +404,13 @@ class TestSpanHook:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(signals) == 12 and stft_module._STFT_SPAN == 1 << 17
+        assert len(signals) == 12 and grid_module._SPAN == 1 << 17
         assert peak <= 16 << 20
 
     def test_experiment_peak_stays_within_span_buffers(self, two_cpu_pool):
         # The closed form is evaluated span by span in the hook, so only
         # span-sized arrays are live: at most five per pool thread.
-        span_bytes = 16 * stft_module._STFT_SPAN
+        span_bytes = 16 * grid_module._SPAN
         tracemalloc.start()
         try:
             report = stft_experiment(n=2048)
