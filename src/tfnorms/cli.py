@@ -168,9 +168,16 @@ def _collect_params(name: str, args: argparse.Namespace) -> dict:
                 continue
             if key not in table:
                 raise ValueError(f"config key {key!r} is not a parameter of {name}")
-            if isinstance(value, str):
-                value = table[key].convert(value)
-            params[key] = tuple(value) if isinstance(value, list) else value
+            if value is None:  # null keeps the default, like a key left out
+                continue
+            if isinstance(value, list) and not isinstance(table[key].default, tuple):
+                raise ValueError(f"config key {key!r} takes one value, not a list")
+            # As flag text, so that a value of the wrong JSON type fails the flag's conversion.
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            try:
+                params[key] = table[key].convert(text)
+            except ValueError as err:
+                raise ValueError(f"config key {key!r}: {err}") from err
     params.update((key, getattr(args, key)) for key in table if hasattr(args, key))
     return params
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CostGateError, CoverError, ToleranceNotReachedError
-from .grid import Grid, NormSpec, SampledSignal, Space, fourier_forward, upsample
+from .grid import Grid, NormSpec, SampledSignal, Space, _each_span, fourier_forward, upsample
 from .norms import norm_value, partition_for
 from .partition import FrequencyPartition, bump_profile
 from .windows import PlateauWindow
@@ -336,24 +336,24 @@ def dilation_difference_norm(
 def resample_progression(
     f: SampledSignal, start: float, step: float, count: int
 ) -> np.ndarray:
-    """Trigonometric interpolation of f along start + m*step, via chirp-z.
+    """Trigonometric interpolation of f at start + m*step, m = 0 .. count-1.
 
     The interpolant is the band-limited extension determined by the samples,
-    f(x) = (dxi / 2 pi) * sum_k Ff(xi_k) exp(i x xi_k); points outside
+    f(x) = (dxi / 2 pi) * sum_k Ff(xi_k) exp(i x xi_k), summed term by term
+    (O(n count), exact to rounding) over spans of points; points outside
     [-L, L) see the periodic extension.
     """
-    from scipy.signal import czt
-
     grid = f.grid
     spectrum = fourier_forward(f).samples
-    dxi = grid.dxi
-    half = grid.n // 2
-    # sum_k spectrum_k e^{i (start + m step)(k - half) dxi}, evaluated as a czt
-    weighted = spectrum * np.exp(1j * start * dxi * np.arange(grid.n))
-    transformed = czt(weighted, m=count, w=np.exp(1j * step * dxi), a=1.0 + 0.0j)
-    m = np.arange(count)
-    phase = np.exp(-1j * (start + m * step) * half * dxi)
-    return (dxi / (2.0 * math.pi)) * phase * transformed
+    xi = grid.frequencies()
+    x = start + step * np.arange(count)
+    out = np.empty(count, dtype=complex)
+
+    def run(lo: int, hi: int) -> None:
+        out[lo:hi] = np.exp(1j * np.outer(x[lo:hi], xi)) @ spectrum
+
+    _each_span(run, count, grid.n)
+    return (grid.dxi / (2.0 * math.pi)) * out
 
 
 @dataclass(frozen=True, eq=False)

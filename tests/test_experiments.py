@@ -31,6 +31,7 @@ from tfnorms.experiments import (
     rudin_shapiro_experiment,
     stft_experiment,
     translation_bound_experiment,
+    _exp_integral_e1,
     _series_partial,
 )
 from tfnorms.measures import (
@@ -56,6 +57,19 @@ class TestSeriesSums:
         a = _series_partial("mod", 3, 10**5)
         b = _series_partial("mod", 3, 10**5)
         assert a == b
+
+    def test_exp_integral_matches_gauss_laguerre(self):
+        # E1(x) = exp(-x) integral_0^inf exp(-u) / (x + u) du, by 80-point
+        # Gauss-Laguerre quadrature; the integrand is smooth for x >= 1.
+        nodes, weights = np.polynomial.laguerre.laggauss(80)
+        for x in np.linspace(1.0, math.log(1e18), 200):
+            reference = math.exp(-x) * float(np.sum(weights / (x + nodes)))
+            assert _exp_integral_e1(float(x)) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x", [0.999, 0.0, -1.0, math.nan, math.inf])
+    def test_exp_integral_domain(self, x):
+        with pytest.raises(ValueError, match="E1"):
+            _exp_integral_e1(x)
 
 
 class TestCounterexampleL2:

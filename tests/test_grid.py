@@ -291,12 +291,12 @@ class TestResample:
         f = gaussian(GRID)
         pts = -5.0 + 0.123456 + 0.1 * np.arange(101)
         values = resample_progression(f, pts[0], 0.1, pts.size)
-        assert np.max(np.abs(values - np.exp(-(pts**2) / 2.0))) <= 1e-10
+        assert np.max(np.abs(values - np.exp(-(pts**2) / 2.0))) <= 1e-14
 
     def test_reproduces_grid_samples(self):
         f = band_limited(GRID, seed=4)
         values = resample_progression(f, GRID.points()[100], GRID.dx, 10)
-        assert np.max(np.abs(values - f.samples[100:110])) <= 1e-9 * np.max(np.abs(f.samples))
+        assert np.max(np.abs(values - f.samples[100:110])) <= 1e-13 * np.max(np.abs(f.samples))
 
 
 class TestSupportLeakage:
