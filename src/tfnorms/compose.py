@@ -102,13 +102,30 @@ class PowerSeries:
         return self.coefficients.size
 
     def _tail_envelope(self, w_abs: float) -> tuple[float, float]:
-        """(max_j |c_j| r^j, |w| / r) for the tail radius r between |w| and the radius."""
+        """(max_j |c_j| r^j, |w| / r) for the tail radius r between |w| and the radius.
+
+        A zero coefficient contributes 0 even where r^j overflows.  A product
+        that is no number (an overflowed coefficient against an underflowed
+        r^j) bounds nothing, so the envelope is then infinite.  So it is
+        when 1 - |w| / r, which the bound divides by and rounding knows to
+        eps / 2 only, falls below 1e-8.
+        """
         if math.isinf(self.radius):
             r = 2.0 * w_abs if w_abs > 0 else 1.0
         else:
             r = min(0.5 * (w_abs + self.radius), 0.999 * self.radius)
+            if r <= w_abs:  # |w| within 0.1% of the radius
+                r = 0.5 * (w_abs + self.radius)
+        rho = w_abs / r
+        if 1.0 - rho < 1e-8:
+            return math.inf, rho
         j = np.arange(1, self.max_terms + 1)
-        return float(np.max(np.abs(self.coefficients) * r**j)), w_abs / r
+        mags = np.abs(self.coefficients)
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = mags * r**j
+        products[mags == 0.0] = 0.0
+        envelope = float(np.max(products))
+        return (math.inf if math.isnan(envelope) else envelope), rho
 
     def tail_bound(self, w_abs: float, terms: int) -> float:
         """Upper bound on the dropped tail for |w| <= w_abs after `terms` terms."""
@@ -119,6 +136,8 @@ class PowerSeries:
         if w_abs >= self.radius:
             return math.inf
         envelope, rho = self._tail_envelope(w_abs)
+        if math.isinf(envelope):
+            return math.inf
         return envelope * rho ** (terms + 1) / (1.0 - rho)
 
     def choose_truncation(self, w_abs: float, tol: float = TAIL_TOLERANCE) -> int:
@@ -132,7 +151,16 @@ class PowerSeries:
         envelope, rho = self._tail_envelope(w_abs)
         if envelope == 0.0:
             return 1
-        needed = math.log(tol * (1.0 - rho) / envelope) / math.log(rho) - 1.0
+        if math.isinf(envelope):
+            if self.complete:
+                return self.max_terms
+            raise ToleranceNotReachedError(
+                f"series {self.name}: no finite tail bound at |w| = {w_abs:.4g}"
+            )
+        ratio = tol * (1.0 - rho) / envelope
+        if math.isinf(ratio):  # a subnormal envelope: one term is within tol
+            return 1
+        needed = math.log(ratio) / math.log(rho) - 1.0
         terms = max(1, int(math.ceil(needed)))
         if terms > self.max_terms:
             if self.complete:

@@ -273,31 +273,19 @@ class NormSpec:
         return cls(Space(d["space"]), p=dec(d["p"]), q=dec(d["q"]), s=float(d["s"]))
 
 
-def _swap_halves(values: np.ndarray) -> None:
-    """Swap the two halves of an even-length array in place, through a half-length temporary."""
-    half = values.size // 2
-    head = values[:half].copy()
-    values[:half] = values[half:]
-    values[half:] = head
-
-
-def _centered_transform(samples: np.ndarray, transform, in_place: bool = False) -> np.ndarray:
+def _centered_transform(samples: np.ndarray, transform) -> np.ndarray:
     """fftshift(transform(ifftshift(samples))) in one n-length buffer.
 
     For the even lengths of a :class:`Grid` both shifts swap the two halves,
     so the swapped input is copied into a new buffer, transformed in place,
-    and swapped back through a half-length temporary.  With in_place=True
-    the buffer is `samples` itself, swapped through the same temporary; the
-    values are bitwise the same.
+    and swapped back through a half-length temporary.
     """
-    if in_place:
-        out = samples
-        _swap_halves(out)
-    else:
-        half = samples.size // 2
-        out = np.concatenate((samples[half:], samples[:half]))
+    half = samples.size // 2
+    out = np.concatenate((samples[half:], samples[:half]))
     transform(out, out=out)
-    _swap_halves(out)
+    head = out[:half].copy()
+    out[:half] = out[half:]
+    out[half:] = head
     return out
 
 
@@ -325,18 +313,8 @@ def fourier_inverse(h: SampledSignal) -> SampledSignal:
     Same working set as :func:`fourier_forward`; the values are bitwise those
     of ``fftshift(ifft(ifftshift(samples))) / dx``.
     """
-    return _fourier_inverse(h.samples, h.grid)
-
-
-def _fourier_inverse(samples: np.ndarray, grid: Grid, in_place: bool = False) -> SampledSignal:
-    """fourier_inverse(SampledSignal(grid, samples)).
-
-    With in_place=True the writable buffer `samples` is overwritten and
-    frozen into the result, so the inverse needs only the half-length
-    temporary beyond its input; the values are bitwise the same.
-    """
-    out_grid = grid.dual()
-    values = _centered_transform(samples, np.fft.ifft, in_place)
+    out_grid = h.grid.dual()
+    values = _centered_transform(h.samples, np.fft.ifft)
     values /= out_grid.dx
     return SampledSignal(out_grid, values)
 

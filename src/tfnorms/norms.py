@@ -33,7 +33,11 @@ most); otherwise each span builds its own rows of it, in place in its
 transform buffer.
 Spans run concurrently on the CPUs of the process's affinity mask, and no
 sum depends on where the spans start, so every value is bitwise the same
-whatever the number of CPUs.
+whatever the number of CPUs.  The same fold gives the L^p norm of a product
+h g, with g the inverse transform of one row and h a function known at
+every grid point (the flat counterexample's Rudin-Shapiro polynomial): each
+span multiplies its inverse transforms by h at their grid indices b + P a
+before |.|^p, so that norm needs no n-point transform either.
 
 Only distinct blocks are folded.  Two blocks are the same when their masked
 rows are equal as values, or equal after negating one of them: a block
@@ -203,18 +207,32 @@ def _distinct_rows(
     return which[heads], owner
 
 
+def _fold_lengths(width: int, n: int) -> tuple[int, int]:
+    """(M, P) of the fold of W = width coefficients on an n-point grid."""
+    m_len = 1 << (width - 1).bit_length()
+    return m_len, n // m_len
+
+
 def _folded_lp(
-    rows: np.ndarray, which: np.ndarray, core: np.ndarray, p: float, n: int, dx: float
+    rows: np.ndarray,
+    which: np.ndarray,
+    core: np.ndarray,
+    p: float,
+    n: int,
+    dx: float,
+    factor=None,
 ) -> np.ndarray:
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
     Uses the fold described in the module docstring, span by span: a span of
     at most grid._SPAN samples holds whole blocks, or, for a block larger
-    than that, whole rows of one block (one row at least).
+    than that, whole rows of one block (one row at least).  With `factor`,
+    each inverse transform is multiplied by factor(r0, r1), the (r1 - r0, M)
+    values of a function at the grid indices b + P a, r0 <= b < r1, before
+    |.|^p is taken.
     """
     width = core.size
-    m_len = 1 << (width - 1).bit_length()
-    p_len = n // m_len
+    m_len, p_len = _fold_lengths(width, n)
 
     def twiddle(r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         # Rows [r0, r1) of the (P, W) table e^(2 pi i a m / n).
@@ -231,6 +249,8 @@ def _folded_lp(
         np.multiply(coeffs[:, None, :], table, out=head)
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
+        if factor is not None:
+            z *= factor(r0, r0 + mags.shape[1])
         np.abs(z, out=mags)
         if p != 1.0 and not math.isinf(p):
             mags **= p

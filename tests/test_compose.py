@@ -5,8 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tfnorms.compose import (
+    TAIL_TOLERANCE,
     _dilated_window_samples,
     dilation_difference_norm,
     global_compose,
@@ -88,6 +91,70 @@ class TestPowerSeries:
         assert named_series("square", 2.0).constant == 4.0
         with pytest.raises(ValueError):
             named_series("tangent")
+
+
+class TestTailBound:
+    """The tail bound is never NaN, and a finite one holds at every |w| < radius."""
+
+    def test_expm1_far_from_its_center(self):
+        # At |w| = 3 the coefficients past j ~ 177 are 0 while 6^j overflows;
+        # at |w| = 100 a nonzero coefficient meets an overflowed r^j.
+        s = named_series("expm1", 0.0)
+        bound = s.tail_bound(3.0, 10)
+        assert math.isfinite(bound)
+        assert bound >= abs(np.expm1(3.0) - s.evaluate(np.array([3.0 + 0j]), 10)[0])
+        terms = s.choose_truncation(3.0)
+        assert s.tail_bound(3.0, terms) < TAIL_TOLERANCE
+        assert s.tail_bound(100.0, 10) == math.inf
+        with pytest.raises(ToleranceNotReachedError, match="no finite tail bound"):
+            s.choose_truncation(100.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["expm1", "reciprocal", "mobius"]),
+        center=st.complex_numbers(max_magnitude=8.0),
+        fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        terms=st.integers(1, 400),
+    )
+    @example(family="expm1", center=0j, fraction=0.05, angle=0.0, terms=10)
+    @example(family="expm1", center=0j, fraction=5e-324, angle=0.0, terms=1)
+    @example(family="reciprocal", center=1 + 0j, fraction=0.9999999999999998, angle=0.0, terms=1)
+    @example(family="reciprocal", center=-2.5 + 0j, fraction=0.9999999999999999, angle=0.0, terms=1)
+    @example(family="reciprocal", center=0.1 + 0j, fraction=0.5, angle=0.0, terms=10)
+    @example(family="mobius", center=2.0 + 0j, fraction=0.5, angle=1.0, terms=10)
+    def test_bound_dominates_the_exact_tail(self, family, center, fraction, angle, terms):
+        with np.errstate(all="ignore"):
+            try:
+                s = named_series(family, center)
+            except ValueError:  # 1/z at 0, or the Mobius center on its pole
+                assume(False)
+        if family == "mobius":
+            assume(np.all(np.isfinite(s.coefficients)))
+        w_abs = fraction * (60.0 if math.isinf(s.radius) else s.radius)
+        assume(w_abs > 0.0)  # at w = 0 there is no tail, and the bound is 0
+        bound = s.tail_bound(w_abs, terms)
+        assert not math.isnan(bound)
+        try:
+            count = s.choose_truncation(w_abs)
+        except ToleranceNotReachedError:
+            pass
+        else:
+            assert 1 <= count <= s.max_terms
+        if math.isfinite(bound):
+            w = w_abs * complex(math.cos(angle), math.sin(angle))
+            z = np.array([s.center + w])
+            exact = pointwise_oracle(family)(z)[0]
+            tail = abs(exact - s.evaluate(z, terms)[0])
+            # Rounding in the function, in the constant (exp(z0) - 1 is off
+            # by up to eps e^z0), in the stored coefficients and in Horner's
+            # sum, against sum_j |c_j| |w|^j, itself by Horner so that no
+            # power overflows next to a coefficient that has underflowed.
+            size = 0.0
+            for c in np.abs(s.coefficients[:terms])[::-1]:
+                size = size * w_abs + c
+            size = abs(exact) + abs(s.constant) + 1.0 + size * w_abs
+            assert tail <= bound + 16 * (terms + 2) * np.finfo(float).eps * size
 
 
 class TestResample:

@@ -156,11 +156,58 @@ class TestCounterexampleFlat:
         assert run["n"] == 1 << 19
         assert peak <= 2.25 * 16 * run["n"]
 
-    @pytest.mark.parametrize("p, m, r", [(1.0, 2, 2), (1.5, 2, 4)])
-    def test_in_place_order_changes_no_value(self, p, m, r):
-        assert flat_measurement(p, m, r) == _flat_measurement_out_of_place(p, m, r)
+    @pytest.mark.parametrize(
+        "p, m, r",
+        [(1.0, 2, 2), (1.0, 0, 4), (1.0, 3, 3), (1.0, 4, 4),
+         (1.5, 2, 4), (1.5, 1, 6), (1.5, 3, 5), (1.5, 2, 6)],
+    )
+    def test_span_norms_match_the_dense_reference(self, p, m, r):
+        run, dense = flat_measurement(p, m, r), _dense_flat_measurement(p, m, r)
+        assert run["n"] <= 1 << 17
+        assert run.keys() == dense.keys()
+        moved = ("invphi_lp", "f_lp", "segal_norm", "headline_ratio")
+        for key in moved:
+            assert run[key] == pytest.approx(dense[key], rel=1e-14, abs=0.0), key
+        assert {k: v for k, v in run.items() if k not in moved} == {
+            k: v for k, v in dense.items() if k not in moved
+        }
+
+    @pytest.mark.parametrize("p, m, r", [(1.0, 4, 4), (1.0, 3, 3), (1.5, 2, 6)])
+    def test_mu_check_matches_the_atom_sum(self, p, m, r):
+        # Rows at both ends of the fold, so that the grid index t = b + P a
+        # runs up to n - 1, where t dx is largest.
+        grid = experiments._flat_layout(p, m, r)[0]
+        steps = partition_for(grid).steps_per_unit
+        m_len = 1 << 11
+        p_len = grid.n // m_len
+        at = experiments._mu_check_rows(m, steps, grid.n, m_len)
+        mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
+        for r0, r1 in [(0, 3), (p_len - 3, p_len)]:
+            t = np.arange(r0, r1)[:, None] + p_len * np.arange(m_len)
+            direct = sum(
+                w * np.exp(2j * math.pi / grid.n * (int(loc) * steps * t % grid.n))
+                for loc, w in zip(mu.locations, mu.weights)
+            )
+            got = at(r0, r1)
+            assert got.shape == (r1 - r0, m_len)
+            assert np.max(np.abs(np.abs(got) - np.abs(direct))) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_no_transform_of_the_grid_length(self, monkeypatch):
+        lengths = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+
+            def recorded(a, n=None, axis=-1, *args, _real=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[axis] if n is None else n)
+                return _real(a, n, axis, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        run = flat_measurement(1.5, 2, 8)
+        assert lengths
+        assert run["n"] not in lengths
 
     def test_translates_fold_one_row(self, monkeypatch):
+        # Per run, the folds of F^-1 phi, of f and of the block norm, each
+        # of one row but the block norm's once its rows are not grouped.
         folded = []
         fold = norms._folded_lp
 
@@ -169,12 +216,13 @@ class TestCounterexampleFlat:
             return fold(rows, which, *args)
 
         monkeypatch.setattr(norms, "_folded_lp", counted)
+        monkeypatch.setattr(experiments, "_folded_lp", counted)
         grouped = flat_measurement(1.0, 4, 4)
         monkeypatch.setattr(
             norms, "_distinct_rows", lambda rows, which, core, keys: (which, np.arange(which.size))
         )
         assert flat_measurement(1.0, 4, 4) == grouped
-        assert folded == [1, 16]
+        assert folded == [1, 1, 1, 1, 1, 16]
 
     @pytest.mark.parametrize(
         "p, flags, depths",
@@ -193,8 +241,8 @@ class TestCounterexampleFlat:
         assert asked == depths
 
 
-def _flat_measurement_out_of_place(p: float, m: int, r: int) -> dict:
-    """flat_measurement in its former order: f = F^-1 fhat out of place, before the block norm."""
+def _dense_flat_measurement(p: float, m: int, r: int) -> dict:
+    """flat_measurement on full-length arrays: F^-1 phi and f by n-point inverse transforms."""
     grid, n_nu = experiments._flat_layout(p, m, r)
     part = partition_for(grid)
     half = grid.n // 2

@@ -28,6 +28,7 @@ from tfnorms.experiments import _flat_layout, flat_measurement, stft_experiment
 from tfnorms.grid import Grid, SampledSignal, fourier_inverse
 from tfnorms.measures import Normalization, rudin_shapiro_sup, rudin_shapiro_transforms
 from tfnorms.norms import modulation_norm, partition_for
+from tfnorms.partition import bump_profile
 from tfnorms.stft import gaussian_window, stft, stft_gram
 
 GRID = Grid(4096, 16.0 * math.pi)
@@ -208,8 +209,11 @@ class TestBitIdentical:
         part = partition_for(grid)
         m_len, p_len = fold_rows(part)
         # The one distinct block, n samples, in spans of three rows of M;
-        # the Rudin-Shapiro recursion in spans of 3 M frequencies.
+        # the Rudin-Shapiro recursion in spans of 3 M frequencies; F^-1 phi
+        # and f, folds of phi's W coefficients, in spans of 3 M / M_phi rows.
         budget = 3 * m_len
+        phi_width = int(np.count_nonzero(bump_profile(grid.frequencies(), 0.025, 0.1)))
+        phi_m_len, phi_p_len = norms._fold_lengths(phi_width, grid.n)
         with spans(3, budget) as log:
             pooled = flat_measurement(1.0, 3, 3)
         with spans(1, budget):
@@ -220,12 +224,17 @@ class TestBitIdentical:
         # over the k >= 0 half of the grid, pooled.
         assert log.count(("measures", grid.n // 2, budget, True)) == 4
         assert (grid.n // 2) % budget != 0  # ragged last span
-        # The liveness scan over all blocks, then the fold.
+        # The folds of F^-1 phi and of f, then the block norm's liveness
+        # scan over all blocks and its fold.
         blocks, width = len(part.block_indices()), 2 * part.steps_per_unit
+        phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
         assert [entry for entry in log if entry[0] == "norms"] == [
+            phi_fold,
+            phi_fold,
             ("norms", blocks, budget // width, True),
             ("norms", p_len, 3, True),
         ]
+        assert phi_p_len % (budget // phi_m_len) != 0  # ragged last span
         assert p_len % 3 != 0  # ragged last span
         assert pooled == inline == default
 
