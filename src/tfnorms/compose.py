@@ -104,9 +104,11 @@ class PowerSeries:
     def _tail_envelope(self, w_abs: float) -> tuple[float, float]:
         """(max_j |c_j| r^j, |w| / r) for the tail radius r between |w| and the radius.
 
-        A zero coefficient contributes 0 even where r^j overflows.  A product
-        that is no number (an overflowed coefficient against an underflowed
-        r^j) bounds nothing, so the envelope is then infinite.  So it is
+        A zero coefficient contributes 0 even where r^j overflows, and a
+        finite one exp(log |c_j| + j log r) there, so a tiny coefficient
+        keeps the envelope finite.  A product that is no number (an
+        overflowed coefficient against an underflowed r^j) bounds nothing,
+        so the envelope is then infinite.  So it is
         when 1 - |w| / r, which the bound divides by and rounding knows to
         eps / 2 only, falls below 1e-8.
         """
@@ -122,7 +124,11 @@ class PowerSeries:
         j = np.arange(1, self.max_terms + 1)
         mags = np.abs(self.coefficients)
         with np.errstate(over="ignore", invalid="ignore"):
-            products = mags * r**j
+            powers = r**j
+            products = mags * powers
+            # Where r^j overflows against a finite coefficient, in log space.
+            logs = np.isinf(powers) & (mags > 0.0) & np.isfinite(mags)
+            products[logs] = np.exp(np.log(mags[logs]) + j[logs] * math.log(r))
         products[mags == 0.0] = 0.0
         envelope = float(np.max(products))
         return (math.inf if math.isnan(envelope) else envelope), rho

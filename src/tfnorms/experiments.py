@@ -17,6 +17,8 @@ import numpy as np
 from .corpus import make_corpus, make_signal
 from .errors import CostGateError
 from .grid import (
+    _LEAF,
+    _pairwise_total,
     Grid,
     NormSpec,
     SampledSignal,
@@ -688,8 +690,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
 
     - phi and nu-hat are evaluated on phi's support only, and the maximum
       of |nu-hat| over the whole grid comes from :func:`rudin_shapiro_sup`,
-      whose (3, n/2) complex buffer is freed on return.  That buffer sets
-      the peak.
+      which holds span buffers only.
     - The L^p norms of F^-1 phi and of f are folds of one row of phi's W
       coefficients (``norms._folded_lp``): P = n / M inverse transforms of
       length M >= W.  With g = F^-1(nu-hat phi), f = mu-check g, where
@@ -700,7 +701,8 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       for the block norm and the L^1 norm of f-hat only.  Its 2^m
       translates carry one block up to the sign of their weight +-2^-m, so
       the block norm folds that one block and reuses its value for all of
-      them.
+      them.  It is the only array of the grid's length, and it sets the
+      peak: the norms on it hold span buffers and n / 128 leaf sums.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -723,12 +725,16 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
     base = nu_hat * phi
 
-    # The L^1 norm of phi summed over the whole dual grid, so that its bits
-    # are those of weighted_lp_norm, from floats: |phi + 0i| is phi.
-    mags = np.zeros(grid.n)
-    mags[lo:hi] = phi
-    phi_l1 = float(grid.dual().dx * np.sum(mags))
-    del mags
+    # The L^1 norm of phi summed as over the whole dual grid, so that its
+    # bits are those of weighted_lp_norm, from floats: |phi + 0i| is phi.
+    # Only the leaves of numpy's pairwise sum that meet [lo, hi) are nonzero.
+    leaf = min(grid.n, _LEAF)
+    a, b = lo // leaf, -(-hi // leaf)
+    padded = np.zeros((b - a) * leaf)
+    padded[lo - a * leaf : hi - a * leaf] = phi
+    leaves = np.zeros(grid.n // leaf)
+    leaves[a:b] = np.sum(padded.reshape(b - a, leaf), axis=1)
+    phi_l1 = float(grid.dual().dx * _pairwise_total(leaves))
     # phi masks both rows: the row of ones gives phi, the row nu-hat base.
     rows = np.stack((np.ones(phi.size), nu_hat))
     invphi_lp = float(_folded_lp(rows, np.array([0]), phi, p, grid.n, grid.dx)[0])

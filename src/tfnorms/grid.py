@@ -19,9 +19,16 @@ dx * sum (trapezoid on the periodic extension) makes the discrete
 transform pair exactly unitary up to the 2 pi factor.
 
 The large computations (folded block inverses, the Rudin-Shapiro recursion,
-STFT rows) run through ``_each_span``: spans of whole items, at most ``_SPAN``
-= 2^17 samples (one item at least), concurrent on one thread per CPU, or
-inline when there is one span or one CPU.
+STFT rows, the Lebesgue norms) run through ``_each_span``: spans of whole
+items, at most ``_SPAN`` = 2^17 samples (one item at least), concurrent on
+one thread per CPU, or inline when there is one span or one CPU.
+
+numpy sums a contiguous float array of 2^k values pairwise: leaves of
+``_LEAF`` = 128 values, each summed by one fixed loop, whose sums are added
+in halves level by level.  A span that holds whole leaves writes their sums
+(``np.sum(values.reshape(-1, _LEAF), axis=1)``), and ``_pairwise_total``
+adds them level by level, which gives ``np.sum`` of all n values bit for
+bit with no array of n values.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ __all__ = [
 # spans of 2^16 samples, 0.64 s at 2^17 and 0.59 s at 2^18, with twice the
 # span buffers.
 _SPAN = 1 << 17
+
+# Values per leaf of numpy's pairwise sum (see the module docstring).
+_LEAF = 128
 
 # Thread pool for _each_span, one thread per CPU, created on first use in
 # each process (a pool inherited through fork has no threads behind it) and
@@ -107,6 +117,17 @@ def _each_span(fn, count: int, size: int) -> None:
     pool = _span_pool(cpus)
     for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
         future.result()
+
+
+def _pairwise_total(leaves: np.ndarray) -> float:
+    """np.sum of the 2^k values whose consecutive _LEAF-value sums are `leaves`.
+
+    `leaves` holds a power-of-two count of leaf sums (one, for fewer than
+    _LEAF values), combined level by level as numpy's pairwise sum does.
+    """
+    while leaves.size > 1:
+        leaves = leaves[0::2] + leaves[1::2]
+    return leaves[0]
 
 
 @dataclass(frozen=True)
@@ -337,18 +358,34 @@ def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
     """Weighted Lebesgue norm (integral of (<x>^s |f|)^p)^(1/p).
 
     Riemann-sum quadrature for finite p, grid maximum for p = inf.  With
-    s = 0 the weight is 1 and is not built.
+    s = 0 the weight is 1 and is not built.  Spans of whole leaves of
+    numpy's pairwise sum each take |f|, the weight and the power, and keep
+    only their leaf sums (or their maximum), so no array of the grid's
+    length is built; the value is bitwise that of one full-length pass.
     """
     if not p >= 1.0:
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
-    weighted = np.abs(f.samples)
-    if s != 0.0:
-        x = f.grid.points()
-        weighted *= (1.0 + x * x) ** (s / 2.0)
+    grid = f.grid
+    leaf = min(grid.n, _LEAF)
+    leaves = np.empty(grid.n // leaf)
+    peaks = []  # one per span, in any order, for p = inf
+
+    def run(lo: int, hi: int) -> None:
+        a, b = lo * leaf, hi * leaf
+        weighted = np.abs(f.samples[a:b])
+        if s != 0.0:
+            x = -grid.half_width + grid.dx * np.arange(a, b)  # grid.points()[a:b]
+            weighted *= (1.0 + x * x) ** (s / 2.0)
+        if math.isinf(p):
+            peaks.append(np.max(weighted))
+        else:
+            weighted **= p
+            leaves[lo:hi] = np.sum(weighted.reshape(hi - lo, leaf), axis=1)
+
+    _each_span(run, leaves.size, leaf)
     if math.isinf(p):
-        return float(np.max(weighted))
-    weighted **= p
-    return float((f.grid.dx * np.sum(weighted)) ** (1.0 / p))
+        return float(max(peaks))
+    return float((grid.dx * _pairwise_total(leaves)) ** (1.0 / p))
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:

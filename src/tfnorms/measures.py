@@ -26,18 +26,22 @@ floating point:
 
 - Doubling.  xi_{2k} = 2 xi_k exactly, since scaling by 2 commutes with
   rounding, so the phase exp(-i N_j xi_k) of step j at k is that of step
-  j - 1 at 2k.  Run over k = 0 .. n/2 - 1 step by step, each step after the
-  first copies its lower half from the even indices of the previous step's
-  phases and evaluates exponentials on its upper half only.
+  j - 1 at 2k.  Write k = 1 .. n/2 - 1 as o 2^u with o odd: the chain of o
+  runs over u = 0 .. t, t the largest with o 2^t < n/2, and its phase at
+  step j and k = o 2^u is F(o 2^(u + j - 1)), F(K) = exp(-i N_1 dxi K).
+  So each chain evaluates t + m exponentials, one table row per power of
+  two, and every k of it reads its m phases off rows u .. u + m - 1.
 - Mirror.  nu_m^(-xi) = conj nu_m^(xi), because every operation of the
   recursion commutes with conjugation, so the k < 0 side repeats the
-  moduli of the k > 0 side.  Only k = -n/2 has no mirror on the grid and is
-  evaluated on its own.
+  moduli of the k > 0 side.  Only k = -n/2 has no mirror on the grid; it
+  and k = 0 are evaluated on their own.
 
-Together they cut the exponentials from m n to n (m + 1) / 4.  The
-exponentials, the steps and the maximum run in the same spans as the
-transforms; moduli are taken on contiguous arrays only, since numpy's
-modulus of a strided view can differ in the last bit.
+Together they cut the exponentials from m n to about n (m + 1) / 4.  The
+chains of one length t + 1 (the odd o in [n / 2^(t+2), n / 2^(t+1))) run in
+spans of chains, each building its table, running the recursion for each u
+and keeping only the largest modulus, so no array of the grid's length is
+built.  Moduli are taken on contiguous arrays only, since numpy's modulus
+of a strided view can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -257,54 +261,56 @@ def rudin_shapiro_sup(
     normalization: Normalization | str = Normalization.RAW,
     p: float | None = None,
 ) -> float:
-    """max |nu_m^| over ``grid.frequencies()``, with n (m + 1) / 4 exponentials.
+    """max |nu_m^| over ``grid.frequencies()``, with about n (m + 1) / 4 exponentials.
 
     Bitwise equal to ``np.max(np.abs(rudin_shapiro_transforms(m,
     base_spacing, grid.frequencies(), normalization, p)[1]))``: the
-    recursion runs on k = 0 .. n/2 - 1 only, reusing each step's phases at
-    doubled frequencies (see the module docstring), and k = -n/2 runs on its
-    own.  One (3, n/2) complex buffer holds mu^, nu^ and the phases.
+    recursion runs on k = 1 .. n/2 - 1 only, in odd-part chains that share
+    their phases at doubled frequencies (see the module docstring), and
+    k = 0 and k = -n/2 run on their own.  A span holds the phase table of
+    its chains and keeps only its largest modulus.
     """
     if m < 0:
         raise ValueError("depth m must be >= 0")
     normalization = Normalization(normalization)
     scale = _scale_factor(m, normalization, p)
     half = grid.n // 2
-    quarter = half // 2
     dxi = grid.dxi
-    mu_hat, nu_hat, phase = np.empty((3, half), dtype=complex)
-    mu_hat.fill(1.0)
-    nu_hat.fill(1.0)
-
-    for j in range(1, m + 1):
-        rate = -1j * (2 ** (j - 1) * base_spacing)
-        fresh = 0 if j == 1 else quarter
-        # The source runs ahead of the destination, so numpy copies forward
-        # without a temporary.
-        phase[:fresh] = phase[: 2 * fresh : 2]
-
-        def step(lo: int, hi: int) -> None:
-            top = max(lo, fresh)
-            if top < hi:
-                # The expression of rudin_shapiro_transforms, written in place.
-                np.multiply(rate, dxi * np.arange(top, hi), out=phase[top:hi])
-                np.exp(phase[top:hi], out=phase[top:hi])
-            shifted = phase[lo:hi] * nu_hat[lo:hi]
-            np.subtract(mu_hat[lo:hi], shifted, out=nu_hat[lo:hi])
-            np.add(mu_hat[lo:hi], shifted, out=mu_hat[lo:hi])
-
-        _each_span(step, half, 1)
-
     peaks = []  # one per span, in any order
 
-    def peak(lo: int, hi: int) -> None:
-        scaled = np.multiply(scale, nu_hat[lo:hi], out=phase[lo:hi])
-        peaks.append(np.max(np.abs(scaled)))
+    def chains(t: int) -> None:
+        # The odd o in [half / 2^(t+1), half / 2^t), whose chains o 2^u,
+        # u = 0 .. t, stay below half.  Row w of the table holds F(o 2^w),
+        # evaluated as the phase of step w + 1 at o; with m = 0 no phase is
+        # read.
+        first, height = (half >> (t + 1)) | 1, t + m if m else 0
 
-    _each_span(peak, half, 1)
-    lowest = dxi * np.arange(-half, 1 - half)
-    edge = rudin_shapiro_transforms(m, base_spacing, lowest, normalization, p)[1]
-    return float(max(*peaks, np.abs(edge[0])))
+        def run(lo: int, hi: int) -> None:
+            x = dxi * np.arange(first + 2 * lo, first + 2 * hi, 2)
+            table = np.empty((height, hi - lo), dtype=complex)
+            for w in range(height):
+                np.multiply(-1j * (2**w * base_spacing), x, out=table[w])
+            np.exp(table, out=table)
+            shifted = np.empty(hi - lo, dtype=complex)
+            best = 0.0
+            for u in range(t + 1):
+                mu_hat = np.ones(hi - lo, dtype=complex)
+                nu_hat = np.ones(hi - lo, dtype=complex)
+                for phase in table[u : u + m]:
+                    np.multiply(phase, nu_hat, out=shifted)
+                    np.subtract(mu_hat, shifted, out=nu_hat)
+                    np.add(mu_hat, shifted, out=mu_hat)
+                best = max(best, np.max(np.abs(np.multiply(scale, nu_hat, out=nu_hat))))
+            peaks.append(best)
+
+        # A chain holds its table column and one value of mu^, nu^ and the product.
+        _each_span(run, max(1, half >> (t + 2)), height + 3)
+
+    for t in range(half.bit_length() - 1):
+        chains(t)
+    lone = dxi * np.array([-half, 0])
+    ends = rudin_shapiro_transforms(m, base_spacing, lone, normalization, p)[1]
+    return float(max(*peaks, *np.abs(ends)))
 
 
 def disjointness_spacing(k_halfwidth: float, m: int) -> int:

@@ -26,11 +26,13 @@ row, when M is larger), each doing all of its work while the data is still
 in cache: twiddle product, length-M inverse transforms into span-local
 buffers, |.|^p, and each block's sum or maximum.  A span holds whole blocks
 when a block fits in one, and reduces each of them over exactly that
-block's P M values; a larger block is split into spans of whole rows, which
-write |.|^p into one n-float buffer of that block, reduced once.  The (P, W)
-twiddle table is built once per call when n fits in a span (n samples at
-most); otherwise each span builds its own rows of it, in place in its
-transform buffer.
+block's P M values; a larger block is split into spans of whole rows that
+hold whole 128-value leaves of numpy's pairwise sum.  They write the leaf
+sums of |.|^p into n / 128 floats, which add up level by level to the sum
+numpy gives over the block's n values (see :mod:`tfnorms.grid`), so no
+n-float buffer is held.  The (P, W) twiddle table is built once per call
+when n fits in a span (n samples at most); otherwise each span builds its
+own rows of it, in place in its transform buffer.
 Spans run concurrently on the CPUs of the process's affinity mask, and no
 sum depends on where the spans start, so every value is bitwise the same
 whatever the number of CPUs.  The same fold gives the L^p norm of a product
@@ -143,8 +145,11 @@ def modulation_norm(
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no
     # signal content; skipping them changes the value below reporting
     # precision and keeps the inverse transforms proportional to the
-    # occupied band.
-    floor = _NOISE_FLOOR * float(np.max(np.abs(spectrum)))
+    # occupied band.  The maximum of |spectrum| is taken span by span, so no
+    # n floats are held.
+    peaks = []
+    _each_span(lambda lo, hi: peaks.append(np.max(np.abs(spectrum[lo:hi]))), spectrum.size, 1)
+    floor = _NOISE_FLOOR * float(max(peaks))
     ks = np.array(part.block_indices())
     rows, core = part.block_rows(spectrum), part.core
     block_norms = np.zeros(ks.size)
@@ -226,10 +231,11 @@ def _folded_lp(
 
     Uses the fold described in the module docstring, span by span: a span of
     at most grid._SPAN samples holds whole blocks, or, for a block larger
-    than that, whole rows of one block (one row at least).  With `factor`,
-    each inverse transform is multiplied by factor(r0, r1), the (r1 - r0, M)
-    values of a function at the grid indices b + P a, r0 <= b < r1, before
-    |.|^p is taken.
+    than that, whole rows of one block: one row at least, and 128 / M rows
+    at least when M < 128, so that each span holds whole leaves of numpy's
+    pairwise sum.  With `factor`, each inverse transform is multiplied by
+    factor(r0, r1), the (r1 - r0, M) values of a function at the grid
+    indices b + P a, r0 <= b < r1, before |.|^p is taken.
     """
     width = core.size
     m_len, p_len = _fold_lengths(width, n)
@@ -255,11 +261,6 @@ def _folded_lp(
         if p != 1.0 and not math.isinf(p):
             mags **= p
 
-    def reduce(mags: np.ndarray) -> np.ndarray:
-        # Over each block's P M values alone, so the spans do not change the
-        # order of any sum.
-        return np.max(mags, axis=(1, 2)) if math.isinf(p) else np.sum(mags, axis=(1, 2))
-
     out = np.empty(which.size)
     if n <= _grid._SPAN:
         # One table of n samples at most, shared by every span.
@@ -268,15 +269,35 @@ def _folded_lp(
         def run(lo: int, hi: int) -> None:
             mags = np.empty((hi - lo, p_len, m_len))
             fold(rows[which[lo:hi]] * core, mags, 0, table)
-            out[lo:hi] = reduce(mags)
+            # Over each block's P M values alone, so the spans do not change
+            # the order of any sum.
+            reduce = np.max if math.isinf(p) else np.sum
+            out[lo:hi] = reduce(mags, axis=(1, 2))
 
         _each_span(run, which.size, n)
     else:
-        mags = np.empty((1, p_len, m_len))
+        # Spans of groups of `group` rows, whole leaves of numpy's pairwise
+        # sum, write their leaf sums (or keep their maxima), which add up to
+        # the sum over the block's n values bit for bit.
+        leaf = _grid._LEAF
+        group = max(1, leaf // m_len)
+        leaves = np.empty(n // leaf)
         for i, b in enumerate(which):
             coeffs = rows[b : b + 1] * core
-            _each_span(lambda r0, r1: fold(coeffs, mags[:, r0:r1], r0), p_len, m_len)
-            out[i] = reduce(mags)[0]
+            peaks = []  # one per span, in any order, for p = inf
+
+            def run(lo: int, hi: int) -> None:
+                r0, r1 = lo * group, hi * group
+                mags = np.empty((1, r1 - r0, m_len))
+                fold(coeffs, mags, r0)
+                if math.isinf(p):
+                    peaks.append(np.max(mags))
+                else:
+                    span = leaves[r0 * m_len // leaf : r1 * m_len // leaf]
+                    np.sum(mags.reshape(-1, leaf), axis=1, out=span)
+
+            _each_span(run, p_len // group, group * m_len)
+            out[i] = max(peaks) if math.isinf(p) else _grid._pairwise_total(leaves)
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)
     return out * (m_len / n / dx)

@@ -5,8 +5,6 @@ output); the suite is the exit gate for the package.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -167,32 +165,20 @@ class TestAcceptance:
         _require(report, 10, f"C = {fitted:.3f} fitted on half the sweep, "
                              "no violation on the held-out half")
 
-    def test_criterion_11_determinism(self, tmp_path):
+    def test_criterion_11_determinism(self, all_seed0):
         # Two runs with --jobs 2 and one with --jobs 1: every report.json must
         # match byte for byte, so reports depend on neither repetition nor
         # concurrency.  The serial run, all in one process, also tells
-        # whether any run loaded a scipy module; none needs one.
-        cli = ["-m", "tfnorms.cli"]
-        serial = ["-c", "import sys; from tfnorms.cli import main; code = main(); "
-                        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
-                        "sys.exit(code)"]
-        runs = {"run1": (cli, "2"), "run2": (cli, "2"), "serial": (serial, "1")}
-        codes = []
-        for out, (entry, jobs) in runs.items():
-            proc = subprocess.run(
-                [sys.executable, *entry, "all", "--seed", "0", "--jobs", jobs,
-                 "--out", str(tmp_path / out)],
-                capture_output=True, text=True, timeout=500,
-            )
-            codes.append(proc.returncode)
-        scipy_loaded = proc.stdout.strip().rpartition("\n")[2]
-        reports = sorted(
-            path.relative_to(tmp_path / "run1")
-            for path in (tmp_path / "run1").rglob("report.json")
-        )
+        # whether any run loaded a scipy module; none needs one.  The
+        # directories come from conftest's all_seed0, which test_golden.py
+        # compares with the committed reports.
+        runs, scipy_loaded = all_seed0
+        codes = [code for _, code in runs.values()]
+        first = runs["run1"][0]
+        reports = sorted(path.relative_to(first) for path in first.rglob("report.json"))
         identical = len(reports) == 16 and all(
-            (tmp_path / out / rel).read_bytes() == (tmp_path / "run1" / rel).read_bytes()
-            for out in runs
+            (out / rel).read_bytes() == (first / rel).read_bytes()
+            for out, _ in runs.values()
             for rel in reports
         )
         ok = codes == [0, 0, 0] and identical and scipy_loaded == "False"

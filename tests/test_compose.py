@@ -97,17 +97,46 @@ class TestTailBound:
     """The tail bound is never NaN, and a finite one holds at every |w| < radius."""
 
     def test_expm1_far_from_its_center(self):
-        # At |w| = 3 the coefficients past j ~ 177 are 0 while 6^j overflows;
-        # at |w| = 100 a nonzero coefficient meets an overflowed r^j.
+        # At |w| = 3 the coefficients past j ~ 177 are 0 while 6^j overflows.
         s = named_series("expm1", 0.0)
         bound = s.tail_bound(3.0, 10)
         assert math.isfinite(bound)
         assert bound >= abs(np.expm1(3.0) - s.evaluate(np.array([3.0 + 0j]), 10)[0])
         terms = s.choose_truncation(3.0)
         assert s.tail_bound(3.0, terms) < TAIL_TOLERANCE
-        assert s.tail_bound(100.0, 10) == math.inf
+        # From |w| ~ 25 on, nonzero (subnormal) coefficients 1/j! meet an
+        # r^j that overflows; their products are taken in log space.  At
+        # |w| = 30 choose_truncation raised "no finite tail bound" before.
+        for w_abs, count in [(30.0, 109), (100.0, 309)]:
+            assert s.choose_truncation(w_abs) == count
+            assert s.tail_bound(w_abs, count) < TAIL_TOLERANCE
+            exact_tail = abs(np.expm1(w_abs) - s.evaluate(np.array([w_abs + 0j]), 10)[0])
+            assert s.tail_bound(w_abs, 10) >= exact_tail
+        # Far enough out the envelope overflows in log space too.
+        assert s.tail_bound(1e6, 10) == math.inf
         with pytest.raises(ToleranceNotReachedError, match="no finite tail bound"):
-            s.choose_truncation(100.0)
+            s.choose_truncation(1e6)
+
+    @pytest.mark.parametrize("family, center", [("expm1", 0j), ("expm1", 2 - 1j),
+                                                ("reciprocal", 1 + 0j), ("mobius", 0j)])
+    def test_finite_envelopes_are_the_plain_products(self, family, center):
+        # The log-space products only replace products that overflowed, so
+        # every envelope that was finite keeps its bits.
+        s = named_series(family, center)
+        mags = np.abs(s.coefficients)
+        j = np.arange(1, s.max_terms + 1)
+        top = 60.0 if math.isinf(s.radius) else s.radius
+        finite = 0
+        for w_abs in np.linspace(0.01, 0.99, 40) * top:
+            envelope, _ = s._tail_envelope(w_abs)
+            # The tail radius of _tail_envelope below 0.999 of the radius.
+            r = 2.0 * w_abs if math.isinf(s.radius) else 0.5 * (w_abs + s.radius)
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = np.max(np.where(mags == 0.0, 0.0, mags * r**j))
+            if math.isfinite(plain):
+                finite += 1
+                assert envelope == plain
+        assert finite >= 10
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,0 +1,157 @@
+"""The committed reports of `all --seed 0` are the behaviour contract.
+
+tests/golden/all-seed0/ holds every report.json and report.csv of
+``tfnorms all --seed 0`` and a platform.json naming the Python and numpy
+versions and the machine that wrote them.  The serial run of the
+determinism criterion (conftest's ``all_seed0``) is compared with it: on a
+matching platform byte for byte, elsewhere every number to 1e-12 relative,
+and the failure lists each file that differs.
+
+A change that moves report bytes on purpose regenerates the directory with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and the git diff of tests/golden/ is then its list of moved values.
+"""
+
+import json
+import math
+import platform
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "all-seed0"
+PLATFORM = "platform.json"
+RELATIVE_TOLERANCE = 1e-12
+
+# A number as the JSON and CSV writers print it; text between numbers must match exactly.
+_NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity|inf|nan|NaN))")
+
+
+def current_platform() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def _numbers_agree(expected: str, actual: str) -> bool:
+    want, got = _NUMBER.split(expected), _NUMBER.split(actual)
+    if len(want) != len(got):
+        return False
+    for i, (a, b) in enumerate(zip(want, got)):
+        if a == b:
+            continue
+        if i % 2 == 0:  # text between numbers
+            return False
+        x, y = float(a), float(b)
+        if not math.isclose(x, y, rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0):
+            return False
+    return True
+
+
+def golden_differences(golden: Path, actual: Path, exact: bool) -> list:
+    """Each report file that is missing, extra or different, as "<what>: <path>".
+
+    exact compares bytes; otherwise every number must agree to
+    RELATIVE_TOLERANCE and all other text exactly.
+    """
+    want = {p.relative_to(golden) for p in golden.rglob("*") if p.is_file()} - {Path(PLATFORM)}
+    got = {p.relative_to(actual) for p in actual.rglob("*") if p.is_file()}
+    found = [f"missing: {rel}" for rel in sorted(want - got)]
+    found += [f"extra: {rel}" for rel in sorted(got - want)]
+    for rel in sorted(want & got):
+        a, b = (golden / rel).read_bytes(), (actual / rel).read_bytes()
+        if a != b and (exact or not _numbers_agree(a.decode(), b.decode())):
+            found.append(f"differs: {rel}")
+    return found
+
+
+def test_serial_run_matches_the_golden_reports(all_seed0):
+    runs, _ = all_seed0
+    serial, code = runs["serial"]
+    assert code == 0
+    recorded = json.loads((GOLDEN / PLATFORM).read_text())
+    exact = recorded == current_platform()
+    found = golden_differences(GOLDEN, serial, exact)
+    mode = "bytes" if exact else f"numbers to {RELATIVE_TOLERANCE:g} (golden from {recorded})"
+    assert not found, f"reports differ from {GOLDEN} ({mode}): " + ", ".join(found)
+
+
+def test_golden_directory_holds_every_report():
+    reports = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("report.*"))
+    assert len(reports) == 32
+    assert {p.name for p in GOLDEN.iterdir() if p.is_file()} == {
+        "report.json", "report.csv", PLATFORM,
+    }
+
+
+class TestComparison:
+    """Mutations of a copy of the golden directory that the comparison must catch."""
+
+    @pytest.fixture
+    def copy(self, tmp_path):
+        out = tmp_path / "copy"
+        shutil.copytree(GOLDEN, out, ignore=shutil.ignore_patterns(PLATFORM))
+        return out
+
+    @staticmethod
+    def move_first_float(path: Path, step) -> None:
+        text = path.read_text()
+        match = re.search(r"-?\d+\.\d+(?:[eE][-+]?\d+)?", text)
+        moved = repr(step(float(match.group())))
+        path.write_text(text[: match.start()] + moved + text[match.end() :])
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unchanged_copy_passes(self, copy, exact):
+        assert golden_differences(GOLDEN, copy, exact) == []
+
+    def test_one_ulp_fails_the_byte_comparison(self, copy):
+        target = copy / "norm" / "report.json"
+        self.move_first_float(target, lambda x: math.nextafter(x, math.inf))
+        assert golden_differences(GOLDEN, copy, exact=True) == ["differs: norm/report.json"]
+        # Across platforms one ulp is within the tolerance.
+        assert golden_differences(GOLDEN, copy, exact=False) == []
+
+    def test_a_moved_number_fails_across_platforms(self, copy):
+        target = copy / "moyal" / "report.csv"
+        self.move_first_float(target, lambda x: x * (1.0 + 1e-11))
+        assert golden_differences(GOLDEN, copy, exact=False) == ["differs: moyal/report.csv"]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_missing_file_fails(self, copy, exact):
+        (copy / "stft" / "report.csv").unlink()
+        assert golden_differences(GOLDEN, copy, exact) == ["missing: stft/report.csv"]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_an_extra_file_fails(self, copy, exact):
+        (copy / "stft" / "diagnostics.json").write_text("{}")
+        assert golden_differences(GOLDEN, copy, exact) == ["extra: stft/diagnostics.json"]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_changed_text_fails(self, copy, exact):
+        target = copy / "report.json"
+        target.write_text(target.read_text().replace('"passed":true', '"passed":false', 1))
+        assert golden_differences(GOLDEN, copy, exact) == ["differs: report.json"]
+
+
+def regenerate() -> None:
+    """Rewrite the golden directory from a serial `all --seed 0` run of this tree."""
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    subprocess.run(
+        [sys.executable, "-m", "tfnorms.cli", "all", "--seed", "0", "--jobs", "1",
+         "--out", str(GOLDEN)],
+        check=True,
+    )
+    (GOLDEN / PLATFORM).write_text(json.dumps(current_platform(), indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

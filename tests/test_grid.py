@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from tfnorms.compose import resample_progression
 from tfnorms.errors import GridMismatchError
+import tfnorms.grid as grid_module
 from tfnorms.grid import (
     _centered_transform,
+    _pairwise_total,
     Grid,
     NormSpec,
     SampledSignal,
@@ -190,9 +192,46 @@ class TestWeightedNorm:
         f = gaussian(GRID)
         assert weighted_lp_norm(f, math.inf) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 64, 128, 4096, 1 << 16])
+    @pytest.mark.parametrize("p, s", [(1.0, 0.0), (1.5, 0.5), (3.0, 0.0), (math.inf, 0.5)])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_spans_match_one_full_length_pass(self, monkeypatch, n, p, s, cpus):
+        # Spans of two leaves of 128 samples, and the pass over all n samples
+        # that the spans replace.
+        monkeypatch.setattr(grid_module, "_SPAN", 256)
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        f = band_limited(Grid(n, 7.3), seed=n)
+        weighted = np.abs(f.samples)
+        if s != 0.0:
+            x = f.grid.points()
+            weighted *= (1.0 + x * x) ** (s / 2.0)
+        if math.isinf(p):
+            expected = float(np.max(weighted))
+        else:
+            weighted **= p
+            expected = float((f.grid.dx * np.sum(weighted)) ** (1.0 / p))
+        assert weighted_lp_norm(f, p, s) == expected
+
+    @pytest.mark.parametrize("p, s", [(1.0, 0.0), (1.5, 0.5), (math.inf, 0.0)])
+    def test_holds_no_array_of_the_grid_length(self, monkeypatch, p, s):
+        # One CPU and spans of 2^14 samples at n = 2^20: the spans' |f|,
+        # weights and powers, and n / 128 leaf sums, stay under an eighth of
+        # one float array of the grid's length (0.07 of it measured; the
+        # full-length pass held 1 to 4 such arrays).
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 14)
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
+        f = band_limited(Grid(1 << 20, 20.0), seed=4)
+        tracemalloc.start()
+        try:
+            weighted_lp_norm(f, p, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * f.grid.n / 8
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_peak_is_one_float_array(self, p):
-        # |f| is the only n-length temporary: the power is taken in place.
+        # At the default spans no more than one float array of the grid's length.
         f = band_limited(Grid(1 << 16, 20.0), seed=3)
         tracemalloc.start()
         try:
@@ -211,6 +250,34 @@ def grid_signals(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return SampledSignal(Grid(n, half_width), samples)
+
+
+class TestPairwiseTotal:
+    """numpy's sum of 2^k floats is its leaf sums added level by level.
+
+    The span-wise norms rest on this; if a numpy release changes the order
+    of its pairwise sum, these tests fail and the norms' bits may move.
+    """
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_leaf_sums_give_numpys_sum(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        for log_n in range(3, 23):
+            n = 1 << log_n
+            values = rng.random(n) ** p
+            leaf = min(n, grid_module._LEAF)
+            # Leaf sums taken in spans that end between any two leaves.
+            count = n // leaf
+            cuts = sorted({0, count, *rng.integers(0, count, 6).tolist()})
+            leaves = np.empty(count)
+            for lo, hi in zip(cuts, cuts[1:]):
+                leaves[lo:hi] = np.sum(values[lo * leaf : hi * leaf].reshape(-1, leaf), axis=1)
+            total = np.sum(values)
+            assert _pairwise_total(leaves) == total, f"numpy's pairwise sum changed at n = {n}"
+            # The fold's sum of one block's (1, P, M) values over its last two axes.
+            for m_len in {min(n, 32), min(n, 1024)}:
+                block = values.reshape(1, n // m_len, m_len)
+                assert np.sum(block, axis=(1, 2))[0] == total, f"n = {n}, M = {m_len}"
 
 
 class TestAgainstShiftFormulas:

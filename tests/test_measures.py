@@ -226,9 +226,40 @@ class TestRudinShapiroSup:
         with pytest.raises(ValueError):
             rudin_shapiro_sup(-1, 1, Grid(64, 1.0))
 
-    def test_holds_one_and_a_half_complex_arrays(self, monkeypatch):
-        # One CPU and short spans, so that the span temporaries stay small
-        # next to the n-length arrays.
+    @pytest.mark.parametrize(
+        "n, m, spacing, half_width",
+        [
+            (8, 1, 1, 4.0),  # L = n/2: the sup sits at k = -n/2
+            (512, 2, 3, 17.0),
+            (8192, 5, 284, 3000.0),
+            (1 << 17, 7, 11, 1e4),
+            (1 << 19, 8, 57, 2.0**18),
+        ],
+    )
+    def test_bitwise_equal_to_the_full_grid_with_counted_exponentials(
+        self, monkeypatch, n, m, spacing, half_width
+    ):
+        grid = Grid(n, half_width)
+        full = rudin_shapiro_transforms(m, spacing, grid.frequencies(), "lp_atoms", 1.5)[1]
+        evaluated = []
+        real_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(np, "exp", counting_exp)
+        value = rudin_shapiro_sup(m, spacing, grid, "lp_atoms", 1.5)
+        monkeypatch.undo()
+        assert value == float(np.max(np.abs(full)))
+        # t + m per chain of t + 1 frequencies, over the n / 4 chains that
+        # cover k = 1 .. n/2 - 1, and m for each of k = 0 and k = -n/2.
+        assert sum(evaluated) == n * (m + 1) // 4 - 1 + 2 * m
+
+    def test_holds_span_buffers_only(self, monkeypatch):
+        # One CPU and short spans, so that the span buffers stay small next
+        # to one array of the grid's length.
         n, span = 1 << 16, 1 << 10
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
         monkeypatch.setattr(grid_module, "_SPAN", span)
@@ -246,7 +277,10 @@ class TestRudinShapiroSup:
             return float(np.max(np.abs(nu_hat)))
 
         value, peak = peak_bytes(lambda: rudin_shapiro_sup(10, 284, grid, "lp_atoms", 1.5))
-        assert peak <= 1.5 * 16 * n + 4 * 16 * span
+        # A span's phase table and recursion values, span complex values in
+        # all, and its temporaries: 1.9 spans measured, 1/32 of one complex
+        # array of the grid's length.
+        assert peak <= 4 * 16 * span
         # The full-grid path holds mu^, nu^ and the frequencies: 2.5 arrays.
         full, full_peak = peak_bytes(full_grid)
         assert full == value

@@ -1,9 +1,9 @@
 """Span runner: pooled and inline runs give bit-identical results.
 
-The Rudin-Shapiro transform recursion, its maximum over a grid, the folded
-block inverses of modulation_norm, and the rows of the STFT split their
-work into spans (grid._each_span) that run on a thread pool when there are
-several spans and several CPUs.  Every span is sized from one budget,
+The Rudin-Shapiro transform recursion, its maximum over a grid, the noise
+floor and the folded block inverses of modulation_norm, and the rows of the
+STFT split their work into spans (grid._each_span) that run on a thread pool
+when there are several spans and several CPUs.  Every span is sized from one budget,
 grid._SPAN.  These tests shrink it so small inputs split many ways, then
 compare a pooled run with the same spans forced inline and with the default
 spans.
@@ -179,16 +179,23 @@ class TestBitIdentical:
         f = band_limited(GRID, seed=91)
         m_len, p_len = fold_rows(PART)
         width, blocks = 2 * PART.steps_per_unit, len(PART.block_indices())
+        # A large block is folded in spans of whole 128-sample leaves:
+        # groups of 128 / M rows.
+        group = grid_module._LEAF // m_len
+        assert group > 1
         default = modulation_norm(f, p, 1.0, 0.5, PART)
-        # Three whole blocks per span, then each block in spans of five
-        # rows; P = 128 is no multiple of 5.
-        for budget in (3 * GRID.n, 5 * m_len):
+        # Three whole blocks per span, then each block in spans of 5 M
+        # samples (one group of rows) or of seven groups; P / group = 32 is
+        # no multiple of 7.
+        for budget in (3 * GRID.n, 5 * m_len, 7 * group * m_len):
             with spans(3, budget) as log:
                 pooled = modulation_norm(f, p, 1.0, 0.5, PART)
             with spans(1, budget):
                 inline = modulation_norm(f, p, 1.0, 0.5, PART)
-            # First the liveness scan over all blocks, W samples each.
-            scan = log.pop(0)
+            # First the noise floor's maximum over the spectrum, then the
+            # liveness scan over all blocks, W samples each.
+            floor, scan = log.pop(0), log.pop(0)
+            assert floor == ("norms", GRID.n, budget, GRID.n > budget)
             assert scan == ("norms", blocks, budget // width, blocks > budget // width)
             if budget > GRID.n:
                 # One runner call over the distinct live blocks.
@@ -196,41 +203,53 @@ class TestBitIdentical:
                 assert (module, span, off_main) == ("norms", 3, True)
                 assert count % span != 0  # ragged last span
             else:
-                # One runner call per distinct live block, over its P rows.
+                # One runner call per distinct live block, over its groups of rows.
+                items = max(1, budget // (group * m_len))
                 assert len(log) > 1
-                assert set(log) == {("norms", p_len, 5, True)}
-                assert p_len % 5 != 0  # ragged last span
+                assert set(log) == {("norms", p_len // group, items, True)}
             assert pooled.value == inline.value == default.value
             assert pooled.block_contributions == inline.block_contributions
             assert pooled.block_contributions == default.block_contributions
+        assert (p_len // group) % 7 != 0  # ragged last span
 
     def test_flat_measurement(self):
         grid = _flat_layout(1.0, 3, 3)[0]
         part = partition_for(grid)
         m_len, p_len = fold_rows(part)
         # The one distinct block, n samples, in spans of three rows of M;
-        # the Rudin-Shapiro recursion in spans of 3 M frequencies; F^-1 phi
-        # and f, folds of phi's W coefficients, in spans of 3 M / M_phi rows.
+        # the Rudin-Shapiro chains in spans of 3 M samples; F^-1 phi and f,
+        # folds of phi's W coefficients, in spans of 3 M / M_phi rows.
         budget = 3 * m_len
         phi_width = int(np.count_nonzero(bump_profile(grid.frequencies(), 0.025, 0.1)))
         phi_m_len, phi_p_len = norms._fold_lengths(phi_width, grid.n)
+        assert min(m_len, phi_m_len) >= grid_module._LEAF  # rows hold whole leaves
         with spans(3, budget) as log:
             pooled = flat_measurement(1.0, 3, 3)
         with spans(1, budget):
             inline = flat_measurement(1.0, 3, 3)
         default = flat_measurement(1.0, 3, 3)
         assert {module for module, _, _, off_main in log if off_main} == {"measures", "norms"}
-        # rudin_shapiro_sup: three recursion steps and the peak pass, each
-        # over the k >= 0 half of the grid, pooled.
-        assert log.count(("measures", grid.n // 2, budget, True)) == 4
-        assert (grid.n // 2) % budget != 0  # ragged last span
-        # The folds of F^-1 phi and of f, then the block norm's liveness
-        # scan over all blocks and its fold.
+        # rudin_shapiro_sup at depth 3: one runner call per chain length
+        # t + 1, over the odd o in [n / 2^(t+2), n / 2^(t+1)), each holding
+        # t + 3 table rows and three recursion values, pooled where they
+        # make several spans, some of them ragged.
+        half = grid.n // 2
+        levels = half.bit_length() - 1
+        sup = log[:levels]
+        assert [(module, count) for module, count, _, _ in sup] == [
+            ("measures", max(1, half >> (t + 2))) for t in range(levels)
+        ]
+        assert [span for _, _, span, _ in sup] == [budget // (t + 6) for t in range(levels)]
+        assert all(off_main == (count > span) for _, count, span, off_main in sup)
+        assert any(count > span and count % span != 0 for _, count, span, _ in sup)
+        # The folds of F^-1 phi and of f, then the block norm's noise floor
+        # over the spectrum, its liveness scan over all blocks and its fold.
         blocks, width = len(part.block_indices()), 2 * part.steps_per_unit
         phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
         assert [entry for entry in log if entry[0] == "norms"] == [
             phi_fold,
             phi_fold,
+            ("norms", grid.n, budget, True),
             ("norms", blocks, budget // width, True),
             ("norms", p_len, 3, True),
         ]
