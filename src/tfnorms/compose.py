@@ -184,10 +184,6 @@ class PowerSeries:
             out = out * w + coeff
         return out * w
 
-    def evaluate(self, z: np.ndarray, terms: int | None = None) -> np.ndarray:
-        terms = self.max_terms if terms is None else terms
-        return self.constant + self.evaluate_increment(np.asarray(z) - self.center, terms)
-
     def recenter(self, new_center: complex) -> "PowerSeries":
         """Taylor-shift the stored expansion to a new center inside the disk."""
         d = complex(new_center) - complex(self.center)
@@ -238,7 +234,16 @@ def series_mobius(center: complex = 0.0, scale: float = 4.0) -> PowerSeries:
     if denom == 0.0:
         raise ValueError("expansion center sits on the pole")
     j = np.arange(1, DEFAULT_TERMS + 1)
-    coeffs = (-1.0) ** (j - 1) / (denom * (a * denom) ** (j - 1)) * (1.0 - z0 / (a * denom))
+    tilt = 1.0 - z0 / (a * denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = (a * denom) ** (j - 1)
+        coeffs = (-1.0) ** (j - 1) / (denom * power) * tilt
+    # Where the power, or its product with denom, overflows, the coefficient
+    # comes from exp of the power's log, which underflows instead; every
+    # finite coefficient keeps its bits.  Within 1 of the pole (|a denom| < 1)
+    # the coefficients grow, and those too large for a float stay non-finite.
+    big = ~np.isfinite(coeffs)
+    coeffs[big] = (-1.0) ** (j[big] - 1) * np.exp(-(j[big] - 1) * np.log(a * denom)) / denom * tilt
     return PowerSeries("mobius", z0, z0 / denom, coeffs, abs(a + z0))
 
 

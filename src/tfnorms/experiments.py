@@ -37,6 +37,7 @@ from .measures import (
     rudin_shapiro_transforms,
 )
 from .norms import (
+    _block_norm,
     _fold_lengths,
     _folded_lp,
     algebra_constant,
@@ -680,6 +681,58 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     return at
 
 
+def _leaf_total(n: int, pieces) -> float:
+    """np.sum over an n-point grid holding each (start, values) piece from its start, 0 elsewhere.
+
+    Only the leaves of numpy's pairwise sum that meet a piece are summed
+    (see :mod:`tfnorms.grid`), each over its piece and zeros, so no n floats
+    are held.  No two pieces may share a leaf.
+    """
+    leaf = min(n, _LEAF)
+    leaves = np.zeros(n // leaf)
+    taken = np.zeros(n // leaf, dtype=bool)
+    for start, values in pieces:
+        a, b = start // leaf, -(-(start + values.size) // leaf)
+        assert not taken[a:b].any(), "two pieces share a leaf"
+        taken[a:b] = True
+        padded = np.zeros((b - a) * leaf)
+        padded[start - a * leaf : start - a * leaf + values.size] = values
+        leaves[a:b] = np.sum(padded.reshape(b - a, leaf), axis=1)
+    return _pairwise_total(leaves)
+
+
+class _TranslateRows:
+    """The block rows of a spectrum of disjoint weighted translates, read on demand.
+
+    The spectrum is weights[l] * base on [starts[l], starts[l] + base.size)
+    for each l and 0 elsewhere on part's dual grid.  Indexed with a slice,
+    an int or an int array, as ``norms._block_norm`` indexes its rows, it
+    returns bitwise the rows ``part.block_rows(spectrum)`` would: each starts
+    as zeros and has weights[l] * base added where translate l meets it, in
+    the order of the translates, as the spectrum itself would be built.
+    `peak` is the maximum of |spectrum|, the largest over the translates
+    since they are disjoint.
+    """
+
+    def __init__(self, part, base: np.ndarray, starts: np.ndarray, weights: np.ndarray):
+        assert np.all(np.diff(np.sort(starts)) >= base.size), "the translates overlap"
+        self.base, self.starts, self.ends, self.weights = base, starts, starts + base.size, weights
+        self.width, self.step = part.core.size, part.steps_per_unit
+        self.first = part.window_start(-part.max_block_index)
+        self.count = len(part.block_indices())
+        self.peak = float(max(np.max(np.abs(w * base)) for w in weights))
+
+    def __getitem__(self, key) -> np.ndarray:
+        index = np.arange(self.count)[key]
+        out = np.zeros(index.shape + (self.width,), dtype=complex)
+        for row, s in zip(out.reshape(-1, self.width), self.first + self.step * index.ravel()):
+            for t in np.flatnonzero((self.starts < s + self.width) & (self.ends > s)):
+                start = self.starts[t]
+                a, b = max(s, start), min(s + self.width, self.ends[t])
+                row[a - s : b - s] += self.weights[t] * self.base[a - start : b - start]
+        return out
+
+
 def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
@@ -697,12 +750,14 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       mu-check is the Rudin-Shapiro polynomial of the translates (see
       :func:`_mu_check_rows`), so the fold of nu-hat phi is multiplied by
       mu-check at every grid point before |.|^p.
-    - The spectrum of f, one complex array of the grid's length, is built
-      for the block norm and the L^1 norm of f-hat only.  Its 2^m
-      translates carry one block up to the sign of their weight +-2^-m, so
-      the block norm folds that one block and reuses its value for all of
-      them.  It is the only array of the grid's length, and it sets the
-      peak: the norms on it hold span buffers and n / 128 leaf sums.
+    - The spectrum of f is 2^m disjoint translates of base = nu-hat phi,
+      weighted +-2^-m, and is never built.  The block norm reads its rows
+      on demand from base and the translates (:class:`_TranslateRows`); the
+      translates carry one block up to the sign of their weight, so it
+      folds that one block and reuses its value for all of them.  The L^1
+      norm of f-hat sums the leaves of numpy's pairwise sum that the
+      translates meet (:func:`_leaf_total`).  No array of the grid's length
+      is built; the largest buffer is the block fold's span scratch.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -727,14 +782,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
 
     # The L^1 norm of phi summed as over the whole dual grid, so that its
     # bits are those of weighted_lp_norm, from floats: |phi + 0i| is phi.
-    # Only the leaves of numpy's pairwise sum that meet [lo, hi) are nonzero.
-    leaf = min(grid.n, _LEAF)
-    a, b = lo // leaf, -(-hi // leaf)
-    padded = np.zeros((b - a) * leaf)
-    padded[lo - a * leaf : hi - a * leaf] = phi
-    leaves = np.zeros(grid.n // leaf)
-    leaves[a:b] = np.sum(padded.reshape(b - a, leaf), axis=1)
-    phi_l1 = float(grid.dual().dx * _pairwise_total(leaves))
+    phi_l1 = float(grid.dual().dx * _leaf_total(grid.n, [(lo, phi)]))
     # phi masks both rows: the row of ones gives phi, the row nu-hat base.
     rows = np.stack((np.ones(phi.size), nu_hat))
     invphi_lp = float(_folded_lp(rows, np.array([0]), phi, p, grid.n, grid.dx)[0])
@@ -743,14 +791,14 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     f_lp = float(_folded_lp(rows, np.array([1]), phi, p, grid.n, grid.dx, mu_check)[0])
     del rows, mu_check  # mu_check holds m columns of M complex values
 
+    # f-hat is w base on [lo + shift, hi + shift) for each atom w delta_loc
+    # of mu, shift = loc * steps; both norms read it from base.
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
-    fhat = np.zeros(grid.n, dtype=complex)
-    for loc, w in zip(mu.locations, mu.weights):
-        shift = int(round(loc)) * steps
-        fhat[lo + shift : hi + shift] += w * base
-    fhat_sig = SampledSignal(grid.dual(), fhat)
-    mod = modulation_norm(None, p, 1.0, 0.0, part, spectrum=fhat_sig).value
-    fhat_l1 = weighted_lp_norm(fhat_sig, 1.0)
+    starts = lo + np.round(mu.locations).astype(int) * steps
+    translates = _TranslateRows(part, base, starts, mu.weights)
+    mod = _block_norm(translates, translates.peak, NormSpec.modulation(p, 1.0, 0.0), part).value
+    magnitudes = ((start, np.abs(w * base)) for start, w in zip(starts, mu.weights))
+    fhat_l1 = float(grid.dual().dx * _leaf_total(grid.n, magnitudes))
     return {
         "p": p,
         "m": m,

@@ -286,13 +286,6 @@ class NormSpec:
 
         return {"space": self.space.value, "p": enc(self.p), "q": enc(self.q), "s": self.s}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NormSpec":
-        def dec(v):
-            return math.inf if v == "inf" else float(v)
-
-        return cls(Space(d["space"]), p=dec(d["p"]), q=dec(d["q"]), s=float(d["s"]))
-
 
 def _centered_transform(samples: np.ndarray, transform) -> np.ndarray:
     """fftshift(transform(ifftshift(samples))) in one n-length buffer.

@@ -120,13 +120,6 @@ class DiscreteMeasure:
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self + other.scaled(-1.0)
 
-    def is_atom_equal(self, other: "DiscreteMeasure") -> bool:
-        return (
-            self.atom_count == other.atom_count
-            and np.array_equal(self.locations, other.locations)
-            and np.array_equal(self.weights, other.weights)
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "atoms": [
@@ -179,19 +172,6 @@ class RudinShapiroPair:
     base_spacing: int
     normalization: Normalization
     p: float | None = None
-
-    @property
-    def flatness_bound(self) -> float:
-        """Bound on ||mu^||_inf implied by the exact identity."""
-        return _scale_factor(self.depth, self.normalization, self.p) * 2.0 ** (
-            (self.depth + 1) / 2.0
-        )
-
-    def identity_value(self) -> float:
-        """The constant |mu^|^2 + |nu^|^2 equals at every frequency."""
-        return _scale_factor(self.depth, self.normalization, self.p) ** 2 * 2.0 ** (
-            self.depth + 1
-        )
 
 
 def rudin_shapiro(

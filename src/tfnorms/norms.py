@@ -53,6 +53,14 @@ translates) are such a group.  The liveness scan keeps the maxima of each
 masked row on its two halves; rows are compared exactly only when those
 pairs agree, which also keeps mirrored rows of real signals apart.
 
+Everything after the maximum of |spectrum| reads the spectrum only through
+its block rows, indexed with a slice, an int or an int array.  So
+:func:`modulation_norm` hands ``part.block_rows(spectrum)`` to one body,
+``_block_norm``, and a caller whose spectrum is a train of disjoint weighted
+translates of one short block (the flat counterexample) hands it a reader
+that builds the rows asked for from the block, bitwise the same rows,
+without building the n-point spectrum.
+
 The sum over blocks is truncated at the frequency grid edge and the mass of
 the outermost two blocks is reported as a tail estimate.
 """
@@ -142,16 +150,27 @@ def modulation_norm(
     if not part.grid.compatible(grid):
         raise ValueError("partition was built for a different grid")
     spectrum = (fourier_forward(f) if spectrum is None else spectrum).samples
+    # The maximum of |spectrum| is taken span by span, so no n floats are held.
+    peaks = []
+    _each_span(lambda lo, hi: peaks.append(np.max(np.abs(spectrum[lo:hi]))), spectrum.size, 1)
+    return _block_norm(part.block_rows(spectrum), float(max(peaks)), spec, part)
+
+
+def _block_norm(rows, peak: float, spec: NormSpec, part: FrequencyPartition) -> NormReport:
+    """The modulation norm `spec` from the block rows of a spectrum and its max |.|.
+
+    `rows` is ``part.block_rows(spectrum)`` or anything that gives the same
+    rows when indexed with a slice, an int or an int array; `peak` is the
+    maximum of |spectrum| over the grid.
+    """
+    p, q, s = spec.p, spec.q, spec.s
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no
     # signal content; skipping them changes the value below reporting
     # precision and keeps the inverse transforms proportional to the
-    # occupied band.  The maximum of |spectrum| is taken span by span, so no
-    # n floats are held.
-    peaks = []
-    _each_span(lambda lo, hi: peaks.append(np.max(np.abs(spectrum[lo:hi]))), spectrum.size, 1)
-    floor = _NOISE_FLOOR * float(max(peaks))
+    # occupied band.
+    floor = _NOISE_FLOOR * peak
     ks = np.array(part.block_indices())
-    rows, core = part.block_rows(spectrum), part.core
+    core = part.core
     block_norms = np.zeros(ks.size)
     scale = part.grid.dxi / (2.0 * math.pi)
     # The maxima of |masked row| on [k - 1, k) and [k, k + 1): their larger

@@ -36,6 +36,12 @@ PART = partition_for(GRID)
 SPEC = NormSpec.modulation(2.0, 1.0, 0.0)
 
 
+def evaluate(series, z, terms=None):
+    """series.constant + sum_{j <= terms} c_j (z - center)^j, all stored terms by default."""
+    terms = series.max_terms if terms is None else terms
+    return series.constant + series.evaluate_increment(np.asarray(z) - series.center, terms)
+
+
 def gaussian(grid=GRID, width=1.0):
     return SampledSignal.from_function(grid, lambda x: np.exp(-(x**2) / (2.0 * width**2)))
 
@@ -48,7 +54,7 @@ class TestPowerSeries:
     def test_reciprocal_evaluates(self):
         s = series_reciprocal(2.0)
         z = np.array([1.5, 2.0, 2.8], dtype=complex)
-        vals = s.evaluate(z, 200)
+        vals = evaluate(s, z, 200)
         assert np.max(np.abs(vals - 1.0 / z)) <= 1e-12
 
     def test_tail_bound_controls_truncation(self):
@@ -59,7 +65,7 @@ class TestPowerSeries:
         # the bound really dominates the dropped tail
         z = 2.0 + w
         exact = 1.0 / z
-        truncated = s.evaluate(np.array([z]), terms)[0]
+        truncated = evaluate(s, np.array([z]), terms)[0]
         assert abs(truncated - exact) <= s.tail_bound(w, terms)
 
     def test_polynomial_tail_is_zero(self):
@@ -76,7 +82,7 @@ class TestPowerSeries:
         s = series_mobius(0.0)
         moved = s.recenter(0.5)
         z = np.array([0.3, 0.5, 0.9], dtype=complex)
-        vals = moved.evaluate(z, 120)
+        vals = evaluate(moved, z, 120)
         oracle = pointwise_oracle("mobius")(z)
         assert np.max(np.abs(vals - oracle)) <= 1e-12
         # conservative recentered radius: original minus the shift
@@ -85,7 +91,7 @@ class TestPowerSeries:
     def test_expm1(self):
         s = series_expm1(0.0)
         z = np.array([0.1, -0.4, 1.2], dtype=complex)
-        assert np.max(np.abs(s.evaluate(z, 60) - np.expm1(z))) <= 1e-12
+        assert np.max(np.abs(evaluate(s, z, 60) - np.expm1(z))) <= 1e-12
 
     def test_named_registry(self):
         assert named_series("square", 2.0).constant == 4.0
@@ -101,7 +107,7 @@ class TestTailBound:
         s = named_series("expm1", 0.0)
         bound = s.tail_bound(3.0, 10)
         assert math.isfinite(bound)
-        assert bound >= abs(np.expm1(3.0) - s.evaluate(np.array([3.0 + 0j]), 10)[0])
+        assert bound >= abs(np.expm1(3.0) - evaluate(s, np.array([3.0 + 0j]), 10)[0])
         terms = s.choose_truncation(3.0)
         assert s.tail_bound(3.0, terms) < TAIL_TOLERANCE
         # From |w| ~ 25 on, nonzero (subnormal) coefficients 1/j! meet an
@@ -110,12 +116,27 @@ class TestTailBound:
         for w_abs, count in [(30.0, 109), (100.0, 309)]:
             assert s.choose_truncation(w_abs) == count
             assert s.tail_bound(w_abs, count) < TAIL_TOLERANCE
-            exact_tail = abs(np.expm1(w_abs) - s.evaluate(np.array([w_abs + 0j]), 10)[0])
+            exact_tail = abs(np.expm1(w_abs) - evaluate(s, np.array([w_abs + 0j]), 10)[0])
             assert s.tail_bound(w_abs, 10) >= exact_tail
         # Far enough out the envelope overflows in log space too.
         assert s.tail_bound(1e6, 10) == math.inf
         with pytest.raises(ToleranceNotReachedError, match="no finite tail bound"):
             s.choose_truncation(1e6)
+
+    def test_mobius_coefficients_stay_finite(self):
+        # At center 2, a denom = 6 and 6^(j - 1) overflows for j >= 398:
+        # those coefficients were NaN, and so was the sum at 2.1.
+        s = named_series("mobius", 2.0)
+        assert np.all(np.isfinite(s.coefficients))
+        assert evaluate(s, np.array([2.1 + 0j]))[0] == pytest.approx(2.1 / 1.525, rel=1e-14)
+        # c_j = (-1)^(j - 1) 6^-(j - 1) (1 - 2 / 6) / 1.5, subnormal there.
+        j = np.arange(398, 401)
+        exact = (-1.0) ** (j - 1) * 6.0 ** -(j - 1.0) * (2.0 / 3.0) / 1.5
+        assert s.coefficients[j - 1] == pytest.approx(exact, rel=1e-9)
+        # Below the overflow the coefficients are the plain formula's, bit for bit.
+        with np.errstate(all="ignore"):
+            plain = (-1.0) ** (j - 5) / (1.5 * (6.0 + 0j) ** (j - 5)) * (1.0 - 2.0 / 6.0)
+        assert np.array_equal(s.coefficients[j - 5], plain)
 
     @pytest.mark.parametrize("family, center", [("expm1", 0j), ("expm1", 2 - 1j),
                                                 ("reciprocal", 1 + 0j), ("mobius", 0j)])
@@ -159,6 +180,11 @@ class TestTailBound:
             except ValueError:  # 1/z at 0, or the Mobius center on its pole
                 assume(False)
         if family == "mobius":
+            # |c_j| = |a denom|^-(j - 1) / |denom|^2 and |denom| = radius / 4:
+            # off the pole's unit disk every coefficient is finite; inside it
+            # the coefficients themselves overflow.
+            if s.radius >= 1.0:
+                assert np.all(np.isfinite(s.coefficients))
             assume(np.all(np.isfinite(s.coefficients)))
         w_abs = fraction * (60.0 if math.isinf(s.radius) else s.radius)
         assume(w_abs > 0.0)  # at w = 0 there is no tail, and the bound is 0
@@ -174,7 +200,7 @@ class TestTailBound:
             w = w_abs * complex(math.cos(angle), math.sin(angle))
             z = np.array([s.center + w])
             exact = pointwise_oracle(family)(z)[0]
-            tail = abs(exact - s.evaluate(z, terms)[0])
+            tail = abs(exact - evaluate(s, z, terms)[0])
             # Rounding in the function, in the constant (exp(z0) - 1 is off
             # by up to eps e^z0), in the stored coefficients and in Horner's
             # sum, against sum_j |c_j| |w|^j, itself by Horner so that no

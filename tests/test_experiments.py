@@ -11,6 +11,7 @@ from tfnorms import experiments, norms
 from tfnorms.corpus import make_corpus
 from tfnorms.errors import CostGateError
 from tfnorms.grid import (
+    _LEAF,
     Grid,
     NormSpec,
     SampledSignal,
@@ -102,6 +103,24 @@ class TestCounterexampleL2:
             counterexample_l2(checkpoints=(100, 100))
 
 
+# Layouts of at most 2^17 samples on which the measurement meets its dense reference.
+DENSE_LAYOUTS = [
+    (1.0, 2, 2), (1.0, 0, 4), (1.0, 3, 3), (1.0, 4, 4),
+    (1.5, 2, 4), (1.5, 1, 6), (1.5, 3, 5), (1.5, 2, 6),
+]
+
+
+def _flat_translates(p: float, m: int, r: int) -> tuple:
+    """The (part, base, starts, weights) that flat_measurement(p, m, r) reads f-hat from."""
+    made = []
+    real = experiments._TranslateRows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_TranslateRows", lambda *args: made.append(args) or real(*args))
+        flat_measurement(p, m, r)
+    (args,) = made
+    return args
+
+
 class TestCounterexampleFlat:
     def test_single_measurement_chain(self):
         run = flat_measurement(1.0, 3, 3)
@@ -137,12 +156,16 @@ class TestCounterexampleFlat:
         ]
         assert max(sizes) == 1 << 22
 
-    def test_peak_memory_is_the_spectrum_and_span_buffers(self, monkeypatch):
+    def test_holds_no_array_of_the_grid_length(self, monkeypatch):
         # The span budget shrunk to 2^15, so that the span temporaries stay
         # small next to n = 2^19 as they do at n = 2^21-2^22, and one CPU, so
-        # that no concurrent span temporaries count.  The one complex array
-        # of the grid's length is the spectrum of f; the rest is span
-        # buffers and n / 128 leaf sums (1.519 complex arrays measured).
+        # that no concurrent span temporaries count.  The partition is built
+        # before, as the second depth of a run finds it cached.  The spectrum
+        # of f is read from its translates, so what is held is span buffers,
+        # n / 128 leaf sums and the fold's rows (0.46 of one complex n-array
+        # measured; 1.47 with the spectrum built).
+        grid = experiments._flat_layout(1.5, 2, 8)[0]
+        partition_for(grid)
         grid_module = importlib.import_module("tfnorms.grid")
         monkeypatch.setattr(grid_module, "_SPAN", 1 << 15)
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: 1)
@@ -152,14 +175,49 @@ class TestCounterexampleFlat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run["n"] == 1 << 19
-        assert peak <= 1.6 * 16 * run["n"]
+        assert run["n"] == grid.n == 1 << 19
+        assert peak < 16 * run["n"]
 
-    @pytest.mark.parametrize(
-        "p, m, r",
-        [(1.0, 2, 2), (1.0, 0, 4), (1.0, 3, 3), (1.0, 4, 4),
-         (1.5, 2, 4), (1.5, 1, 6), (1.5, 3, 5), (1.5, 2, 6)],
-    )
+    @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
+    def test_translate_rows_are_the_spectrum_rows(self, p, m, r):
+        # Slice, int and int-array reads, as the block norm makes them, give
+        # the rows of the assembled spectrum bit for bit, and the peak is its
+        # maximum modulus.
+        part, base, starts, weights = _flat_translates(p, m, r)
+        fhat = np.zeros(part.grid.n, dtype=complex)
+        for start, w in zip(starts, weights):
+            fhat[start : start + base.size] += w * base
+        dense = part.block_rows(fhat)
+        rows = experiments._TranslateRows(part, base, starts, weights)
+
+        def same_bits(got, want):
+            return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+        count = dense.shape[0]
+        live = np.flatnonzero(np.max(np.abs(dense), axis=1) > 0)
+        assert live.size >= weights.size
+        for key in (slice(0, count), slice(1, count - 1), slice(live[0], live[0] + 1)):
+            assert same_bits(rows[key], dense[key])
+        for i in (0, live[0], int(live[-1]), count - 1):
+            assert same_bits(rows[i], dense[i])
+        for index in (live, live[::-1], np.array([live[-1], 0, live[0]])):
+            assert same_bits(rows[index], dense[index])
+        assert rows.peak == np.max(np.abs(fhat))
+
+    def test_overlapping_translates_are_refused(self):
+        part, base, starts, weights = _flat_translates(1.0, 2, 2)
+        starts = starts.copy()
+        starts[1] = starts[0] + base.size - 1
+        with pytest.raises(AssertionError, match="overlap"):
+            experiments._TranslateRows(part, base, starts, weights)
+
+    def test_leaf_total_refuses_a_shared_leaf(self):
+        values = np.ones(10)
+        assert experiments._leaf_total(1 << 12, [(0, values), (_LEAF, values)]) == 20.0
+        with pytest.raises(AssertionError, match="share a leaf"):
+            experiments._leaf_total(1 << 12, [(0, values), (_LEAF - 5, values)])
+
+    @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
     def test_span_norms_match_the_dense_reference(self, p, m, r):
         run, dense = flat_measurement(p, m, r), _dense_flat_measurement(p, m, r)
         assert run["n"] <= 1 << 17

@@ -242,14 +242,14 @@ class TestBitIdentical:
         assert [span for _, _, span, _ in sup] == [budget // (t + 6) for t in range(levels)]
         assert all(off_main == (count > span) for _, count, span, off_main in sup)
         assert any(count > span and count % span != 0 for _, count, span, _ in sup)
-        # The folds of F^-1 phi and of f, then the block norm's noise floor
-        # over the spectrum, its liveness scan over all blocks and its fold.
+        # The folds of F^-1 phi and of f, then the block norm's liveness
+        # scan over all blocks, reading the rows from the translates, and
+        # its fold.  No pass runs over the n samples of the spectrum.
         blocks, width = len(part.block_indices()), 2 * part.steps_per_unit
         phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
         assert [entry for entry in log if entry[0] == "norms"] == [
             phi_fold,
             phi_fold,
-            ("norms", grid.n, budget, True),
             ("norms", blocks, budget // width, True),
             ("norms", p_len, 3, True),
         ]
