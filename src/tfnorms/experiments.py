@@ -288,6 +288,12 @@ def rudin_shapiro_experiment(m_max: int = 12, samples: int = 4096, seed: int = 0
     """Exact flatness identity and the total-variation flatness bound."""
     if samples < 1:
         raise ValueError(f"need at least one frequency sample, got {samples}")
+    # The identity's target 2^(m+1) overflows a float past this depth.
+    deepest = sys.float_info.max_exp - 2
+    if m_max > deepest:
+        raise ValueError(
+            f"depth m must be <= {deepest}, so that 2^(m+1) is a finite float, got {m_max}"
+        )
     report = SweepReport("rudin-shapiro", axis="depth")
     xis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     worst = 0.0
@@ -623,9 +629,13 @@ def _flat_layout(p: float, m: int, r: int) -> tuple[Grid, int]:
 
     The spacing keeps the translates of F^-1 phi by the support of nu
     disjoint; the grid fits the translate train with margin, and its
-    frequency grid resolves every occupied block.  A grid above compose's
-    refined-grid gate is refused before anything is built on it.
+    frequency grid resolves every occupied block.  A negative depth, named,
+    and a grid above compose's refined-grid gate are refused before anything
+    is built.
     """
+    for name, depth in (("m", m), ("r", r)):
+        if depth < 0:
+            raise ValueError(f"depth {name} must be >= 0, got {depth}")
     r_half = _invphi_tail_halfwidth(p, _TAIL_FRACTION.get(p, 1e-3))
     n_nu = disjointness_spacing(r_half, r)
     support = n_nu * (2**r - 1) + 2.2 * r_half
@@ -693,7 +703,8 @@ def _leaf_total(n: int, pieces) -> float:
     taken = np.zeros(n // leaf, dtype=bool)
     for start, values in pieces:
         a, b = start // leaf, -(-(start + values.size) // leaf)
-        assert not taken[a:b].any(), "two pieces share a leaf"
+        if taken[a:b].any():
+            raise ValueError("two pieces share a leaf")
         taken[a:b] = True
         padded = np.zeros((b - a) * leaf)
         padded[start - a * leaf : start - a * leaf + values.size] = values
@@ -701,36 +712,21 @@ def _leaf_total(n: int, pieces) -> float:
     return _pairwise_total(leaves)
 
 
-class _TranslateRows:
-    """The block rows of a spectrum of disjoint weighted translates, read on demand.
+def _translate_fill(base: np.ndarray, starts: np.ndarray, weights: np.ndarray):
+    """The fill (see ``part.block_rows``) of the spectrum that is weights[l] * base from starts[l].
 
-    The spectrum is weights[l] * base on [starts[l], starts[l] + base.size)
-    for each l and 0 elsewhere on part's dual grid.  Indexed with a slice,
-    an int or an int array, as ``norms._block_norm`` indexes its rows, it
-    returns bitwise the rows ``part.block_rows(spectrum)`` would: each starts
-    as zeros and has weights[l] * base added where translate l meets it, in
-    the order of the translates, as the spectrum itself would be built.
-    `peak` is the maximum of |spectrum|, the largest over the translates
-    since they are disjoint.
+    It adds the translates that meet a row in their order, as the spectrum
+    itself would be built, so its rows are bitwise the spectrum's rows.
     """
+    if np.any(np.diff(np.sort(starts)) < base.size):
+        raise ValueError("the translates overlap")
 
-    def __init__(self, part, base: np.ndarray, starts: np.ndarray, weights: np.ndarray):
-        assert np.all(np.diff(np.sort(starts)) >= base.size), "the translates overlap"
-        self.base, self.starts, self.ends, self.weights = base, starts, starts + base.size, weights
-        self.width, self.step = part.core.size, part.steps_per_unit
-        self.first = part.window_start(-part.max_block_index)
-        self.count = len(part.block_indices())
-        self.peak = float(max(np.max(np.abs(w * base)) for w in weights))
+    def fill(row: np.ndarray, s: int) -> None:
+        for t in np.flatnonzero((starts < s + row.size) & (starts + base.size > s)):
+            a, b = max(s, starts[t]), min(s + row.size, starts[t] + base.size)
+            row[a - s : b - s] += weights[t] * base[a - starts[t] : b - starts[t]]
 
-    def __getitem__(self, key) -> np.ndarray:
-        index = np.arange(self.count)[key]
-        out = np.zeros(index.shape + (self.width,), dtype=complex)
-        for row, s in zip(out.reshape(-1, self.width), self.first + self.step * index.ravel()):
-            for t in np.flatnonzero((self.starts < s + self.width) & (self.ends > s)):
-                start = self.starts[t]
-                a, b = max(s, start), min(s + self.width, self.ends[t])
-                row[a - s : b - s] += self.weights[t] * self.base[a - start : b - start]
-        return out
+    return fill
 
 
 def flat_measurement(p: float, m: int, r: int) -> dict:
@@ -752,7 +748,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       mu-check at every grid point before |.|^p.
     - The spectrum of f is 2^m disjoint translates of base = nu-hat phi,
       weighted +-2^-m, and is never built.  The block norm reads its rows
-      on demand from base and the translates (:class:`_TranslateRows`); the
+      as the partition makes them from a fill (:func:`_translate_fill`); the
       translates carry one block up to the sign of their weight, so it
       folds that one block and reuses its value for all of them.  The L^1
       norm of f-hat sums the leaves of numpy's pairwise sum that the
@@ -795,8 +791,9 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     # of mu, shift = loc * steps; both norms read it from base.
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
     starts = lo + np.round(mu.locations).astype(int) * steps
-    translates = _TranslateRows(part, base, starts, mu.weights)
-    mod = _block_norm(translates, translates.peak, NormSpec.modulation(p, 1.0, 0.0), part).value
+    peak = float(max(np.max(np.abs(w * base)) for w in mu.weights))  # disjoint: max |f-hat|
+    rows = part.block_rows(_translate_fill(base, starts, mu.weights))
+    mod = _block_norm(rows, peak, NormSpec.modulation(p, 1.0, 0.0), part).value
     magnitudes = ((start, np.abs(w * base)) for start, w in zip(starts, mu.weights))
     fhat_l1 = float(grid.dual().dx * _leaf_total(grid.n, magnitudes))
     return {

@@ -54,12 +54,12 @@ masked row on its two halves; rows are compared exactly only when those
 pairs agree, which also keeps mirrored rows of real signals apart.
 
 Everything after the maximum of |spectrum| reads the spectrum only through
-its block rows, indexed with a slice, an int or an int array.  So
-:func:`modulation_norm` hands ``part.block_rows(spectrum)`` to one body,
-``_block_norm``, and a caller whose spectrum is a train of disjoint weighted
-translates of one short block (the flat counterexample) hands it a reader
-that builds the rows asked for from the block, bitwise the same rows,
-without building the n-point spectrum.
+``part.block_rows``, indexed with a slice, an int or an int array, so one
+body, ``_block_norm``, serves two callers.  :func:`modulation_norm` hands it
+the rows of its spectrum; a caller whose spectrum is a train of disjoint
+weighted translates of one short block (the flat counterexample) hands it
+the rows of a fill that adds the translates meeting each window, bitwise the
+same rows, without building the n-point spectrum.
 
 The sum over blocks is truncated at the frequency grid edge and the mass of
 the outermost two blocks is reported as a tail estimate.
@@ -159,9 +159,8 @@ def modulation_norm(
 def _block_norm(rows, peak: float, spec: NormSpec, part: FrequencyPartition) -> NormReport:
     """The modulation norm `spec` from the block rows of a spectrum and its max |.|.
 
-    `rows` is ``part.block_rows(spectrum)`` or anything that gives the same
-    rows when indexed with a slice, an int or an int array; `peak` is the
-    maximum of |spectrum| over the grid.
+    `rows` is ``part.block_rows`` of the spectrum or of a fill of it; `peak`
+    is the maximum of |spectrum| over the grid.
     """
     p, q, s = spec.p, spec.q, spec.s
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no

@@ -85,6 +85,20 @@ class TestImportCost:
         assert [(name, m) for name, m in imported if m.split(".")[0] == "scipy"] == []
 
 
+class TestOptimizedMode:
+    def test_no_module_asserts(self):
+        # python -O drops assert statements, so every check raises instead,
+        # and the reports are the same under -O.
+        paths = sorted(Path(tfnorms.__file__).parent.glob("*.py"))
+        asserts = [
+            (path.name, node.lineno)
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         text = dumps_canonical({"a": 0.1, "b": [1.0, 2], "c": None, "d": True})
@@ -233,6 +247,11 @@ class TestCommands:
             (["reciprocal", "--interval", "5,-5"], "interval needs a < b, got (5, -5)"),
             (["reciprocal", "--interval", "100,200"], "interval (100, 200) holds no grid point"),
             (["rudin-shapiro", "--samples", "0"], "need at least one frequency sample, got 0"),
+            (
+                ["rudin-shapiro", "--m", "1030", "--samples", "1"],
+                "depth m must be <= 1022, so that 2^(m+1) is a finite float, got 1030",
+            ),
+            (["counterexample-flat", "--r", "-1"], "depth r must be >= 0, got -1"),
         ],
     )
     def test_bad_input_exits_one_with_its_message(self, tmp_path, capsys, args, message):

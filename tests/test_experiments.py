@@ -111,14 +111,24 @@ DENSE_LAYOUTS = [
 
 
 def _flat_translates(p: float, m: int, r: int) -> tuple:
-    """The (part, base, starts, weights) that flat_measurement(p, m, r) reads f-hat from."""
-    made = []
-    real = experiments._TranslateRows
+    """(part, base, starts, weights, peak): what flat_measurement(p, m, r) reads f-hat from.
+
+    The peak is the one that flat_measurement hands the block norm.
+    """
+    made, norms_taken = [], []
+    fill, block_norm = experiments._translate_fill, experiments._block_norm
+
+    def taken(rows, peak, spec, part):
+        norms_taken.append((part, peak))
+        return block_norm(rows, peak, spec, part)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_TranslateRows", lambda *args: made.append(args) or real(*args))
+        mp.setattr(experiments, "_translate_fill", lambda *args: made.append(args) or fill(*args))
+        mp.setattr(experiments, "_block_norm", taken)
         flat_measurement(p, m, r)
     (args,) = made
-    return args
+    ((part, peak),) = norms_taken
+    return (part, *args, peak)
 
 
 class TestCounterexampleFlat:
@@ -183,12 +193,12 @@ class TestCounterexampleFlat:
         # Slice, int and int-array reads, as the block norm makes them, give
         # the rows of the assembled spectrum bit for bit, and the peak is its
         # maximum modulus.
-        part, base, starts, weights = _flat_translates(p, m, r)
+        part, base, starts, weights, peak = _flat_translates(p, m, r)
         fhat = np.zeros(part.grid.n, dtype=complex)
         for start, w in zip(starts, weights):
             fhat[start : start + base.size] += w * base
         dense = part.block_rows(fhat)
-        rows = experiments._TranslateRows(part, base, starts, weights)
+        rows = part.block_rows(experiments._translate_fill(base, starts, weights))
 
         def same_bits(got, want):
             return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
@@ -202,19 +212,41 @@ class TestCounterexampleFlat:
             assert same_bits(rows[i], dense[i])
         for index in (live, live[::-1], np.array([live[-1], 0, live[0]])):
             assert same_bits(rows[index], dense[index])
-        assert rows.peak == np.max(np.abs(fhat))
+        assert peak == np.max(np.abs(fhat))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_translate_rows_on_the_core_slopes(self, p):
+        # The translates of every flat layout sit on the plateau of the
+        # core, where a row shifted by one sample only modulates its block
+        # and leaves the block norm as it was.  These straddle its slopes.
+        grid = Grid(4096, 16 * math.pi)
+        part = partition_for(grid)
+        w = part.steps_per_unit
+        rng = np.random.default_rng(0)
+        size = int(0.7 * w)
+        base = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        weights = rng.standard_normal(4)
+        starts = grid.n // 2 + 5 + 2 * w * np.arange(weights.size)
+        fhat = np.zeros(grid.n, dtype=complex)
+        for start, weight in zip(starts, weights):
+            fhat[start : start + size] += weight * base
+        rows = part.block_rows(experiments._translate_fill(base, starts, weights))
+        peak = float(max(np.max(np.abs(weight * base)) for weight in weights))
+        got = norms._block_norm(rows, peak, NormSpec.modulation(p, 1.0, 0.0), part)
+        dense = modulation_norm(None, p, 1.0, 0.0, part, spectrum=SampledSignal(grid.dual(), fhat))
+        assert got == dense
 
     def test_overlapping_translates_are_refused(self):
-        part, base, starts, weights = _flat_translates(1.0, 2, 2)
+        _, base, starts, weights, _ = _flat_translates(1.0, 2, 2)
         starts = starts.copy()
         starts[1] = starts[0] + base.size - 1
-        with pytest.raises(AssertionError, match="overlap"):
-            experiments._TranslateRows(part, base, starts, weights)
+        with pytest.raises(ValueError, match="overlap"):
+            experiments._translate_fill(base, starts, weights)
 
     def test_leaf_total_refuses_a_shared_leaf(self):
         values = np.ones(10)
         assert experiments._leaf_total(1 << 12, [(0, values), (_LEAF, values)]) == 20.0
-        with pytest.raises(AssertionError, match="share a leaf"):
+        with pytest.raises(ValueError, match="share a leaf"):
             experiments._leaf_total(1 << 12, [(0, values), (_LEAF - 5, values)])
 
     @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
