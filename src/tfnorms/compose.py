@@ -56,8 +56,11 @@ TAIL_TOLERANCE = 1e-8
 CUTOFF_PLATEAU = 1.0
 CUTOFF_SUPPORT = 2.0
 
-# Dilations read their samples off a refined grid of at most this many
-# samples, so approx-unit at n = 4096 takes at most 10 halvings.
+# No run builds a grid of more than this many samples: dilations read their
+# samples off a refined grid of at most this size (so approx-unit at
+# n = 4096 takes at most 10 halvings), and the runners check their largest
+# grid, twice n for the refinement runs, before they build anything (the
+# STFT runners check the STFT's smaller gate instead).
 _MAX_REFINED_SIZE = 1 << 22
 
 
@@ -310,11 +313,16 @@ def _integer_ratio(lam: float) -> tuple[int, int]:
     return num, den
 
 
-def _check_refined_size(size: int) -> None:
-    """Raise CostGateError for a refined grid of more than _MAX_REFINED_SIZE samples."""
+def _check_grid_size(size: int, what: str, grid: str = "grid") -> None:
+    """Raise CostGateError when `what` needs a `grid` of more than _MAX_REFINED_SIZE samples.
+
+    The size gate of every run but the STFT's, which has a smaller one: each
+    caller checks the largest grid it will build before it builds anything,
+    so a refused size allocates nothing.
+    """
     if size > _MAX_REFINED_SIZE:
         raise CostGateError(
-            f"dilation needs a {size}-point refined grid, above the {_MAX_REFINED_SIZE}-point gate"
+            f"{what} needs a {size}-point {grid}, above the {_MAX_REFINED_SIZE}-point gate"
         )
 
 
@@ -327,7 +335,7 @@ def _refined_progression(
     n * factor (the periodic extension); m = 0 .. count-1.
     """
     size = h.grid.n * factor
-    _check_refined_size(size)
+    _check_grid_size(size, "dilation", "refined grid")
     return upsample(h, factor).samples[(first + stride * np.arange(count)) % size]
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import make_corpus, make_signal
-from .errors import CostGateError
 from .grid import (
     _LEAF,
+    _each_span,
     _pairwise_total,
     Grid,
     NormSpec,
@@ -30,6 +30,8 @@ from .grid import (
     weighted_lp_norm,
 )
 from .measures import (
+    _scale_factor,
+    _transform_depths,
     Normalization,
     disjointness_spacing,
     rudin_shapiro,
@@ -40,6 +42,8 @@ from .norms import (
     _block_norm,
     _fold_lengths,
     _folded_lp,
+    _norm_report,
+    _norm_values,
     algebra_constant,
     modulation_norm,
     norm_value,
@@ -47,8 +51,7 @@ from .norms import (
 )
 from .partition import bump_profile, partition_defect, partition_profile
 from .compose import (
-    _MAX_REFINED_SIZE,
-    _check_refined_size,
+    _check_grid_size,
     _dilated_window_samples,
     global_compose,
     named_series,
@@ -56,7 +59,7 @@ from .compose import (
     reciprocal_on_compact,
 )
 from .reporting import load_signal
-from .stft import _stft_rows, gaussian_window, stft_gram
+from .stft import _check_stft_size, _stft_rows, gaussian_window, stft_gram
 from .windows import plateau_window, translation_difference_bound
 
 __all__ = [
@@ -133,6 +136,7 @@ def stft_experiment(
     array, which goes to the CSV file in row order at the end; only that
     option pays n^2 memory.
     """
+    _check_stft_size(n)
     report = SweepReport("stft", axis="xi")
     grid = Grid(n, L)
     g = gaussian_window(grid)
@@ -181,6 +185,7 @@ def moyal_experiment(n: int = 2048, L: float = 30.0, seed: int = 0) -> SweepRepo
 
     Both come from one Gram matrix of the corpus STFTs (:func:`stft_gram`).
     """
+    _check_stft_size(n)
     report = SweepReport("moyal", axis="pair")
     grid = Grid(n, L)
     window = gaussian_window(grid)
@@ -233,6 +238,7 @@ def norm_experiment(
     sidecar must name the grid Grid(n, L), so that the config names the grid
     that was measured.
     """
+    _check_grid_size(n, "norm")
     report = SweepReport("norm", axis="k")
     grid = Grid(n, L)
     if str(signal).endswith(".csv"):
@@ -258,6 +264,7 @@ def norm_experiment(
 
 def bupu_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> SweepReport:
     """Partition-of-unity identity and reconstruction from the block rows on the corpus."""
+    _check_grid_size(n, "bupu-check")
     report = SweepReport("bupu-check", axis="signal")
     grid = Grid(n, L)
     part = partition_for(grid)
@@ -290,25 +297,41 @@ def rudin_shapiro_experiment(m_max: int = 12, samples: int = 4096, seed: int = 0
         raise ValueError(f"need at least one frequency sample, got {samples}")
     # The identity's target 2^(m+1) overflows a float past this depth.
     deepest = sys.float_info.max_exp - 2
+    if m_max < 0:
+        raise ValueError(f"depth m must be >= 0, got {m_max}")
     if m_max > deepest:
         raise ValueError(
             f"depth m must be <= {deepest}, so that 2^(m+1) is a finite float, got {m_max}"
         )
+    _check_grid_size(samples, "rudin-shapiro", "frequency grid")
     report = SweepReport("rudin-shapiro", axis="depth")
     xis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    tv_scale = _scale_factor(m_max, Normalization.TOTAL_VARIATION, None)
+    # One pass over the depths, span by span.  Per span: the largest
+    # |identity - 2^(m+1)| at each depth m, and the largest |mu^| at depth
+    # m_max scaled to total variation 1, bitwise what
+    # rudin_shapiro_transforms gives (its RAW scale is 1.0).
+    identity_peaks, tv_peaks = [], []
+
+    def run(lo: int, hi: int) -> None:
+        peaks = np.empty(m_max + 1)
+        for m, (mu_hat, nu_hat) in enumerate(_transform_depths(m_max, 1, xis[lo:hi])):
+            identity = np.abs(mu_hat) ** 2 + np.abs(nu_hat) ** 2
+            peaks[m] = np.max(np.abs(identity - 2.0 ** (m + 1)))
+        identity_peaks.append(peaks)
+        tv_peaks.append(np.max(np.abs(np.multiply(tv_scale, mu_hat))))
+
+    _each_span(run, samples, 1)
     worst = 0.0
-    for m in range(m_max + 1):
-        mu_hat, nu_hat = rudin_shapiro_transforms(m, 1, xis)
-        identity = np.abs(mu_hat) ** 2 + np.abs(nu_hat) ** 2
+    for m, peak in enumerate(np.max(identity_peaks, axis=0)):
         target = 2.0 ** (m + 1)
-        err = float(np.max(np.abs(identity - target))) / target
+        err = float(peak) / target
         worst = max(worst, err)
         report.rows.append({"depth": m, "identity_relative_error": err})
     report.check_le("identity_max_relative_error", worst, 1e-12)
 
-    mu_hat, _ = rudin_shapiro_transforms(m_max, 1, xis, Normalization.TOTAL_VARIATION)
     bound = 2.0 ** ((1.0 - m_max) / 2.0)
-    report.check_le("tv_flatness_sup", float(np.max(np.abs(mu_hat))), bound)
+    report.check_le("tv_flatness_sup", float(max(tv_peaks)), bound)
 
     pair = rudin_shapiro(min(m_max, 10), 1, Normalization.TOTAL_VARIATION)
     report.check("tv_total_variation", pair.mu.total_variation, 1e-12,
@@ -324,6 +347,7 @@ def rudin_shapiro_experiment(m_max: int = 12, samples: int = 4096, seed: int = 0
 
 def plateau_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> SweepReport:
     """Plateau, support, and factorization invariants over the test matrix."""
+    _check_grid_size(n, "plateau")
     report = SweepReport("plateau", axis="window")
     grid = Grid(n, L)
     for center, radius in [(0.0, 1.0), (2.0, 0.5), (-3.0, 0.25)]:
@@ -360,6 +384,7 @@ def translation_bound_experiment(
     n: int = 4096, L: float = PARTITION_L, seed: int = 0
 ) -> SweepReport:
     """Fit the translation-difference constant on half the sweep, verify on the rest."""
+    _check_grid_size(n, "translation-bound")
     report = SweepReport("translation-bound", axis="theta")
     grid = Grid(n, L)
     w = plateau_window(0.0, 1.0, grid)
@@ -422,6 +447,7 @@ def compose_experiment(
     s: float = 0.0,
 ) -> SweepReport:
     """Global composition of a named analytic function with a Gaussian."""
+    _check_grid_size(n, "compose")
     report = SweepReport("compose", axis="x")
     grid = Grid(n, L)
     part = partition_for(grid)
@@ -460,6 +486,7 @@ def reciprocal_experiment(
     if len(interval) != 2:
         raise ValueError(f"interval needs two end points, got {len(interval)}")
     a, b = map(float, interval)
+    _check_grid_size(2 * n, "reciprocal", "refined grid")
     report = SweepReport("reciprocal", axis="n")
     spec = NormSpec.modulation(p, 1.0, s)
 
@@ -507,7 +534,7 @@ def approx_unit_experiment(
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     # The smallest lam, 2^-halvings, reads the window off the largest
     # refined grid; refuse it before building the smaller ones.
-    _check_refined_size(n * 2**halvings)
+    _check_grid_size(n * 2**halvings, "dilation", "refined grid")
     f = make_signal(signal, grid, seed)
     base = plateau_window(0.0, 1.0, grid)
     f_norm = norm_value(f, spec, part)
@@ -543,6 +570,7 @@ def embedding_sweep(
 ) -> SweepReport:
     """Corpus maxima of norm ratios for the standard embeddings, with
     refinement verdicts."""
+    _check_grid_size(2 * n, "embedding-sweep", "refined grid")
     report = SweepReport("embedding-sweep", axis="pair")
 
     mod = NormSpec.modulation
@@ -558,20 +586,21 @@ def embedding_sweep(
         ("L2->M(2,2,0)", lebesgue(2.0), mod(2.0, 2.0, 0.0), None),
     ]
 
-    def corpus_max(name, frm, to, only, n_run):
+    specs = list(dict.fromkeys(spec for _, frm, to, _ in cases for spec in (frm, to)))
+    maxima = {}
+    for n_run in (n, 2 * n):
         grid = Grid(n_run, L)
         part = partition_for(grid)
-        best = 0.0
+        best = [0.0] * len(cases)
         for sig_name, f in make_corpus(grid, seed=seed):
-            if only is not None and not sig_name.startswith(only):
-                continue
-            ratio = norm_value(f, to, part) / norm_value(f, frm, part)
-            best = max(best, ratio)
-        return best
+            values = _norm_values(f, specs, part)
+            for i, (_, frm, to, only) in enumerate(cases):
+                if only is None or sig_name.startswith(only):
+                    best[i] = max(best[i], values[to] / values[frm])
+        maxima[n_run] = best
 
-    for name, frm, to, only in cases:
-        coarse = corpus_max(name, frm, to, only, n)
-        fine = corpus_max(name, frm, to, only, 2 * n)
+    for i, (name, _, _, _) in enumerate(cases):
+        coarse, fine = maxima[n][i], maxima[2 * n][i]
         drift = abs(fine / coarse - 1.0)
         report.rows.append({"pair": name, "max_ratio": coarse, "max_ratio_refined": fine, "drift": drift})
         report.check_le(f"refinement_drift[{name}]", drift, 0.05)
@@ -589,6 +618,7 @@ def algebra_sweep(
     """Empirical multiplication constants, exported for the composition ops."""
     if count < 1:
         raise ValueError(f"need at least one pair, got {count}")
+    _check_grid_size(2 * n, "algebra-sweep", "refined grid")
     report = SweepReport("algebra-sweep", axis="spec")
     specs = [NormSpec.modulation(2.0, 1.0, 0.0), NormSpec.modulation(1.0, 1.0, 0.5)]
     for spec in specs:
@@ -642,11 +672,7 @@ def _flat_layout(p: float, m: int, r: int) -> tuple[Grid, int]:
     m_int = int(math.ceil(1.15 * support / math.pi))
     nyq_needed = 2**m + 2
     n = 1 << int(math.ceil(math.log2(2 * m_int * nyq_needed)))
-    if n > _MAX_REFINED_SIZE:
-        raise CostGateError(
-            f"flat counterexample at m={m}, r={r} needs a {n}-point grid, "
-            f"above the {_MAX_REFINED_SIZE}-point gate"
-        )
+    _check_grid_size(n, f"flat counterexample at m={m}, r={r}")
     return Grid(n, m_int * math.pi), n_nu
 
 
@@ -793,7 +819,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     starts = lo + np.round(mu.locations).astype(int) * steps
     peak = float(max(np.max(np.abs(w * base)) for w in mu.weights))  # disjoint: max |f-hat|
     rows = part.block_rows(_translate_fill(base, starts, mu.weights))
-    mod = _block_norm(rows, peak, NormSpec.modulation(p, 1.0, 0.0), part).value
+    mod = _norm_report(_block_norm(rows, peak, p, part), NormSpec.modulation(p, 1.0, 0.0), part).value
     magnitudes = ((start, np.abs(w * base)) for start, w in zip(starts, mu.weights))
     fhat_l1 = float(grid.dual().dx * _leaf_total(grid.n, magnitudes))
     return {

@@ -197,6 +197,22 @@ def rudin_shapiro(
     return RudinShapiroPair(mu, nu, m, base_spacing, normalization, p)
 
 
+def _transform_depths(m: int, base_spacing: int, x: np.ndarray):
+    """Yield the unscaled (mu_j^, nu_j^) at the frequencies x for j = 0 .. m, in order.
+
+    Each depth is one step of the recursion from the one before, so a caller
+    that reads every depth pays for depth m only.
+    """
+    mu_hat = np.ones(x.size, dtype=complex)
+    nu_hat = np.ones(x.size, dtype=complex)
+    yield mu_hat, nu_hat
+    for j in range(1, m + 1):
+        phase = np.exp(-1j * (2 ** (j - 1) * base_spacing) * x)
+        shifted = phase * nu_hat
+        mu_hat, nu_hat = mu_hat + shifted, mu_hat - shifted
+        yield mu_hat, nu_hat
+
+
 def rudin_shapiro_transforms(
     m: int,
     base_spacing: int,
@@ -220,13 +236,8 @@ def rudin_shapiro_transforms(
     nu_out = np.empty(xis.size, dtype=complex)
 
     def run(lo: int, hi: int) -> None:
-        x = xis[lo:hi]
-        mu_hat = np.ones(x.size, dtype=complex)
-        nu_hat = np.ones(x.size, dtype=complex)
-        for j in range(1, m + 1):
-            phase = np.exp(-1j * (2 ** (j - 1) * base_spacing) * x)
-            shifted = phase * nu_hat
-            mu_hat, nu_hat = mu_hat + shifted, mu_hat - shifted
+        for mu_hat, nu_hat in _transform_depths(m, base_spacing, xis[lo:hi]):
+            pass  # up to depth m
         np.multiply(scale, mu_hat, out=mu_out[lo:hi])
         np.multiply(scale, nu_hat, out=nu_out[lo:hi])
 

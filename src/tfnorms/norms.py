@@ -41,22 +41,30 @@ every grid point (the flat counterexample's Rudin-Shapiro polynomial): each
 span multiplies its inverse transforms by h at their grid indices b + P a
 before |.|^p, so that norm needs no n-point transform either.
 
-Only distinct blocks are folded.  Two blocks are the same when their masked
-rows are equal as values, or equal after negating one of them: a block
-holding -c_m folds to the negated intermediates of one holding c_m, because
-under round-to-nearest negation commutes with the twiddle product, every FFT
+Only distinct blocks are folded.  The body, ``_block_norm``, stops at the
+vector of block L^p norms for one p, since q and s enter only when
+``_norm_report`` combines that vector: sum_k (<k>^s ||block_k||_p)^q, and
+the two outermost blocks as the tail.  So a caller that needs several
+(q, s) of one spectrum folds each p once; ``_norm_values`` gives every spec
+of one signal from one transform that way (the embedding sweep), and
+:func:`algebra_constant` norms each signal and each product once.  Within
+one vector, two blocks are the same when their masked rows are equal as
+values, or equal after negating one of them: a block holding -c_m folds to
+the negated intermediates of one holding c_m, because under
+round-to-nearest negation commutes with the twiddle product, every FFT
 butterfly and abs, and a zero of either sign stays a zero.  So each group is
 folded once, for its first block, and its value is bitwise the value every
 block of the group would fold to.  Integer frequency translates of one
 spectrum weighted by +-c (the flat counterexample's 2^m Rudin-Shapiro
 translates) are such a group.  The liveness scan keeps the maxima of each
 masked row on its two halves; rows are compared exactly only when those
-pairs agree, which also keeps mirrored rows of real signals apart.
+pairs agree, which also keeps mirrored rows of real signals apart.  Nothing
+is cached across calls by the bytes of a spectrum or a row.
 
 Everything after the maximum of |spectrum| reads the spectrum only through
-``part.block_rows``, indexed with a slice, an int or an int array, so one
-body, ``_block_norm``, serves two callers.  :func:`modulation_norm` hands it
-the rows of its spectrum; a caller whose spectrum is a train of disjoint
+``part.block_rows``, indexed with a slice, an int or an int array, so the
+one body serves two kinds of caller.  :func:`modulation_norm` hands it the
+rows of its spectrum; a caller whose spectrum is a train of disjoint
 weighted translates of one short block (the flat counterexample) hands it
 the rows of a fill that adds the translates meeting each window, bitwise the
 same rows, without building the n-point spectrum.
@@ -150,33 +158,37 @@ def modulation_norm(
     if not part.grid.compatible(grid):
         raise ValueError("partition was built for a different grid")
     spectrum = (fourier_forward(f) if spectrum is None else spectrum).samples
-    # The maximum of |spectrum| is taken span by span, so no n floats are held.
+    lp = _block_norm(part.block_rows(spectrum), _spectrum_peak(spectrum), p, part)
+    return _norm_report(lp, spec, part)
+
+
+def _spectrum_peak(spectrum: np.ndarray) -> float:
+    """max |spectrum|, taken span by span, so that no n floats are held."""
     peaks = []
     _each_span(lambda lo, hi: peaks.append(np.max(np.abs(spectrum[lo:hi]))), spectrum.size, 1)
-    return _block_norm(part.block_rows(spectrum), float(max(peaks)), spec, part)
+    return float(max(peaks))
 
 
-def _block_norm(rows, peak: float, spec: NormSpec, part: FrequencyPartition) -> NormReport:
-    """The modulation norm `spec` from the block rows of a spectrum and its max |.|.
+def _block_norm(rows, peak: float, p: float, part: FrequencyPartition) -> np.ndarray:
+    """The L^p norms of the blocks of a spectrum, in block order, 0 for dead blocks.
 
     `rows` is ``part.block_rows`` of the spectrum or of a fill of it; `peak`
     is the maximum of |spectrum| over the grid.
     """
-    p, q, s = spec.p, spec.q, spec.s
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no
     # signal content; skipping them changes the value below reporting
     # precision and keeps the inverse transforms proportional to the
     # occupied band.
     floor = _NOISE_FLOOR * peak
-    ks = np.array(part.block_indices())
     core = part.core
-    block_norms = np.zeros(ks.size)
+    count = len(part.block_indices())
+    block_norms = np.zeros(count)
     scale = part.grid.dxi / (2.0 * math.pi)
     # The maxima of |masked row| on [k - 1, k) and [k, k + 1): their larger
     # one is the liveness test, and the pair is the key that _distinct_rows
     # groups candidate duplicate rows by.  Every reduction is per row, so
     # the rows are scanned span by span.
-    halves = np.empty((ks.size, 2))
+    halves = np.empty((count, 2))
 
     def scan(lo: int, hi: int) -> None:
         mags = np.abs(rows[lo:hi] * core)
@@ -185,7 +197,7 @@ def _block_norm(rows, peak: float, spec: NormSpec, part: FrequencyPartition) -> 
             # Parseval on the masked rows: no inverse transform needed.
             block_norms[lo:hi] = np.sqrt(scale * np.sum(np.square(mags, out=mags), axis=1))
 
-    _each_span(scan, ks.size, core.size)
+    _each_span(scan, count, core.size)
     live = np.max(halves, axis=1) > floor
     if p == 2.0:
         block_norms *= live
@@ -195,11 +207,16 @@ def _block_norm(rows, peak: float, spec: NormSpec, part: FrequencyPartition) -> 
         keys = halves[which].view(complex)[:, 0]
         heads, owner = _distinct_rows(rows, which, core, keys)
         block_norms[which] = _folded_lp(rows, heads, core, p, part.grid.n, part.grid.dx)[owner]
+    return block_norms
 
-    contributions = _index_weight(ks, s) * block_norms
-    value = _combine(contributions, q)
+
+def _norm_report(block_norms: np.ndarray, spec: NormSpec, part: FrequencyPartition) -> NormReport:
+    """The modulation norm `spec` from the L^p block norms of ``_block_norm`` at p = spec.p."""
+    ks = np.array(part.block_indices())
+    contributions = _index_weight(ks, spec.s) * block_norms
+    value = _combine(contributions, spec.q)
     outer = np.array([contributions[0], contributions[-1]])
-    tail = _combine(outer, q)
+    tail = _combine(outer, spec.q)
     return NormReport(spec, value, tuple(zip(ks.tolist(), contributions.tolist())), tail)
 
 
@@ -366,25 +383,70 @@ def norm_value(
     return weighted_lp_norm(f, spec.p, spec.s)
 
 
+def _norm_values(f: SampledSignal, specs, part: FrequencyPartition) -> dict:
+    """{spec: norm_value(f, spec, part)} for each spec, bit for bit, from one transform of f.
+
+    The modulation specs share their block norms: each p is folded once and
+    combined for each (q, s).
+    """
+    if not part.grid.compatible(f.grid):
+        raise ValueError("partition was built for a different grid")
+    spectrum = fourier_forward(f)
+    rows, peak = part.block_rows(spectrum.samples), _spectrum_peak(spectrum.samples)
+    blocks: dict = {}  # p -> block norms
+
+    def value(spec: NormSpec) -> float:
+        if spec.space is Space.MODULATION:
+            if spec.p not in blocks:
+                blocks[spec.p] = _block_norm(rows, peak, spec.p, part)
+            return _norm_report(blocks[spec.p], spec, part).value
+        if spec.space is Space.FOURIER_BEURLING:
+            return weighted_lp_norm(spectrum, 1.0, spec.s)
+        return norm_value(f, spec, part)
+
+    return {spec: value(spec) for spec in specs}
+
+
 def algebra_constant(pairs, spec: NormSpec, part: FrequencyPartition) -> float:
     """Empirical multiplication constant: max ||f g|| / (||f|| ||g||) over signal pairs.
 
     Downstream series constructions gate convergence on this measured value
     (with their own safety margin); it is an estimate, not a proof.
+
+    Each tag's signal is normed once, and each product once per ordered
+    pair of tags.  A product reuses a norm only when its samples are bitwise
+    those of the signal that was normed: one of its factors (nested
+    plateaus, such as bump-4 times bump-2, which is bump-2), or g f for a
+    reversed pair normed before.  f g and g f are compared, not assumed
+    equal, because numpy's SIMD complex multiply can round the two orders
+    differently in the last bit.
     """
     best = 0.0
-    cache: dict = {}
+    signal_norms: dict = {}  # tag -> norm
+    product_norms: dict = {}  # (tag_f, tag_g) -> norm of f g
 
-    def cached_norm(tag, sig):
-        if tag not in cache:
-            cache[tag] = norm_value(sig, spec, part)
-        return cache[tag]
+    def signal_norm(tag, sig):
+        if tag not in signal_norms:
+            signal_norms[tag] = norm_value(sig, spec, part)
+        return signal_norms[tag]
+
+    def product_norm(tag_f, f, tag_g, g):
+        fg = f * g
+        bits = fg.samples.tobytes()
+        if bits == f.samples.tobytes():
+            return signal_norm(tag_f, f)
+        if bits == g.samples.tobytes():
+            return signal_norm(tag_g, g)
+        if (tag_g, tag_f) in product_norms and bits == (g * f).samples.tobytes():
+            return product_norms[tag_g, tag_f]
+        return norm_value(fg, spec, part)
 
     for tag_f, f, tag_g, g in pairs:
-        nf = cached_norm(tag_f, f)
-        ng = cached_norm(tag_g, g)
+        nf = signal_norm(tag_f, f)
+        ng = signal_norm(tag_g, g)
         if nf == 0.0 or ng == 0.0:
             continue
-        ratio = norm_value(f * g, spec, part) / (nf * ng)
-        best = max(best, ratio)
+        if (tag_f, tag_g) not in product_norms:
+            product_norms[tag_f, tag_g] = product_norm(tag_f, f, tag_g, g)
+        best = max(best, product_norms[tag_f, tag_g] / (nf * ng))
     return best

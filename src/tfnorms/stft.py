@@ -80,6 +80,15 @@ def gaussian_window(grid: Grid) -> SampledSignal:
     return SampledSignal.from_function(grid, lambda t: np.exp(-(t**2) / 2.0))
 
 
+def _check_stft_size(n: int) -> None:
+    """Raise CostGateError for an STFT on more than MAX_STFT_SIZE grid points."""
+    if n > MAX_STFT_SIZE:
+        raise CostGateError(
+            f"the STFT is gated at n <= {MAX_STFT_SIZE} (got n={n}); "
+            "use the frequency-block norm path for larger grids"
+        )
+
+
 def _stft_rows(signals: Sequence[SampledSignal], windows: Sequence[SampledSignal], hook) -> None:
     """Hand every row of the STFTs V_{w_s} f_s to ``hook(j0, rows)``, span by span.
 
@@ -106,11 +115,7 @@ def _stft_rows(signals: Sequence[SampledSignal], windows: Sequence[SampledSignal
     for h in (*signals, *windows):
         _check_same_grid(signals[0], h, "stft")
     n = grid.n
-    if n > MAX_STFT_SIZE:
-        raise CostGateError(
-            f"the STFT is gated at n <= {MAX_STFT_SIZE} (got n={n}); "
-            "use the frequency-block norm path for larger grids"
-        )
+    _check_stft_size(n)
     if any(weighted_lp_norm(w, 2.0) == 0.0 for w in windows):
         raise ValueError("stft window must be nonzero")
 

@@ -237,6 +237,41 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: dilation needs a 8388608-point refined grid")
         assert not out.exists()
 
+    # Each runner's largest grid against the one size gate, 2^22 samples,
+    # or the STFT's own, 4096.  The child may map 1 GiB, less than one array
+    # of 2^28 samples, so a gate that fires after the first allocation fails
+    # in a traceback.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            *(([name, "--n", str(1 << 28)], "the STFT is gated at n <= 4096 (got n=268435456); "
+               "use the frequency-block norm path for larger grids") for name in ("stft", "moyal")),
+            *(([name, "--n", str(1 << 28)], f"{name} needs a 268435456-point grid, above the "
+               "4194304-point gate") for name in (
+                "norm", "bupu-check", "plateau", "translation-bound", "compose",
+            )),
+            *(([name, "--n", str(1 << 28)], f"{name} needs a 536870912-point refined grid, above "
+               "the 4194304-point gate") for name in ("reciprocal", "embedding-sweep", "algebra-sweep")),
+            (["rudin-shapiro", "--samples", str(10**9)], "rudin-shapiro needs a 1000000000-point "
+             "frequency grid, above the 4194304-point gate"),
+            # Below the one gate: the STFT's corpus and per-row Grams are not built either.
+            (["moyal", "--n", str(1 << 22)], "the STFT is gated at n <= 4096 (got n=4194304); "
+             "use the frequency-block norm path for larger grids"),
+        ],
+    )
+    def test_grid_above_the_gate_is_refused_before_it_is_built(self, tmp_path, args, message):
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from tfnorms.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args, "--out", "out"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -252,6 +287,7 @@ class TestCommands:
                 "depth m must be <= 1022, so that 2^(m+1) is a finite float, got 1030",
             ),
             (["counterexample-flat", "--r", "-1"], "depth r must be >= 0, got -1"),
+            (["rudin-shapiro", "--m", "-1"], "depth m must be >= 0, got -1"),
         ],
     )
     def test_bad_input_exits_one_with_its_message(self, tmp_path, capsys, args, message):

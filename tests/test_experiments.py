@@ -1,5 +1,6 @@
 """Experiment-level checks, on light configurations where that is sound."""
 
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -118,9 +119,9 @@ def _flat_translates(p: float, m: int, r: int) -> tuple:
     made, norms_taken = [], []
     fill, block_norm = experiments._translate_fill, experiments._block_norm
 
-    def taken(rows, peak, spec, part):
+    def taken(rows, peak, p, part):
         norms_taken.append((part, peak))
-        return block_norm(rows, peak, spec, part)
+        return block_norm(rows, peak, p, part)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_translate_fill", lambda *args: made.append(args) or fill(*args))
@@ -232,7 +233,8 @@ class TestCounterexampleFlat:
             fhat[start : start + size] += weight * base
         rows = part.block_rows(experiments._translate_fill(base, starts, weights))
         peak = float(max(np.max(np.abs(weight * base)) for weight in weights))
-        got = norms._block_norm(rows, peak, NormSpec.modulation(p, 1.0, 0.0), part)
+        spec = NormSpec.modulation(p, 1.0, 0.0)
+        got = norms._norm_report(norms._block_norm(rows, peak, p, part), spec, part)
         dense = modulation_norm(None, p, 1.0, 0.0, part, spectrum=SampledSignal(grid.dual(), fhat))
         assert got == dense
 
@@ -396,6 +398,56 @@ class TestAlgebraConstantCache:
             assert len(calls) == 2
         finally:
             experiments._cached_algebra_constant.cache_clear()
+
+
+def _digest(signal: SampledSignal) -> bytes:
+    return hashlib.sha256(signal.samples.tobytes()).digest()
+
+
+class TestFoldOnce:
+    def test_no_head_is_folded_twice_in_one_run(self, monkeypatch):
+        # Every head that _folded_lp folds, as (masked row bytes, p, n),
+        # with the signal that norm_value was norming when it was folded.
+        fold, value = norms._folded_lp, norms.norm_value
+        owner = [None]
+        heads = {}  # head -> the digests of the signals whose norms folded it
+
+        def folded(rows, which, core, p, n, *args):
+            for b in which:
+                heads.setdefault(((rows[b] * core).tobytes(), p, n), []).append(owner[0])
+            return fold(rows, which, core, p, n, *args)
+
+        def valued(f, spec, part=None):
+            owner[0] = _digest(f)
+            return value(f, spec, part)
+
+        monkeypatch.setattr(norms, "_folded_lp", folded)
+        monkeypatch.setattr(norms, "norm_value", valued)
+        embedding_sweep()
+        assert len(heads) == 2208
+        assert all(len(owners) == 1 for owners in heads.values())
+
+        heads.clear()
+        experiments._cached_algebra_constant.cache_clear()
+        try:
+            algebra_sweep()
+        finally:
+            experiments._cached_algebra_constant.cache_clear()
+        assert len(heads) == 13811
+        # A head folded twice may only be a block row that f g and g f
+        # share where the two products differ in the last bit elsewhere,
+        # so that both are normed (gaussian-unit and modgauss-8: 23 rows on
+        # each grid on an AVX-512 host).
+        reversals = set()
+        for n in (4096, 8192):
+            corpus = make_corpus(Grid(n, PARTITION_L), seed=0)
+            for _, f in corpus:
+                for _, g in corpus:
+                    fg, gf = _digest(f * g), _digest(g * f)
+                    if fg != gf:
+                        reversals.add(frozenset((fg, gf)))
+        shared = [owners for owners in heads.values() if len(owners) > 1]
+        assert all(len(owners) == 2 and frozenset(owners) in reversals for owners in shared)
 
 
 class TestLightReports:

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 import tfnorms.grid as grid_module
 import tfnorms.norms as norms
 from tfnorms.corpus import make_corpus
-from tfnorms.experiments import PARTITION_L
+from tfnorms.experiments import PARTITION_L, _algebra_pairs
 from tfnorms.grid import (
     Grid,
     NormSpec,
     SampledSignal,
+    Space,
     fourier_forward,
     fourier_inverse,
     weighted_lp_norm,
 )
 from tfnorms.norms import (
     NormReport,
+    algebra_constant,
     fourier_beurling_norm,
     fourier_segal_norm,
     modulation_norm,
@@ -470,3 +472,91 @@ class TestPartitionCache:
         for m in range(2, 12):
             partition_for(Grid(512, m * math.pi))
         assert partition_for(Grid(512, math.pi)) is not first
+
+
+class TestSharedBlockNorms:
+    SPECS = [
+        NormSpec.modulation(1.0, 1.0, 1.0),
+        NormSpec.modulation(1.0, 1.0, 0.0),
+        NormSpec.modulation(1.0, 2.0, 0.5),
+        NormSpec.modulation(2.0, 1.0, 0.0),
+        NormSpec.modulation(2.0, 2.0, 0.0),
+        NormSpec.modulation(1.5, math.inf, 0.0),
+        NormSpec.modulation(math.inf, 1.0, 0.0),
+        NormSpec.fourier_beurling(0.0),
+        NormSpec.fourier_beurling(0.5),
+        NormSpec(Space.FOURIER_SEGAL, p=1.5),
+        NormSpec.weighted_lebesgue(2.0),
+        NormSpec.weighted_lebesgue(1.0, 0.5),
+    ]
+
+    def test_values_are_bitwise_norm_value(self):
+        # Each p is folded once and combined for each (q, s).
+        for name, f in CORPUS[::3]:
+            with mock.patch.object(norms, "_block_norm", wraps=norms._block_norm) as body:
+                values = norms._norm_values(f, self.SPECS, PART)
+            assert [call.args[2] for call in body.call_args_list] == [1.0, 2.0, 1.5, math.inf]
+            assert list(values) == self.SPECS
+            for spec, value in values.items():
+                assert value == norm_value(f, spec, PART), (name, spec)
+
+    def test_values_refuse_another_grid(self):
+        with pytest.raises(ValueError, match="different grid"):
+            norms._norm_values(gaussian(Grid(1024, 16.0 * math.pi)), self.SPECS, PART)
+
+
+def _plain_constant(pairs, spec, part):
+    """algebra_constant without reuse: every signal and every product normed."""
+    best = 0.0
+    for _, f, _, g in pairs:
+        nf, ng = norm_value(f, spec, part), norm_value(g, spec, part)
+        if nf == 0.0 or ng == 0.0:
+            continue
+        best = max(best, norm_value(f * g, spec, part) / (nf * ng))
+    return best
+
+
+ALGEBRA_GRID = Grid(512, PARTITION_L)
+ALGEBRA_CORPUS = make_corpus(ALGEBRA_GRID, seed=0)
+# Ordered pairs of corpus signals whose products f g and g f differ in the
+# last bit, as numpy's SIMD complex multiply can round the two orders
+# differently (50 of the 144 at n = 512 on an AVX-512 host).  A host whose
+# multiply commutes bitwise has none; the off-diagonal pairs stand in there.
+REVERSALS = [
+    (i, j)
+    for i, (_, f) in enumerate(ALGEBRA_CORPUS)
+    for j, (_, g) in enumerate(ALGEBRA_CORPUS)
+    if (f * g).samples.tobytes() != (g * f).samples.tobytes()
+] or [(i, j) for i in range(12) for j in range(12) if i != j]
+
+
+class TestAlgebraConstantReuse:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        count=st.integers(1, 8),
+        pick=st.integers(0, len(REVERSALS) - 1),
+        spec=st.sampled_from([NormSpec.modulation(1.0, 1.0, 0.5), NormSpec.modulation(2.0, 1.0, 0.0)]),
+    )
+    def test_reuse_is_bitwise_the_plain_loop(self, seed, count, pick, spec):
+        part = partition_for(ALGEBRA_GRID)
+        drawn = _algebra_pairs(ALGEBRA_CORPUS, seed, count)
+        (a, f), (b, g) = (ALGEBRA_CORPUS[i] for i in REVERSALS[pick])
+        fg, gf = (a, f, b, g), (b, g, a, f)
+        # A reversed pair alone, in both orders, so that its ratio is the maximum once.
+        for pairs in (drawn, [fg, *drawn, gf], [fg, gf], [gf, fg]):
+            assert algebra_constant(pairs, spec, part) == _plain_constant(pairs, spec, part)
+
+    def test_nested_plateaus_reuse_the_factor(self):
+        # bump-4 is 1 on the support of bump-2, so their product is bump-2.
+        corpus = dict(ALGEBRA_CORPUS)
+        f, g = corpus["bump-4"], corpus["bump-2"]
+        assert (f * g).samples.tobytes() == g.samples.tobytes()
+        spec = NormSpec.modulation(1.0, 1.0, 0.5)
+        part = partition_for(ALGEBRA_GRID)
+        pairs = [("bump-4", f, "bump-2", g), ("bump-2", g, "bump-4", f), ("bump-4", f, "bump-2", g)]
+        with mock.patch.object(norms, "norm_value", wraps=norms.norm_value) as value:
+            got = algebra_constant(pairs, spec, part)
+        normed = [call.args[0] for call in value.call_args_list]
+        assert len(normed) == 2 and normed[0] is f and normed[1] is g
+        assert got == _plain_constant(pairs, spec, part)
