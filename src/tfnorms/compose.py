@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CostGateError, CoverError, ToleranceNotReachedError
-from .grid import Grid, NormSpec, SampledSignal, Space, _each_span, fourier_forward, upsample
+from .grid import (
+    Grid,
+    NormSpec,
+    SampledSignal,
+    Space,
+    _each_span,
+    _refined_inverse,
+    fourier_forward,
+)
 from .norms import norm_value, partition_for
 from .partition import FrequencyPartition, bump_profile
 from .windows import PlateauWindow
@@ -147,7 +155,8 @@ class PowerSeries:
         envelope, rho = self._tail_envelope(w_abs)
         if math.isinf(envelope):
             return math.inf
-        return envelope * rho ** (terms + 1) / (1.0 - rho)
+        # Terms past the stored ones are never summed, so they stay in the tail.
+        return envelope * rho ** (min(terms, self.max_terms) + 1) / (1.0 - rho)
 
     def choose_truncation(self, w_abs: float, tol: float = TAIL_TOLERANCE) -> int:
         """Smallest term count whose tail bound is below tol."""
@@ -220,12 +229,25 @@ def series_square(center: complex = 0.0) -> PowerSeries:
 
 
 def series_reciprocal(center: complex) -> PowerSeries:
-    """1/z expanded at a nonzero center; radius is the distance to the pole."""
+    """1/z expanded at a nonzero center; radius is the distance to the pole.
+
+    c_j = (-1)^j / z0^(j+1).  Near the pole (|z0| < 1), where z0^(j+1)
+    underflows, c_j or its modulus is too large for a float, so only the
+    leading coefficients of finite modulus are stored: |c_j| r^j =
+    (r / |z0|)^j / |z0| falls with j for every tail radius r < |z0|, so the
+    tail envelope is still taken over those.
+    """
     z0 = complex(center)
     if z0 == 0.0:
         raise ValueError("1/z has no expansion at 0")
     j = np.arange(1, DEFAULT_TERMS + 1)
-    coeffs = (-1.0) ** j / z0 ** (j + 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = (-1.0) ** j / z0 ** (j + 1)
+        finite = np.isfinite(np.abs(coeffs))
+    if abs(z0) < 1.0 and not finite.all():
+        if not finite[0]:
+            raise ValueError(f"1/z has no finite expansion at {z0}")
+        coeffs = coeffs[: np.argmin(finite)]
     return PowerSeries("reciprocal", z0, 1.0 / z0, coeffs, abs(z0))
 
 
@@ -332,11 +354,19 @@ def _refined_progression(
     """h's band-limited interpolant at indices first + stride*m of the refined grid.
 
     The factor-refined grid has the points -L + i dx / factor, i taken mod
-    n * factor (the periodic extension); m = 0 .. count-1.
+    n * factor (the periodic extension); m = 0 .. count-1.  Bitwise
+    ``upsample(h, factor).samples`` at those indices, from one refined
+    buffer: only the points read are shifted and scaled.
     """
     size = h.grid.n * factor
     _check_grid_size(size, "dilation", "refined grid")
-    return upsample(h, factor).samples[(first + stride * np.arange(count)) % size]
+    idx = (first + stride * np.arange(count)) % size
+    if factor == 1:
+        return h.samples[idx]
+    fine_grid, buffer = _refined_inverse(h, factor)
+    values = buffer[(idx + size // 2) % size]
+    values /= fine_grid.dx
+    return values
 
 
 def dilation_difference_norm(
@@ -411,13 +441,20 @@ class LocalPatch:
     glue_cutoff is a second, narrower bump supported inside that plateau;
     the telescoping partition must be built from these subordinate cutoffs,
     because outside its plateau a patch no longer represents F(f).
+
+    The cutoff tau_l is nonzero on one run of grid indices, `window`, and
+    the patch stores its values and both cutoffs on that run only: outside
+    it all three are 0.  `values`, `cutoff` and `glue_cutoff` are the
+    full-grid signals, built on demand.
     """
 
     center: float
     lam: float
-    values: SampledSignal
-    cutoff: SampledSignal
-    glue_cutoff: SampledSignal
+    grid: Grid
+    window: slice
+    window_values: np.ndarray
+    window_cutoff: np.ndarray
+    window_glue: np.ndarray
     plateau_radius: float
     glue_radius: float
     truncation: int
@@ -425,6 +462,27 @@ class LocalPatch:
     increment_norm: float
     increment_sup: float
     series_name: str
+
+    def __post_init__(self):
+        for samples in (self.window_values, self.window_cutoff, self.window_glue):
+            samples.setflags(write=False)
+
+    def _on_grid(self, samples: np.ndarray) -> SampledSignal:
+        out = np.zeros(self.grid.n, dtype=complex)
+        out[self.window] = samples
+        return SampledSignal(self.grid, out)
+
+    @property
+    def values(self) -> SampledSignal:
+        return self._on_grid(self.window_values)
+
+    @property
+    def cutoff(self) -> SampledSignal:
+        return self._on_grid(self.window_cutoff)
+
+    @property
+    def glue_cutoff(self) -> SampledSignal:
+        return self._on_grid(self.window_glue)
 
 
 def local_compose(
@@ -464,7 +522,10 @@ def local_compose(
     while True:
         increment_norm = dilation_difference_norm(f, x0g, base_tau, lam, spec, part)
         tau_l = _cutoff_samples(grid, x0g, lam)
-        w = (f.samples - fx0) * tau_l
+        support = np.flatnonzero(tau_l)  # one run: the cutoff does not wrap
+        window = slice(int(support[0]), int(support[-1]) + 1)
+        tau_l = tau_l[window].copy()
+        w = (f.samples[window] - fx0) * tau_l
         wsup = float(np.max(np.abs(w)))
         history.append((lam, increment_norm, wsup))
         if increment_norm < threshold and wsup < 0.95 * series.radius:
@@ -481,14 +542,16 @@ def local_compose(
     tail = series.tail_bound(wsup, terms)
     values = series.constant * tau_l + series.evaluate_increment(w, terms)
     glue = bump_profile(
-        lam * (grid.points() - x0g), inner=CUTOFF_PLATEAU / 2.0, outer=CUTOFF_PLATEAU
+        lam * (grid.points()[window] - x0g), inner=CUTOFF_PLATEAU / 2.0, outer=CUTOFF_PLATEAU
     )
     return LocalPatch(
         center=x0g,
         lam=lam,
-        values=SampledSignal(grid, values),
-        cutoff=SampledSignal(grid, tau_l.astype(complex)),
-        glue_cutoff=SampledSignal(grid, glue.astype(complex)),
+        grid=grid,
+        window=window,
+        window_values=values,
+        window_cutoff=tau_l,
+        window_glue=glue,
         plateau_radius=CUTOFF_PLATEAU / lam,
         glue_radius=CUTOFF_PLATEAU / (2.0 * lam),
         truncation=terms,
@@ -514,6 +577,10 @@ def glue_local(interval: tuple, patches: list) -> GlueResult:
     supported where its patch equals F(f).  The sum of the h_j equals 1
     wherever some glue plateau covers the point, so the glue plateaus must
     cover the interval.
+
+    Each patch updates the sums on its own window only: outside it sigma_j
+    is 0, where the update would add 0 and multiply by 1, so the result is
+    bitwise that of full-grid updates.
     """
     a, b = float(interval[0]), float(interval[1])
     if not patches:
@@ -530,16 +597,16 @@ def glue_local(interval: tuple, patches: list) -> GlueResult:
     if covered < b - 1e-12:
         raise CoverError(f"plateaus end at {covered:.6g}, interval ends at {b:.6g}")
 
-    grid = ordered[0].values.grid
+    grid = ordered[0].grid
     remainder = np.ones(grid.n)
     total = np.zeros(grid.n, dtype=complex)
     hsum = np.zeros(grid.n)
     for p in ordered:
-        sigma = p.glue_cutoff.samples.real
-        h = sigma * remainder
-        total += h * p.values.samples
-        hsum += h
-        remainder = remainder * (1.0 - sigma)
+        sigma = p.window_glue
+        h = sigma * remainder[p.window]
+        total[p.window] += h * p.window_values
+        hsum[p.window] += h
+        remainder[p.window] *= 1.0 - sigma
     inside = (grid.points() >= a) & (grid.points() <= b)
     defect = float(np.max(np.abs(hsum[inside] - 1.0))) if np.any(inside) else 0.0
     return GlueResult(SampledSignal(grid, total), defect, len(ordered))

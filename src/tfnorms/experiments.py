@@ -928,16 +928,26 @@ def _series_segment(kind: str, a: int, b: int) -> float:
 
 
 def _series_partial(kind: str, k0: int, K: int, direct_limit: int = 10**6) -> float:
-    """Partial sum from k0 to K in ascending order, closed forms only."""
+    """Partial sum from k0 to K in ascending order, closed forms only.
+
+    The terms up to direct_limit are written span by span into one buffer,
+    whose np.sum is the direct part.
+    """
     cut = min(K, direct_limit)
-    k = np.arange(k0, cut + 1, dtype=float)
-    logs = np.log(k)
-    if kind == "mod":
-        total = float(np.sum(math.sqrt(2.0) / (k * logs)))
-    elif kind == "beurling":
-        total = float(np.sum(2.0 / (k * logs**2)))
-    else:
-        total = float(np.sum(2.0 / (k**2 * logs**2)))
+    terms = np.empty(cut + 1 - k0)
+
+    def fill(lo: int, hi: int) -> None:
+        k = np.arange(k0 + lo, k0 + hi, dtype=float)
+        logs = np.log(k)
+        if kind == "mod":
+            terms[lo:hi] = math.sqrt(2.0) / (k * logs)
+        elif kind == "beurling":
+            terms[lo:hi] = 2.0 / (k * np.square(logs))
+        else:
+            terms[lo:hi] = 2.0 / (np.square(k) * np.square(logs))
+
+    _each_span(fill, terms.size, 1)
+    total = float(np.sum(terms))
     if K > cut:
         total += _series_segment(kind, cut, K)
     return total

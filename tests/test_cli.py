@@ -14,7 +14,7 @@ import pytest
 
 import tfnorms
 from tfnorms.cli import build_parser, main
-from tfnorms.grid import Grid, SampledSignal, upsample
+from tfnorms.grid import Grid, SampledSignal
 from tfnorms.reporting import dumps_canonical, load_signal, save_signal
 
 CLI = [sys.executable, "-m", "tfnorms.cli"]
@@ -228,9 +228,10 @@ class TestCommands:
 
         def counted(*args):
             calls.append(args)
-            return upsample(*args)
+            return refined_inverse(*args)
 
-        monkeypatch.setattr(compose, "upsample", counted)
+        refined_inverse = compose._refined_inverse
+        monkeypatch.setattr(compose, "_refined_inverse", counted)
         out = tmp_path / "out"
         assert main(["approx-unit", "--halvings", "11", "--out", str(out)]) == 1
         assert calls == []

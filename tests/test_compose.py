@@ -1,6 +1,8 @@
 """Power series, local/global composition, and window searches."""
 
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +11,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tfnorms.compose import (
+    DEFAULT_TERMS,
     TAIL_TOLERANCE,
+    _cutoff_samples,
     _dilated_window_samples,
+    _refined_progression,
     dilation_difference_norm,
     global_compose,
     glue_local,
@@ -26,7 +31,7 @@ from tfnorms.compose import (
     series_square,
 )
 from tfnorms.errors import CostGateError, CoverError, ToleranceNotReachedError
-from tfnorms.grid import Grid, NormSpec, SampledSignal
+from tfnorms.grid import Grid, NormSpec, SampledSignal, upsample
 from tfnorms.norms import norm_value, partition_for
 from tfnorms.partition import bump_profile
 from tfnorms.windows import plateau_window
@@ -48,6 +53,23 @@ def gaussian(grid=GRID, width=1.0):
 
 def base_cutoff(grid=GRID):
     return SampledSignal(grid, bump_profile(grid.points(), 1.0, 2.0).astype(complex))
+
+
+def full_grid_glue(interval, patches):
+    """glue_local's telescoping sums over the whole grid for every patch."""
+    ordered = sorted(patches, key=lambda p: p.center)
+    grid = ordered[0].grid
+    remainder = np.ones(grid.n)
+    total = np.zeros(grid.n, dtype=complex)
+    hsum = np.zeros(grid.n)
+    for p in ordered:
+        sigma = p.glue_cutoff.samples.real
+        h = sigma * remainder
+        total += h * p.values.samples
+        hsum += h
+        remainder = remainder * (1.0 - sigma)
+    inside = (grid.points() >= interval[0]) & (grid.points() <= interval[1])
+    return total, float(np.max(np.abs(hsum[inside] - 1.0)))
 
 
 class TestPowerSeries:
@@ -138,6 +160,26 @@ class TestTailBound:
             plain = (-1.0) ** (j - 5) / (1.5 * (6.0 + 0j) ** (j - 5)) * (1.0 - 2.0 / 6.0)
         assert np.array_equal(s.coefficients[j - 5], plain)
 
+    @pytest.mark.parametrize("center", [0.1, 0.1 + 0.1j, -1e-3])
+    def test_reciprocal_inside_the_unit_disk_truncates_finitely(self, center):
+        # z0^(j+1) underflows for |z0| < 1: the leading coefficients of
+        # finite modulus are stored, the plain formula's bit for bit, and
+        # they certify a finite truncation, with no warning on the way.
+        w_abs = abs(center) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = series_reciprocal(center)
+            terms = s.choose_truncation(w_abs)
+            bound = s.tail_bound(w_abs, 40)
+        assert 1 <= terms <= s.max_terms < DEFAULT_TERMS
+        assert np.all(np.isfinite(np.abs(s.coefficients)))
+        j = np.arange(1, s.max_terms + 1)
+        assert np.array_equal(s.coefficients, (-1.0) ** j / complex(center) ** (j + 1))
+        assert math.isfinite(bound)
+        assert s.tail_bound(w_abs, terms) <= TAIL_TOLERANCE
+        z = center + w_abs * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 9))
+        assert np.max(np.abs(evaluate(s, z, terms) - 1.0 / z)) <= TAIL_TOLERANCE
+
     @pytest.mark.parametrize("family, center", [("expm1", 0j), ("expm1", 2 - 1j),
                                                 ("reciprocal", 1 + 0j), ("mobius", 0j)])
     def test_finite_envelopes_are_the_plain_products(self, family, center):
@@ -172,6 +214,7 @@ class TestTailBound:
     @example(family="reciprocal", center=1 + 0j, fraction=0.9999999999999998, angle=0.0, terms=1)
     @example(family="reciprocal", center=-2.5 + 0j, fraction=0.9999999999999999, angle=0.0, terms=1)
     @example(family="reciprocal", center=0.1 + 0j, fraction=0.5, angle=0.0, terms=10)
+    @example(family="reciprocal", center=1e-14 + 0j, fraction=0.5, angle=0.0, terms=40)
     @example(family="mobius", center=2.0 + 0j, fraction=0.5, angle=1.0, terms=10)
     def test_bound_dominates_the_exact_tail(self, family, center, fraction, angle, terms):
         with np.errstate(all="ignore"):
@@ -270,6 +313,17 @@ class TestRefinedGrid:
             window = _dilated_window_samples(base, GRID, x0, lam, 10.0)
             exact = np.exp(-((lam * (GRID.points() - x0)) ** 2) / 2.0)
             assert np.max(np.abs(window - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [1, 2, 16])
+    def test_refined_progression_is_upsample_bitwise(self, factor):
+        # Indices below 0 and past n * factor wrap onto the periodic grid.
+        h = SampledSignal(self.COARSE, self.COARSE_BASE.window.samples * (1.0 + 0.5j))
+        size = self.COARSE.n * factor
+        fine = upsample(h, factor).samples
+        for first, stride, count in ((-5 * factor, 3, 40), (size - 7, 5, 30), (17, -factor, 2 * size)):
+            values = _refined_progression(h, factor, first, stride, count)
+            idx = (first + stride * np.arange(count)) % size
+            assert np.array_equal(values.view(np.int64), fine[idx].view(np.int64))
 
     def test_unaligned_center_rejected(self):
         x0 = 0.5 * GRID.dx
@@ -384,6 +438,45 @@ class TestGlue:
         assert err <= 1e-8
         assert glued.partition_defect <= 1e-10
 
+    @pytest.mark.parametrize("source", ["reciprocal", "global"])
+    def test_window_updates_are_the_full_grid_loop(self, source):
+        if source == "reciprocal":
+            f = SampledSignal(GRID, (2.0 + np.sin(GRID.points())).astype(complex))
+            interval = (-5.0, 5.0)
+            _, glued, patches = reciprocal_on_compact(f, interval, SPEC, 1.0, PART)
+        else:
+            f = gaussian()
+            _, diag, patches = global_compose(f, series_mobius(0.0), SPEC, 1.0, PART)
+            interval = (-2.0 * diag["tail_width"] - 2.0, 2.0 * diag["tail_width"] + 2.0)
+            glued = glue_local(interval, patches)
+        assert len(patches) > 5
+        total, defect = full_grid_glue(interval, patches)
+        assert np.array_equal(glued.values.samples.view(np.int64), total.view(np.int64))
+        assert glued.partition_defect == defect
+
+    def test_patch_windows_hold_the_full_grid_values(self):
+        # The window is where the cutoff is nonzero, and there the values
+        # are bitwise those of the full-grid series; outside they are 0.
+        f = SampledSignal(GRID, (2.0 + np.sin(GRID.points())).astype(complex))
+        _, _, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0, PART)
+        for p in patches[::7]:
+            idx = int(round((p.center + GRID.half_width) / GRID.dx))
+            series = series_reciprocal(complex(f.samples[idx]))
+            tau = _cutoff_samples(GRID, p.center, p.lam)
+            full = series.constant * tau + series.evaluate_increment(
+                (f.samples - f.samples[idx]) * tau, p.truncation
+            )
+            support = np.flatnonzero(tau)
+            assert p.window == slice(support[0], support[-1] + 1)
+            assert p.window_values.size < GRID.n // 20
+            for got, want in ((p.values, full), (p.cutoff, tau)):
+                assert np.array_equal(got.samples[p.window].view(np.int64),
+                                      want[p.window].astype(complex).view(np.int64))
+                outside = np.ones(GRID.n, dtype=bool)
+                outside[p.window] = False
+                assert np.all(got.samples[outside] == 0.0)
+                assert np.all(want[outside] == 0.0)
+
     def test_cover_gap_detected(self):
         f = gaussian()
         patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0, PART)
@@ -404,6 +497,21 @@ class TestReciprocal:
         inside = np.abs(GRID.points()) <= 5.0
         assert np.max(np.abs(f.samples[inside] * g.samples[inside] - 1.0)) <= 1e-6
         assert glued.partition_defect <= 1e-10
+
+    def test_patches_hold_only_their_windows(self):
+        # 37 patches at the measured constant of the reciprocal run; three
+        # full-grid complex arrays each would hold 37 * 3 * 16 n = 28 MiB.
+        grid = Grid(16384, 16.0 * math.pi)
+        part = partition_for(grid)
+        f = SampledSignal(grid, (2.0 + np.sin(grid.points())).astype(complex))
+        tracemalloc.start()
+        try:
+            _, glued, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 0.43, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(patches) == glued.patch_count >= 30
+        assert peak < 6 * 2**20
 
     def test_vanishing_rejected(self):
         f = SampledSignal(GRID, np.sin(GRID.points()).astype(complex))
