@@ -220,14 +220,17 @@ def run_all(args: argparse.Namespace) -> int:
         print("error: `all` runs every experiment on its own default grid; "
               "--n and --L apply to single experiments only", file=sys.stderr)
         return 1
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     out_root = Path(args.out)
-    jobs = max(1, args.jobs)
     tasks = []
     for name, overrides in ALL_RUNS:
         params = {**overrides, "seed": args.seed}
         suffix = "" if "p" not in overrides else f"-p{overrides['p']:g}".replace(".", "_")
         tasks.append((name, params, str(out_root / (name + suffix))))
 
+    # No more workers than runs: the pool starts every worker at once.
+    jobs = min(args.jobs, len(tasks))
     if jobs == 1:
         results = [_run_to_dir(task) for task in tasks]
     else:

@@ -438,14 +438,13 @@ class LocalPatch:
     """One local composition around a grid point.
 
     The patch equals F(f) on the cutoff plateau (radius plateau_radius).
-    glue_cutoff is a second, narrower bump supported inside that plateau;
+    Its glue cutoff, window_glue, is a second, narrower bump inside that plateau;
     the telescoping partition must be built from these subordinate cutoffs,
     because outside its plateau a patch no longer represents F(f).
 
     The cutoff tau_l is nonzero on one run of grid indices, `window`, and
     the patch stores its values and both cutoffs on that run only: outside
-    it all three are 0.  `values`, `cutoff` and `glue_cutoff` are the
-    full-grid signals, built on demand.
+    it all three are 0.
     """
 
     center: float
@@ -466,23 +465,6 @@ class LocalPatch:
     def __post_init__(self):
         for samples in (self.window_values, self.window_cutoff, self.window_glue):
             samples.setflags(write=False)
-
-    def _on_grid(self, samples: np.ndarray) -> SampledSignal:
-        out = np.zeros(self.grid.n, dtype=complex)
-        out[self.window] = samples
-        return SampledSignal(self.grid, out)
-
-    @property
-    def values(self) -> SampledSignal:
-        return self._on_grid(self.window_values)
-
-    @property
-    def cutoff(self) -> SampledSignal:
-        return self._on_grid(self.window_cutoff)
-
-    @property
-    def glue_cutoff(self) -> SampledSignal:
-        return self._on_grid(self.window_glue)
 
 
 def local_compose(

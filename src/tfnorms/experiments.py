@@ -39,7 +39,6 @@ from .measures import (
     rudin_shapiro_transforms,
 )
 from .norms import (
-    _block_norm,
     _fold_lengths,
     _folded_lp,
     _norm_report,
@@ -738,23 +737,6 @@ def _leaf_total(n: int, pieces) -> float:
     return _pairwise_total(leaves)
 
 
-def _translate_fill(base: np.ndarray, starts: np.ndarray, weights: np.ndarray):
-    """The fill (see ``part.block_rows``) of the spectrum that is weights[l] * base from starts[l].
-
-    It adds the translates that meet a row in their order, as the spectrum
-    itself would be built, so its rows are bitwise the spectrum's rows.
-    """
-    if np.any(np.diff(np.sort(starts)) < base.size):
-        raise ValueError("the translates overlap")
-
-    def fill(row: np.ndarray, s: int) -> None:
-        for t in np.flatnonzero((starts < s + row.size) & (starts + base.size > s)):
-            a, b = max(s, starts[t]), min(s + row.size, starts[t] + base.size)
-            row[a - s : b - s] += weights[t] * base[a - starts[t] : b - starts[t]]
-
-    return fill
-
-
 def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
@@ -773,13 +755,17 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       :func:`_mu_check_rows`), so the fold of nu-hat phi is multiplied by
       mu-check at every grid point before |.|^p.
     - The spectrum of f is 2^m disjoint translates of base = nu-hat phi,
-      weighted +-2^-m, and is never built.  The block norm reads its rows
-      as the partition makes them from a fill (:func:`_translate_fill`); the
-      translates carry one block up to the sign of their weight, so it
-      folds that one block and reuses its value for all of them.  The L^1
-      norm of f-hat sums the leaves of numpy's pairwise sum that the
-      translates meet (:func:`_leaf_total`).  No array of the grid's length
-      is built; the largest buffer is the block fold's span scratch.
+      weighted +-2^-m, and is never built.  base lives on |xi| < 0.1, where
+      the partition's cutoff of block 0 is 1 and those of its neighbours
+      are 0, so block k of f-hat is w_k base(. - k) for each atom
+      w_k delta_k of mu, and 0 for every other k.  The block norm folds
+      one of them, w_0 base placed in its block window, and gives every
+      atom's block that value, bitwise each one's own (see the negation
+      argument in :mod:`tfnorms.norms`).  The L^1 norm of
+      f-hat sums the leaves of numpy's pairwise sum that the translates
+      meet (:func:`_leaf_total`).  No array of the grid's length is built;
+      the largest buffers are the placed block row and the fold's span
+      scratch.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -814,12 +800,24 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     del rows, mu_check  # mu_check holds m columns of M complex values
 
     # f-hat is w base on [lo + shift, hi + shift) for each atom w delta_loc
-    # of mu, shift = loc * steps; both norms read it from base.
+    # of mu, shift = loc * steps; both norms read it from base.  In the
+    # window of block loc, base sits at `offset`: there the core must be 1
+    # and the neighbouring blocks' cores, the core half a window away, 0.
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
-    starts = lo + np.round(mu.locations).astype(int) * steps
-    peak = float(max(np.max(np.abs(w * base)) for w in mu.weights))  # disjoint: max |f-hat|
-    rows = part.block_rows(_translate_fill(base, starts, mu.weights))
-    mod = _norm_report(_block_norm(rows, peak, p, part), NormSpec.modulation(p, 1.0, 0.0), part).value
+    locations = np.round(mu.locations).astype(int)
+    starts = lo + locations * steps
+    core, offset = part.core, lo - part.window_start(0)
+    taken = np.arange(offset, offset + base.size)
+    if (offset < 0 or taken[-1] >= core.size or np.any(core[taken] != 1.0)
+            or np.any(core[(taken + steps) % core.size] != 0.0)):
+        raise ValueError("a translate of f-hat leaves the plateau of its block")
+    row = np.zeros((1, core.size), dtype=complex)
+    row[0, offset : offset + base.size] = mu.weights[0] * base
+    block_norms = np.zeros(len(part.block_indices()))
+    block_norms[locations + part.max_block_index] = _folded_lp(
+        row, np.array([0]), core, p, grid.n, grid.dx
+    )[0]
+    mod = _norm_report(block_norms, NormSpec.modulation(p, 1.0, 0.0), part).value
     magnitudes = ((start, np.abs(w * base)) for start, w in zip(starts, mu.weights))
     fhat_l1 = float(grid.dual().dx * _leaf_total(grid.n, magnitudes))
     return {

@@ -41,33 +41,19 @@ every grid point (the flat counterexample's Rudin-Shapiro polynomial): each
 span multiplies its inverse transforms by h at their grid indices b + P a
 before |.|^p, so that norm needs no n-point transform either.
 
-Only distinct blocks are folded.  The body, ``_block_norm``, stops at the
-vector of block L^p norms for one p, since q and s enter only when
-``_norm_report`` combines that vector: sum_k (<k>^s ||block_k||_p)^q, and
-the two outermost blocks as the tail.  So a caller that needs several
-(q, s) of one spectrum folds each p once; ``_norm_values`` gives every spec
-of one signal from one transform that way (the embedding sweep), and
-:func:`algebra_constant` norms each signal and each product once.  Within
-one vector, two blocks are the same when their masked rows are equal as
-values, or equal after negating one of them: a block holding -c_m folds to
-the negated intermediates of one holding c_m, because under
-round-to-nearest negation commutes with the twiddle product, every FFT
-butterfly and abs, and a zero of either sign stays a zero.  So each group is
-folded once, for its first block, and its value is bitwise the value every
-block of the group would fold to.  Integer frequency translates of one
-spectrum weighted by +-c (the flat counterexample's 2^m Rudin-Shapiro
-translates) are such a group.  The liveness scan keeps the maxima of each
-masked row on its two halves; rows are compared exactly only when those
-pairs agree, which also keeps mirrored rows of real signals apart.  Nothing
-is cached across calls by the bytes of a spectrum or a row.
-
-Everything after the maximum of |spectrum| reads the spectrum only through
-``part.block_rows``, indexed with a slice, an int or an int array, so the
-one body serves two kinds of caller.  :func:`modulation_norm` hands it the
-rows of its spectrum; a caller whose spectrum is a train of disjoint
-weighted translates of one short block (the flat counterexample) hands it
-the rows of a fill that adds the translates meeting each window, bitwise the
-same rows, without building the n-point spectrum.
+The body, ``_block_norm``, stops at the vector of block L^p norms for one
+p, since q and s enter only when ``_norm_report`` combines that vector:
+sum_k (<k>^s ||block_k||_p)^q, and the two outermost blocks as the tail.  So
+a caller that needs several (q, s) of one spectrum folds each p once;
+``_norm_values`` gives every spec of one signal from one transform that way
+(the embedding sweep), and :func:`algebra_constant` norms each signal and
+each product once.  Nothing is cached across calls by the bytes of a
+spectrum or a row.  A block holding -c_m folds to the negated intermediates
+of one holding c_m, because under round-to-nearest negation commutes with
+the twiddle product, every FFT butterfly and abs, and a zero of either sign
+stays a zero; so the two norms are bitwise equal.  The flat counterexample,
+whose blocks are one block weighted +-2^-m, folds that block once for all
+of them (:func:`tfnorms.experiments.flat_measurement`).
 
 The sum over blocks is truncated at the frequency grid edge and the mass of
 the outermost two blocks is reported as a tail estimate.
@@ -137,29 +123,13 @@ class NormReport:
 
 
 def modulation_norm(
-    f: SampledSignal | None,
-    p: float,
-    q: float,
-    s: float,
-    part: FrequencyPartition,
-    spectrum: SampledSignal | None = None,
+    f: SampledSignal, p: float, q: float, s: float, part: FrequencyPartition
 ) -> NormReport:
-    """Block-characterization modulation norm of f.
-
-    A caller that already holds the transform (for instance because the
-    signal was synthesized in the frequency domain) passes it as
-    `spectrum`, a signal on the dual grid; exact zero blocks then stay
-    exactly zero, and f may be None, so the caller need not keep the signal
-    alive.
-    """
-    spec = NormSpec.modulation(p, q, s)
-    # dx is part.grid's: the dual of the spectrum's grid can be off in the last bit.
-    grid = spectrum.grid.dual() if f is None else f.grid
-    if not part.grid.compatible(grid):
+    """Block-characterization modulation norm of f."""
+    if not part.grid.compatible(f.grid):
         raise ValueError("partition was built for a different grid")
-    spectrum = (fourier_forward(f) if spectrum is None else spectrum).samples
-    lp = _block_norm(part.block_rows(spectrum), _spectrum_peak(spectrum), p, part)
-    return _norm_report(lp, spec, part)
+    lp = _block_norm(fourier_forward(f).samples, p, part)
+    return _norm_report(lp, NormSpec.modulation(p, q, s), part)
 
 
 def _spectrum_peak(spectrum: np.ndarray) -> float:
@@ -169,44 +139,35 @@ def _spectrum_peak(spectrum: np.ndarray) -> float:
     return float(max(peaks))
 
 
-def _block_norm(rows, peak: float, p: float, part: FrequencyPartition) -> np.ndarray:
-    """The L^p norms of the blocks of a spectrum, in block order, 0 for dead blocks.
-
-    `rows` is ``part.block_rows`` of the spectrum or of a fill of it; `peak`
-    is the maximum of |spectrum| over the grid.
-    """
+def _block_norm(spectrum: np.ndarray, p: float, part: FrequencyPartition) -> np.ndarray:
+    """The L^p norms of the blocks of a centered spectrum, in block order, 0 for dead blocks."""
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no
     # signal content; skipping them changes the value below reporting
     # precision and keeps the inverse transforms proportional to the
     # occupied band.
-    floor = _NOISE_FLOOR * peak
-    core = part.core
-    count = len(part.block_indices())
+    floor = _NOISE_FLOOR * _spectrum_peak(spectrum)
+    rows, core = part.block_rows(spectrum), part.core
+    count = len(rows)
     block_norms = np.zeros(count)
     scale = part.grid.dxi / (2.0 * math.pi)
-    # The maxima of |masked row| on [k - 1, k) and [k, k + 1): their larger
-    # one is the liveness test, and the pair is the key that _distinct_rows
-    # groups candidate duplicate rows by.  Every reduction is per row, so
-    # the rows are scanned span by span.
-    halves = np.empty((count, 2))
+    # The maximum of each masked row is its liveness test.  Every reduction
+    # is per row, so the rows are scanned span by span.
+    peaks = np.empty(count)
 
     def scan(lo: int, hi: int) -> None:
         mags = np.abs(rows[lo:hi] * core)
-        np.max(mags.reshape(hi - lo, 2, -1), axis=2, out=halves[lo:hi])
+        np.max(mags, axis=1, out=peaks[lo:hi])
         if p == 2.0:
             # Parseval on the masked rows: no inverse transform needed.
             block_norms[lo:hi] = np.sqrt(scale * np.sum(np.square(mags, out=mags), axis=1))
 
     _each_span(scan, count, core.size)
-    live = np.max(halves, axis=1) > floor
+    live = peaks > floor
     if p == 2.0:
         block_norms *= live
     else:
         which = np.flatnonzero(live)
-        # Each row's two maxima as one complex key, so np.unique sorts 1-D.
-        keys = halves[which].view(complex)[:, 0]
-        heads, owner = _distinct_rows(rows, which, core, keys)
-        block_norms[which] = _folded_lp(rows, heads, core, p, part.grid.n, part.grid.dx)[owner]
+        block_norms[which] = _folded_lp(rows, which, core, p, part.grid.n, part.grid.dx)
     return block_norms
 
 
@@ -218,33 +179,6 @@ def _norm_report(block_norms: np.ndarray, spec: NormSpec, part: FrequencyPartiti
     outer = np.array([contributions[0], contributions[-1]])
     tail = _combine(outer, spec.q)
     return NormReport(spec, value, tuple(zip(ks.tolist(), contributions.tolist())), tail)
-
-
-def _distinct_rows(
-    rows: np.ndarray, which: np.ndarray, core: np.ndarray, keys: np.ndarray
-) -> tuple:
-    """Group the masked rows rows[which] * core that are equal up to sign.
-
-    keys[i] must be equal for masked rows that are equal up to sign; only
-    rows that share a key are compared, exactly.  Returns the blocks that
-    head the groups, each the first of its group in block order, and for
-    each block of `which` the index of its group's head among them.
-    """
-    _, first, key_of, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    head = first[key_of]
-    seen: dict = {}  # canonical bytes of a masked row -> its group's head
-    for i in np.flatnonzero(counts[key_of] > 1):
-        row = rows[which[i]] * core
-        values = row.view(float)
-        # The sign that makes the first nonzero component positive; x + 0.0
-        # and 0.0 - x also turn -0.0 into 0.0, so the bytes of two rows are
-        # equal exactly when the rows are equal up to sign as values.
-        row = 0.0 - row if values[np.argmax(values != 0.0)] < 0.0 else row + 0.0
-        head[i] = seen.setdefault(row.tobytes(), i)
-    heads, owner = np.unique(head, return_inverse=True)
-    return which[heads], owner
 
 
 def _fold_lengths(width: int, n: int) -> tuple[int, int]:
@@ -392,13 +326,12 @@ def _norm_values(f: SampledSignal, specs, part: FrequencyPartition) -> dict:
     if not part.grid.compatible(f.grid):
         raise ValueError("partition was built for a different grid")
     spectrum = fourier_forward(f)
-    rows, peak = part.block_rows(spectrum.samples), _spectrum_peak(spectrum.samples)
     blocks: dict = {}  # p -> block norms
 
     def value(spec: NormSpec) -> float:
         if spec.space is Space.MODULATION:
             if spec.p not in blocks:
-                blocks[spec.p] = _block_norm(rows, peak, spec.p, part)
+                blocks[spec.p] = _block_norm(spectrum.samples, spec.p, part)
             return _norm_report(blocks[spec.p], spec, part).value
         if spec.space is Space.FOURIER_BEURLING:
             return weighted_lp_norm(spectrum, 1.0, spec.s)

@@ -14,8 +14,8 @@ denominator is 1-periodic.  Frequency blocks are
 
 band-limited to [k-1, k+1] and summing back to f.  A partition stores only
 the core of phi (see FrequencyPartition) and alone knows the block layout:
-block_rows reads the windows of all blocks as rows of a spectrum or of a fill,
-and overlap_add, its adjoint, puts such rows back on their windows.
+block_rows reads the windows of all blocks as rows of a spectrum, and
+overlap_add, its adjoint, puts such rows back on their windows.
 """
 
 from __future__ import annotations
@@ -104,20 +104,16 @@ class FrequencyPartition:
         """Frequency-grid index of k - 1, where the window of phi(. - k) starts."""
         return self.grid.n // 2 + (k - 1) * self.steps_per_unit
 
-    def block_rows(self, source):
-        """(K, 2 * steps_per_unit) rows of a centered spectrum: a read-only view, or made by a fill.
+    def block_rows(self, spectrum: np.ndarray) -> np.ndarray:
+        """(K, 2 * steps_per_unit) rows of a centered spectrum, as a read-only strided view.
 
         Row i holds the spectrum on [k - 1, k + 1) for k = block_indices()[i],
         so consecutive rows start steps_per_unit samples apart.  phi(. - k)
         vanishes at k + 1, so the half-open window carries all of it and the
-        top window still ends inside the grid.  A fill, a callable `source`,
-        adds the spectrum on [s, s + W) to a row of zeros as fill(row, s)
-        for each row read with a slice, an int or an int array.
+        top window still ends inside the grid.
         """
-        if callable(source):
-            return _FilledRows(self, source)
         w, first = self.steps_per_unit, self.window_start(-self.max_block_index)
-        return sliding_window_view(source, 2 * w)[first::w][: 2 * self.max_block_index + 1]
+        return sliding_window_view(spectrum, 2 * w)[first::w][: 2 * self.max_block_index + 1]
 
     def overlap_add(self, rows: np.ndarray) -> np.ndarray:
         """Adjoint of block_rows: each row summed back onto its window of an n-length spectrum."""
@@ -128,18 +124,6 @@ class FrequencyPartition:
         segments = out[first : first + (len(rows) + 1) * w].reshape(-1, w)
         segments[:-1] += rows[:, :w]
         segments[1:] += rows[:, w:]
-        return out
-
-
-class _FilledRows:
-    def __init__(self, part: FrequencyPartition, fill):
-        self.part, self.fill = part, fill
-
-    def __getitem__(self, key) -> np.ndarray:
-        ks = np.array(self.part.block_indices())[key]
-        out = np.zeros(ks.shape + self.part.core.shape, dtype=complex)
-        for row, k in zip(out.reshape(-1, self.part.core.size), ks.ravel()):
-            self.fill(row, self.part.window_start(k))
         return out
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import tfnorms
+from tfnorms import cli, experiments
 from tfnorms.cli import build_parser, main
 from tfnorms.grid import Grid, SampledSignal
 from tfnorms.reporting import dumps_canonical, load_signal, save_signal
@@ -312,6 +313,42 @@ class TestCommands:
         assert main(["all", *flag, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: `all` runs every experiment")
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_all_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert main(["all", "--jobs", jobs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (15, 15), (10**6, 15)])
+    def test_all_starts_no_more_workers_than_runs(self, tmp_path, monkeypatch, jobs, workers):
+        # A pool that records its size and runs inline, and runs that write
+        # nothing, so that no process starts whatever --jobs asks for.
+        sizes, ran = [], []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def run(task):
+            ran.append(task[0])
+            return experiments.SweepReport(task[0], axis="none")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_run_to_dir", run)
+        assert main(["all", "--jobs", str(jobs), "--out", str(tmp_path)]) == 0
+        assert sizes == [workers]
+        assert ran == [name for name, _ in cli.ALL_RUNS] and len(ran) == 15
 
     def test_assertion_failure_exits_two(self, tmp_path):
         # an impossible grid for the partition: L not a multiple of pi

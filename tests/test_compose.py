@@ -55,6 +55,13 @@ def base_cutoff(grid=GRID):
     return SampledSignal(grid, bump_profile(grid.points(), 1.0, 2.0).astype(complex))
 
 
+def on_grid(patch, samples):
+    """Samples of a patch's window on the whole grid, 0 outside the window."""
+    out = np.zeros(patch.grid.n, dtype=complex)
+    out[patch.window] = samples
+    return out
+
+
 def full_grid_glue(interval, patches):
     """glue_local's telescoping sums over the whole grid for every patch."""
     ordered = sorted(patches, key=lambda p: p.center)
@@ -63,9 +70,9 @@ def full_grid_glue(interval, patches):
     total = np.zeros(grid.n, dtype=complex)
     hsum = np.zeros(grid.n)
     for p in ordered:
-        sigma = p.glue_cutoff.samples.real
+        sigma = on_grid(p, p.window_glue).real
         h = sigma * remainder
-        total += h * p.values.samples
+        total += h * on_grid(p, p.window_values)
         hsum += h
         remainder = remainder * (1.0 - sigma)
     inside = (grid.points() >= interval[0]) & (grid.points() <= interval[1])
@@ -385,7 +392,7 @@ class TestLocalCompose:
         patch = local_compose(f, 0.25, series_identity(f.samples[idx]), SPEC, 1.0, PART)
         x = GRID.points()
         plateau = np.abs(x - patch.center) <= patch.plateau_radius
-        err = np.max(np.abs(patch.values.samples[plateau] - f.samples[plateau]))
+        err = np.max(np.abs(on_grid(patch, patch.window_values)[plateau] - f.samples[plateau]))
         assert err <= 1e-10
 
     def test_square_series(self):
@@ -394,7 +401,7 @@ class TestLocalCompose:
         patch = local_compose(f, 0.0, series_square(f.samples[idx]), SPEC, 1.0, PART)
         x = GRID.points()
         plateau = np.abs(x - patch.center) <= patch.plateau_radius
-        err = np.max(np.abs(patch.values.samples[plateau] - f.samples[plateau] ** 2))
+        err = np.max(np.abs(on_grid(patch, patch.window_values)[plateau] - f.samples[plateau] ** 2))
         assert err <= 1e-8
 
     def test_reciprocal_series(self):
@@ -404,7 +411,8 @@ class TestLocalCompose:
         patch = local_compose(f, x0, series_reciprocal(complex(f.samples[idx])), SPEC, 1.0, PART)
         x = GRID.points()
         plateau = np.abs(x - patch.center) <= patch.plateau_radius
-        residual = np.max(np.abs(f.samples[plateau] * patch.values.samples[plateau] - 1.0))
+        values = on_grid(patch, patch.window_values)
+        residual = np.max(np.abs(f.samples[plateau] * values[plateau] - 1.0))
         assert residual <= 1e-6
 
     def test_center_mismatch_rejected(self):
@@ -421,7 +429,8 @@ class TestGlue:
         glued = glue_local((-rho / 2.0, rho / 2.0), [patch])
         x = GRID.points()
         inside = np.abs(x) <= rho / 2.0
-        assert np.max(np.abs(glued.values.samples[inside] - patch.values.samples[inside])) == 0.0
+        values = on_grid(patch, patch.window_values)
+        assert np.max(np.abs(glued.values.samples[inside] - values[inside])) == 0.0
 
     def test_two_overlapping_patches_square(self):
         f = gaussian()
@@ -469,12 +478,13 @@ class TestGlue:
             support = np.flatnonzero(tau)
             assert p.window == slice(support[0], support[-1] + 1)
             assert p.window_values.size < GRID.n // 20
-            for got, want in ((p.values, full), (p.cutoff, tau)):
-                assert np.array_equal(got.samples[p.window].view(np.int64),
+            for got, want in ((p.window_values, full), (p.window_cutoff, tau)):
+                got = on_grid(p, got)
+                assert np.array_equal(got[p.window].view(np.int64),
                                       want[p.window].astype(complex).view(np.int64))
                 outside = np.ones(GRID.n, dtype=bool)
                 outside[p.window] = False
-                assert np.all(got.samples[outside] == 0.0)
+                assert np.all(got[outside] == 0.0)
                 assert np.all(want[outside] == 0.0)
 
     def test_cover_gap_detected(self):

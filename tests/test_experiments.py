@@ -42,8 +42,10 @@ from tfnorms.measures import (
     rudin_shapiro_sup,
     rudin_shapiro_transforms,
 )
-from tfnorms.norms import modulation_norm, partition_for
+from tfnorms.norms import partition_for
 from tfnorms.partition import bump_profile, frequency_block
+
+from test_norms import spectrum_norm
 
 
 class TestSeriesSums:
@@ -111,27 +113,6 @@ DENSE_LAYOUTS = [
 ]
 
 
-def _flat_translates(p: float, m: int, r: int) -> tuple:
-    """(part, base, starts, weights, peak): what flat_measurement(p, m, r) reads f-hat from.
-
-    The peak is the one that flat_measurement hands the block norm.
-    """
-    made, norms_taken = [], []
-    fill, block_norm = experiments._translate_fill, experiments._block_norm
-
-    def taken(rows, peak, p, part):
-        norms_taken.append((part, peak))
-        return block_norm(rows, peak, p, part)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_translate_fill", lambda *args: made.append(args) or fill(*args))
-        mp.setattr(experiments, "_block_norm", taken)
-        flat_measurement(p, m, r)
-    (args,) = made
-    ((part, peak),) = norms_taken
-    return (part, *args, peak)
-
-
 class TestCounterexampleFlat:
     def test_single_measurement_chain(self):
         run = flat_measurement(1.0, 3, 3)
@@ -172,9 +153,9 @@ class TestCounterexampleFlat:
         # small next to n = 2^19 as they do at n = 2^21-2^22, and one CPU, so
         # that no concurrent span temporaries count.  The partition is built
         # before, as the second depth of a run finds it cached.  The spectrum
-        # of f is read from its translates, so what is held is span buffers,
-        # n / 128 leaf sums and the fold's rows (0.46 of one complex n-array
-        # measured; 1.47 with the spectrum built).
+        # of f is never built, so what is held is span buffers, n / 128 leaf
+        # sums, the placed block row and the fold's rows (0.54 of one complex
+        # n-array measured; 1.47 with the spectrum built).
         grid = experiments._flat_layout(1.5, 2, 8)[0]
         partition_for(grid)
         grid_module = importlib.import_module("tfnorms.grid")
@@ -190,60 +171,43 @@ class TestCounterexampleFlat:
         assert peak < 16 * run["n"]
 
     @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
-    def test_translate_rows_are_the_spectrum_rows(self, p, m, r):
-        # Slice, int and int-array reads, as the block norm makes them, give
-        # the rows of the assembled spectrum bit for bit, and the peak is its
-        # maximum modulus.
-        part, base, starts, weights, peak = _flat_translates(p, m, r)
-        fhat = np.zeros(part.grid.n, dtype=complex)
-        for start, w in zip(starts, weights):
-            fhat[start : start + base.size] += w * base
-        dense = part.block_rows(fhat)
-        rows = part.block_rows(experiments._translate_fill(base, starts, weights))
+    def test_translate_rows_are_the_spectrum_rows(self, monkeypatch, p, m, r):
+        # The row the block norm folds is, masked, the masked block row of
+        # the assembled spectrum at the first atom.  Each atom's block is
+        # that row times the ratio (+-1) of their weights, and every other
+        # block is 0.  A row placed one sample off keeps the bits of every
+        # norm on these layouts and fails only here.
+        folded = []
+        fold = experiments._folded_lp
+        monkeypatch.setattr(
+            experiments, "_folded_lp", lambda rows, *args: folded.append(rows) or fold(rows, *args)
+        )
+        flat_measurement(p, m, r)
+        part, _, _, fhat = _dense_flat_spectra(p, m, r)
+        row = folded[-1] * part.core
+        assert row.shape == (1, part.core.size)
+        dense = part.block_rows(fhat.samples) * part.core
+        mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
+        atoms = np.round(mu.locations).astype(int) + part.max_block_index
+        for i, w in zip(atoms, mu.weights):
+            assert np.array_equal(dense[i], (w / mu.weights[0]) * row[0])
+        others = np.ones(len(dense), dtype=bool)
+        others[atoms] = False
+        assert not np.any(dense[others])
 
-        def same_bits(got, want):
-            return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-        count = dense.shape[0]
-        live = np.flatnonzero(np.max(np.abs(dense), axis=1) > 0)
-        assert live.size >= weights.size
-        for key in (slice(0, count), slice(1, count - 1), slice(live[0], live[0] + 1)):
-            assert same_bits(rows[key], dense[key])
-        for i in (0, live[0], int(live[-1]), count - 1):
-            assert same_bits(rows[i], dense[i])
-        for index in (live, live[::-1], np.array([live[-1], 0, live[0]])):
-            assert same_bits(rows[index], dense[index])
-        assert peak == np.max(np.abs(fhat))
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    def test_translate_rows_on_the_core_slopes(self, p):
-        # The translates of every flat layout sit on the plateau of the
-        # core, where a row shifted by one sample only modulates its block
-        # and leaves the block norm as it was.  These straddle its slopes.
-        grid = Grid(4096, 16 * math.pi)
-        part = partition_for(grid)
-        w = part.steps_per_unit
-        rng = np.random.default_rng(0)
-        size = int(0.7 * w)
-        base = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        weights = rng.standard_normal(4)
-        starts = grid.n // 2 + 5 + 2 * w * np.arange(weights.size)
-        fhat = np.zeros(grid.n, dtype=complex)
-        for start, weight in zip(starts, weights):
-            fhat[start : start + size] += weight * base
-        rows = part.block_rows(experiments._translate_fill(base, starts, weights))
-        peak = float(max(np.max(np.abs(weight * base)) for weight in weights))
-        spec = NormSpec.modulation(p, 1.0, 0.0)
-        got = norms._norm_report(norms._block_norm(rows, peak, p, part), spec, part)
-        dense = modulation_norm(None, p, 1.0, 0.0, part, spectrum=SampledSignal(grid.dual(), fhat))
-        assert got == dense
-
-    def test_overlapping_translates_are_refused(self):
-        _, base, starts, weights, _ = _flat_translates(1.0, 2, 2)
-        starts = starts.copy()
-        starts[1] = starts[0] + base.size - 1
-        with pytest.raises(ValueError, match="overlap"):
-            experiments._translate_fill(base, starts, weights)
+    def test_a_base_off_the_plateau_is_refused(self, monkeypatch):
+        # A bump wider than the plateau of phi puts each translate on the
+        # slopes of its block's core, where the block is no longer the
+        # weighted translate alone.  The layout runs first, so that the tail
+        # width it caches is the true bump's.
+        experiments._flat_layout(1.0, 2, 2)
+        monkeypatch.setattr(
+            experiments,
+            "bump_profile",
+            lambda xi, inner, outer: bump_profile(xi, inner, outer + 0.05),
+        )
+        with pytest.raises(ValueError, match="plateau"):
+            flat_measurement(1.0, 2, 2)
 
     def test_leaf_total_refuses_a_shared_leaf(self):
         values = np.ones(10)
@@ -297,23 +261,21 @@ class TestCounterexampleFlat:
         assert run["n"] not in lengths
 
     def test_translates_fold_one_row(self, monkeypatch):
-        # Per run, the folds of F^-1 phi, of f and of the block norm, each
-        # of one row but the block norm's once its rows are not grouped.
+        # The folds of F^-1 phi, of f and of the block norm, each of one row:
+        # the 16 translates share the block norm's one fold.
         folded = []
         fold = norms._folded_lp
 
         def counted(rows, which, *args):
-            folded.append(len(which))
+            folded.append(rows[which].shape)
             return fold(rows, which, *args)
 
         monkeypatch.setattr(norms, "_folded_lp", counted)
         monkeypatch.setattr(experiments, "_folded_lp", counted)
-        grouped = flat_measurement(1.0, 4, 4)
-        monkeypatch.setattr(
-            norms, "_distinct_rows", lambda rows, which, core, keys: (which, np.arange(which.size))
-        )
-        assert flat_measurement(1.0, 4, 4) == grouped
-        assert folded == [1, 1, 1, 1, 1, 16]
+        flat_measurement(1.0, 4, 4)
+        width = 2 * partition_for(experiments._flat_layout(1.0, 4, 4)[0]).steps_per_unit
+        assert [rows for rows, _ in folded] == [1, 1, 1]
+        assert folded[2] == (1, width)
 
     @pytest.mark.parametrize(
         "p, flags, depths",
@@ -332,8 +294,8 @@ class TestCounterexampleFlat:
         assert asked == depths
 
 
-def _dense_flat_measurement(p: float, m: int, r: int) -> dict:
-    """flat_measurement on full-length arrays: F^-1 phi and f by n-point inverse transforms."""
+def _dense_flat_spectra(p: float, m: int, r: int) -> tuple:
+    """(part, n_nu, phi, f-hat) of flat_measurement(p, m, r), phi and f-hat on the whole dual grid."""
     grid, n_nu = experiments._flat_layout(p, m, r)
     part = partition_for(grid)
     half = grid.n // 2
@@ -343,22 +305,27 @@ def _dense_flat_measurement(p: float, m: int, r: int) -> dict:
     inside = np.flatnonzero(phi > 0)
     first, last = int(inside[0]), int(inside[-1]) + 1
     lo, hi = first + half - reach, last + half - reach
-    nu_inf = rudin_shapiro_sup(r, n_nu, grid, Normalization.LP_ATOMS, p=p)
     nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
     base = nu_hat * phi[first:last]
     phi_samples = np.zeros(grid.n, dtype=complex)
     phi_samples[lo:hi] = phi[first:last]
-    phi_sig = SampledSignal(grid.dual(), phi_samples)
-    phi_l1 = weighted_lp_norm(phi_sig, 1.0)
-    invphi_lp = weighted_lp_norm(fourier_inverse(phi_sig), p)
     fhat = np.zeros(grid.n, dtype=complex)
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
     for loc, w in zip(mu.locations, mu.weights):
         shift = int(round(loc)) * part.steps_per_unit
         fhat[lo + shift : hi + shift] += w * base
-    fhat_sig = SampledSignal(grid.dual(), fhat)
+    return part, n_nu, SampledSignal(grid.dual(), phi_samples), SampledSignal(grid.dual(), fhat)
+
+
+def _dense_flat_measurement(p: float, m: int, r: int) -> dict:
+    """flat_measurement on full-length arrays: F^-1 phi and f by n-point inverse transforms."""
+    part, n_nu, phi_sig, fhat_sig = _dense_flat_spectra(p, m, r)
+    grid = part.grid
+    nu_inf = rudin_shapiro_sup(r, n_nu, grid, Normalization.LP_ATOMS, p=p)
+    phi_l1 = weighted_lp_norm(phi_sig, 1.0)
+    invphi_lp = weighted_lp_norm(fourier_inverse(phi_sig), p)
     f_lp = weighted_lp_norm(fourier_inverse(fhat_sig), p)
-    mod = modulation_norm(None, p, 1.0, 0.0, part, spectrum=fhat_sig).value
+    mod = spectrum_norm(fhat_sig, p, 1.0, 0.0, part).value
     fhat_l1 = weighted_lp_norm(fhat_sig, 1.0)
     return {
         "p": p,

@@ -1,5 +1,6 @@
 """Norm engine: modulation, Fourier-Beurling, Fourier-Segal, ratios."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -38,6 +39,12 @@ from test_stft import modulation_norm_stft
 
 GRID = Grid(4096, 16.0 * math.pi)
 PART = partition_for(GRID)
+
+
+def spectrum_norm(spectrum, p, q, s, part):
+    """The modulation norm of the signal whose transform is `spectrum`, a signal on the dual grid."""
+    block_norms = norms._block_norm(spectrum.samples, p, part)
+    return norms._norm_report(block_norms, NormSpec.modulation(p, q, s), part)
 CORPUS = make_corpus(GRID, seed=0)
 
 
@@ -112,14 +119,14 @@ class TestModulationNorm:
         part = partition_for(grid)
         for name, f in make_corpus(grid, seed=0):
             on_signal = modulation_norm(f, p, 1.0, 0.5, part)
-            on_spectrum = modulation_norm(None, p, 1.0, 0.5, part, spectrum=fourier_forward(f))
+            on_spectrum = spectrum_norm(fourier_forward(f), p, 1.0, 0.5, part)
             assert on_signal.value == on_spectrum.value, name
             assert on_signal.block_contributions == on_spectrum.block_contributions, name
 
-    def test_rejects_spectrum_of_another_grid(self):
-        other = fourier_forward(gaussian(Grid(4096, 15.0 * math.pi)))
+    def test_rejects_a_signal_of_another_grid(self):
+        other = gaussian(Grid(4096, 15.0 * math.pi))
         with pytest.raises(ValueError, match="different grid"):
-            modulation_norm(None, 2.0, 1.0, 0.0, PART, spectrum=other)
+            modulation_norm(other, 2.0, 1.0, 0.0, PART)
 
     def test_report_serializes(self):
         report = modulation_norm(gaussian(), 2.0, 1.0, 0.0, PART)
@@ -278,7 +285,7 @@ def _check_blocks_against_oracle(n, m, lo, hi, p, s, seed):
     inside = (xi >= lo + 0.5) & (xi <= hi + 0.5)
     spectrum = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * inside
     f = fourier_inverse(SampledSignal(grid.dual(), spectrum))
-    report = modulation_norm(None, p, 1.0, s, part, spectrum=SampledSignal(grid.dual(), spectrum))
+    report = spectrum_norm(SampledSignal(grid.dual(), spectrum), p, 1.0, s, part)
     assert [k for k, _ in report.block_contributions] == list(part.block_indices())
     for k, value in report.block_contributions:
         block = frequency_block(f, k, part, spectrum=spectrum)
@@ -336,7 +343,7 @@ class TestFoldedBlockNorms:
             spectrum = SampledSignal(grid.dual(), samples)
             tracemalloc.start()
             try:
-                report = modulation_norm(None, 1.0, 1.0, 0.5, part, spectrum=spectrum)
+                report = spectrum_norm(spectrum, 1.0, 1.0, 0.5, part)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -372,9 +379,9 @@ class TestFoldedBlockNorms:
         assert peak <= 8 * n // 128 + 48 * grid_module._SPAN
 
 
-# What each block of a grouped-fold spectrum holds, around its centre k:
-# the base atom c a up to sign, near-duplicates of it that must not merge
-# with it, a fresh random atom, or nothing.
+# What each block of a spectrum of grouped_spectra holds, around its centre k:
+# the base atom c a up to sign, near-duplicates of it, a fresh random atom,
+# or nothing.
 _ROW_KINDS = ["plus", "minus", "times-i", "conj", "mirror", "ulp", "random", "empty"]
 
 
@@ -414,32 +421,21 @@ def grouped_spectra(draw):
 
 
 def _fold_every_live_row(signal, part, p, s):
-    """modulation_norm's report on the spectrum `signal`, every live row folded.
-
-    Also returns the live blocks that head the classes of masked rows equal
-    up to sign, each the first of its class in block order.
-    """
+    """modulation_norm's report on the spectrum `signal`, every live row folded in one call."""
     spectrum = signal.samples
     rows, core = part.block_rows(spectrum), part.core
-    masked = rows * core
     floor = norms._NOISE_FLOOR * np.max(np.abs(spectrum))
-    live = np.flatnonzero(np.max(np.abs(masked), axis=1) > floor)
-    heads = []
-    for i in live:
-        if not any(np.array_equal(masked[i], masked[j]) or np.array_equal(masked[i], -masked[j])
-                   for j in heads):
-            heads.append(i)
+    live = np.flatnonzero(np.max(np.abs(rows * core), axis=1) > floor)
     block_norms = np.zeros(len(rows))
     block_norms[live] = norms._folded_lp(rows, live, core, p, part.grid.n, part.grid.dx)
     ks = np.array(part.block_indices())
     contributions = norms._index_weight(ks, s) * block_norms
-    report = NormReport(
+    return NormReport(
         NormSpec.modulation(p, 1.0, s),
         norms._combine(contributions, 1.0),
         tuple((int(k), float(c)) for k, c in zip(ks, contributions)),
         norms._combine(np.array([contributions[0], contributions[-1]]), 1.0),
     )
-    return report, heads
 
 
 def _bits(report):
@@ -453,13 +449,18 @@ class TestGroupedFold:
     def test_bitwise_equal_to_folding_every_row(self, case, p):
         grid, spectrum = case
         part, signal = partition_for(grid), SampledSignal(grid.dual(), spectrum)
-        oracle, heads = _fold_every_live_row(signal, part, p, 0.5)
-        with mock.patch.object(norms, "_folded_lp", wraps=norms._folded_lp) as fold:
-            report = modulation_norm(None, p, 1.0, 0.5, part, spectrum=signal)
+        oracle = _fold_every_live_row(signal, part, p, 0.5)
+        report = spectrum_norm(signal, p, 1.0, 0.5, part)
         assert report == oracle
         assert _bits(report) == _bits(oracle)
-        if heads:
-            assert list(fold.call_args.args[1]) == heads
+        # Blocks equal up to sign fold to bitwise equal norms (the negation
+        # argument of the norms module), which the flat counterexample's one
+        # fold for all of its blocks rests on.
+        block_norms = norms._block_norm(spectrum, p, part)
+        masked = part.block_rows(spectrum) * part.core
+        for i, j in itertools.combinations(range(len(masked)), 2):
+            if np.array_equal(masked[i], -masked[j]):
+                assert block_norms[i] == block_norms[j]
 
 
 class TestPartitionCache:
@@ -495,7 +496,7 @@ class TestSharedBlockNorms:
         for name, f in CORPUS[::3]:
             with mock.patch.object(norms, "_block_norm", wraps=norms._block_norm) as body:
                 values = norms._norm_values(f, self.SPECS, PART)
-            assert [call.args[2] for call in body.call_args_list] == [1.0, 2.0, 1.5, math.inf]
+            assert [call.args[1] for call in body.call_args_list] == [1.0, 2.0, 1.5, math.inf]
             assert list(values) == self.SPECS
             for spec, value in values.items():
                 assert value == norm_value(f, spec, PART), (name, spec)

@@ -216,7 +216,7 @@ class TestBitIdentical:
         grid = _flat_layout(1.0, 3, 3)[0]
         part = partition_for(grid)
         m_len, p_len = fold_rows(part)
-        # The one distinct block, n samples, in spans of three rows of M;
+        # The one placed block, n samples, in spans of three rows of M;
         # the Rudin-Shapiro chains in spans of 3 M samples; F^-1 phi and f,
         # folds of phi's W coefficients, in spans of 3 M / M_phi rows.
         budget = 3 * m_len
@@ -242,15 +242,13 @@ class TestBitIdentical:
         assert [span for _, _, span, _ in sup] == [budget // (t + 6) for t in range(levels)]
         assert all(off_main == (count > span) for _, count, span, off_main in sup)
         assert any(count > span and count % span != 0 for _, count, span, _ in sup)
-        # The folds of F^-1 phi and of f, then the block norm's liveness
-        # scan over all blocks, reading the rows from the translates, and
-        # its fold.  No pass runs over the n samples of the spectrum.
-        blocks, width = len(part.block_indices()), 2 * part.steps_per_unit
+        # The folds of F^-1 phi and of f, then the block norm's fold of its
+        # one placed row.  No pass runs over the blocks or over the n samples
+        # of the spectrum.
         phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
         assert [entry for entry in log if entry[0] == "norms"] == [
             phi_fold,
             phi_fold,
-            ("norms", blocks, budget // width, True),
             ("norms", p_len, 3, True),
         ]
         assert phi_p_len % (budget // phi_m_len) != 0  # ragged last span

@@ -142,22 +142,6 @@ class TestOverlapAdd:
         lhs, rhs = np.vdot(rows, coeffs), np.vdot(spectrum, spread)
         assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(rows) * np.linalg.norm(coeffs)
 
-    @settings(max_examples=30, deadline=None)
-    @given(part=partitioned_grids(), seed=st.integers(0, 2**32 - 1))
-    def test_a_fill_makes_the_rows_of_its_spectrum(self, part, seed):
-        # Read with a slice, an int or an int array, as the block norm reads
-        # them, the rows made from a fill are the rows of the view.
-        rng = np.random.default_rng(seed)
-        spectrum = rng.standard_normal(part.grid.n) + 1j * rng.standard_normal(part.grid.n)
-
-        def fill(row, s):
-            row += spectrum[s : s + row.size]
-
-        view, made = part.block_rows(spectrum), part.block_rows(fill)
-        count = view.shape[0]
-        for key in (slice(0, count), slice(1, None, 2), count - 1, rng.integers(0, count, 3)):
-            assert np.array_equal(made[key], view[key])
-
     # The blocks in use, k = -(N - 1) .. N - 1 for the Nyquist frequency N,
     # leave the edge bands [-N, -N + 1) and [N - 1, N) covered by one
     # neighbour only.  Adding the wrapped block k = N closes the gap; these
