@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import make_corpus, make_signal
+from .errors import CostGateError
 from .grid import (
     _LEAF,
     _each_span,
@@ -408,15 +409,16 @@ def translation_bound_experiment(
 # Composition
 
 
+_MAX_PAIRS = 10**6
+
+
 def _algebra_pairs(corpus, seed: int, count: int):
-    rng = np.random.default_rng(seed)
     names = [name for name, _ in corpus]
     by_name = dict(corpus)
-    pairs = []
-    for _ in range(count):
-        a, b = rng.choice(len(names), size=2, replace=True)
-        pairs.append((names[a], by_name[names[a]], names[b], by_name[names[b]]))
-    return pairs
+    # One draw of all indices gives those of one draw per pair: the
+    # generator keeps the unused half of each 64-bit word in its state.
+    for a, b in np.random.default_rng(seed).choice(len(names), size=(count, 2), replace=True):
+        yield names[a], by_name[names[a]], names[b], by_name[names[b]]
 
 
 # measured_algebra_constant stays a plain function in front of the cache so
@@ -617,6 +619,8 @@ def algebra_sweep(
     """Empirical multiplication constants, exported for the composition ops."""
     if count < 1:
         raise ValueError(f"need at least one pair, got {count}")
+    if count > _MAX_PAIRS:
+        raise CostGateError(f"algebra-sweep asks for {count} pairs, above the {_MAX_PAIRS}-pair gate")
     _check_grid_size(2 * n, "algebra-sweep", "refined grid")
     report = SweepReport("algebra-sweep", axis="spec")
     specs = [NormSpec.modulation(2.0, 1.0, 0.0), NormSpec.modulation(1.0, 1.0, 0.5)]
@@ -748,24 +752,21 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     - phi and nu-hat are evaluated on phi's support only, and the maximum
       of |nu-hat| over the whole grid comes from :func:`rudin_shapiro_sup`,
       which holds span buffers only.
-    - The L^p norms of F^-1 phi and of f are folds of one row of phi's W
-      coefficients (``norms._folded_lp``): P = n / M inverse transforms of
-      length M >= W.  With g = F^-1(nu-hat phi), f = mu-check g, where
-      mu-check is the Rudin-Shapiro polynomial of the translates (see
-      :func:`_mu_check_rows`), so the fold of nu-hat phi is multiplied by
-      mu-check at every grid point before |.|^p.
+    - The L^p norms of F^-1 phi, of g = F^-1(nu-hat phi) and of f are
+      folds of phi's W coefficients (``norms._folded_lp``): P = n / M
+      inverse transforms of length M >= W.  f = mu-check g, where mu-check
+      is the Rudin-Shapiro polynomial of the translates (see
+      :func:`_mu_check_rows`), so one fold of nu-hat phi gives ||g||_p and,
+      multiplied by mu-check at every grid point, ||f||_p.
     - The spectrum of f is 2^m disjoint translates of base = nu-hat phi,
       weighted +-2^-m, and is never built.  base lives on |xi| < 0.1, where
       the partition's cutoff of block 0 is 1 and those of its neighbours
       are 0, so block k of f-hat is w_k base(. - k) for each atom
-      w_k delta_k of mu, and 0 for every other k.  The block norm folds
-      one of them, w_0 base placed in its block window, and gives every
-      atom's block that value, bitwise each one's own (see the negation
-      argument in :mod:`tfnorms.norms`).  The L^1 norm of
+      w_k delta_k of mu, and 0 for every other k.  A shift in frequency
+      only modulates the inverse transform, so that block's L^p norm is
+      |w_k| ||g||_p, and |w_k| = 2^-m for every atom.  The L^1 norm of
       f-hat sums the leaves of numpy's pairwise sum that the translates
-      meet (:func:`_leaf_total`).  No array of the grid's length is built;
-      the largest buffers are the placed block row and the fold's span
-      scratch.
+      meet (:func:`_leaf_total`).  No array of the grid's length is built.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -796,13 +797,13 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     invphi_lp = float(_folded_lp(rows, np.array([0]), phi, p, grid.n, grid.dx)[0])
     steps = part.steps_per_unit
     mu_check = _mu_check_rows(m, steps, grid.n, _fold_lengths(phi.size, grid.n)[0])
-    f_lp = float(_folded_lp(rows, np.array([1]), phi, p, grid.n, grid.dx, mu_check)[0])
+    g_lp, f_lp = _folded_lp(rows, np.array([1]), phi, p, grid.n, grid.dx, mu_check)[:, 0].tolist()
     del rows, mu_check  # mu_check holds m columns of M complex values
 
     # f-hat is w base on [lo + shift, hi + shift) for each atom w delta_loc
-    # of mu, shift = loc * steps; both norms read it from base.  In the
-    # window of block loc, base sits at `offset`: there the core must be 1
-    # and the neighbouring blocks' cores, the core half a window away, 0.
+    # of mu, shift = loc * steps; block loc is that alone, of norm |w| g_lp,
+    # if base sits on its core's plateau: at `offset` in the block window the
+    # core must be 1 and the neighbouring cores, half a window away, 0.
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
     locations = np.round(mu.locations).astype(int)
     starts = lo + locations * steps
@@ -811,12 +812,8 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     if (offset < 0 or taken[-1] >= core.size or np.any(core[taken] != 1.0)
             or np.any(core[(taken + steps) % core.size] != 0.0)):
         raise ValueError("a translate of f-hat leaves the plateau of its block")
-    row = np.zeros((1, core.size), dtype=complex)
-    row[0, offset : offset + base.size] = mu.weights[0] * base
     block_norms = np.zeros(len(part.block_indices()))
-    block_norms[locations + part.max_block_index] = _folded_lp(
-        row, np.array([0]), core, p, grid.n, grid.dx
-    )[0]
+    block_norms[locations + part.max_block_index] = abs(mu.weights[0]) * g_lp
     mod = _norm_report(block_norms, NormSpec.modulation(p, 1.0, 0.0), part).value
     magnitudes = ((start, np.abs(w * base)) for start, w in zip(starts, mu.weights))
     fhat_l1 = float(grid.dual().dx * _leaf_total(grid.n, magnitudes))

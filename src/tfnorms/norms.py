@@ -28,18 +28,18 @@ buffers, |.|^p, and each block's sum or maximum.  A span holds whole blocks
 when a block fits in one, and reduces each of them over exactly that
 block's P M values; a larger block is split into spans of whole rows that
 hold whole 128-value leaves of numpy's pairwise sum.  They write the leaf
-sums of |.|^p into n / 128 floats, which add up level by level to the sum
-numpy gives over the block's n values (see :mod:`tfnorms.grid`), so no
-n-float buffer is held.  The (P, W) twiddle table is built once per call
-when n fits in a span (n samples at most); otherwise each span builds its
-own rows of it, in place in its transform buffer.
+sums (or maxima) of |.|^p into n / 128 floats, which add up level by level
+to the sum numpy gives over the block's n values (see :mod:`tfnorms.grid`),
+so no n-float buffer is held.  The (P, W) twiddle table is built once per
+call when n fits in a span (n samples at most); otherwise each span builds
+its own rows of it, in place in its transform buffer.
 Spans run concurrently on the CPUs of the process's affinity mask, and no
 sum depends on where the spans start, so every value is bitwise the same
-whatever the number of CPUs.  The same fold gives the L^p norm of a product
-h g, with g the inverse transform of one row and h a function known at
-every grid point (the flat counterexample's Rudin-Shapiro polynomial): each
-span multiplies its inverse transforms by h at their grid indices b + P a
-before |.|^p, so that norm needs no n-point transform either.
+whatever the number of CPUs.  One fold gives the L^p norms of both g, the
+inverse transform of one row, and h g, with h known at every grid point
+(the flat counterexample's Rudin-Shapiro polynomial): each span reduces
+|.|^p of its transforms, multiplies them in place by h at their grid
+indices b + P a, and reduces again.
 
 The body, ``_block_norm``, stops at the vector of block L^p norms for one
 p, since q and s enter only when ``_norm_report`` combines that vector:
@@ -51,9 +51,9 @@ each product once.  Nothing is cached across calls by the bytes of a
 spectrum or a row.  A block holding -c_m folds to the negated intermediates
 of one holding c_m, because under round-to-nearest negation commutes with
 the twiddle product, every FFT butterfly and abs, and a zero of either sign
-stays a zero; so the two norms are bitwise equal.  The flat counterexample,
-whose blocks are one block weighted +-2^-m, folds that block once for all
-of them (:func:`tfnorms.experiments.flat_measurement`).
+stays a zero; so the two norms are bitwise equal.  The flat counterexample
+folds no block: its blocks are +-2^-m times frequency translates of g-hat,
+whose norms are 2^-m ||g||_p (:func:`tfnorms.experiments.flat_measurement`).
 
 The sum over blocks is truncated at the frequency grid edge and the mass of
 the outermost two blocks is reported as a tail estimate.
@@ -202,74 +202,76 @@ def _folded_lp(
     at most grid._SPAN samples holds whole blocks, or, for a block larger
     than that, whole rows of one block: one row at least, and 128 / M rows
     at least when M < 128, so that each span holds whole leaves of numpy's
-    pairwise sum.  With `factor`, each inverse transform is multiplied by
+    pairwise sum.  With `factor`, returns a (2, which.size) array: those
+    norms, bitwise, and the norms of the inverse transforms multiplied by
     factor(r0, r1), the (r1 - r0, M) values of a function at the grid
-    indices b + P a, r0 <= b < r1, before |.|^p is taken.
+    indices b + P a, r0 <= b < r1.
     """
     width = core.size
     m_len, p_len = _fold_lengths(width, n)
+    products = factor is not None
 
     def twiddle(r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         # Rows [r0, r1) of the (P, W) table e^(2 pi i a m / n).
         out = np.multiply(2j * math.pi / n, np.outer(np.arange(r0, r1), np.arange(width)), out=out)
         return np.exp(out, out=out)
 
-    def fold(coeffs: np.ndarray, mags: np.ndarray, r0: int, table: np.ndarray | None = None) -> None:
-        # mags[b, a] = |IFFT_M(coeffs[b] * twiddle row r0 + a)|^p.  Without a
-        # shared table the span builds its rows in its own buffer.
-        z = np.empty(mags.shape, dtype=complex)
+    def fold(coeffs: np.ndarray, count: int, r0: int, table: np.ndarray | None = None):
+        # Yields |IFFT_M(coeffs[b] * twiddle row r0 + a)|^p and, with a factor,
+        # |IFFT_M(...) * factor|^p.  Without a shared table it builds its rows in z.
+        z = np.empty((len(coeffs), count, m_len), dtype=complex)
         head = z[..., :width]
         if table is None:
-            table = twiddle(r0, r0 + mags.shape[1], out=head[0])
+            table = twiddle(r0, r0 + count, out=head[0])
         np.multiply(coeffs[:, None, :], table, out=head)
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
-        if factor is not None:
-            z *= factor(r0, r0 + mags.shape[1])
-        np.abs(z, out=mags)
-        if p != 1.0 and not math.isinf(p):
-            mags **= p
+        # mags comes after the factor, so that it may take the memory of the
+        # factor's temporaries.
+        h = factor(r0, r0 + count) if products else None
+        mags = np.empty(z.shape)
+        for j in range(1 + products):
+            if j:
+                z *= h
+            np.abs(z, out=mags)
+            if p != 1.0 and not math.isinf(p):
+                mags **= p
+            yield mags
 
-    out = np.empty(which.size)
+    reduce = np.max if math.isinf(p) else np.sum
+    out = np.empty((1 + products, which.size))
     if n <= _grid._SPAN:
         # One table of n samples at most, shared by every span.
         table = twiddle(0, p_len)
 
         def run(lo: int, hi: int) -> None:
-            mags = np.empty((hi - lo, p_len, m_len))
-            fold(rows[which[lo:hi]] * core, mags, 0, table)
             # Over each block's P M values alone, so the spans do not change
             # the order of any sum.
-            reduce = np.max if math.isinf(p) else np.sum
-            out[lo:hi] = reduce(mags, axis=(1, 2))
+            for j, mags in enumerate(fold(rows[which[lo:hi]] * core, p_len, 0, table)):
+                out[j, lo:hi] = reduce(mags, axis=(1, 2))
 
         _each_span(run, which.size, n)
     else:
         # Spans of groups of `group` rows, whole leaves of numpy's pairwise
-        # sum, write their leaf sums (or keep their maxima), which add up to
-        # the sum over the block's n values bit for bit.
+        # sum, write their leaf sums (or maxima), which add up to the sum
+        # over the block's n values bit for bit.
         leaf = _grid._LEAF
         group = max(1, leaf // m_len)
-        leaves = np.empty(n // leaf)
+        leaves = np.empty((1 + products, n // leaf))
         for i, b in enumerate(which):
             coeffs = rows[b : b + 1] * core
-            peaks = []  # one per span, in any order, for p = inf
 
             def run(lo: int, hi: int) -> None:
                 r0, r1 = lo * group, hi * group
-                mags = np.empty((1, r1 - r0, m_len))
-                fold(coeffs, mags, r0)
-                if math.isinf(p):
-                    peaks.append(np.max(mags))
-                else:
-                    span = leaves[r0 * m_len // leaf : r1 * m_len // leaf]
-                    np.sum(mags.reshape(-1, leaf), axis=1, out=span)
+                for j, mags in enumerate(fold(coeffs, r1 - r0, r0)):
+                    span = leaves[j, r0 * m_len // leaf : r1 * m_len // leaf]
+                    reduce(mags.reshape(-1, leaf), axis=1, out=span)
 
             _each_span(run, p_len // group, group * m_len)
-            out[i] = max(peaks) if math.isinf(p) else _grid._pairwise_total(leaves)
+            out[:, i] = [np.max(row) if math.isinf(p) else _grid._pairwise_total(row) for row in leaves]
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)
-    return out * (m_len / n / dx)
+    return (out if products else out[0]) * (m_len / n / dx)
 
 
 def fourier_beurling_norm(f: SampledSignal, s: float = 0.0) -> float:

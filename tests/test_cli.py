@@ -259,6 +259,9 @@ class TestCommands:
             # Below the one gate: the STFT's corpus and per-row Grams are not built either.
             (["moyal", "--n", str(1 << 22)], "the STFT is gated at n <= 4096 (got n=4194304); "
              "use the frequency-block norm path for larger grids"),
+            # Not a grid: the pair count, refused before any pair is drawn.
+            (["algebra-sweep", "--pairs", str(10**6 + 1)], "algebra-sweep asks for 1000001 pairs, "
+             "above the 1000000-pair gate"),
         ],
     )
     def test_grid_above_the_gate_is_refused_before_it_is_built(self, tmp_path, args, message):

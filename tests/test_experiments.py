@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnorms import experiments, norms
 from tfnorms.corpus import make_corpus
@@ -154,8 +156,9 @@ class TestCounterexampleFlat:
         # that no concurrent span temporaries count.  The partition is built
         # before, as the second depth of a run finds it cached.  The spectrum
         # of f is never built, so what is held is span buffers, n / 128 leaf
-        # sums, the placed block row and the fold's rows (0.54 of one complex
-        # n-array measured; 1.47 with the spectrum built).
+        # sums for g and for f, and the fold's rows (0.36 of one complex
+        # n-array measured; 0.54 with a block row of the core's width folded
+        # as well, 1.47 with the spectrum built).
         grid = experiments._flat_layout(1.5, 2, 8)[0]
         partition_for(grid)
         grid_module = importlib.import_module("tfnorms.grid")
@@ -168,32 +171,40 @@ class TestCounterexampleFlat:
         finally:
             tracemalloc.stop()
         assert run["n"] == grid.n == 1 << 19
-        assert peak < 16 * run["n"]
+        assert peak < 8 * run["n"]
 
     @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
     def test_translate_rows_are_the_spectrum_rows(self, monkeypatch, p, m, r):
-        # The row the block norm folds is, masked, the masked block row of
-        # the assembled spectrum at the first atom.  Each atom's block is
-        # that row times the ratio (+-1) of their weights, and every other
-        # block is 0.  A row placed one sample off keeps the bits of every
-        # norm on these layouts and fails only here.
+        # At each atom w_k delta_k, the masked block row of the assembled
+        # spectrum is w_k base on the plateau and 0 elsewhere, and every
+        # other block is 0.  So the dense block norm of each atom is
+        # |w_k| ||g||_p, the value that the fold of base gives with f's.
         folded = []
         fold = experiments._folded_lp
-        monkeypatch.setattr(
-            experiments, "_folded_lp", lambda rows, *args: folded.append(rows) or fold(rows, *args)
-        )
+
+        def recorded(rows, which, core, *args):
+            out = fold(rows, which, core, *args)
+            folded.append((rows[which] * core, out))
+            return out
+
+        monkeypatch.setattr(experiments, "_folded_lp", recorded)
         flat_measurement(p, m, r)
-        part, _, _, fhat = _dense_flat_spectra(p, m, r)
-        row = folded[-1] * part.core
-        assert row.shape == (1, part.core.size)
+        (base,), ((g_lp,), _) = folded[-1]
+        part, _, phi, fhat = _dense_flat_spectra(p, m, r)
+        offset = int(np.flatnonzero(phi.samples)[0]) - part.window_start(0)
         dense = part.block_rows(fhat.samples) * part.core
+        block_norms = norms._block_norm(fhat.samples, p, part)
         mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
         atoms = np.round(mu.locations).astype(int) + part.max_block_index
         for i, w in zip(atoms, mu.weights):
-            assert np.array_equal(dense[i], (w / mu.weights[0]) * row[0])
+            row = np.zeros(part.core.size, dtype=complex)
+            row[offset : offset + base.size] = w * base
+            assert np.array_equal(dense[i], row)
+            assert block_norms[i] == pytest.approx(abs(w) * g_lp, rel=1e-14, abs=0.0)
         others = np.ones(len(dense), dtype=bool)
         others[atoms] = False
         assert not np.any(dense[others])
+        assert not np.any(block_norms[others])
 
     def test_a_base_off_the_plateau_is_refused(self, monkeypatch):
         # A bump wider than the plateau of phi puts each translate on the
@@ -220,7 +231,7 @@ class TestCounterexampleFlat:
         run, dense = flat_measurement(p, m, r), _dense_flat_measurement(p, m, r)
         assert run["n"] <= 1 << 17
         assert run.keys() == dense.keys()
-        moved = ("invphi_lp", "f_lp", "segal_norm", "headline_ratio")
+        moved = ("invphi_lp", "modulation_norm", "f_lp", "segal_norm", "headline_ratio")
         for key in moved:
             assert run[key] == pytest.approx(dense[key], rel=1e-14, abs=0.0), key
         assert {k: v for k, v in run.items() if k not in moved} == {
@@ -261,8 +272,9 @@ class TestCounterexampleFlat:
         assert run["n"] not in lengths
 
     def test_translates_fold_one_row(self, monkeypatch):
-        # The folds of F^-1 phi, of f and of the block norm, each of one row:
-        # the 16 translates share the block norm's one fold.
+        # The folds of F^-1 phi and of g, which gives f too, each of one row
+        # of phi's width: the 16 translates' blocks fold nothing of the
+        # core's width.
         folded = []
         fold = norms._folded_lp
 
@@ -273,9 +285,10 @@ class TestCounterexampleFlat:
         monkeypatch.setattr(norms, "_folded_lp", counted)
         monkeypatch.setattr(experiments, "_folded_lp", counted)
         flat_measurement(1.0, 4, 4)
-        width = 2 * partition_for(experiments._flat_layout(1.0, 4, 4)[0]).steps_per_unit
-        assert [rows for rows, _ in folded] == [1, 1, 1]
-        assert folded[2] == (1, width)
+        grid = experiments._flat_layout(1.0, 4, 4)[0]
+        phi_width = int(np.count_nonzero(bump_profile(grid.frequencies(), 0.025, 0.1)))
+        assert folded == [(1, phi_width), (1, phi_width)]
+        assert phi_width < 2 * partition_for(grid).steps_per_unit
 
     @pytest.mark.parametrize(
         "p, flags, depths",
@@ -365,6 +378,46 @@ class TestAlgebraConstantCache:
             assert len(calls) == 2
         finally:
             experiments._cached_algebra_constant.cache_clear()
+
+
+PAIR_CORPUS = make_corpus(Grid(256, PARTITION_L), seed=0)
+
+
+def _pairs_one_by_one(corpus, seed: int, count: int) -> list:
+    """The algebra pairs drawn with one rng.choice call per pair."""
+    rng = np.random.default_rng(seed)
+    names = [name for name, _ in corpus]
+    by_name = dict(corpus)
+    pairs = []
+    for _ in range(count):
+        a, b = rng.choice(len(names), size=2, replace=True)
+        pairs.append((names[a], by_name[names[a]], names[b], by_name[names[b]]))
+    return pairs
+
+
+class TestAlgebraPairs:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), count=st.integers(1, 5000))
+    def test_one_draw_gives_the_pairs_of_one_draw_per_pair(self, seed, count):
+        drawn = experiments._algebra_pairs(PAIR_CORPUS, seed, count)
+        assert iter(drawn) is drawn  # yielded one by one, not a list
+        got, want = list(drawn), _pairs_one_by_one(PAIR_CORPUS, seed, count)
+        assert [(a, b) for a, _, b, _ in got] == [(a, b) for a, _, b, _ in want]
+        assert all(f is f0 and g is g0 for (_, f, _, g), (_, f0, _, g0) in zip(got, want))
+
+    def test_the_gate_admits_its_cap(self, monkeypatch):
+        asked = []
+
+        def measured(spec, n, L, seed, count):
+            asked.append(count)
+            return 1.0
+
+        monkeypatch.setattr(experiments, "measured_algebra_constant", measured)
+        assert algebra_sweep(count=experiments._MAX_PAIRS).all_passed
+        assert asked == [experiments._MAX_PAIRS] * 4
+        with pytest.raises(CostGateError, match="above the 1000000-pair gate"):
+            algebra_sweep(count=experiments._MAX_PAIRS + 1)
+        assert len(asked) == 4
 
 
 def _digest(signal: SampledSignal) -> bytes:

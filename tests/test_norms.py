@@ -379,6 +379,60 @@ class TestFoldedBlockNorms:
         assert peak <= 8 * n // 128 + 48 * grid_module._SPAN
 
 
+def _fold_reference(row, core, p, n, dx, factor):
+    """The L^p norm of one block's inverse transform, times `factor` when given.
+
+    The fold of the norms module on the whole (P, M) array at once: inverse
+    transforms, the factor, |.|^p, and the sum over the block's values (or
+    their maximum) in the order that _folded_lp's spans keep.
+    """
+    width = core.size
+    m_len, p_len = norms._fold_lengths(width, n)
+    table = np.exp(np.multiply(2j * math.pi / n, np.outer(np.arange(p_len), np.arange(width))))
+    z = np.zeros((p_len, m_len), dtype=complex)
+    np.multiply((row * core)[None, :], table, out=z[:, :width])
+    np.fft.ifft(z, axis=-1, out=z)
+    if factor is not None:
+        z *= factor(0, p_len)
+    mags = np.abs(z)
+    if math.isinf(p):
+        return float(np.max(mags)) * (m_len / n / dx)
+    if p != 1.0:
+        mags **= p
+    if n <= grid_module._SPAN:
+        total = np.sum(mags[None], axis=(1, 2))[0]
+    else:
+        total = grid_module._pairwise_total(np.sum(mags.reshape(-1, grid_module._LEAF), axis=1))
+    return float(((dx * np.array([total])) ** (1.0 / p) * (m_len / n / dx))[0])
+
+
+class TestSharedFold:
+    # n = 2^12 is one span; n = 2^14 past a span of 2^12 splits each block
+    # into spans of rows, two rows of M = 64 a leaf for W = 50.
+    @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+    @pytest.mark.parametrize("n, width", [(1 << 12, 50), (1 << 14, 50), (1 << 14, 300)])
+    def test_both_outputs_are_bitwise_the_single_folds(self, monkeypatch, n, width, p):
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 12)
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(n + width)
+        rows = rng.standard_normal((4, width)) + 1j * rng.standard_normal((4, width))
+        core = np.hanning(width)
+        m_len, p_len = norms._fold_lengths(width, n)
+        values = rng.standard_normal((p_len, m_len)) + 1j * rng.standard_normal((p_len, m_len))
+        which, dx = np.array([3, 0, 2]), 0.01
+
+        def factor(r0, r1):
+            return values[r0:r1]
+
+        both = norms._folded_lp(rows, which, core, p, n, dx, factor)
+        plain = norms._folded_lp(rows, which, core, p, n, dx)
+        assert both.shape == (2, which.size)
+        assert both[0].tobytes() == plain.tobytes()
+        assert [_fold_reference(rows[b], core, p, n, dx, None) for b in which] == plain.tolist()
+        assert [_fold_reference(rows[b], core, p, n, dx, factor) for b in which] == both[1].tolist()
+        assert not np.any(both[0] == both[1])
+
+
 # What each block of a spectrum of grouped_spectra holds, around its centre k:
 # the base atom c a up to sign, near-duplicates of it, a fresh random atom,
 # or nothing.
@@ -454,8 +508,7 @@ class TestGroupedFold:
         assert report == oracle
         assert _bits(report) == _bits(oracle)
         # Blocks equal up to sign fold to bitwise equal norms (the negation
-        # argument of the norms module), which the flat counterexample's one
-        # fold for all of its blocks rests on.
+        # argument of the norms module).
         block_norms = norms._block_norm(spectrum, p, part)
         masked = part.block_rows(spectrum) * part.core
         for i, j in itertools.combinations(range(len(masked)), 2):
@@ -541,7 +594,7 @@ class TestAlgebraConstantReuse:
     )
     def test_reuse_is_bitwise_the_plain_loop(self, seed, count, pick, spec):
         part = partition_for(ALGEBRA_GRID)
-        drawn = _algebra_pairs(ALGEBRA_CORPUS, seed, count)
+        drawn = list(_algebra_pairs(ALGEBRA_CORPUS, seed, count))
         (a, f), (b, g) = (ALGEBRA_CORPUS[i] for i in REVERSALS[pick])
         fg, gf = (a, f, b, g), (b, g, a, f)
         # A reversed pair alone, in both orders, so that its ratio is the maximum once.

@@ -215,14 +215,14 @@ class TestBitIdentical:
     def test_flat_measurement(self):
         grid = _flat_layout(1.0, 3, 3)[0]
         part = partition_for(grid)
-        m_len, p_len = fold_rows(part)
-        # The one placed block, n samples, in spans of three rows of M;
-        # the Rudin-Shapiro chains in spans of 3 M samples; F^-1 phi and f,
-        # folds of phi's W coefficients, in spans of 3 M / M_phi rows.
-        budget = 3 * m_len
+        # A budget of three rows of a block's fold, M samples: the
+        # Rudin-Shapiro chains in spans of 3 M samples; F^-1 phi, and g and f
+        # together, folds of phi's W coefficients, in spans of 3 M / M_phi
+        # rows.
+        budget = 3 * fold_rows(part)[0]
         phi_width = int(np.count_nonzero(bump_profile(grid.frequencies(), 0.025, 0.1)))
         phi_m_len, phi_p_len = norms._fold_lengths(phi_width, grid.n)
-        assert min(m_len, phi_m_len) >= grid_module._LEAF  # rows hold whole leaves
+        assert phi_m_len >= grid_module._LEAF  # rows hold whole leaves
         with spans(3, budget) as log:
             pooled = flat_measurement(1.0, 3, 3)
         with spans(1, budget):
@@ -242,17 +242,12 @@ class TestBitIdentical:
         assert [span for _, _, span, _ in sup] == [budget // (t + 6) for t in range(levels)]
         assert all(off_main == (count > span) for _, count, span, off_main in sup)
         assert any(count > span and count % span != 0 for _, count, span, _ in sup)
-        # The folds of F^-1 phi and of f, then the block norm's fold of its
-        # one placed row.  No pass runs over the blocks or over the n samples
-        # of the spectrum.
+        # The folds of F^-1 phi and of g, which gives f too.  The block norm
+        # folds nothing, and no pass runs over the blocks or over the n
+        # samples of the spectrum.
         phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
-        assert [entry for entry in log if entry[0] == "norms"] == [
-            phi_fold,
-            phi_fold,
-            ("norms", p_len, 3, True),
-        ]
+        assert [entry for entry in log if entry[0] == "norms"] == [phi_fold, phi_fold]
         assert phi_p_len % (budget // phi_m_len) != 0  # ragged last span
-        assert p_len % 3 != 0  # ragged last span
         assert pooled == inline == default
 
 
