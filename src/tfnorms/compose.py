@@ -32,7 +32,7 @@ from .grid import (
     SampledSignal,
     Space,
     _each_span,
-    _refined_inverse,
+    _refined_samples,
     fourier_forward,
 )
 from .norms import norm_value, partition_for
@@ -64,11 +64,13 @@ TAIL_TOLERANCE = 1e-8
 CUTOFF_PLATEAU = 1.0
 CUTOFF_SUPPORT = 2.0
 
-# No run builds a grid of more than this many samples: dilations read their
-# samples off a refined grid of at most this size (so approx-unit at
-# n = 4096 takes at most 10 halvings), and the runners check their largest
-# grid, twice n for the refinement runs, before they build anything (the
-# STFT runners check the STFT's smaller gate instead).
+# No run builds a grid of more than this many samples, and no dilation
+# refines by more: a factor-F dilation of an n-point grid takes up to F - 1
+# inverses of n points each (one per nonzero residue class it reads), so
+# n * F bounds its work (approx-unit at n = 4096 takes at most 10
+# halvings).  The runners check their largest grid, twice n for the
+# refinement runs, before they build anything (the STFT runners check the
+# STFT's smaller gate instead).
 _MAX_REFINED_SIZE = 1 << 22
 
 
@@ -354,19 +356,17 @@ def _refined_progression(
     """h's band-limited interpolant at indices first + stride*m of the refined grid.
 
     The factor-refined grid has the points -L + i dx / factor, i taken mod
-    n * factor (the periodic extension); m = 0 .. count-1.  Bitwise
-    ``upsample(h, factor).samples`` at those indices, from one refined
-    buffer: only the points read are shifted and scaled.
+    n * factor (the periodic extension); m = 0 .. count-1.  The values are
+    those of ``upsample(h, factor).samples`` at those indices, from
+    :func:`tfnorms.grid._refined_samples`: one n-point inverse per nonzero
+    residue mod factor that the indices meet.
     """
     size = h.grid.n * factor
     _check_grid_size(size, "dilation", "refined grid")
     idx = (first + stride * np.arange(count)) % size
     if factor == 1:
         return h.samples[idx]
-    fine_grid, buffer = _refined_inverse(h, factor)
-    values = buffer[(idx + size // 2) % size]
-    values /= fine_grid.dx
-    return values
+    return _refined_samples(h, factor, idx)[1]
 
 
 def dilation_difference_norm(
@@ -383,8 +383,8 @@ def dilation_difference_norm(
     spectral support assumptions behind the block norms survive the
     rescaling.  x0 must be a grid point and lam an integer or the reciprocal
     of one; then the points x0 + x_j / lam are points of f's lam-refined grid
-    (integer lam) or every 1/lam-th grid point, read off
-    :func:`tfnorms.grid.upsample`.
+    (integer lam) or every 1/lam-th grid point, and take the values of
+    :func:`tfnorms.grid.upsample` there without building the refined grid.
     """
     grid = f.grid
     num, den = _integer_ratio(lam)
@@ -707,8 +707,8 @@ def _dilated_window_samples(
 
     lam must be an integer or the reciprocal of one.  The arguments
     lam (x_j - x0) are then every lam-th sample of the base window (integer
-    lam) or consecutive points of its 1/lam-refined grid, read off
-    :func:`tfnorms.grid.upsample`.
+    lam) or consecutive points of its 1/lam-refined grid, where they take
+    the values of :func:`tfnorms.grid.upsample` without building that grid.
     """
     num, den = _integer_ratio(lam)
     idx0 = _grid_index(grid, x0)

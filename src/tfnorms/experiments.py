@@ -533,8 +533,8 @@ def approx_unit_experiment(
         raise ValueError("approximate-unit sweep needs an algebra-regime spec")
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
-    # The smallest lam, 2^-halvings, reads the window off the largest
-    # refined grid; refuse it before building the smaller ones.
+    # The smallest lam, 2^-halvings, samples the window on the finest
+    # refined grid; refuse it before computing the coarser ones.
     _check_grid_size(n * 2**halvings, "dilation", "refined grid")
     f = make_signal(signal, grid, seed)
     base = plateau_window(0.0, 1.0, grid)

@@ -396,39 +396,62 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 def upsample(f: SampledSignal, factor: int) -> SampledSignal:
     """Exact band-limited upsampling onto the factor-refined grid.
 
-    Zero-pads the spectrum, so the result samples the trigonometric
-    interpolant of f at the refined grid points; the dilations in
-    :mod:`tfnorms.compose` read their samples off this grid.
+    The result samples the trigonometric interpolant of f (its spectrum
+    zero-padded to n * factor points) at the refined grid points; it is
+    computed by :func:`_refined_samples`, as are the dilations of
+    :mod:`tfnorms.compose`.
     """
     if factor < 1 or factor != int(factor):
         raise ValueError(f"upsampling factor must be a positive integer, got {factor}")
     factor = int(factor)
     if factor == 1:
         return f
-    fine_grid, values = _refined_inverse(f, factor)
-    _swap_halves(values)
-    values /= fine_grid.dx
+    fine_grid, values = _refined_samples(f, factor, np.arange(f.grid.n * factor))
     return SampledSignal(fine_grid, values)
 
 
-def _refined_inverse(f: SampledSignal, factor: int) -> tuple[Grid, np.ndarray]:
-    """(fine grid, buffer) with f's samples on the factor-refined grid at
-    buffer[(i + size / 2) % size] / fine_grid.dx, i = 0 .. size - 1.
+def _refined_samples(
+    f: SampledSignal, factor: int, indices: np.ndarray
+) -> tuple[Grid, np.ndarray]:
+    """(fine grid, values) with f's interpolant at the given factor-refined grid indices.
 
     The one interpolator behind :func:`upsample` and the dilations of
-    :mod:`tfnorms.compose`.  f's spectrum, zero-padded to size = n * factor,
-    is written in FFT order into one size-length buffer and inverted in
-    place, so no shifted copy is made.  Shifting the buffer and dividing it
-    by dx gives bitwise ``fourier_inverse`` of the centred padded spectrum.
+    :mod:`tfnorms.compose`.  The refined point i (0 <= i < size = n * factor)
+    is index b = (i + size / 2) % size = factor * j + r of the inverse FFT of
+    f's spectrum zero-padded to size points.  That spectrum has only the n
+    coefficients c_k of f, k signed (-n/2 <= k < n/2), so
+
+        ifft_size(padded)[factor * j + r] = ifft_n(c_k exp(2 pi i k r / size))[j] / factor
+
+    and each residue r > 0 among the indices takes one n-point inverse, which
+    gives all of r's points; residue 0 is f's own grid, where the values are
+    f's samples.  The residues run one at a time, so the working set is a
+    few n-length rows; no size-length buffer is built.  The phase comes from
+    the exact integer k * r for k = 0 .. n/2 (|k r| <= size / 2), and the
+    phase at -k is its conjugate.
     """
-    size = f.grid.n * factor
-    half = f.grid.n // 2
-    spectrum = fourier_forward(f).samples
-    buffer = np.zeros(size, dtype=complex)
-    buffer[:half] = spectrum[half:]
-    buffer[size - half :] = spectrum[:half]
-    np.fft.ifft(buffer, out=buffer)
-    return Grid(size, f.grid.half_width).dual().dual(), buffer
+    n, half = f.grid.n, f.grid.n // 2
+    size = n * factor
+    fine_grid = Grid(size, f.grid.half_width).dual().dual()
+    rows, residues = np.divmod((indices + size // 2) % size, factor)
+    spectrum = np.fft.ifftshift(fourier_forward(f).samples)  # slots k and n - k: k and -k
+    k = np.arange(half + 1)
+    values = np.empty(indices.size, dtype=complex)
+    # The residues that occur, without np.unique, which imports numpy.ma.
+    for r in np.flatnonzero(np.bincount(residues)):
+        at = np.flatnonzero(residues == r)
+        if r == 0:
+            values[at] = f.samples[(rows[at] + half) % n]
+            continue
+        angle = (k * int(r)) * (2.0 * math.pi / size)
+        cos, sin = np.cos(angle), np.sin(angle)
+        twisted = np.empty(n, dtype=complex)
+        twisted.real[:half], twisted.imag[:half] = cos[:half], sin[:half]
+        twisted.real[half:], twisted.imag[half:] = cos[half:0:-1], -sin[half:0:-1]
+        twisted *= spectrum
+        # A new array: ifft in place (out=) measured slower.
+        values[at] = np.fft.ifft(twisted)[rows[at]] / (factor * fine_grid.dx)
+    return fine_grid, values
 
 
 def support_leakage(f: SampledSignal, outer_fraction: float = 0.1) -> float:

@@ -223,16 +223,16 @@ class TestCommands:
         assert not (tmp_path / "out").exists()
 
     def test_refined_grid_gate_builds_no_grid(self, tmp_path, monkeypatch, capsys):
-        # The gate is known before the loop: no refined grid is built first.
+        # The gate is known before the loop: no refined sample is computed first.
         compose = importlib.import_module("tfnorms.compose")
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return refined_inverse(*args)
+            return refined_samples(*args)
 
-        refined_inverse = compose._refined_inverse
-        monkeypatch.setattr(compose, "_refined_inverse", counted)
+        refined_samples = compose._refined_samples
+        monkeypatch.setattr(compose, "_refined_samples", counted)
         out = tmp_path / "out"
         assert main(["approx-unit", "--halvings", "11", "--out", str(out)]) == 1
         assert calls == []

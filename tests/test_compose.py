@@ -31,7 +31,7 @@ from tfnorms.compose import (
     series_square,
 )
 from tfnorms.errors import CostGateError, CoverError, ToleranceNotReachedError
-from tfnorms.grid import Grid, NormSpec, SampledSignal, upsample
+from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_forward, upsample
 from tfnorms.norms import norm_value, partition_for
 from tfnorms.partition import bump_profile
 from tfnorms.windows import plateau_window
@@ -271,7 +271,7 @@ class TestResample:
 
 
 class TestRefinedGrid:
-    """Dyadic dilations read off the refined grid of upsample."""
+    """Dyadic dilations at points of the refined grid of upsample."""
 
     COARSE = Grid(4096, 16.0 * math.pi)
     COARSE_BASE = plateau_window(0.0, 1.0, COARSE)
@@ -321,16 +321,66 @@ class TestRefinedGrid:
             exact = np.exp(-((lam * (GRID.points() - x0)) ** 2) / 2.0)
             assert np.max(np.abs(window - exact)) <= 1e-12
 
+    @staticmethod
+    def dense_refined(h, factor):
+        """upsample's samples from one n * factor-point inverse of the padded spectrum."""
+        size, half = h.grid.n * factor, h.grid.n // 2
+        spectrum = fourier_forward(h).samples
+        buffer = np.zeros(size, dtype=complex)
+        buffer[:half] = spectrum[half:]
+        buffer[size - half :] = spectrum[:half]
+        fine_dx = Grid(size, h.grid.half_width).dual().dual().dx
+        return np.fft.fftshift(np.fft.ifft(buffer)) / fine_dx
+
+    @staticmethod
+    def assert_few_ulp(values, expected, h):
+        # A few ulp of max |h|: the two inverses round differently.
+        bound = 8 * np.finfo(float).eps * np.max(np.abs(h.samples))
+        assert np.max(np.abs(values - expected)) <= bound
+
     @pytest.mark.parametrize("factor", [1, 2, 16])
-    def test_refined_progression_is_upsample_bitwise(self, factor):
+    def test_refined_progression_matches_dense_inverse(self, factor):
         # Indices below 0 and past n * factor wrap onto the periodic grid.
         h = SampledSignal(self.COARSE, self.COARSE_BASE.window.samples * (1.0 + 0.5j))
         size = self.COARSE.n * factor
-        fine = upsample(h, factor).samples
+        fine = self.dense_refined(h, factor)
+        self.assert_few_ulp(upsample(h, factor).samples, fine, h)
         for first, stride, count in ((-5 * factor, 3, 40), (size - 7, 5, 30), (17, -factor, 2 * size)):
             values = _refined_progression(h, factor, first, stride, count)
             idx = (first + stride * np.arange(count)) % size
-            assert np.array_equal(values.view(np.int64), fine[idx].view(np.int64))
+            self.assert_few_ulp(values, fine[idx], h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_n=st.integers(3, 7),
+        log_factor=st.integers(0, 4),
+        first=st.integers(-5000, 5000),
+        stride=st.integers(-300, 300),
+        count=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refined_progression_property(self, log_n, log_factor, first, stride, count, seed):
+        # Off residue 0 a phase from the unsigned frequency (k + n for k < 0)
+        # moves the points by O(|h|), far past the bound.
+        grid, factor = Grid(2**log_n, 3.0), 2**log_factor
+        rng = np.random.default_rng(seed)
+        h = SampledSignal(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+        size = grid.n * factor
+        idx = (first + stride * np.arange(count)) % size
+        values = _refined_progression(h, factor, first, stride, count)
+        self.assert_few_ulp(values, self.dense_refined(h, factor)[idx], h)
+
+    def test_one_dilation_stays_in_patch_sized_memory(self):
+        # The refined grid of lam = 2^-6 at n = 4096 has 2^18 points, 4 MiB
+        # of complex samples; each residue's n-point row is 64 KiB.
+        tracemalloc.start()
+        try:
+            base = self.COARSE_BASE
+            _dilated_window_samples(base, self.COARSE, 0.0, 0.5**6, base.support_radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_unaligned_center_rejected(self):
         x0 = 0.5 * GRID.dx

@@ -2,10 +2,11 @@
 
 tests/golden/all-seed0/ holds every report.json and report.csv of
 ``tfnorms all --seed 0`` and a platform.json naming the Python and numpy
-versions and the machine that wrote them.  The serial run of the
-determinism criterion (conftest's ``all_seed0``) is compared with it: on a
-matching platform byte for byte, elsewhere every number to 1e-12 relative,
-and the failure lists each file that differs.
+versions, the machine and numpy's enabled SIMD features (its run-time
+dispatch picks kernels that round differently) that wrote them.  The serial
+run of the determinism criterion (conftest's ``all_seed0``) is compared with
+it: on a matching platform byte for byte, elsewhere every number to 1e-12
+relative, and the failure lists each file that differs.
 
 A change that moves report bytes on purpose regenerates the directory with
 
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "all-seed0"
 PLATFORM = "platform.json"
@@ -39,7 +41,13 @@ def current_platform() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
     }
+
+
+def compares_bytes(recorded: dict) -> bool:
+    """True when the golden reports were written on this platform, SIMD dispatch included."""
+    return recorded == current_platform()
 
 
 def _numbers_agree(expected: str, actual: str) -> bool:
@@ -79,7 +87,7 @@ def test_serial_run_matches_the_golden_reports(all_seed0):
     serial, code = runs["serial"]
     assert code == 0
     recorded = json.loads((GOLDEN / PLATFORM).read_text())
-    exact = recorded == current_platform()
+    exact = compares_bytes(recorded)
     found = golden_differences(GOLDEN, serial, exact)
     mode = "bytes" if exact else f"numbers to {RELATIVE_TOLERANCE:g} (golden from {recorded})"
     assert not found, f"reports differ from {GOLDEN} ({mode}): " + ", ".join(found)
@@ -91,6 +99,15 @@ def test_golden_directory_holds_every_report():
     assert {p.name for p in GOLDEN.iterdir() if p.is_file()} == {
         "report.json", "report.csv", PLATFORM,
     }
+
+
+def test_a_different_simd_dispatch_selects_the_numeric_mode():
+    assert compares_bytes(current_platform())
+    recorded = current_platform()
+    recorded["cpu_features"] = [*recorded["cpu_features"], "NOT_A_FEATURE"]
+    assert not compares_bytes(recorded)
+    del recorded["cpu_features"]
+    assert not compares_bytes(recorded)
 
 
 class TestComparison:
