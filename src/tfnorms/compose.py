@@ -20,6 +20,7 @@ convergence is gated on the measured constant with a 2x safety factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -351,7 +352,12 @@ def _check_grid_size(size: int, what: str, grid: str = "grid") -> None:
 
 
 def _refined_progression(
-    h: SampledSignal, factor: int, first: int, stride: int, count: int
+    h: SampledSignal,
+    factor: int,
+    first: int,
+    stride: int,
+    count: int,
+    spectrum=None,
 ) -> np.ndarray:
     """h's band-limited interpolant at indices first + stride*m of the refined grid.
 
@@ -359,14 +365,15 @@ def _refined_progression(
     n * factor (the periodic extension); m = 0 .. count-1.  The values are
     those of ``upsample(h, factor).samples`` at those indices, from
     :func:`tfnorms.grid._refined_samples`: one n-point inverse per nonzero
-    residue mod factor that the indices meet.
+    residue mod factor that the indices meet.  `spectrum`, when given,
+    returns h's centered spectrum (see ``_refined_samples``).
     """
     size = h.grid.n * factor
     _check_grid_size(size, "dilation", "refined grid")
     idx = (first + stride * np.arange(count)) % size
     if factor == 1:
         return h.samples[idx]
-    return _refined_samples(h, factor, idx)[1]
+    return _refined_samples(h, factor, idx, spectrum)[1]
 
 
 def dilation_difference_norm(
@@ -376,6 +383,8 @@ def dilation_difference_norm(
     lam: float,
     spec: NormSpec,
     part: FrequencyPartition | None = None,
+    *,
+    _spectrum=None,
 ) -> float:
     """Spec-norm of (f(x0 + x / lam) - f(x0)) tau(x).
 
@@ -385,6 +394,8 @@ def dilation_difference_norm(
     of one; then the points x0 + x_j / lam are points of f's lam-refined grid
     (integer lam) or every 1/lam-th grid point, and take the values of
     :func:`tfnorms.grid.upsample` there without building the refined grid.
+    ``_spectrum`` is private: it returns f's centered spectrum, for a caller
+    that refines f many times.
     """
     grid = f.grid
     num, den = _integer_ratio(lam)
@@ -403,7 +414,7 @@ def dilation_difference_norm(
 
     idx0 = _grid_index(grid, x0)
     first = num * idx0 + den * (lo - grid.n // 2)
-    values = _refined_progression(f, num, first, den, hi - lo + 1)
+    values = _refined_progression(f, num, first, den, hi - lo + 1, _spectrum)
     fx0 = complex(f.samples[idx0])
     samples = np.zeros(grid.n, dtype=complex)
     samples[lo : hi + 1] = (values - fx0) * tau.samples[lo : hi + 1]
@@ -475,12 +486,16 @@ def local_compose(
     c_hat: float,
     part: FrequencyPartition | None = None,
     lam_start: float = 1.0,
+    *,
+    _spectrum=None,
 ) -> LocalPatch:
     """Compose F with f near x0, returning g = F(f) on the cutoff plateau.
 
     The dilation doubles until the rescaled increment norm falls below
     radius / (2 c_hat) (the measured algebra constant with a 2x safety
     factor) and the pointwise increment stays inside the disk.
+    ``_spectrum`` is private: it returns f's centered spectrum, for a caller
+    that refines f many times.
     """
     if spec.space is not Space.MODULATION or not spec.in_algebra_regime():
         raise ValueError("composition requires a modulation spec in the algebra regime")
@@ -502,7 +517,9 @@ def local_compose(
     lam = float(lam_start)
     history = []
     while True:
-        increment_norm = dilation_difference_norm(f, x0g, base_tau, lam, spec, part)
+        increment_norm = dilation_difference_norm(
+            f, x0g, base_tau, lam, spec, part, _spectrum=_spectrum
+        )
         tau_l = _cutoff_samples(grid, x0g, lam)
         support = np.flatnonzero(tau_l)  # one run: the cutoff does not wrap
         window = slice(int(support[0]), int(support[-1]) + 1)
@@ -602,15 +619,27 @@ def _patch_cover(
     c_hat: float,
     part: FrequencyPartition,
 ) -> list:
-    """Greedy left-to-right patch placement until the interval is covered."""
+    """Greedy left-to-right patch placement until the interval is covered.
+
+    Every dilation of every patch refines f, from one transform of f, made
+    when the first dilation needs it.
+    """
     a, b = float(interval[0]), float(interval[1])
+    spectrum = functools.cache(lambda: fourier_forward(f).samples)
     patches = []
     x = a
     lam_hint = 1.0
     while True:
         idx, xg = _snap_to_grid(f.grid, x)
         patch = local_compose(
-            f, xg, make_series(complex(f.samples[idx])), spec, c_hat, part, lam_start=lam_hint
+            f,
+            xg,
+            make_series(complex(f.samples[idx])),
+            spec,
+            c_hat,
+            part,
+            lam_start=lam_hint,
+            _spectrum=spectrum,
         )
         patches.append(patch)
         lam_hint = patch.lam

@@ -644,14 +644,24 @@ def algebra_sweep(
 def _invphi_tail_halfwidth(p: float, frac: float) -> float:
     """Half-width containing all but `frac` of the L^p mass of F^-1 phi."""
     ref = Grid(1 << 17, 2048.0 * math.pi)
-    phi = SampledSignal(ref.dual(), bump_profile(ref.frequencies(), 0.025, 0.1).astype(complex))
-    inv = fourier_inverse(phi)
-    mags = np.abs(inv.samples) ** p
-    order = np.argsort(np.abs(ref.points()))
-    sorted_mass = np.cumsum(mags[order]) * ref.dx
+    # The bump vanishes on |xi| >= 0.1, so it is evaluated at the frequencies
+    # k dxi with |k| < reach only (as in flat_measurement), the same floats as
+    # at those entries of ref.frequencies().
+    half = ref.n // 2
+    reach = int(0.1 / ref.dxi) + 2
+    spectrum = np.zeros(ref.n, dtype=complex)
+    xi = ref.dxi * np.arange(-reach, reach)
+    spectrum[half - reach : half + reach] = bump_profile(xi, 0.025, 0.1)
+    mags = np.abs(fourier_inverse(SampledSignal(ref.dual(), spectrum)).samples)
+    del spectrum
+    mags **= p
+    radii = np.abs(ref.points())
+    order = np.argsort(radii)
+    sorted_mass = np.cumsum(mags[order])
+    sorted_mass *= ref.dx
     total = sorted_mass[-1]
     pos = int(np.searchsorted(sorted_mass, (1.0 - frac) * total))
-    return float(np.abs(ref.points())[order][min(pos, ref.n - 1)])
+    return float(radii[order[min(pos, ref.n - 1)]])
 
 
 _TAIL_FRACTION = {1.0: 1e-2, 1.5: 1e-3}
@@ -941,7 +951,8 @@ def _series_partial(kind: str, k0: int, K: int, direct_limit: int = 10**6) -> fl
         else:
             terms[lo:hi] = 2.0 / (np.square(k) * np.square(logs))
 
-    _each_span(fill, terms.size, 1)
+    # Each item holds k, its log and two temporaries.
+    _each_span(fill, terms.size, 4)
     total = float(np.sum(terms))
     if K > cut:
         total += _series_segment(kind, cut, K)

@@ -100,9 +100,11 @@ def _span_pool(cpus: int):
 def _each_span(fn, count: int, size: int) -> None:
     """Call fn(lo, hi) for spans [lo, hi) covering [0, count), items of `size` samples.
 
-    Each span holds max(1, _SPAN // size) items.  With more than one span
-    and more than one CPU the spans run concurrently on a pool with one
-    thread per CPU, the CPUs counted on every call; otherwise they run in
+    `size` counts the samples of every buffer a span holds at once per item,
+    not those of its output alone, so that a span's scratch stays near _SPAN
+    samples.  Each span holds max(1, _SPAN // size) items.  With more than
+    one span and more than one CPU the spans run concurrently on a pool with
+    one thread per CPU, the CPUs counted on every call; otherwise they run in
     order in the calling thread.  Callers keep each span's work independent
     of the others (numpy releases the interpreter lock inside it), so the
     results do not depend on which way they ran.
@@ -411,7 +413,7 @@ def upsample(f: SampledSignal, factor: int) -> SampledSignal:
 
 
 def _refined_samples(
-    f: SampledSignal, factor: int, indices: np.ndarray
+    f: SampledSignal, factor: int, indices: np.ndarray, spectrum=None
 ) -> tuple[Grid, np.ndarray]:
     """(fine grid, values) with f's interpolant at the given factor-refined grid indices.
 
@@ -428,13 +430,16 @@ def _refined_samples(
     f's samples.  The residues run one at a time, so the working set is a
     few n-length rows; no size-length buffer is built.  The phase comes from
     the exact integer k * r for k = 0 .. n/2 (|k r| <= size / 2), and the
-    phase at -k is its conjugate.
+    phase at -k is its conjugate.  `spectrum`, when given, returns f's
+    centered spectrum ``fourier_forward(f).samples``, so that a caller that
+    refines one f many times transforms it once.
     """
     n, half = f.grid.n, f.grid.n // 2
     size = n * factor
     fine_grid = Grid(size, f.grid.half_width).dual().dual()
     rows, residues = np.divmod((indices + size // 2) % size, factor)
-    spectrum = np.fft.ifftshift(fourier_forward(f).samples)  # slots k and n - k: k and -k
+    centered = fourier_forward(f).samples if spectrum is None else spectrum()
+    spectrum = np.fft.ifftshift(centered)  # slots k and n - k: k and -k
     k = np.arange(half + 1)
     values = np.empty(indices.size, dtype=complex)
     # The residues that occur, without np.unique, which imports numpy.ma.

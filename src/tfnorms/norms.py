@@ -21,18 +21,21 @@ power of two >= W and P = n / M, grid index j = b + P a gives
 for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
-n log n.  The fold runs in spans of at most ``grid._SPAN`` samples (or one
-row, when M is larger), each doing all of its work while the data is still
-in cache: twiddle product, length-M inverse transforms into span-local
-buffers, |.|^p, and each block's sum or maximum.  A span holds whole blocks
-when a block fits in one, and reduces each of them over exactly that
-block's P M values; a larger block is split into spans of whole rows that
-hold whole 128-value leaves of numpy's pairwise sum.  They write the leaf
-sums (or maxima) of |.|^p into n / 128 floats, which add up level by level
-to the sum numpy gives over the block's n values (see :mod:`tfnorms.grid`),
-so no n-float buffer is held.  The (P, W) twiddle table is built once per
-call when n fits in a span (n samples at most); otherwise each span builds
-its own rows of it, in place in its transform buffer.
+n log n.  The fold runs in spans whose complex buffers hold at most
+``grid._SPAN`` samples together (or one row, when M is larger): the
+transform buffer alone, or with a factor h (below) that buffer and the
+three h holds while it is computed.  Each span does all of its work while
+the data is still in cache: twiddle product, length-M inverse transforms
+into span-local buffers, |.|^p, and each block's sum or maximum.  A span
+holds whole blocks when a block fits in one, and reduces each of them over
+exactly that block's P M values; a larger block is split into spans of
+whole rows that hold whole 128-value leaves of numpy's pairwise sum.  They
+write the leaf sums (or maxima) of |.|^p into n / 128 floats, which add up
+level by level to the sum numpy gives over the block's n values (see
+:mod:`tfnorms.grid`), so no n-float buffer is held.  The (P, W) twiddle
+table is built once per call when n fits in a span (n samples at most);
+otherwise each span builds its own rows of it, in place in its transform
+buffer.
 Spans run concurrently on the CPUs of the process's affinity mask, and no
 sum depends on where the spans start, so every value is bitwise the same
 whatever the number of CPUs.  One fold gives the L^p norms of both g, the
@@ -198,14 +201,16 @@ def _folded_lp(
 ) -> np.ndarray:
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
-    Uses the fold described in the module docstring, span by span: a span of
-    at most grid._SPAN samples holds whole blocks, or, for a block larger
-    than that, whole rows of one block: one row at least, and 128 / M rows
-    at least when M < 128, so that each span holds whole leaves of numpy's
-    pairwise sum.  With `factor`, returns a (2, which.size) array: those
-    norms, bitwise, and the norms of the inverse transforms multiplied by
-    factor(r0, r1), the (r1 - r0, M) values of a function at the grid
-    indices b + P a, r0 <= b < r1.
+    Uses the fold described in the module docstring, span by span: a span
+    whose complex buffers hold at most grid._SPAN samples together holds
+    whole blocks, or, for a block larger than that, whole rows of one block:
+    one row at least, and 128 / M rows at least when M < 128, so that each
+    span holds whole leaves of numpy's pairwise sum.  With `factor`, returns
+    a (2, which.size) array: those norms, bitwise, and the norms of the
+    inverse transforms multiplied by factor(r0, r1), the (r1 - r0, M) values
+    of a function at the grid indices b + P a, r0 <= b < r1.  factor may
+    hold three complex buffers of that shape while it runs, so a span with
+    a factor is sized for four buffers, its transform buffer and those.
     """
     width = core.size
     m_len, p_len = _fold_lengths(width, n)
@@ -239,6 +244,8 @@ def _folded_lp(
             yield mags
 
     reduce = np.max if math.isinf(p) else np.sum
+    # Complex buffers per fold sample: z, and the factor's three.
+    buffers = 1 + 3 * products
     out = np.empty((1 + products, which.size))
     if n <= _grid._SPAN:
         # One table of n samples at most, shared by every span.
@@ -250,7 +257,7 @@ def _folded_lp(
             for j, mags in enumerate(fold(rows[which[lo:hi]] * core, p_len, 0, table)):
                 out[j, lo:hi] = reduce(mags, axis=(1, 2))
 
-        _each_span(run, which.size, n)
+        _each_span(run, which.size, n * buffers)
     else:
         # Spans of groups of `group` rows, whole leaves of numpy's pairwise
         # sum, write their leaf sums (or maxima), which add up to the sum
@@ -267,7 +274,7 @@ def _folded_lp(
                     span = leaves[j, r0 * m_len // leaf : r1 * m_len // leaf]
                     reduce(mags.reshape(-1, leaf), axis=1, out=span)
 
-            _each_span(run, p_len // group, group * m_len)
+            _each_span(run, p_len // group, group * m_len * buffers)
             out[:, i] = [np.max(row) if math.isinf(p) else _grid._pairwise_total(row) for row in leaves]
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, SampledSignal, fourier_forward, fourier_inverse
+from .grid import Grid, SampledSignal, _each_span, fourier_forward, fourier_inverse
 
 __all__ = [
     "smooth_step",
@@ -141,8 +141,16 @@ def build_frequency_partition(grid: Grid) -> FrequencyPartition:
             f"L / pi = {steps:.6f})"
         )
     steps = int(round(steps))
-    # The same floats as grid.frequencies()[n/2 - steps : n/2 + steps].
-    core = partition_profile(grid.dxi * np.arange(-steps, steps))
+    # The same floats as grid.frequencies()[n/2 - steps : n/2 + steps].  The
+    # profile is elementwise, so span by span it gives the one-pass core bit
+    # for bit; its temporaries, about ten floats and masks per sample, are
+    # counted as 16 samples, so that a span holds no more than _SPAN.
+    core = np.empty(2 * steps)
+
+    def fill(lo: int, hi: int) -> None:
+        core[lo:hi] = partition_profile(grid.dxi * np.arange(lo - steps, hi - steps))
+
+    _each_span(fill, core.size, 16)
     core.setflags(write=False)
     part = FrequencyPartition(grid, core, steps)
     if part.max_block_index < 1:

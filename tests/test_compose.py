@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tfnorms.compose as compose_module
+import tfnorms.grid as grid_module
 from tfnorms.compose import (
     DEFAULT_TERMS,
     TAIL_TOLERANCE,
@@ -572,6 +574,24 @@ class TestReciprocal:
             tracemalloc.stop()
         assert len(patches) == glued.patch_count >= 30
         assert peak < 6 * 2**20
+
+    def test_f_is_transformed_once(self, monkeypatch):
+        # Every dilation of every patch refines f from one transform of f.
+        # At this constant the dilations transformed f 34 times, one each.
+        grid = Grid(16384, 16.0 * math.pi)
+        part = partition_for(grid)
+        f = SampledSignal(grid, (2.0 + np.sin(grid.points())).astype(complex))
+        of_f = []
+
+        def counted(sig):
+            of_f.append(sig.samples is f.samples)
+            return fourier_forward(sig)
+
+        monkeypatch.setattr(grid_module, "fourier_forward", counted)
+        monkeypatch.setattr(compose_module, "fourier_forward", counted)
+        _, _, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 0.43, part)
+        assert max(patch.lam for patch in patches) > 1.0  # dilations refined f
+        assert sum(of_f) == 1
 
     def test_vanishing_rejected(self):
         f = SampledSignal(GRID, np.sin(GRID.points()).astype(complex))

@@ -58,6 +58,23 @@ class TestSeriesSums:
             hybrid = _series_partial(kind, 3, 2 * 10**6, direct_limit=10**5)
             assert direct == pytest.approx(hybrid, rel=1e-10)
 
+    @pytest.mark.parametrize("kind", ["mod", "beurling", "l2"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_direct_part_holds_its_terms_and_span_scratch(self, monkeypatch, kind, cpus):
+        # The 10^6 direct terms, and in each span k, its logarithm and two
+        # temporaries.  Spans sized for one array per term traced 4 MiB over
+        # the terms at one CPU and 8 MiB at two.
+        grid_module = importlib.import_module("tfnorms.grid")
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            _series_partial(kind, 3, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms_nbytes = (10**6 + 1 - 3) * 8
+        assert peak < terms_nbytes + 3 * 2**20
+
     def test_segment_order(self):
         # ascending-k partial sums are reproducible bit for bit
         a = _series_partial("mod", 3, 10**5)
@@ -172,6 +189,35 @@ class TestCounterexampleFlat:
             tracemalloc.stop()
         assert run["n"] == grid.n == 1 << 19
         assert peak < 8 * run["n"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fold_with_mu_check_peaks_no_higher_than_the_plain_fold(self, monkeypatch, cpus):
+        # mu-check holds three (rows, M) complex buffers next to the fold's
+        # transform buffer, and the spans are sized for all four, so the fold
+        # of g with f peaks no higher than the fold of the same row alone.
+        # Sized for the transform buffer alone, it traced 16.2 MiB against
+        # 6.4 at two CPUs.
+        grid_module = importlib.import_module("tfnorms.grid")
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        p, m = 1.5, 2
+        grid = experiments._flat_layout(p, m, 8)[0]
+        phi = bump_profile(grid.frequencies(), 0.025, 0.1)
+        phi = phi[phi > 0.0]
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((1, phi.size)) + 1j * rng.standard_normal((1, phi.size))
+        m_len = norms._fold_lengths(phi.size, grid.n)[0]
+        mu_check = experiments._mu_check_rows(m, partition_for(grid).steps_per_unit, grid.n, m_len)
+        assert grid.n > grid_module._SPAN  # spans of rows of the one block
+
+        def peak(*factor):
+            tracemalloc.start()
+            try:
+                norms._folded_lp(rows, np.array([0]), phi, p, grid.n, grid.dx, *factor)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(mu_check) <= peak()
 
     @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
     def test_translate_rows_are_the_spectrum_rows(self, monkeypatch, p, m, r):

@@ -244,10 +244,15 @@ class TestBitIdentical:
         assert any(count > span and count % span != 0 for _, count, span, _ in sup)
         # The folds of F^-1 phi and of g, which gives f too.  The block norm
         # folds nothing, and no pass runs over the blocks or over the n
-        # samples of the spectrum.
+        # samples of the spectrum.  The fold with mu-check holds the
+        # transform buffer and mu-check's three (rows, M) buffers, so its
+        # spans take a quarter of the rows.
         phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
-        assert [entry for entry in log if entry[0] == "norms"] == [phi_fold, phi_fold]
-        assert phi_p_len % (budget // phi_m_len) != 0  # ragged last span
+        product_fold = ("norms", phi_p_len, budget // (4 * phi_m_len), True)
+        assert budget // (4 * phi_m_len) > 1
+        assert [entry for entry in log if entry[0] == "norms"] == [phi_fold, product_fold]
+        for _, count, span, _ in (phi_fold, product_fold):
+            assert count % span != 0  # ragged last span
         assert pooled == inline == default
 
 

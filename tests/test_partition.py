@@ -1,12 +1,14 @@
 """Frequency partition of unity: profile invariants and block projections."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfnorms.grid as grid_module
 from tfnorms.grid import Grid, SampledSignal, fourier_forward, fourier_inverse, weighted_lp_norm
 from tfnorms.partition import (
     FrequencyPartition,
@@ -74,6 +76,38 @@ class TestBuild:
     def test_steps_per_unit(self):
         assert PART.steps_per_unit == 16
         assert PART.max_block_index == GRID.n // 32 - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_core_is_built_in_span_sized_memory(self, monkeypatch, cpus):
+        # The largest flat-counterexample core, 2 * 106500 samples at
+        # n = 2^22.  Its profile in one pass held about ten temporaries of the
+        # core's length (10.3 core sizes traced).
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            part = build_frequency_partition(Grid(1 << 22, 106500 * math.pi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.core.size == 2 * 106500
+        assert peak < 3 * part.core.nbytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        steps=st.integers(1, 3000),
+        span=st.integers(16, 1 << 12),
+        cpus=st.sampled_from([1, 3]),
+    )
+    def test_span_wise_core_is_the_one_pass_profile(self, steps, span, cpus):
+        # The core is filled span by span, each span evaluating the profile
+        # on its own frequencies; it has the bytes of one pass over them all.
+        grid = Grid(1 << max(3, (4 * steps - 1).bit_length()), steps * math.pi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module, "_cpu_count", lambda: cpus)
+            mp.setattr(grid_module, "_SPAN", span)
+            core = build_frequency_partition(grid).core
+        one_pass = partition_profile(grid.dxi * np.arange(-steps, steps))
+        assert core.tobytes() == one_pass.tobytes()
 
 
 class TestBlocks:
