@@ -730,7 +730,12 @@ def global_compose(
 
 
 def _dilated_window_samples(
-    base: PlateauWindow, grid: Grid, x0: float, lam: float, support_radius: float
+    base: PlateauWindow,
+    grid: Grid,
+    x0: float,
+    lam: float,
+    support_radius: float,
+    spectrum=None,
 ) -> np.ndarray:
     """Samples of base(lam (x - x0)) for a grid point x0.
 
@@ -738,6 +743,9 @@ def _dilated_window_samples(
     lam (x_j - x0) are then every lam-th sample of the base window (integer
     lam) or consecutive points of its 1/lam-refined grid, where they take
     the values of :func:`tfnorms.grid.upsample` without building that grid.
+    `spectrum`, when given, returns the base window's centered spectrum (see
+    ``grid._refined_samples``), so that several dilations of one window
+    transform it once.
     """
     num, den = _integer_ratio(lam)
     idx0 = _grid_index(grid, x0)
@@ -750,6 +758,6 @@ def _dilated_window_samples(
         return out
 
     first = num * (int(inside[0]) - idx0) + den * (grid.n // 2)
-    values = _refined_progression(base.window, den, first, num, inside.size)
+    values = _refined_progression(base.window, den, first, num, inside.size, spectrum)
     out[inside] = np.clip(values.real, 0.0, None)
     return out

@@ -59,7 +59,7 @@ from .compose import (
     reciprocal_on_compact,
 )
 from .reporting import load_signal
-from .stft import _check_stft_size, _stft_rows, gaussian_window, stft_gram
+from .stft import _check_stft_size, _in_row_order, _stft_rows, gaussian_window, stft_gram
 from .windows import plateau_window, translation_difference_bound
 
 __all__ = [
@@ -125,6 +125,34 @@ class SweepReport:
 # STFT and Moyal
 
 
+def _gaussian_closed_form(grid: Grid):
+    """closed(j0, j1): rows j0 .. j1 - 1 of the Gaussian STFT's closed form.
+
+    With f = window = exp(-t^2/2), completing the square gives
+    V(x, xi) = sqrt(pi) exp(-i x xi / 2) exp(-(x^2 + xi^2) / 4).  The rows
+    come with the frequencies in FFT order, as the rows of ``_stft_rows``.
+    On the grid x_j = (j - n/2) dx and xi_k = k dxi with dx dxi = 2 pi / n,
+    so x_j xi_k / 2 = pi (j - n/2) k / n exactly: the phase is the root of
+    unity exp(-i pi m / n) at the integer m = (j - n/2) k mod 2n, from a
+    table of 2n roots, and the Gaussian is the outer product of
+    exp(-x^2/4) and exp(-xi^2/4).
+    """
+    n = grid.n
+    signed = np.arange(n) - n // 2
+    k = np.fft.ifftshift(signed)
+    roots = np.exp(-1j * (math.pi / n) * np.arange(2 * n))
+    x_gauss = np.exp(-grid.points() ** 2 / 4.0)
+    xi_gauss = math.sqrt(math.pi) * np.exp(-np.fft.ifftshift(grid.frequencies()) ** 2 / 4.0)
+
+    def closed(j0, j1):
+        rows = np.take(roots, np.multiply.outer(signed[j0:j1], k), mode="wrap")
+        rows *= x_gauss[j0:j1, None]
+        rows *= xi_gauss
+        return rows
+
+    return closed
+
+
 def stft_experiment(
     n: int = 2048, L: float = 30.0, seed: int = 0, dump_matrix: str | None = None
 ) -> SweepReport:
@@ -132,38 +160,43 @@ def stft_experiment(
 
     The plane is checked one span of rows at a time in the hook of
     ``_stft_rows``, as the spans are finished, so only span-sized arrays of
-    it are live.  With dump_matrix the hook also fills an n x n magnitude
-    array, which goes to the CSV file in row order at the end; only that
-    option pays n^2 memory.
+    it are live.  With dump_matrix the hook also hands each span's magnitude
+    rows to ``_in_row_order``, which writes them to the CSV file in row
+    order, so the dump holds no n x n array either.
     """
     _check_stft_size(n)
     report = SweepReport("stft", axis="xi")
     grid = Grid(n, L)
     g = gaussian_window(grid)
     x = grid.points()
-    xi = np.fft.ifftshift(grid.frequencies())[None, :]  # span columns come in FFT order
+    closed = _gaussian_closed_form(grid)
     columns = (n // 2 - n // 8, n // 2, n // 2 + n // 16)
     fft_columns = [(k + n // 2) % n for k in columns]
     picked = np.empty((n, len(columns)), dtype=complex)
     span_errors = []  # one max per span; the spans may finish in any order
-    magnitudes = np.empty((n, n)) if dump_matrix else None
     half = n // 2
+    dump = None  # with dump_matrix, the in-order writer of the magnitude rows
 
     def check(j0, rows):
         v = rows[0]
         j1 = j0 + len(v)
-        xj = x[j0:j1, None]
-        closed = math.sqrt(math.pi) * np.exp(-1j * xj * xi / 2.0) * np.exp(-(xj**2 + xi**2) / 4.0)
-        span_errors.append(float(np.max(np.abs(v - closed))))
+        diff = closed(j0, j1)
+        np.subtract(v, diff, out=diff)
+        span_errors.append(float(np.max(np.abs(diff))))
         picked[j0:j1] = v[:, fft_columns]
-        if magnitudes is not None:
-            np.abs(v[:, half:], out=magnitudes[j0:j1, :half])
-            np.abs(v[:, :half], out=magnitudes[j0:j1, half:])
+        if dump is not None:
+            magnitudes = np.empty(v.shape)
+            np.abs(v[:, half:], out=magnitudes[:, :half])
+            np.abs(v[:, :half], out=magnitudes[:, half:])
+            dump(j0, magnitudes)
 
-    _stft_rows([g], [g], check)
     if dump_matrix:
         report.extras["matrix_dump"] = str(dump_matrix)
-        np.savetxt(dump_matrix, magnitudes, delimiter=",", fmt="%.17g")
+        with open(dump_matrix, "w") as out:
+            dump = _in_row_order(lambda rows: np.savetxt(out, rows, delimiter=",", fmt="%.17g"))
+            _stft_rows([g], [g], check)
+    else:
+        _stft_rows([g], [g], check)
     closed_error = max(span_errors)
     report.check_le("gaussian_closed_form_sup_error", closed_error, 1e-6)
 
@@ -540,10 +573,12 @@ def approx_unit_experiment(
     base = plateau_window(0.0, 1.0, grid)
     f_norm = norm_value(f, spec, part)
 
+    # Every halving refines the same base window, from one transform of it.
+    spectrum = functools.cache(lambda: fourier_forward(base.window).samples)
     residuals = []
     lams = [0.5**k for k in range(halvings + 1)]
     for lam in lams:
-        window = _dilated_window_samples(base, grid, 0.0, lam, base.support_radius)
+        window = _dilated_window_samples(base, grid, 0.0, lam, base.support_radius, spectrum)
         residual = norm_value(SampledSignal(grid, (1.0 - window) * f.samples), spec, part)
         residuals.append(residual)
         report.rows.append({"lam": lam, "residual": residual})

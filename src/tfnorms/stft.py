@@ -19,9 +19,11 @@ No pass keeps more than span-sized buffers of the plane:
   bit for bit, as one batched transform of the whole plane;
 - ``stft_gram`` computes the Gram matrix <V f_a, V f_b> of a stack of
   signals, which is where the Moyal residual and the L2 identity ratio come
-  from: its hook writes the S x S Gram of each row, and the per-row Grams
-  are summed in row order, so the sum does not depend on the spans;
-- the ``stft`` experiment checks the closed form span by span in its hook.
+  from: its hook takes the S x S Gram of each row, and ``_in_row_order``
+  adds them to one running total in row order as the spans finish, so the
+  sum does not depend on the spans;
+- the ``stft`` experiment checks the closed form span by span in its hook,
+  and ``--dump-matrix`` writes the magnitude rows through ``_in_row_order``.
 
 On the periodic grid the discrete Moyal identity
 
@@ -33,6 +35,7 @@ per-row accumulation is exact too.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,28 +157,60 @@ def stft(f: SampledSignal, window: SampledSignal) -> TimeFrequencyMatrix:
     return TimeFrequencyMatrix(f.grid, values)
 
 
+def _in_row_order(consume):
+    """A hook-side feed that hands each span's rows to ``consume`` in row order.
+
+    Returns put(j0, items), where items holds one entry per row j0, j0 + 1,
+    ...; spans may call it in any order and from any thread.  A span that
+    arrives early waits in a map of pending spans; under a lock, each span
+    that completes the prefix of rows 0 .. j - 1 is consumed, in row order,
+    so ``consume(items)`` sees the rows in the same order whatever the spans
+    and the CPU count.
+    """
+    pending = {}
+    lock = threading.Lock()
+    next_row = 0
+
+    def put(j0, items):
+        nonlocal next_row
+        with lock:
+            pending[j0] = items
+            while next_row in pending:
+                items = pending.pop(next_row)
+                consume(items)
+                next_row += len(items)
+
+    return put
+
+
 def stft_gram(
     signals: Sequence[SampledSignal], window: SampledSignal | Sequence[SampledSignal]
 ) -> np.ndarray:
     """Gram matrix G[a, b] = <V f_a, V f_b> of the STFTs of a stack of signals.
 
     G[a, b] = dx dxi sum V f_a conj(V f_b) over the whole plane.  Each span
-    of rows writes the S x S Gram of each of its rows, rows[:, j] @
-    conj(rows[:, j]).T in one batched product, into an (n, S, S) array, and
-    the per-row Grams are then summed in row order, so the bits depend
-    neither on the spans nor on the CPU count.  The diagonal holds the
-    squared L2 norms of the transforms.  window is shared by all signals, or
-    is a sequence with one window per signal.
+    of rows takes the S x S Gram of each of its rows in one batched
+    ``np.vecdot``, which conjugates inside its loop, so no conjugated copy
+    of the span is made.  The per-row Grams go through ``_in_row_order``
+    and are added to one running S x S total a row at a time, in row order,
+    so the bits depend neither on the spans nor on the CPU count.  The
+    diagonal holds the squared L2 norms of the transforms.  window is
+    shared by all signals, or is a sequence with one window per signal.
     """
     windows = [window] if isinstance(window, SampledSignal) else list(window)
-    stack = len(signals)
-    n = signals[0].grid.n if signals else 0  # _stft_rows rejects an empty stack
-    per_row = np.empty((n, stack, stack), dtype=complex)
+    total = np.zeros((len(signals), len(signals)), dtype=complex)
+
+    def add(grams):
+        for gram in grams:
+            np.add(total, gram, out=total)
+
+    add_in_order = _in_row_order(add)
 
     def gram_rows(j0, rows):
         by_row = rows.transpose(1, 0, 2)
-        np.matmul(by_row, np.conjugate(by_row).transpose(0, 2, 1), out=per_row[j0 : j0 + len(by_row)])
+        # [j, a, b] = sum conj(by_row[j, b]) by_row[j, a]
+        add_in_order(j0, np.vecdot(by_row[:, None], by_row[:, :, None]))
 
     _stft_rows(signals, windows, gram_rows)
     grid = signals[0].grid
-    return grid.dx * grid.dxi * np.add.reduce(per_row, axis=0)
+    return grid.dx * grid.dxi * total

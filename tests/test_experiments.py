@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfnorms import experiments, norms
+import tfnorms.grid as grid_module
+from tfnorms import compose, experiments, norms
 from tfnorms.corpus import make_corpus
 from tfnorms.errors import CostGateError
 from tfnorms.grid import (
@@ -46,6 +47,7 @@ from tfnorms.measures import (
 )
 from tfnorms.norms import partition_for
 from tfnorms.partition import bump_profile, frequency_block
+from tfnorms.windows import plateau_window
 
 from test_norms import spectrum_norm
 
@@ -555,6 +557,21 @@ class TestLightReports:
         assert report.all_passed
         residuals = [row["residual"] for row in report.rows]
         assert residuals[-1] < residuals[0]
+
+    def test_approx_unit_transforms_the_window_once(self, monkeypatch):
+        # Every halving refines the same base window, from one transform of it.
+        window = plateau_window(0.0, 1.0, Grid(2048, PARTITION_L)).window.samples
+        of_window = []
+
+        def counted(sig):
+            of_window.append(np.array_equal(sig.samples, window))
+            return fourier_forward(sig)
+
+        for module in (grid_module, compose, experiments):
+            monkeypatch.setattr(module, "fourier_forward", counted)
+        report = approx_unit_experiment(n=2048, halvings=5)
+        assert report.all_passed
+        assert sum(of_window) == 1
 
     def test_embedding_report(self):
         report = embedding_sweep(n=1024)

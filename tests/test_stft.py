@@ -13,7 +13,7 @@ import tfnorms.grid as grid_module
 import tfnorms.stft as stft_module
 from tfnorms.corpus import make_corpus
 from tfnorms.errors import CostGateError
-from tfnorms.experiments import stft_experiment
+from tfnorms.experiments import _gaussian_closed_form, stft_experiment
 from tfnorms.grid import (
     Grid,
     SampledSignal,
@@ -272,6 +272,32 @@ class TestChunkedPasses:
         gram = stft_gram(signals, windows)
         assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
+    def test_gram_bits_do_not_depend_on_spans_or_cpus(self, monkeypatch):
+        # The corpus at n = 512 in spans of 1, 5 and 7 rows (5 and 7 do not
+        # divide n) and the default span, at 1 and 3 CPUs, and once more
+        # with the spans run last first, so that they finish in reverse row
+        # order: every Gram has the same bits.
+        grid = Grid(512, 30.0)
+        signals = [signal for _, signal in make_corpus(grid, seed=0)]
+        window = gaussian_window(grid)
+        default = grid_module._SPAN
+        grams = set()
+        for cpus in (1, 3):
+            monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+            for rows in (1, 5, 7, None):
+                span = default if rows is None else rows * len(signals) * grid.n
+                monkeypatch.setattr(grid_module, "_SPAN", span)
+                grams.add(stft_gram(signals, window).tobytes())
+
+        def last_first(fn, count, size):
+            span = max(1, grid_module._SPAN // size)
+            for lo in reversed(range(0, count, span)):
+                fn(lo, min(lo + span, count))
+
+        monkeypatch.setattr(stft_module, "_each_span", last_first)
+        grams.add(stft_gram(signals, window).tobytes())
+        assert len(grams) == 1
+
     @pytest.mark.parametrize(
         "p, q, s", [(1.0, 1.0, 0.0), (2.0, 1.5, 1.0), (math.inf, 1.0, 0.5), (1.5, math.inf, 0.0)]
     )
@@ -315,6 +341,27 @@ class TestChunkedPasses:
         g = band_limited(grid, seed=seeds[1], fraction=fraction)
         phi, psi = (gaussian(grid, width=w) for w in widths)
         assert moyal_residual(f, g, phi, psi) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([256, 512, 1024, 2048, 4096]),
+        L=st.floats(4.0, 40.0),
+        where=st.floats(0.0, 1.0),
+        count=st.integers(1, 16),
+    )
+    def test_exact_phase_closed_form_matches_float_phase(self, n, L, where, count):
+        # The stft experiment's closed form takes its phase from a table of
+        # roots of unity at exact integer indices; the float-phase form
+        # evaluates exp(-i x xi / 2) on the products of grid points.
+        grid = Grid(n, L)
+        j0 = min(int(where * n), n - count)
+        x = grid.points()[j0 : j0 + count, None]
+        xi = np.fft.ifftshift(grid.frequencies())[None, :]  # FFT column order
+        float_phase = (
+            math.sqrt(math.pi) * np.exp(-1j * x * xi / 2.0) * np.exp(-(x**2 + xi**2) / 4.0)
+        )
+        exact = _gaussian_closed_form(grid)(j0, j0 + count)
+        assert np.max(np.abs(exact - float_phase)) <= 1e-14
 
     def test_matrix_dump_bytes_equal_dense_savetxt(self, monkeypatch, tmp_path):
         # Spans of 5 rows, which does not divide 512.
@@ -391,25 +438,35 @@ class TestSpanHook:
             stft_experiment(n=8192)
 
     def test_gram_peak_stays_within_span_buffers(self, two_cpu_pool):
-        # The 12-signal corpus at n = 2048: next to the (n, 12, 12) per-row
-        # Grams (4.5 MiB), each of the two pool threads holds one span of
-        # rows and its conjugate, 2 MiB each at 2^17 samples.  A chunk of
-        # rows kept for the whole pass (16 MiB or more) breaks the bound.
+        # The 12-signal corpus at n = 2048: each of the two pool threads
+        # holds one span of rows (2 MiB at 2^17 samples) and its 12 x 12
+        # per-row Grams, which are added to the running total as the spans
+        # finish.  The rest (the stacked and shifted signals, 0.75 MiB, the
+        # span futures and a fresh pool's start-up) stays under one more span
+        # per thread: 5.4 MiB measured, 6.1 MiB on a new pool.  An (n, 12, 12)
+        # array of per-row Grams (4.5 MiB) or a conjugated copy of each span
+        # (2 MiB per thread) breaks the bound.
         grid = Grid(2048, 30.0)
         signals = [signal for _, signal in make_corpus(grid, seed=0)]
         window = gaussian_window(grid)
+        span_bytes = 16 * grid_module._SPAN
         tracemalloc.start()
         try:
             stft_gram(signals, window)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(signals) == 12 and grid_module._SPAN == 1 << 17
-        assert peak <= 16 << 20
+        assert len(signals) == 12 and span_bytes == 2 << 20
+        assert peak <= 2 * 2 * span_bytes
 
     def test_experiment_peak_stays_within_span_buffers(self, two_cpu_pool):
-        # The closed form is evaluated span by span in the hook, so only
-        # span-sized arrays are live: at most five per pool thread.
+        # The closed form is checked span by span in the hook.  Each of the
+        # two pool threads holds its span of rows, the closed form and the
+        # difference in one span-sized buffer, and half a span more (the
+        # integer phase indices, then |v - closed|): 2.5 spans.  The rest,
+        # n-length tables and a fresh pool's start-up, stays under half a
+        # span per thread: 10.4 MiB measured, 11.1 MiB on a new pool.  A
+        # phase evaluated as a complex exponential of the span breaks it.
         span_bytes = 16 * grid_module._SPAN
         tracemalloc.start()
         try:
@@ -419,7 +476,7 @@ class TestSpanHook:
             tracemalloc.stop()
         assert report.all_passed
         assert span_bytes == 2 << 20
-        assert peak <= 2 * 5 * span_bytes
+        assert peak <= 2 * 3 * span_bytes
 
 
 def test_package_attribute_is_the_module():
