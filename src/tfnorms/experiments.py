@@ -17,9 +17,8 @@ import numpy as np
 from .corpus import make_corpus, make_signal
 from .errors import CostGateError
 from .grid import (
-    _LEAF,
     _each_span,
-    _pairwise_total,
+    _leaf_total,
     Grid,
     NormSpec,
     SampledSignal,
@@ -765,27 +764,6 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     return at
 
 
-def _leaf_total(n: int, pieces) -> float:
-    """np.sum over an n-point grid holding each (start, values) piece from its start, 0 elsewhere.
-
-    Only the leaves of numpy's pairwise sum that meet a piece are summed
-    (see :mod:`tfnorms.grid`), each over its piece and zeros, so no n floats
-    are held.  No two pieces may share a leaf.
-    """
-    leaf = min(n, _LEAF)
-    leaves = np.zeros(n // leaf)
-    taken = np.zeros(n // leaf, dtype=bool)
-    for start, values in pieces:
-        a, b = start // leaf, -(-(start + values.size) // leaf)
-        if taken[a:b].any():
-            raise ValueError("two pieces share a leaf")
-        taken[a:b] = True
-        padded = np.zeros((b - a) * leaf)
-        padded[start - a * leaf : start - a * leaf + values.size] = values
-        leaves[a:b] = np.sum(padded.reshape(b - a, leaf), axis=1)
-    return _pairwise_total(leaves)
-
-
 def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
@@ -810,8 +788,8 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       w_k delta_k of mu, and 0 for every other k.  A shift in frequency
       only modulates the inverse transform, so that block's L^p norm is
       |w_k| ||g||_p, and |w_k| = 2^-m for every atom.  The L^1 norm of
-      f-hat sums the leaves of numpy's pairwise sum that the translates
-      meet (:func:`_leaf_total`).  No array of the grid's length is built.
+      f-hat sums only the leaves that the translates meet (see
+      ``grid._leaf_total``).  No array of the grid's length is built.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")

@@ -25,10 +25,16 @@ one thread per CPU, or inline when there is one span or one CPU.
 
 numpy sums a contiguous float array of 2^k values pairwise: leaves of
 ``_LEAF`` = 128 values, each summed by one fixed loop, whose sums are added
-in halves level by level.  A span that holds whole leaves writes their sums
-(``np.sum(values.reshape(-1, _LEAF), axis=1)``), and ``_pairwise_total``
-adds them level by level, which gives ``np.sum`` of all n values bit for
-bit with no array of n values.
+in halves level by level.  ``_leaf_reduce``, the one place that relies on
+this order, gives the ``np.sum`` (or ``np.max``) of each of several runs of
+n values that a callback computes span by span.  When n <= ``_SPAN`` a span
+holds whole runs and reduces each with one ``np.sum(..., axis=1)``.
+Otherwise a span holds whole pieces of one run, max(row, 128) values each,
+and writes their leaf sums (``np.sum(values.reshape(-1, _LEAF), axis=1)``);
+``_pairwise_total`` adds a run's leaf sums level by level, which gives
+``np.sum`` of its n values bit for bit with no array of n values.  No span
+cuts a leaf, so no sum depends on where the spans start or how many CPUs
+run them.
 """
 
 from __future__ import annotations
@@ -130,6 +136,61 @@ def _pairwise_total(leaves: np.ndarray) -> float:
     while leaves.size > 1:
         leaves = leaves[0::2] + leaves[1::2]
     return leaves[0]
+
+
+def _leaf_reduce(values, count: int, n: int, size: int, row=1, outputs=1, maximum=False):
+    """np.sum (or np.max) of each of `count` runs of n values, as an (outputs, count) array.
+
+    values(i0, i1) prepares runs [i0, i1) and returns read(a, b), which gives
+    `outputs` arrays of their values [a, b), in the span plan of the module
+    docstring (n and row <= n are powers of two): a span of whole runs
+    prepares them, a run in pieces is prepared once in the calling thread.
+    `size` counts the samples a span holds per value.
+    """
+    reduce = np.max if maximum else np.sum
+    out = np.empty((outputs, count))
+    if n <= _SPAN:
+        def run(lo: int, hi: int) -> None:
+            for j, v in enumerate(values(lo, hi)(0, n)):
+                out[j, lo:hi] = reduce(v.reshape(hi - lo, n), axis=1)
+
+        _each_span(run, count, n * size)
+        return out
+    leaf = min(n, _LEAF)
+    piece = max(row, leaf)
+    leaves = np.empty((outputs, n // leaf))  # one run's leaf sums at a time
+    for i in range(count):
+        read = values(i, i + 1)
+
+        def run(lo: int, hi: int) -> None:
+            a, b = lo * piece, hi * piece
+            for j, v in enumerate(read(a, b)):
+                reduce(v.reshape(-1, leaf), axis=1, out=leaves[j, a // leaf : b // leaf])
+
+        _each_span(run, n // piece, piece * size)
+        out[:, i] = [np.max(sums) if maximum else _pairwise_total(sums) for sums in leaves]
+    return out
+
+
+def _leaf_total(n: int, pieces) -> float:
+    """np.sum over an n-point grid holding each (start, values) piece from its start, 0 elsewhere.
+
+    Only the leaves of numpy's pairwise sum that meet a piece are summed,
+    each over its piece and zeros, so no n floats are held.  No two pieces
+    may share a leaf.
+    """
+    leaf = min(n, _LEAF)
+    leaves = np.zeros(n // leaf)
+    taken = np.zeros(n // leaf, dtype=bool)
+    for start, values in pieces:
+        a, b = start // leaf, -(-(start + values.size) // leaf)
+        if taken[a:b].any():
+            raise ValueError("two pieces share a leaf")
+        taken[a:b] = True
+        padded = np.zeros((b - a) * leaf)
+        padded[start - a * leaf : start - a * leaf + values.size] = values
+        leaves[a:b] = np.sum(padded.reshape(b - a, leaf), axis=1)
+    return _pairwise_total(leaves)
 
 
 @dataclass(frozen=True)
@@ -359,34 +420,26 @@ def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
     """Weighted Lebesgue norm (integral of (<x>^s |f|)^p)^(1/p).
 
     Riemann-sum quadrature for finite p, grid maximum for p = inf.  With
-    s = 0 the weight is 1 and is not built.  Spans of whole leaves of
-    numpy's pairwise sum each take |f|, the weight and the power, and keep
-    only their leaf sums (or their maximum), so no array of the grid's
-    length is built; the value is bitwise that of one full-length pass.
+    s = 0 the weight is 1 and is not built.  The spans of ``_leaf_reduce``
+    each take |f|, the weight and the power of their own samples, so no
+    array of the grid's length is built; the value is bitwise that of one
+    full-length pass.
     """
     if not p >= 1.0:
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     grid = f.grid
-    leaf = min(grid.n, _LEAF)
-    leaves = np.empty(grid.n // leaf)
-    peaks = []  # one per span, in any order, for p = inf
 
-    def run(lo: int, hi: int) -> None:
-        a, b = lo * leaf, hi * leaf
+    def values(a: int, b: int):
         weighted = np.abs(f.samples[a:b])
         if s != 0.0:
             x = -grid.half_width + grid.dx * np.arange(a, b)  # grid.points()[a:b]
             weighted *= (1.0 + x * x) ** (s / 2.0)
-        if math.isinf(p):
-            peaks.append(np.max(weighted))
-        else:
+        if not math.isinf(p):
             weighted **= p
-            leaves[lo:hi] = np.sum(weighted.reshape(hi - lo, leaf), axis=1)
+        return (weighted,)
 
-    _each_span(run, leaves.size, leaf)
-    if math.isinf(p):
-        return float(max(peaks))
-    return float((grid.dx * _pairwise_total(leaves)) ** (1.0 / p))
+    total = _leaf_reduce(lambda i0, i1: values, 1, grid.n, 1, maximum=math.isinf(p))[0, 0]
+    return float(total if math.isinf(p) else (grid.dx * total) ** (1.0 / p))
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:

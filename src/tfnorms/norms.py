@@ -21,24 +21,17 @@ power of two >= W and P = n / M, grid index j = b + P a gives
 for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
-n log n.  The fold runs in spans whose complex buffers hold at most
+n log n.  The fold runs in the spans of ``grid._leaf_reduce``, each block
+one run of n values in rows of M (see :mod:`tfnorms.grid` for the span plan
+and numpy's summation order), with complex buffers of at most
 ``grid._SPAN`` samples together (or one row, when M is larger): the
 transform buffer alone, or with a factor h (below) that buffer and the
 three h holds while it is computed.  Each span does all of its work while
 the data is still in cache: twiddle product, length-M inverse transforms
-into span-local buffers, |.|^p, and each block's sum or maximum.  A span
-holds whole blocks when a block fits in one, and reduces each of them over
-exactly that block's P M values; a larger block is split into spans of
-whole rows that hold whole 128-value leaves of numpy's pairwise sum.  They
-write the leaf sums (or maxima) of |.|^p into n / 128 floats, which add up
-level by level to the sum numpy gives over the block's n values (see
-:mod:`tfnorms.grid`), so no n-float buffer is held.  The (P, W) twiddle
-table is built once per call when n fits in a span (n samples at most);
-otherwise each span builds its own rows of it, in place in its transform
-buffer.
-Spans run concurrently on the CPUs of the process's affinity mask, and no
-sum depends on where the spans start, so every value is bitwise the same
-whatever the number of CPUs.  One fold gives the L^p norms of both g, the
+into span-local buffers, and |.|^p, which the helper reduces.  The (P, W)
+twiddle table is built once per call when n fits in a span (n samples at
+most); otherwise each span builds its own rows of it, in place in its
+transform buffer.  One fold gives the L^p norms of both g, the
 inverse transform of one row, and h g, with h known at every grid point
 (the flat counterexample's Rudin-Shapiro polynomial): each span reduces
 |.|^p of its transforms, multiplies them in place by h at their grid
@@ -201,16 +194,12 @@ def _folded_lp(
 ) -> np.ndarray:
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
-    Uses the fold described in the module docstring, span by span: a span
-    whose complex buffers hold at most grid._SPAN samples together holds
-    whole blocks, or, for a block larger than that, whole rows of one block:
-    one row at least, and 128 / M rows at least when M < 128, so that each
-    span holds whole leaves of numpy's pairwise sum.  With `factor`, returns
-    a (2, which.size) array: those norms, bitwise, and the norms of the
+    Uses the fold of the module docstring, each block one run of
+    ``grid._leaf_reduce`` in rows of M values.  With `factor`, returns a
+    (2, which.size) array: those norms, bitwise, and the norms of the
     inverse transforms multiplied by factor(r0, r1), the (r1 - r0, M) values
-    of a function at the grid indices b + P a, r0 <= b < r1.  factor may
-    hold three complex buffers of that shape while it runs, so a span with
-    a factor is sized for four buffers, its transform buffer and those.
+    of a function at the grid indices b + P a, r0 <= b < r1; factor may
+    hold three complex buffers of that shape while it runs.
     """
     width = core.size
     m_len, p_len = _fold_lengths(width, n)
@@ -221,19 +210,26 @@ def _folded_lp(
         out = np.multiply(2j * math.pi / n, np.outer(np.arange(r0, r1), np.arange(width)), out=out)
         return np.exp(out, out=out)
 
-    def fold(coeffs: np.ndarray, count: int, r0: int, table: np.ndarray | None = None):
-        # Yields |IFFT_M(coeffs[b] * twiddle row r0 + a)|^p and, with a factor,
-        # |IFFT_M(...) * factor|^p.  Without a shared table it builds its rows in z.
-        z = np.empty((len(coeffs), count, m_len), dtype=complex)
+    # One table of n samples at most, shared by every span, when spans hold
+    # whole blocks; otherwise each span builds its own rows in place.
+    table = twiddle(0, p_len) if n <= _grid._SPAN else None
+
+    def blocks(i0: int, i1: int):
+        coeffs = rows[which[i0:i1]] * core
+        return lambda a, b: fold(coeffs, a // m_len, b // m_len)
+
+    def fold(coeffs: np.ndarray, r0: int, r1: int):
+        # Yields |IFFT_M(c * twiddle row r)|^p for rows r0 <= r < r1 of the
+        # blocks of coeffs, and, with a factor, |IFFT_M(...) * factor|^p.
+        z = np.empty((len(coeffs), r1 - r0, m_len), dtype=complex)
         head = z[..., :width]
-        if table is None:
-            table = twiddle(r0, r0 + count, out=head[0])
-        np.multiply(coeffs[:, None, :], table, out=head)
+        phases = twiddle(r0, r1, out=head[0]) if table is None else table
+        np.multiply(coeffs[:, None, :], phases, out=head)
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
         # mags comes after the factor, so that it may take the memory of the
         # factor's temporaries.
-        h = factor(r0, r0 + count) if products else None
+        h = factor(r0, r1) if products else None
         mags = np.empty(z.shape)
         for j in range(1 + products):
             if j:
@@ -243,39 +239,9 @@ def _folded_lp(
                 mags **= p
             yield mags
 
-    reduce = np.max if math.isinf(p) else np.sum
     # Complex buffers per fold sample: z, and the factor's three.
-    buffers = 1 + 3 * products
-    out = np.empty((1 + products, which.size))
-    if n <= _grid._SPAN:
-        # One table of n samples at most, shared by every span.
-        table = twiddle(0, p_len)
-
-        def run(lo: int, hi: int) -> None:
-            # Over each block's P M values alone, so the spans do not change
-            # the order of any sum.
-            for j, mags in enumerate(fold(rows[which[lo:hi]] * core, p_len, 0, table)):
-                out[j, lo:hi] = reduce(mags, axis=(1, 2))
-
-        _each_span(run, which.size, n * buffers)
-    else:
-        # Spans of groups of `group` rows, whole leaves of numpy's pairwise
-        # sum, write their leaf sums (or maxima), which add up to the sum
-        # over the block's n values bit for bit.
-        leaf = _grid._LEAF
-        group = max(1, leaf // m_len)
-        leaves = np.empty((1 + products, n // leaf))
-        for i, b in enumerate(which):
-            coeffs = rows[b : b + 1] * core
-
-            def run(lo: int, hi: int) -> None:
-                r0, r1 = lo * group, hi * group
-                for j, mags in enumerate(fold(coeffs, r1 - r0, r0)):
-                    span = leaves[j, r0 * m_len // leaf : r1 * m_len // leaf]
-                    reduce(mags.reshape(-1, leaf), axis=1, out=span)
-
-            _each_span(run, p_len // group, group * m_len * buffers)
-            out[:, i] = [np.max(row) if math.isinf(p) else _grid._pairwise_total(row) for row in leaves]
+    out = _grid._leaf_reduce(blocks, which.size, n, 1 + 3 * products, m_len, 1 + products,
+                             math.isinf(p))
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)
     return (out if products else out[0]) * (m_len / n / dx)

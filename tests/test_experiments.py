@@ -15,7 +15,6 @@ from tfnorms import compose, experiments, norms
 from tfnorms.corpus import make_corpus
 from tfnorms.errors import CostGateError
 from tfnorms.grid import (
-    _LEAF,
     Grid,
     NormSpec,
     SampledSignal,
@@ -267,12 +266,6 @@ class TestCounterexampleFlat:
         )
         with pytest.raises(ValueError, match="plateau"):
             flat_measurement(1.0, 2, 2)
-
-    def test_leaf_total_refuses_a_shared_leaf(self):
-        values = np.ones(10)
-        assert experiments._leaf_total(1 << 12, [(0, values), (_LEAF, values)]) == 20.0
-        with pytest.raises(ValueError, match="share a leaf"):
-            experiments._leaf_total(1 << 12, [(0, values), (_LEAF - 5, values)])
 
     @pytest.mark.parametrize("p, m, r", DENSE_LAYOUTS)
     def test_span_norms_match_the_dense_reference(self, p, m, r):

@@ -6,7 +6,8 @@ versions, the machine and numpy's enabled SIMD features (its run-time
 dispatch picks kernels that round differently) that wrote them.  The serial
 run of the determinism criterion (conftest's ``all_seed0``) is compared with
 it: on a matching platform byte for byte, elsewhere every number to 1e-12
-relative, and the failure lists each file that differs.
+relative, and the failure lists each file that differs.  So are a run
+pinned to one CPU and a run under ``python -O``.
 
 A change that moves report bytes on purpose regenerates the directory with
 
@@ -17,6 +18,7 @@ and the git diff of tests/golden/ is then its list of moved values.
 
 import json
 import math
+import os
 import platform
 import re
 import shutil
@@ -91,6 +93,33 @@ def test_serial_run_matches_the_golden_reports(all_seed0):
     found = golden_differences(GOLDEN, serial, exact)
     mode = "bytes" if exact else f"numbers to {RELATIVE_TOLERANCE:g} (golden from {recorded})"
     assert not found, f"reports differ from {GOLDEN} ({mode}): " + ", ".join(found)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+def test_one_cpu_and_optimized_runs_match_the_golden_reports(tmp_path):
+    # Two concurrent children: one pinned to one CPU, so that every span runs
+    # inline in the calling thread, and one under python -O, which strips
+    # every assert statement.
+    pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "from tfnorms.cli import main; sys.exit(main())")
+    entries = {"one-cpu": ["-c", pin], "optimized": ["-O", "-m", "tfnorms.cli"]}
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, *entry, "all", "--seed", "0", "--out", str(tmp_path / name)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for name, entry in entries.items()
+    }
+    exact = compares_bytes(json.loads((GOLDEN / PLATFORM).read_text()))
+    try:
+        for name, child in children.items():
+            _, errors = child.communicate(timeout=500)
+            assert child.returncode == 0, f"{name}: {errors}"
+            found = golden_differences(GOLDEN, tmp_path / name, exact)
+            assert not found, f"{name} reports differ from {GOLDEN}: " + ", ".join(found)
+    finally:
+        for child in children.values():
+            child.kill()  # a no-op on a child that has exited
 
 
 def test_golden_directory_holds_every_report():

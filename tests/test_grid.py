@@ -1,6 +1,7 @@
 """Fourier core: transform pair, convolution, quadrature, inner products."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from tfnorms.errors import GridMismatchError
 import tfnorms.grid as grid_module
 from tfnorms.grid import (
     _centered_transform,
+    _leaf_reduce,
+    _leaf_total,
     _pairwise_total,
     Grid,
     NormSpec,
@@ -283,10 +286,55 @@ class TestPairwiseTotal:
                 leaves[lo:hi] = np.sum(values[lo * leaf : hi * leaf].reshape(-1, leaf), axis=1)
             total = np.sum(values)
             assert _pairwise_total(leaves) == total, f"numpy's pairwise sum changed at n = {n}"
-            # The fold's sum of one block's (1, P, M) values over its last two axes.
+            # One block's (1, P, M) values summed over their last two axes.
             for m_len in {min(n, 32), min(n, 1024)}:
                 block = values.reshape(1, n // m_len, m_len)
                 assert np.sum(block, axis=(1, 2))[0] == total, f"n = {n}, M = {m_len}"
+
+    @pytest.mark.parametrize("count, outputs", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_leaf_reduce_gives_numpys_reduction_of_each_run(self, monkeypatch, count, outputs, cpus):
+        # A budget of 2^12 samples, 2 a value: runs of n <= 2^12 values go
+        # whole into spans, and larger runs in pieces of max(row, 128) values.
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 12)
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        rng = np.random.default_rng(count + outputs)
+        for log_n in range(3, 21):
+            n = 1 << log_n
+            runs = rng.random((outputs, count, n))
+            runs **= 1.5
+            sums = [[np.sum(run) for run in output] for output in runs]
+            maxima = [[np.max(run) for run in output] for output in runs]
+            for row in (r for r in (1, 32, 1024) if r <= n):
+                piece = max(row, min(n, grid_module._LEAF))
+                prepared, reads = [], []
+
+                def values(i0, i1):
+                    prepared.append((i0, i1, threading.current_thread() is threading.main_thread()))
+
+                    def read(a, b):
+                        reads.append((i0, i1, a, b))
+                        return runs[:, i0:i1, a:b]
+
+                    return read
+
+                for maximum, expected in ((False, sums), (True, maxima)):
+                    got = _leaf_reduce(values, count, n, 2, row, outputs, maximum)
+                    assert got.tolist() == expected, f"n = {n}, row = {row}"
+                # Whole runs, or whole pieces of a run prepared once in the
+                # calling thread: each value read once a reduction.
+                if n <= grid_module._SPAN:
+                    assert all((a, b) == (0, n) for _, _, a, b in reads)
+                else:
+                    assert prepared == 2 * [(i, i + 1, True) for i in range(count)]
+                    assert all(a % piece == b % piece == 0 for _, _, a, b in reads)
+                assert sum((i1 - i0) * (b - a) for i0, i1, a, b in reads) == 2 * count * n
+
+    def test_leaf_total_refuses_a_shared_leaf(self):
+        values = np.ones(10)
+        assert _leaf_total(1 << 12, [(0, values), (grid_module._LEAF, values)]) == 20.0
+        with pytest.raises(ValueError, match="share a leaf"):
+            _leaf_total(1 << 12, [(0, values), (grid_module._LEAF - 5, values)])
 
 
 class TestAgainstShiftFormulas:

@@ -383,8 +383,8 @@ def _fold_reference(row, core, p, n, dx, factor):
     """The L^p norm of one block's inverse transform, times `factor` when given.
 
     The fold of the norms module on the whole (P, M) array at once: inverse
-    transforms, the factor, |.|^p, and the sum over the block's values (or
-    their maximum) in the order that _folded_lp's spans keep.
+    transforms, the factor, |.|^p, and one np.sum over the block's values
+    (or their maximum).
     """
     width = core.size
     m_len, p_len = norms._fold_lengths(width, n)
@@ -399,11 +399,7 @@ def _fold_reference(row, core, p, n, dx, factor):
         return float(np.max(mags)) * (m_len / n / dx)
     if p != 1.0:
         mags **= p
-    if n <= grid_module._SPAN:
-        total = np.sum(mags[None], axis=(1, 2))[0]
-    else:
-        total = grid_module._pairwise_total(np.sum(mags.reshape(-1, grid_module._LEAF), axis=1))
-    return float(((dx * np.array([total])) ** (1.0 / p) * (m_len / n / dx))[0])
+    return float(((dx * np.array([np.sum(mags)])) ** (1.0 / p) * (m_len / n / dx))[0])
 
 
 class TestSharedFold:

@@ -13,6 +13,7 @@ import concurrent.futures
 import contextlib
 import math
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -55,7 +56,9 @@ def spans(cpus, budget=None):
     """Run with `cpus` CPUs and, when given, a span budget of `budget` samples.
 
     Yields a log of (module, count, items per span, ran_off_main_thread) per
-    runner call.
+    runner call.  The runner calls of grid._leaf_reduce are logged under the
+    module that called it; grid's own (the spans of weighted_lp_norm) and
+    direct calls of grid._each_span are not logged.
     """
     log = []
     real = grid_module._each_span
@@ -74,8 +77,17 @@ def spans(cpus, budget=None):
 
         return runner
 
+    def leaf_runner(fn, count, size):
+        caller = sys._getframe(1)
+        if caller.f_code is grid_module._leaf_reduce.__code__:
+            module = caller.f_back.f_globals["__name__"].rpartition(".")[2]
+            if module != "grid":
+                return recording(module)(fn, count, size)
+        return real(fn, count, size)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid_module, "_cpu_count", lambda: cpus)
+        mp.setattr(grid_module, "_each_span", leaf_runner)
         mp.setattr(measures, "_each_span", recording("measures"))
         mp.setattr(norms, "_each_span", recording("norms"))
         mp.setattr(stft_module, "_each_span", recording("stft"))
