@@ -19,6 +19,7 @@ from .errors import CostGateError
 from .grid import (
     _each_span,
     _leaf_total,
+    _split_sum,
     Grid,
     NormSpec,
     SampledSignal,
@@ -159,9 +160,12 @@ def stft_experiment(
 
     The plane is checked one span of rows at a time in the hook of
     ``_stft_rows``, as the spans are finished, so only span-sized arrays of
-    it are live.  With dump_matrix the hook also hands each span's magnitude
-    rows to ``_in_row_order``, which writes them to the CSV file in row
-    order, so the dump holds no n x n array either.
+    it are live; the closed form is built and compared 8 rows at a time, so
+    that its temporaries stay small next to the span's rows.  With
+    dump_matrix the hook also formats each span's magnitude rows as text on
+    its own thread, as ``np.savetxt(..., delimiter=",", fmt="%.17g")``
+    would, and hands the lines to ``_in_row_order``, which writes them to
+    the CSV file in row order, so the dump holds no n x n array either.
     """
     _check_stft_size(n)
     report = SweepReport("stft", axis="xi")
@@ -172,27 +176,28 @@ def stft_experiment(
     columns = (n // 2 - n // 8, n // 2, n // 2 + n // 16)
     fft_columns = [(k + n // 2) % n for k in columns]
     picked = np.empty((n, len(columns)), dtype=complex)
-    span_errors = []  # one max per span; the spans may finish in any order
+    span_errors = []  # one max per 8 rows; the spans may finish in any order
     half = n // 2
-    dump = None  # with dump_matrix, the in-order writer of the magnitude rows
+    line = ",".join(["%.17g"] * n) + "\n"  # np.savetxt's row format
+    dump = None  # with dump_matrix, the in-order writer of the lines
 
     def check(j0, rows):
         v = rows[0]
-        j1 = j0 + len(v)
-        diff = closed(j0, j1)
-        np.subtract(v, diff, out=diff)
-        span_errors.append(float(np.max(np.abs(diff))))
-        picked[j0:j1] = v[:, fft_columns]
+        for a in range(0, len(v), 8):
+            diff = closed(j0 + a, j0 + min(a + 8, len(v)))
+            np.subtract(v[a : a + 8], diff, out=diff)
+            span_errors.append(float(np.max(np.abs(diff))))
+        picked[j0 : j0 + len(v)] = v[:, fft_columns]
         if dump is not None:
             magnitudes = np.empty(v.shape)
             np.abs(v[:, half:], out=magnitudes[:, :half])
             np.abs(v[:, :half], out=magnitudes[:, half:])
-            dump(j0, magnitudes)
+            dump(j0, [line % tuple(row) for row in magnitudes])
 
     if dump_matrix:
         report.extras["matrix_dump"] = str(dump_matrix)
         with open(dump_matrix, "w") as out:
-            dump = _in_row_order(lambda rows: np.savetxt(out, rows, delimiter=",", fmt="%.17g"))
+            dump = _in_row_order(out.writelines)
             _stft_rows([g], [g], check)
     else:
         _stft_rows([g], [g], check)
@@ -676,26 +681,66 @@ def algebra_sweep(
 # Both depths of a counterexample run ask for the same (p, frac).
 @functools.lru_cache(maxsize=8)
 def _invphi_tail_halfwidth(p: float, frac: float) -> float:
-    """Half-width containing all but `frac` of the L^p mass of F^-1 phi."""
+    """Half-width containing all but `frac` of the L^p mass of F^-1 phi.
+
+    The mass dx |F^-1 phi(x_j)|^p is added up point by point outward in
+    radius |x_j|, one running sum in np.cumsum's order, and the first radius
+    at which it reaches (1 - frac) of the total is returned.  The order is
+    x = 0, then the pairs x_(n/2 - i), x_(n/2 + i) for i = 1 .. n/2 - 1, the
+    smaller radius first (the left one when the two are equal), and x_0 = -L
+    last.  After the one n-point inverse transform and its |.|^p, the walk
+    runs in chunks of pairs, twice (for the total, then for the radius), so
+    no other array of the grid's length is built.
+    """
     ref = Grid(1 << 17, 2048.0 * math.pi)
+    n, half = ref.n, ref.n // 2
     # The bump vanishes on |xi| >= 0.1, so it is evaluated at the frequencies
     # k dxi with |k| < reach only (as in flat_measurement), the same floats as
-    # at those entries of ref.frequencies().
-    half = ref.n // 2
+    # at those entries of ref.frequencies().  They go to index k mod n, where
+    # fourier_inverse puts them before its transform, so the values have its
+    # bits; output index t holds the point x_((t + n/2) mod n).
     reach = int(0.1 / ref.dxi) + 2
-    spectrum = np.zeros(ref.n, dtype=complex)
-    xi = ref.dxi * np.arange(-reach, reach)
-    spectrum[half - reach : half + reach] = bump_profile(xi, 0.025, 0.1)
-    mags = np.abs(fourier_inverse(SampledSignal(ref.dual(), spectrum)).samples)
-    del spectrum
+    bump = bump_profile(ref.dxi * np.arange(-reach, reach), 0.025, 0.1)
+    values = np.zeros(n, dtype=complex)
+    values[:reach], values[n - reach :] = bump[reach:], bump[:reach]
+    np.fft.ifft(values, out=values)
+    values /= ref.dual().dual().dx
+    mags = np.abs(values)
+    del values
     mags **= p
-    radii = np.abs(ref.points())
-    order = np.argsort(radii)
-    sorted_mass = np.cumsum(mags[order])
-    sorted_mass *= ref.dx
-    total = sorted_mass[-1]
-    pos = int(np.searchsorted(sorted_mass, (1.0 - frac) * total))
-    return float(radii[order[min(pos, ref.n - 1)]])
+
+    def radius(j: np.ndarray) -> np.ndarray:
+        return np.abs(-ref.half_width + ref.dx * j)  # |ref.points()[j]|
+
+    def chunks():
+        # (radii, masses) of the points in the order of the docstring.
+        yield radius(np.array([half])), mags[:1]
+        for i0 in range(1, half, 1 << 12):
+            i = np.arange(i0, min(i0 + (1 << 12), half))
+            left, right = radius(half - i), radius(half + i)
+            left_mass, right_mass = mags[n - i[-1] : n - i0 + 1][::-1], mags[i]
+            swap = right < left
+            radii = np.stack((np.where(swap, right, left), np.where(swap, left, right)), axis=1)
+            masses = np.stack((np.where(swap, right_mass, left_mass),
+                               np.where(swap, left_mass, right_mass)), axis=1)
+            yield radii.ravel(), masses.ravel()
+        yield radius(np.array([0])), mags[half : half + 1]
+
+    def walk():
+        # (radii, dx times the running sum of the masses), chunk by chunk.
+        carry = 0.0
+        for radii, masses in chunks():
+            running = np.cumsum(np.concatenate(([carry], masses)))[1:]
+            carry = running[-1]
+            yield radii, running * ref.dx
+
+    for radii, running in walk():
+        total = running[-1]
+    target = (1.0 - frac) * total
+    for radii, running in walk():
+        if running[-1] >= target:
+            return float(radii[np.searchsorted(running, target)])
+    return float(radii[-1])
 
 
 _TAIL_FRACTION = {1.0: 1e-2, 1.5: 1e-3}
@@ -745,7 +790,11 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     m = 4, with 1.7e-15 against 3e-14 and 6e-15 of error.
     """
     rates = [2 ** (j - 1) * steps for j in range(1, m + 1)]
-    columns = [np.exp(2j * math.pi / m_len * (rate * np.arange(m_len) % m_len)) for rate in rates]
+    # The column of a rate repeats after M / gcd(rate, M) values, and only
+    # that period is kept: at most 2 M values for all rates together,
+    # against m M for whole columns (2 MiB at m = 4 on the 2^22 grid).
+    columns = [np.exp(2j * math.pi / m_len * (rate * np.arange(m_len // math.gcd(rate, m_len))
+                                              % m_len)) for rate in rates]
 
     def at(r0: int, r1: int) -> np.ndarray:
         b = np.arange(r0, r1)
@@ -754,7 +803,7 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
         shifted = np.empty_like(mu)
         for rate, column in zip(rates, columns):
             row = np.exp(2j * math.pi / n * (rate * b % n))
-            np.multiply(row[:, None], column, out=shifted)
+            np.multiply(row[:, None, None], column, out=shifted.reshape(r1 - r0, -1, column.size))
             shifted *= nu
             np.subtract(mu, shifted, out=nu)
             mu += shifted
@@ -810,18 +859,18 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     phi = phi[first:last]
     nu_inf = rudin_shapiro_sup(r, n_nu, grid, Normalization.LP_ATOMS, p=p)
     nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
-    base = nu_hat * phi
 
     # The L^1 norm of phi summed as over the whole dual grid, so that its
     # bits are those of weighted_lp_norm, from floats: |phi + 0i| is phi.
     phi_l1 = float(grid.dual().dx * _leaf_total(grid.n, [(lo, phi)]))
-    # phi masks both rows: the row of ones gives phi, the row nu-hat base.
-    rows = np.stack((np.ones(phi.size), nu_hat))
-    invphi_lp = float(_folded_lp(rows, np.array([0]), phi, p, grid.n, grid.dx)[0])
+    # phi masks both rows: a row of ones gives phi, the row nu-hat base.
+    invphi_lp = float(_folded_lp(np.ones((1, phi.size)), np.array([0]), phi, p, grid.n, grid.dx)[0])
     steps = part.steps_per_unit
     mu_check = _mu_check_rows(m, steps, grid.n, _fold_lengths(phi.size, grid.n)[0])
-    g_lp, f_lp = _folded_lp(rows, np.array([1]), phi, p, grid.n, grid.dx, mu_check)[:, 0].tolist()
-    del rows, mu_check  # mu_check holds m columns of M complex values
+    g_lp, f_lp = _folded_lp(nu_hat[None], np.array([0]), phi, p, grid.n, grid.dx,
+                            mu_check)[:, 0].tolist()
+    del mu_check  # mu_check holds one period of each of its m columns
+    base = nu_hat * phi
 
     # f-hat is w base on [lo + shift, hi + shift) for each atom w delta_loc
     # of mu, shift = loc * steps; block loc is that alone, of norm |w| g_lp,
@@ -948,25 +997,23 @@ def _series_segment(kind: str, a: int, b: int) -> float:
 def _series_partial(kind: str, k0: int, K: int, direct_limit: int = 10**6) -> float:
     """Partial sum from k0 to K in ascending order, closed forms only.
 
-    The terms up to direct_limit are written span by span into one buffer,
-    whose np.sum is the direct part.
+    The terms up to direct_limit are summed as one np.sum of them would be,
+    bit for bit, from pieces of one span budget (``grid._split_sum``), so no
+    array of all the terms is built.
     """
     cut = min(K, direct_limit)
-    terms = np.empty(cut + 1 - k0)
 
-    def fill(lo: int, hi: int) -> None:
+    def terms(lo: int, hi: int) -> np.ndarray:
         k = np.arange(k0 + lo, k0 + hi, dtype=float)
         logs = np.log(k)
         if kind == "mod":
-            terms[lo:hi] = math.sqrt(2.0) / (k * logs)
-        elif kind == "beurling":
-            terms[lo:hi] = 2.0 / (k * np.square(logs))
-        else:
-            terms[lo:hi] = 2.0 / (np.square(k) * np.square(logs))
+            return math.sqrt(2.0) / (k * logs)
+        if kind == "beurling":
+            return 2.0 / (k * np.square(logs))
+        return 2.0 / (np.square(k) * np.square(logs))
 
-    # Each item holds k, its log and two temporaries.
-    _each_span(fill, terms.size, 4)
-    total = float(np.sum(terms))
+    # Each term holds k, its log and two temporaries.
+    total = _split_sum(terms, cut + 1 - k0, 4)
     if K > cut:
         total += _series_segment(kind, cut, K)
     return total

@@ -20,25 +20,33 @@ transform pair exactly unitary up to the 2 pi factor.
 
 The large computations (folded block inverses, the Rudin-Shapiro recursion,
 STFT rows, the Lebesgue norms) run through ``_each_span``: spans of whole
-items, at most ``_SPAN`` = 2^17 samples (one item at least), concurrent on
-one thread per CPU, or inline when there is one span or one CPU.
+items, at most ``_SPAN`` = 2^17 samples of every buffer a span holds (one
+item at least).  The calling thread and a pool of one thread per other CPU
+take the spans from one queue, so no more spans are in flight than there
+are CPUs, and the scratch of a run is bounded by one ``_SPAN`` budget per
+CPU.  With one span or one CPU the caller runs them all.
 
 numpy sums a contiguous float array of 2^k values pairwise: leaves of
 ``_LEAF`` = 128 values, each summed by one fixed loop, whose sums are added
 in halves level by level.  ``_leaf_reduce``, the one place that relies on
-this order, gives the ``np.sum`` (or ``np.max``) of each of several runs of
-n values that a callback computes span by span.  When n <= ``_SPAN`` a span
-holds whole runs and reduces each with one ``np.sum(..., axis=1)``.
-Otherwise a span holds whole pieces of one run, max(row, 128) values each,
-and writes their leaf sums (``np.sum(values.reshape(-1, _LEAF), axis=1)``);
+this order for runs computed in spans, gives the ``np.sum`` (or ``np.max``)
+of each of several runs of n values that a callback computes span by span.
+When a whole run, `size` samples a value, fits in ``_SPAN``, a span holds
+whole runs and reduces each with one ``np.sum(..., axis=1)``.  Otherwise a
+span holds whole pieces of one run, max(row, 128) values each, and writes
+their leaf sums (``np.sum(values.reshape(-1, _LEAF), axis=1)``);
 ``_pairwise_total`` adds a run's leaf sums level by level, which gives
 ``np.sum`` of its n values bit for bit with no array of n values.  No span
 cuts a leaf, so no sum depends on where the spans start or how many CPUs
-run them.
+run them.  A count m that is no power of two is split by numpy at m2 = m/2
+rounded down to a multiple of 8, and each part is summed the same way down
+to the leaves; ``_split_sum`` follows that split, so it gives ``np.sum`` of
+any number of values from pieces of one budget.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import threading
@@ -66,15 +74,17 @@ __all__ = [
 # Samples per span of _each_span, so that a span's temporaries stay in cache.
 # On the 12-signal STFT corpus at n = 2048 (2 CPUs) the Gram took 1.1 s in
 # spans of 2^16 samples, 0.64 s at 2^17 and 0.59 s at 2^18, with twice the
-# span buffers.
+# span buffers.  With the calling thread taking spans too, perfbench's
+# time-frequency workload took 0.62-0.66 s a pass at 2^17 and 0.80-0.83 s at
+# 2^16 (2 CPUs), for 46.6 against 44.6 MB of peak resident memory.
 _SPAN = 1 << 17
 
 # Values per leaf of numpy's pairwise sum (see the module docstring).
 _LEAF = 128
 
-# Thread pool for _each_span, one thread per CPU, created on first use in
-# each process (a pool inherited through fork has no threads behind it) and
-# again when the CPU count changes.
+# Thread pool for _each_span, one thread per CPU besides the caller's,
+# created on first use in each process (a pool inherited through fork has no
+# threads behind it) and again when the CPU count changes.
 _pool = None
 _pool_key = None
 _pool_lock = threading.Lock()
@@ -98,7 +108,7 @@ def _span_pool(cpus: int):
 
             if _pool is not None and _pool_key[0] == key[0]:
                 _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(max_workers=cpus)
+            _pool = ThreadPoolExecutor(max_workers=cpus - 1)
             _pool_key = key
         return _pool
 
@@ -108,23 +118,46 @@ def _each_span(fn, count: int, size: int) -> None:
 
     `size` counts the samples of every buffer a span holds at once per item,
     not those of its output alone, so that a span's scratch stays near _SPAN
-    samples.  Each span holds max(1, _SPAN // size) items.  With more than
-    one span and more than one CPU the spans run concurrently on a pool with
-    one thread per CPU, the CPUs counted on every call; otherwise they run in
-    order in the calling thread.  Callers keep each span's work independent
-    of the others (numpy releases the interpreter lock inside it), so the
-    results do not depend on which way they ran.
+    samples.  Each span holds max(1, _SPAN // size) items.  The spans wait in
+    one queue, in order.  The calling thread takes them one by one; with more
+    than one span and more than one CPU (counted on every call), so does one
+    pool thread per other CPU, so that at most one span per CPU is in flight.
+    The call returns when every span has returned, and the first exception
+    of a span reaches the caller (the queue is then emptied).  Callers keep
+    each span's work independent of the others (numpy releases the
+    interpreter lock inside it), so the results do not depend on which
+    thread ran which span.
     """
     span = max(1, _SPAN // size)
-    bounds = [(lo, min(lo + span, count)) for lo in range(0, count, span)]
+    queue = collections.deque((lo, min(lo + span, count)) for lo in range(0, count, span))
+
+    def take() -> None:
+        while True:
+            try:
+                lo, hi = queue.popleft()  # atomic: each span is taken once
+            except IndexError:
+                return
+            try:
+                fn(lo, hi)
+            except BaseException:
+                queue.clear()
+                raise
+
     cpus = _cpu_count()
-    if len(bounds) <= 1 or cpus == 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
-        return
-    pool = _span_pool(cpus)
-    for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
-        future.result()
+    helpers = []
+    if cpus > 1 and len(queue) > 1:
+        pool = _span_pool(cpus)
+        helpers = [pool.submit(take) for _ in range(min(cpus, len(queue)) - 1)]
+    try:
+        take()
+    finally:
+        # The queue is empty: a helper that has not started has nothing left
+        # to take, and one that has is waited for.
+        helpers = [helper for helper in helpers if not helper.cancel()]
+        for helper in helpers:
+            helper.exception()
+    for helper in helpers:
+        helper.result()
 
 
 def _pairwise_total(leaves: np.ndarray) -> float:
@@ -145,11 +178,12 @@ def _leaf_reduce(values, count: int, n: int, size: int, row=1, outputs=1, maximu
     `outputs` arrays of their values [a, b), in the span plan of the module
     docstring (n and row <= n are powers of two): a span of whole runs
     prepares them, a run in pieces is prepared once in the calling thread.
-    `size` counts the samples a span holds per value.
+    `size` counts the samples a span holds per value, so a span takes whole
+    runs only when n * size <= _SPAN.
     """
     reduce = np.max if maximum else np.sum
     out = np.empty((outputs, count))
-    if n <= _SPAN:
+    if n * size <= _SPAN:
         def run(lo: int, hi: int) -> None:
             for j, v in enumerate(values(lo, hi)(0, n)):
                 out[j, lo:hi] = reduce(v.reshape(hi - lo, n), axis=1)
@@ -170,6 +204,27 @@ def _leaf_reduce(values, count: int, n: int, size: int, row=1, outputs=1, maximu
         _each_span(run, n // piece, piece * size)
         out[:, i] = [np.max(sums) if maximum else _pairwise_total(sums) for sums in leaves]
     return out
+
+
+def _split_sum(values, count: int, size: int) -> float:
+    """np.sum of `count` floats, bit for bit, where values(lo, hi) returns floats [lo, hi).
+
+    numpy's split (see the module docstring) is followed down to parts of at
+    most max(_LEAF, _SPAN // size) values; each part is one np.sum of
+    values(lo, hi), in order in the calling thread, so no more than one
+    part's values are held.  `size` counts the samples values(lo, hi) holds
+    per value while it runs.
+    """
+    most = max(_LEAF, _SPAN // size)
+
+    def total(lo: int, hi: int) -> float:
+        if hi - lo <= most:
+            return np.sum(values(lo, hi))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return total(lo, lo + half) + total(lo + half, hi)
+
+    return float(total(0, count))
 
 
 def _leaf_total(n: int, pieces) -> float:

@@ -23,19 +23,22 @@ transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
 n log n.  The fold runs in the spans of ``grid._leaf_reduce``, each block
 one run of n values in rows of M (see :mod:`tfnorms.grid` for the span plan
-and numpy's summation order), with complex buffers of at most
-``grid._SPAN`` samples together (or one row, when M is larger): the
-transform buffer alone, or with a factor h (below) that buffer and the
-three h holds while it is computed.  Each span does all of its work while
-the data is still in cache: twiddle product, length-M inverse transforms
-into span-local buffers, and |.|^p, which the helper reduces.  The (P, W)
-twiddle table is built once per call when n fits in a span (n samples at
-most); otherwise each span builds its own rows of it, in place in its
-transform buffer.  One fold gives the L^p norms of both g, the
-inverse transform of one row, and h g, with h known at every grid point
-(the flat counterexample's Rudin-Shapiro polynomial): each span reduces
-|.|^p of its transforms, multiplies them in place by h at their grid
-indices b + P a, and reduces again.
+and numpy's summation order).  A span's size counts every buffer it holds:
+the complex transform buffer and the float magnitudes, 1.5 complex a
+sample, counted as 2; or with a factor h (below) the transform buffer and
+the three complex buffers h holds while it is computed, 4 a sample, whose
+memory the magnitudes reuse.  So a span holds at most ``grid._SPAN``
+samples of buffers (or one row, when M is larger).  Each span does all of
+its work while the data is still in cache: twiddle product, length-M
+inverse transforms into span-local buffers, and |.|^p, which the helper
+reduces.  The (P, W) twiddle table is built once per call when n fits in
+a span (n samples at most), and each span reads its rows of it; otherwise
+each span builds its own rows of it, in place in its transform buffer.
+One fold gives the L^p norms of both g, the inverse transform of one row,
+and h g, with h known at every grid point (the flat counterexample's
+Rudin-Shapiro polynomial): each span reduces |.|^p of its transforms,
+multiplies them in place by h at their grid indices b + P a, and reduces
+again.
 
 The body, ``_block_norm``, stops at the vector of block L^p norms for one
 p, since q and s enter only when ``_norm_report`` combines that vector:
@@ -223,7 +226,7 @@ def _folded_lp(
         # blocks of coeffs, and, with a factor, |IFFT_M(...) * factor|^p.
         z = np.empty((len(coeffs), r1 - r0, m_len), dtype=complex)
         head = z[..., :width]
-        phases = twiddle(r0, r1, out=head[0]) if table is None else table
+        phases = twiddle(r0, r1, out=head[0]) if table is None else table[r0:r1]
         np.multiply(coeffs[:, None, :], phases, out=head)
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
@@ -239,8 +242,8 @@ def _folded_lp(
                 mags **= p
             yield mags
 
-    # Complex buffers per fold sample: z, and the factor's three.
-    out = _grid._leaf_reduce(blocks, which.size, n, 1 + 3 * products, m_len, 1 + products,
+    # Complex buffers per fold sample: z and mags, 1.5, or z and the factor's three.
+    out = _grid._leaf_reduce(blocks, which.size, n, 4 if products else 2, m_len, 1 + products,
                              math.isinf(p))
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfnorms.compose import resample_progression
@@ -16,6 +16,7 @@ from tfnorms.grid import (
     _centered_transform,
     _leaf_reduce,
     _leaf_total,
+    _split_sum,
     _pairwise_total,
     Grid,
     NormSpec,
@@ -294,7 +295,7 @@ class TestPairwiseTotal:
     @pytest.mark.parametrize("count, outputs", [(1, 1), (3, 2)])
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_leaf_reduce_gives_numpys_reduction_of_each_run(self, monkeypatch, count, outputs, cpus):
-        # A budget of 2^12 samples, 2 a value: runs of n <= 2^12 values go
+        # A budget of 2^12 samples, 2 a value: runs of n <= 2^11 values go
         # whole into spans, and larger runs in pieces of max(row, 128) values.
         monkeypatch.setattr(grid_module, "_SPAN", 1 << 12)
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
@@ -323,12 +324,37 @@ class TestPairwiseTotal:
                     assert got.tolist() == expected, f"n = {n}, row = {row}"
                 # Whole runs, or whole pieces of a run prepared once in the
                 # calling thread: each value read once a reduction.
-                if n <= grid_module._SPAN:
+                if 2 * n <= grid_module._SPAN:
                     assert all((a, b) == (0, n) for _, _, a, b in reads)
                 else:
                     assert prepared == 2 * [(i, i + 1, True) for i in range(count)]
                     assert all(a % piece == b % piece == 0 for _, _, a, b in reads)
                 assert sum((i1 - i0) * (b - a) for i0, i1, a, b in reads) == 2 * count * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 7), st.integers(8, 128), st.integers(129, 3 * 10**6)),
+        size=st.sampled_from([1, 4, 1 << 10, 1 << 17]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=999998, size=4, seed=0)  # counterexample-l2's direct terms
+    @example(n=3 * 10**6 - 3, size=1, seed=2)
+    @example(n=1001, size=1 << 17, seed=1)  # no multiple of 8, parts of 128 values
+    def test_split_sum_gives_numpys_sum(self, n, size, seed):
+        # numpy splits m > 128 values at m / 2 rounded down to a multiple of
+        # 8; _split_sum follows that split down to parts of at most
+        # max(128, _SPAN // size) values, each one np.sum.
+        values = np.random.default_rng(seed).random(n) ** 1.5
+        most = max(grid_module._LEAF, grid_module._SPAN // size)
+        parts = []
+
+        def read(lo, hi):
+            parts.append((lo, hi))
+            return values[lo:hi]
+
+        assert _split_sum(read, n, size) == np.sum(values)
+        assert [lo for lo, _ in parts] == [0, *(hi for _, hi in parts[:-1])]
+        assert parts[-1][1] == n and all(hi - lo <= most for lo, hi in parts)
 
     def test_leaf_total_refuses_a_shared_leaf(self):
         values = np.ones(10)

@@ -58,7 +58,10 @@ def spans(cpus, budget=None):
     Yields a log of (module, count, items per span, ran_off_main_thread) per
     runner call.  The runner calls of grid._leaf_reduce are logged under the
     module that called it; grid's own (the spans of weighted_lp_norm) and
-    direct calls of grid._each_span are not logged.
+    direct calls of grid._each_span are not logged.  The calling thread
+    takes spans too, so in a call with several spans and several CPUs it
+    waits in its first span until a pool thread has taken one: the log then
+    says whether the call pooled, whatever the timing of the threads.
     """
     log = []
     real = grid_module._each_span
@@ -66,14 +69,20 @@ def spans(cpus, budget=None):
     def recording(module):
         def runner(fn, count, size):
             threads = set()
+            span = max(1, grid_module._SPAN // size)
+            helped = threading.Event()
 
             def traced(lo, hi):
                 threads.add(threading.get_ident())
+                if threading.current_thread() is not threading.main_thread():
+                    helped.set()
+                elif cpus > 1 and count > span:
+                    helped.wait(timeout=10.0)
                 fn(lo, hi)
 
             real(traced, count, size)
             off_main = any(t != threading.main_thread().ident for t in threads)
-            log.append((module, count, max(1, grid_module._SPAN // size), off_main))
+            log.append((module, count, span, off_main))
 
         return runner
 
@@ -144,6 +153,17 @@ class TestSpanRunner:
         bounds = self.covered(cpus, budget, count, size)
         assert bounds == [(lo, min(lo + items, count)) for lo in range(0, count, items)]
 
+    def test_each_span_is_taken_once_under_contention(self):
+        # Four takers of one-item spans, threads switched every microsecond:
+        # a span taken twice or lost from the queue breaks the count of 1.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert self.covered(4, 1, 500, 1) == [(i, i + 1) for i in range(500)]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_errors_reach_the_caller(self):
         def fn(lo, hi):
             if lo == 4:
@@ -154,20 +174,31 @@ class TestSpanRunner:
             grid_module._each_span(fn, 10, 2)
 
     def test_pool_follows_the_cpu_count(self):
-        threads = set()
+        # Every span waits at a barrier of `cpus` parties, so the spans pass
+        # only when `cpus` of them are in flight at once: the caller's and
+        # one on each of the cpus - 1 pool threads, and never more.
+        pools = []
+        for cpus in (2, 3):
+            threads, in_flight, most = set(), [0], [0]
+            lock = threading.Lock()
+            barrier = threading.Barrier(cpus, timeout=10.0)
 
-        def fn(lo, hi):
-            threads.add(threading.get_ident())
+            def fn(lo, hi):
+                with lock:
+                    threads.add(threading.get_ident())
+                    in_flight[0] += 1
+                    most[0] = max(most[0], in_flight[0])
+                barrier.wait()
+                with lock:
+                    in_flight[0] -= 1
 
-        with spans(2, 1):
-            grid_module._each_span(fn, 4, 1)
-            first = grid_module._pool
-            assert first._max_workers == 2
-        with spans(3, 1):
-            grid_module._each_span(fn, 4, 1)
-            assert grid_module._pool._max_workers == 3
-        assert grid_module._pool is not first and first._shutdown
-        assert threading.main_thread().ident not in threads
+            with spans(cpus, 1):
+                grid_module._each_span(fn, 4 * cpus, 1)
+                pools.append(grid_module._pool)
+            assert pools[-1]._max_workers == cpus - 1
+            assert len(threads) == most[0] == cpus
+            assert threading.main_thread().ident in threads
+        assert pools[1] is not pools[0] and pools[0]._shutdown
 
 
 class TestBitIdentical:
@@ -196,10 +227,11 @@ class TestBitIdentical:
         group = grid_module._LEAF // m_len
         assert group > 1
         default = modulation_norm(f, p, 1.0, 0.5, PART)
-        # Three whole blocks per span, then each block in spans of 5 M
-        # samples (one group of rows) or of seven groups; P / group = 32 is
-        # no multiple of 7.
-        for budget in (3 * GRID.n, 5 * m_len, 7 * group * m_len):
+        # Three whole blocks per span (2 n samples each: the transform
+        # buffer and the magnitudes), then each block in spans of 5 M samples
+        # (one group of rows) or of seven groups; P / group = 32 is no
+        # multiple of 7.
+        for budget in (6 * GRID.n, 5 * m_len, 14 * group * m_len):
             with spans(3, budget) as log:
                 pooled = modulation_norm(f, p, 1.0, 0.5, PART)
             with spans(1, budget):
@@ -209,14 +241,14 @@ class TestBitIdentical:
             floor, scan = log.pop(0), log.pop(0)
             assert floor == ("norms", GRID.n, budget, GRID.n > budget)
             assert scan == ("norms", blocks, budget // width, blocks > budget // width)
-            if budget > GRID.n:
+            if budget >= 2 * GRID.n:
                 # One runner call over the distinct live blocks.
                 ((module, count, span, off_main),) = log
                 assert (module, span, off_main) == ("norms", 3, True)
                 assert count % span != 0  # ragged last span
             else:
                 # One runner call per distinct live block, over its groups of rows.
-                items = max(1, budget // (group * m_len))
+                items = max(1, budget // (2 * group * m_len))
                 assert len(log) > 1
                 assert set(log) == {("norms", p_len // group, items, True)}
             assert pooled.value == inline.value == default.value
@@ -256,10 +288,12 @@ class TestBitIdentical:
         assert any(count > span and count % span != 0 for _, count, span, _ in sup)
         # The folds of F^-1 phi and of g, which gives f too.  The block norm
         # folds nothing, and no pass runs over the blocks or over the n
-        # samples of the spectrum.  The fold with mu-check holds the
-        # transform buffer and mu-check's three (rows, M) buffers, so its
-        # spans take a quarter of the rows.
-        phi_fold = ("norms", phi_p_len, budget // phi_m_len, True)
+        # samples of the spectrum.  The plain fold holds the transform
+        # buffer and its magnitudes, counted as two (rows, M) complex
+        # buffers, and the fold with mu-check the transform buffer and
+        # mu-check's three, so their spans take a half and a quarter of the
+        # rows.
+        phi_fold = ("norms", phi_p_len, budget // (2 * phi_m_len), True)
         product_fold = ("norms", phi_p_len, budget // (4 * phi_m_len), True)
         assert budget // (4 * phi_m_len) > 1
         assert [entry for entry in log if entry[0] == "norms"] == [phi_fold, product_fold]
