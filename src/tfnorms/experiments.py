@@ -18,7 +18,6 @@ from .corpus import make_corpus, make_signal
 from .errors import CostGateError
 from .grid import (
     _each_span,
-    _leaf_total,
     _split_sum,
     Grid,
     NormSpec,
@@ -211,8 +210,9 @@ def stft_experiment(
         xi_k = grid.frequencies()[k]
         modulated = SampledSignal(grid, np.exp(1j * xi_k * x) * wconj)
         row = np.exp(-1j * x * xi_k) * convolve(g, modulated).samples
-        worst = max(worst, float(np.max(np.abs(row - column))))
-        report.rows.append({"xi": float(xi_k), "conv_form_error": worst})
+        error = float(np.max(np.abs(row - column)))
+        worst = max(worst, error)
+        report.rows.append({"xi": float(xi_k), "conv_form_error": error})
     report.check_le("convolution_form_sup_error", worst, 1e-8)
     return report
 
@@ -813,6 +813,25 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     return at
 
 
+def _translates(starts: np.ndarray, weights, base: np.ndarray):
+    """values(a, b) of ``grid._split_sum`` for a grid holding translates of |base|, 0 elsewhere.
+
+    Translate i is |weights[i] base| from grid index starts[i] on.  A part
+    holds the slices of the translates that meet it, each computed on its
+    own; a part that none meets is an empty array, whose sum is the 0.0
+    that its zeros would give.
+    """
+    def values(a: int, b: int):
+        meets = np.flatnonzero((starts < b) & (starts + base.size > a))
+        out = np.zeros(b - a if meets.size else 0)
+        for i in meets:
+            s0, s1 = max(a, starts[i]), min(b, starts[i] + base.size)
+            out[s0 - a : s1 - a] = np.abs(weights[i] * base[s0 - starts[i] : s1 - starts[i]])
+        return (out,)
+
+    return values
+
+
 def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
@@ -836,9 +855,10 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       are 0, so block k of f-hat is w_k base(. - k) for each atom
       w_k delta_k of mu, and 0 for every other k.  A shift in frequency
       only modulates the inverse transform, so that block's L^p norm is
-      |w_k| ||g||_p, and |w_k| = 2^-m for every atom.  The L^1 norm of
-      f-hat sums only the leaves that the translates meet (see
-      ``grid._leaf_total``).  No array of the grid's length is built.
+      |w_k| ||g||_p, and |w_k| = 2^-m for every atom.  The L^1 norms of
+      phi and of f-hat are ``grid._split_sum`` totals over the grid, whose
+      parts hold the slices of the translates that meet them and are empty
+      elsewhere.  No array of the grid's length is built.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -861,8 +881,9 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
 
     # The L^1 norm of phi summed as over the whole dual grid, so that its
-    # bits are those of weighted_lp_norm, from floats: |phi + 0i| is phi.
-    phi_l1 = float(grid.dual().dx * _leaf_total(grid.n, [(lo, phi)]))
+    # bits are those of weighted_lp_norm, from floats: |phi + 0i| is |1 phi|.
+    phi_on_grid = _translates(np.array([lo]), [1.0], phi)
+    phi_l1 = float(grid.dual().dx * _split_sum(phi_on_grid, grid.n, 1)[0])
     # phi masks both rows: a row of ones gives phi, the row nu-hat base.
     invphi_lp = float(_folded_lp(np.ones((1, phi.size)), np.array([0]), phi, p, grid.n, grid.dx)[0])
     steps = part.steps_per_unit
@@ -887,8 +908,8 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     block_norms = np.zeros(len(part.block_indices()))
     block_norms[locations + part.max_block_index] = abs(mu.weights[0]) * g_lp
     mod = _norm_report(block_norms, NormSpec.modulation(p, 1.0, 0.0), part).value
-    magnitudes = ((start, np.abs(w * base)) for start, w in zip(starts, mu.weights))
-    fhat_l1 = float(grid.dual().dx * _leaf_total(grid.n, magnitudes))
+    magnitudes = _translates(starts, mu.weights, base)
+    fhat_l1 = float(grid.dual().dx * _split_sum(magnitudes, grid.n, 1)[0])
     return {
         "p": p,
         "m": m,
@@ -998,22 +1019,22 @@ def _series_partial(kind: str, k0: int, K: int, direct_limit: int = 10**6) -> fl
     """Partial sum from k0 to K in ascending order, closed forms only.
 
     The terms up to direct_limit are summed as one np.sum of them would be,
-    bit for bit, from pieces of one span budget (``grid._split_sum``), so no
-    array of all the terms is built.
+    bit for bit, in the parts of ``grid._split_sum``, one span budget each,
+    so no array of all the terms is built.
     """
     cut = min(K, direct_limit)
 
-    def terms(lo: int, hi: int) -> np.ndarray:
+    def terms(lo: int, hi: int) -> tuple:
         k = np.arange(k0 + lo, k0 + hi, dtype=float)
         logs = np.log(k)
         if kind == "mod":
-            return math.sqrt(2.0) / (k * logs)
+            return (math.sqrt(2.0) / (k * logs),)
         if kind == "beurling":
-            return 2.0 / (k * np.square(logs))
-        return 2.0 / (np.square(k) * np.square(logs))
+            return (2.0 / (k * np.square(logs)),)
+        return (2.0 / (np.square(k) * np.square(logs)),)
 
     # Each term holds k, its log and two temporaries.
-    total = _split_sum(terms, cut + 1 - k0, 4)
+    total = float(_split_sum(terms, cut + 1 - k0, 4)[0])
     if K > cut:
         total += _series_segment(kind, cut, K)
     return total

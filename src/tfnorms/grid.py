@@ -26,22 +26,13 @@ take the spans from one queue, so no more spans are in flight than there
 are CPUs, and the scratch of a run is bounded by one ``_SPAN`` budget per
 CPU.  With one span or one CPU the caller runs them all.
 
-numpy sums a contiguous float array of 2^k values pairwise: leaves of
-``_LEAF`` = 128 values, each summed by one fixed loop, whose sums are added
-in halves level by level.  ``_leaf_reduce``, the one place that relies on
-this order for runs computed in spans, gives the ``np.sum`` (or ``np.max``)
-of each of several runs of n values that a callback computes span by span.
-When a whole run, `size` samples a value, fits in ``_SPAN``, a span holds
-whole runs and reduces each with one ``np.sum(..., axis=1)``.  Otherwise a
-span holds whole pieces of one run, max(row, 128) values each, and writes
-their leaf sums (``np.sum(values.reshape(-1, _LEAF), axis=1)``);
-``_pairwise_total`` adds a run's leaf sums level by level, which gives
-``np.sum`` of its n values bit for bit with no array of n values.  No span
-cuts a leaf, so no sum depends on where the spans start or how many CPUs
-run them.  A count m that is no power of two is split by numpy at m2 = m/2
-rounded down to a multiple of 8, and each part is summed the same way down
-to the leaves; ``_split_sum`` follows that split, so it gives ``np.sum`` of
-any number of values from pieces of one budget.
+numpy sums a contiguous float array of m values pairwise: up to ``_LEAF`` =
+128 values in one fixed loop, more in two parts split at m/2 rounded down to
+a multiple of 8, each summed the same way, whose sums are added.
+``_split_sum`` is the one place that follows this order: it sums each part
+of one span with one ``np.sum`` and adds the parts back along the split, so
+every span-wise total is bitwise ``np.sum`` of all its values, whatever the
+spans and the CPUs that run them.
 """
 
 from __future__ import annotations
@@ -160,92 +151,73 @@ def _each_span(fn, count: int, size: int) -> None:
         helper.result()
 
 
-def _pairwise_total(leaves: np.ndarray) -> float:
-    """np.sum of the 2^k values whose consecutive _LEAF-value sums are `leaves`.
-
-    `leaves` holds a power-of-two count of leaf sums (one, for fewer than
-    _LEAF values), combined level by level as numpy's pairwise sum does.
-    """
-    while leaves.size > 1:
-        leaves = leaves[0::2] + leaves[1::2]
-    return leaves[0]
-
-
 def _leaf_reduce(values, count: int, n: int, size: int, row=1, outputs=1, maximum=False):
     """np.sum (or np.max) of each of `count` runs of n values, as an (outputs, count) array.
 
     values(i0, i1) prepares runs [i0, i1) and returns read(a, b), which gives
-    `outputs` arrays of their values [a, b), in the span plan of the module
-    docstring (n and row <= n are powers of two): a span of whole runs
-    prepares them, a run in pieces is prepared once in the calling thread.
-    `size` counts the samples a span holds per value, so a span takes whole
-    runs only when n * size <= _SPAN.
+    `outputs` arrays of their values [a, b) (n and row <= n are powers of
+    two).  `size` counts the samples a span holds per value: when a run fits
+    in a span (n * size <= _SPAN), a span prepares and reduces whole runs;
+    otherwise each run is prepared once in the calling thread and read in
+    the parts of one ``_split_sum``.
     """
-    reduce = np.max if maximum else np.sum
     out = np.empty((outputs, count))
-    if n * size <= _SPAN:
-        def run(lo: int, hi: int) -> None:
-            for j, v in enumerate(values(lo, hi)(0, n)):
-                out[j, lo:hi] = reduce(v.reshape(hi - lo, n), axis=1)
-
-        _each_span(run, count, n * size)
+    if n * size > _SPAN:
+        for i in range(count):
+            out[:, i] = _split_sum(values(i, i + 1), n, size, row, maximum)
         return out
-    leaf = min(n, _LEAF)
-    piece = max(row, leaf)
-    leaves = np.empty((outputs, n // leaf))  # one run's leaf sums at a time
-    for i in range(count):
-        read = values(i, i + 1)
+    reduce = np.max if maximum else np.sum
 
-        def run(lo: int, hi: int) -> None:
-            a, b = lo * piece, hi * piece
-            for j, v in enumerate(read(a, b)):
-                reduce(v.reshape(-1, leaf), axis=1, out=leaves[j, a // leaf : b // leaf])
+    def run(lo: int, hi: int) -> None:
+        for j, v in enumerate(values(lo, hi)(0, n)):
+            out[j, lo:hi] = reduce(v.reshape(hi - lo, n), axis=1)
 
-        _each_span(run, n // piece, piece * size)
-        out[:, i] = [np.max(sums) if maximum else _pairwise_total(sums) for sums in leaves]
+    _each_span(run, count, n * size)
     return out
 
 
-def _split_sum(values, count: int, size: int) -> float:
-    """np.sum of `count` floats, bit for bit, where values(lo, hi) returns floats [lo, hi).
+def _split_sum(values, count: int, size: int, row=1, maximum=False) -> np.ndarray:
+    """np.sum (or np.max) of each array of `count` floats, bit for bit, read in parts.
 
-    numpy's split (see the module docstring) is followed down to parts of at
-    most max(_LEAF, _SPAN // size) values; each part is one np.sum of
-    values(lo, hi), in order in the calling thread, so no more than one
-    part's values are held.  `size` counts the samples values(lo, hi) holds
-    per value while it runs.
+    values(lo, hi) returns (or yields) arrays of the values [lo, hi), one per
+    output; the result holds one total per output.  numpy's split (see the
+    module docstring) is followed down to parts of at most
+    max(row, _LEAF, _SPAN // size) values, so parts of a power-of-two count
+    hold whole rows of a power-of-two `row`.  Each part is one span of
+    ``_each_span``, reduced with one np.sum (or np.max) of each array and
+    stored by part index, and the part totals are added back along the
+    split, so neither the spans nor the CPUs move a bit.  `size` counts the
+    samples values(lo, hi) holds per value while it runs.
     """
-    most = max(_LEAF, _SPAN // size)
+    most = max(row, _LEAF, _SPAN // size)
+    reduce = np.max if maximum else np.sum
+    parts = []
 
-    def total(lo: int, hi: int) -> float:
+    def split(lo: int, hi: int):
+        # A part's index, or the splits of the two halves.
         if hi - lo <= most:
-            return np.sum(values(lo, hi))
+            parts.append((lo, hi))
+            return len(parts) - 1
         half = (hi - lo) // 2
         half -= half % 8
-        return total(lo, lo + half) + total(lo + half, hi)
+        return split(lo, lo + half), split(lo + half, hi)
 
-    return float(total(0, count))
+    plan = split(0, count)
+    totals = [None] * len(parts)
 
+    def run(i0: int, i1: int) -> None:
+        for i in range(i0, i1):
+            totals[i] = np.array([reduce(v) for v in values(*parts[i])])
 
-def _leaf_total(n: int, pieces) -> float:
-    """np.sum over an n-point grid holding each (start, values) piece from its start, 0 elsewhere.
+    _each_span(run, len(parts), most * size)  # one part a span
 
-    Only the leaves of numpy's pairwise sum that meet a piece are summed,
-    each over its piece and zeros, so no n floats are held.  No two pieces
-    may share a leaf.
-    """
-    leaf = min(n, _LEAF)
-    leaves = np.zeros(n // leaf)
-    taken = np.zeros(n // leaf, dtype=bool)
-    for start, values in pieces:
-        a, b = start // leaf, -(-(start + values.size) // leaf)
-        if taken[a:b].any():
-            raise ValueError("two pieces share a leaf")
-        taken[a:b] = True
-        padded = np.zeros((b - a) * leaf)
-        padded[start - a * leaf : start - a * leaf + values.size] = values
-        leaves[a:b] = np.sum(padded.reshape(b - a, leaf), axis=1)
-    return _pairwise_total(leaves)
+    def total(node) -> np.ndarray:
+        if not isinstance(node, tuple):
+            return totals[node]
+        left, right = total(node[0]), total(node[1])
+        return np.maximum(left, right) if maximum else left + right
+
+    return total(plan)
 
 
 @dataclass(frozen=True)
@@ -475,7 +447,7 @@ def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
     """Weighted Lebesgue norm (integral of (<x>^s |f|)^p)^(1/p).
 
     Riemann-sum quadrature for finite p, grid maximum for p = inf.  With
-    s = 0 the weight is 1 and is not built.  The spans of ``_leaf_reduce``
+    s = 0 the weight is 1 and is not built.  The parts of ``_split_sum``
     each take |f|, the weight and the power of their own samples, so no
     array of the grid's length is built; the value is bitwise that of one
     full-length pass.
@@ -493,7 +465,7 @@ def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
             weighted **= p
         return (weighted,)
 
-    total = _leaf_reduce(lambda i0, i1: values, 1, grid.n, 1, maximum=math.isinf(p))[0, 0]
+    (total,) = _split_sum(values, grid.n, 1, maximum=math.isinf(p))
     return float(total if math.isinf(p) else (grid.dx * total) ** (1.0 / p))
 
 

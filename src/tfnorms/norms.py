@@ -22,8 +22,9 @@ for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
 n log n.  The fold runs in the spans of ``grid._leaf_reduce``, each block
-one run of n values in rows of M (see :mod:`tfnorms.grid` for the span plan
-and numpy's summation order).  A span's size counts every buffer it holds:
+one run of n values in rows of M, and a block too large for a span in the
+parts of ``grid._split_sum`` (see :mod:`tfnorms.grid` for numpy's
+summation order).  A span's size counts every buffer it holds:
 the complex transform buffer and the float magnitudes, 1.5 complex a
 sample, counted as 2; or with a factor h (below) the transform buffer and
 the three complex buffers h holds while it is computed, 4 a sample, whose
@@ -131,20 +132,15 @@ def modulation_norm(
     return _norm_report(lp, NormSpec.modulation(p, q, s), part)
 
 
-def _spectrum_peak(spectrum: np.ndarray) -> float:
-    """max |spectrum|, taken span by span, so that no n floats are held."""
-    peaks = []
-    _each_span(lambda lo, hi: peaks.append(np.max(np.abs(spectrum[lo:hi]))), spectrum.size, 1)
-    return float(max(peaks))
-
-
 def _block_norm(spectrum: np.ndarray, p: float, part: FrequencyPartition) -> np.ndarray:
     """The L^p norms of the blocks of a centered spectrum, in block order, 0 for dead blocks."""
     # Blocks whose masked spectrum sits at the FFT rounding floor carry no
     # signal content; skipping them changes the value below reporting
     # precision and keeps the inverse transforms proportional to the
     # occupied band.
-    floor = _NOISE_FLOOR * _spectrum_peak(spectrum)
+    peak = _grid._split_sum(lambda lo, hi: (np.abs(spectrum[lo:hi]),), spectrum.size, 1,
+                            maximum=True)[0]
+    floor = _NOISE_FLOOR * float(peak)
     rows, core = part.block_rows(spectrum), part.core
     count = len(rows)
     block_norms = np.zeros(count)

@@ -18,6 +18,7 @@ from tfnorms.grid import (
     Grid,
     NormSpec,
     SampledSignal,
+    convolve,
     fourier_forward,
     fourier_inverse,
     weighted_lp_norm,
@@ -46,6 +47,7 @@ from tfnorms.measures import (
 )
 from tfnorms.norms import partition_for
 from tfnorms.partition import bump_profile, frequency_block
+from tfnorms.stft import gaussian_window, stft
 from tfnorms.windows import plateau_window
 
 from test_norms import spectrum_norm
@@ -61,10 +63,12 @@ class TestSeriesSums:
 
     @pytest.mark.parametrize("kind", ["mod", "beurling", "l2"])
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_direct_part_holds_its_terms_and_span_scratch(self, monkeypatch, kind, cpus):
-        # The 10^6 direct terms, and in each span k, its logarithm and two
-        # temporaries.  Spans sized for one array per term traced 4 MiB over
-        # the terms at one CPU and 8 MiB at two.
+    def test_direct_part_holds_one_budget_per_cpu(self, monkeypatch, kind, cpus):
+        # The 10^6 direct terms are summed in the parts of grid._split_sum,
+        # one span each, holding k, its logarithm and two temporaries: one
+        # budget of 16 _SPAN bytes (2 MiB) per CPU, and half a MiB of slack
+        # for the part totals and the pool.  Measured 1.2 MiB at one CPU and
+        # 2.2 MiB at two; an array of all the terms alone is 7.6 MiB.
         grid_module = importlib.import_module("tfnorms.grid")
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
         tracemalloc.start()
@@ -73,8 +77,7 @@ class TestSeriesSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        terms_nbytes = (10**6 + 1 - 3) * 8
-        assert peak < terms_nbytes + 3 * 2**20
+        assert peak <= cpus * 16 * grid_module._SPAN + 2**19
 
     def test_segment_order(self):
         # ascending-k partial sums are reproducible bit for bit
@@ -568,6 +571,29 @@ class TestLightReports:
     def test_stft_report(self):
         report = stft_experiment(n=1024, L=25.0)
         assert report.all_passed
+
+    def test_stft_rows_hold_their_own_columns_error(self):
+        # Each row's conv_form_error is that of its own column of the dense
+        # STFT against the convolution form, and the assertion is the
+        # largest of them.  The last column's error is below the first two,
+        # so a running maximum in the rows would show.
+        n, L = 1024, 25.0
+        report = stft_experiment(n=n, L=L)
+        grid = Grid(n, L)
+        g = gaussian_window(grid)
+        x = grid.points()
+        dense = stft(g, g).values
+        wconj = np.roll(np.conj(g.samples[::-1]), 1)
+        errors = []
+        for k in (n // 2 - n // 8, n // 2, n // 2 + n // 16):
+            xi = grid.frequencies()[k]
+            modulated = SampledSignal(grid, np.exp(1j * xi * x) * wconj)
+            row = np.exp(-1j * x * xi) * convolve(g, modulated).samples
+            errors.append(float(np.max(np.abs(row - dense[:, k]))))
+        assert [row["conv_form_error"] for row in report.rows] == errors
+        assert errors[2] < max(errors[:2])
+        (conv,) = [a for a in report.assertions if a.name == "convolution_form_sup_error"]
+        assert conv.measured == max(errors)
 
     def test_rudin_report(self):
         report = rudin_shapiro_experiment(m_max=8)

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from tfnorms.compose import resample_progression
 from tfnorms.errors import GridMismatchError
+from tfnorms.experiments import _translates
 import tfnorms.grid as grid_module
 from tfnorms.grid import (
     _centered_transform,
     _leaf_reduce,
-    _leaf_total,
     _split_sum,
-    _pairwise_total,
     Grid,
     NormSpec,
     SampledSignal,
@@ -266,31 +265,39 @@ def grid_signals(draw):
 
 
 class TestPairwiseTotal:
-    """numpy's sum of 2^k floats is its leaf sums added level by level.
+    """numpy's sum of m floats is the sums of its parts added along its split.
 
     The span-wise norms rest on this; if a numpy release changes the order
     of its pairwise sum, these tests fail and the norms' bits may move.
     """
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
-    def test_leaf_sums_give_numpys_sum(self, p):
+    def test_leaf_sums_give_numpys_sum(self, monkeypatch, p):
+        # _split_sum's parts are whole leaves of numpy's pairwise sum, and
+        # whole rows: a size of _SPAN / (n / 256) samples a value gives parts
+        # of max(row, 128, n / 256) values, one span each.
         rng = np.random.default_rng(int(10 * p))
-        for log_n in range(3, 23):
-            n = 1 << log_n
-            values = rng.random(n) ** p
-            leaf = min(n, grid_module._LEAF)
-            # Leaf sums taken in spans that end between any two leaves.
-            count = n // leaf
-            cuts = sorted({0, count, *rng.integers(0, count, 6).tolist()})
-            leaves = np.empty(count)
-            for lo, hi in zip(cuts, cuts[1:]):
-                leaves[lo:hi] = np.sum(values[lo * leaf : hi * leaf].reshape(-1, leaf), axis=1)
-            total = np.sum(values)
-            assert _pairwise_total(leaves) == total, f"numpy's pairwise sum changed at n = {n}"
-            # One block's (1, P, M) values summed over their last two axes.
-            for m_len in {min(n, 32), min(n, 1024)}:
-                block = values.reshape(1, n // m_len, m_len)
-                assert np.sum(block, axis=(1, 2))[0] == total, f"n = {n}, M = {m_len}"
+        for cpus in (1, 3):
+            monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+            for log_n in range(3, 23):
+                n = 1 << log_n
+                values = rng.random(n) ** p
+                total, peak = np.sum(values), np.max(values)
+                size = max(1, grid_module._SPAN * 256 // n)
+                for row in (r for r in (1, 32, 1024) if r <= n):
+                    parts = []
+
+                    def read(lo, hi):
+                        parts.append((lo, hi))
+                        return (values[lo:hi],)
+
+                    sums = _split_sum(read, n, size, row)
+                    assert sums.tolist() == [total], f"numpy's pairwise sum changed at n = {n}"
+                    assert _split_sum(read, n, size, row, maximum=True).tolist() == [peak]
+                    assert all(lo % row == hi % row == 0 for lo, hi in parts), f"n = {n}"
+                    # A part of a fold's values is a (1, rows, M) block.
+                    block = values.reshape(1, n // row, row)
+                    assert np.sum(block) == total, f"n = {n}, M = {row}"
 
     @pytest.mark.parametrize("count, outputs", [(1, 1), (3, 2)])
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -350,17 +357,28 @@ class TestPairwiseTotal:
 
         def read(lo, hi):
             parts.append((lo, hi))
-            return values[lo:hi]
+            return (values[lo:hi],)
 
-        assert _split_sum(read, n, size) == np.sum(values)
+        assert _split_sum(read, n, size).tolist() == [np.sum(values)]
+        parts.sort()  # pool threads may read the parts in any order
         assert [lo for lo, _ in parts] == [0, *(hi for _, hi in parts[:-1])]
         assert parts[-1][1] == n and all(hi - lo <= most for lo, hi in parts)
 
-    def test_leaf_total_refuses_a_shared_leaf(self):
-        values = np.ones(10)
-        assert _leaf_total(1 << 12, [(0, values), (grid_module._LEAF, values)]) == 20.0
-        with pytest.raises(ValueError, match="share a leaf"):
-            _leaf_total(1 << 12, [(0, values), (grid_module._LEAF - 5, values)])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pieces_sharing_a_leaf_give_numpys_sum(self, monkeypatch, cpus):
+        # Translates placed on a grid of 2^12 points, two of them in one
+        # 128-value leaf, one across a part boundary, in parts of 256
+        # values: the parts that no translate meets are empty.
+        monkeypatch.setattr(grid_module, "_SPAN", 256)
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        base = np.random.default_rng(5).random(10) ** 1.5
+        starts, weights = np.array([0, grid_module._LEAF - 15, 250, 3000]), [1.0, -0.5, 2.0, 0.25]
+        dense = np.zeros(1 << 12)
+        for start, w in zip(starts, weights):
+            dense[start : start + base.size] = np.abs(w * base)
+        values = _translates(starts, weights, base)
+        assert _split_sum(values, dense.size, 1).tolist() == [np.sum(dense)]
+        assert values(1024, 1280)[0].size == 0
 
 
 class TestAgainstShiftFormulas:

@@ -51,20 +51,30 @@ def fold_rows(part):
     return m_len, part.grid.n // m_len
 
 
+def split_parts(n, most):
+    """Parts of grid._split_sum over n = 2^k values, each one span: halves of at most `most`."""
+    part = n
+    while part > most:
+        part //= 2
+    return n // part
+
+
 @contextlib.contextmanager
 def spans(cpus, budget=None):
     """Run with `cpus` CPUs and, when given, a span budget of `budget` samples.
 
     Yields a log of (module, count, items per span, ran_off_main_thread) per
-    runner call.  The runner calls of grid._leaf_reduce are logged under the
-    module that called it; grid's own (the spans of weighted_lp_norm) and
-    direct calls of grid._each_span are not logged.  The calling thread
-    takes spans too, so in a call with several spans and several CPUs it
-    waits in its first span until a pool thread has taken one: the log then
-    says whether the call pooled, whatever the timing of the threads.
+    runner call.  The runner calls of grid._leaf_reduce and grid._split_sum
+    are logged under the module that called them; grid's own (the parts of
+    weighted_lp_norm) and direct calls of grid._each_span are not logged.
+    The calling thread takes spans too, so in a call with several spans and
+    several CPUs it waits in its first span until a pool thread has taken
+    one: the log then says whether the call pooled, whatever the timing of
+    the threads.
     """
     log = []
     real = grid_module._each_span
+    reducers = (grid_module._leaf_reduce.__code__, grid_module._split_sum.__code__)
 
     def recording(module):
         def runner(fn, count, size):
@@ -86,17 +96,18 @@ def spans(cpus, budget=None):
 
         return runner
 
-    def leaf_runner(fn, count, size):
-        caller = sys._getframe(1)
-        if caller.f_code is grid_module._leaf_reduce.__code__:
-            module = caller.f_back.f_globals["__name__"].rpartition(".")[2]
-            if module != "grid":
-                return recording(module)(fn, count, size)
+    def grid_runner(fn, count, size):
+        caller = frame = sys._getframe(1)
+        while frame.f_code in reducers:
+            frame = frame.f_back
+        module = frame.f_globals["__name__"].rpartition(".")[2]
+        if frame is not caller and module != "grid":
+            return recording(module)(fn, count, size)
         return real(fn, count, size)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid_module, "_cpu_count", lambda: cpus)
-        mp.setattr(grid_module, "_each_span", leaf_runner)
+        mp.setattr(grid_module, "_each_span", grid_runner)
         mp.setattr(measures, "_each_span", recording("measures"))
         mp.setattr(norms, "_each_span", recording("norms"))
         mp.setattr(stft_module, "_each_span", recording("stft"))
@@ -220,26 +231,27 @@ class TestBitIdentical:
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
     def test_modulation_norm(self, p):
         f = band_limited(GRID, seed=91)
-        m_len, p_len = fold_rows(PART)
+        m_len = fold_rows(PART)[0]
         width, blocks = 2 * PART.steps_per_unit, len(PART.block_indices())
-        # A large block is folded in spans of whole 128-sample leaves:
-        # groups of 128 / M rows.
-        group = grid_module._LEAF // m_len
-        assert group > 1
+        # A block too large for a span is folded in the parts of one
+        # _split_sum: halves of at most max(M, 128, budget / 2) values, whole
+        # rows and whole 128-value leaves.
+        assert m_len < grid_module._LEAF
         default = modulation_norm(f, p, 1.0, 0.5, PART)
         # Three whole blocks per span (2 n samples each: the transform
-        # buffer and the magnitudes), then each block in spans of 5 M samples
-        # (one group of rows) or of seven groups; P / group = 32 is no
-        # multiple of 7.
-        for budget in (6 * GRID.n, 5 * m_len, 14 * group * m_len):
+        # buffer and the magnitudes), then each block in parts of 128 values
+        # (a budget of 5 M samples) or of 512 (a budget of 56 M).
+        for budget in (6 * GRID.n, 5 * m_len, 56 * m_len):
             with spans(3, budget) as log:
                 pooled = modulation_norm(f, p, 1.0, 0.5, PART)
             with spans(1, budget):
                 inline = modulation_norm(f, p, 1.0, 0.5, PART)
-            # First the noise floor's maximum over the spectrum, then the
-            # liveness scan over all blocks, W samples each.
+            # First the noise floor's maximum over the spectrum, in parts of
+            # at most the budget, then the liveness scan over all blocks, W
+            # samples each.
             floor, scan = log.pop(0), log.pop(0)
-            assert floor == ("norms", GRID.n, budget, GRID.n > budget)
+            parts = split_parts(GRID.n, max(grid_module._LEAF, budget))
+            assert floor == ("norms", parts, 1, parts > 1)
             assert scan == ("norms", blocks, budget // width, blocks > budget // width)
             if budget >= 2 * GRID.n:
                 # One runner call over the distinct live blocks.
@@ -247,32 +259,32 @@ class TestBitIdentical:
                 assert (module, span, off_main) == ("norms", 3, True)
                 assert count % span != 0  # ragged last span
             else:
-                # One runner call per distinct live block, over its groups of rows.
-                items = max(1, budget // (2 * group * m_len))
+                # One runner call per distinct live block, over its parts.
+                most = max(m_len, grid_module._LEAF, budget // 2)
                 assert len(log) > 1
-                assert set(log) == {("norms", p_len // group, items, True)}
+                assert set(log) == {("norms", split_parts(GRID.n, most), 1, True)}
             assert pooled.value == inline.value == default.value
             assert pooled.block_contributions == inline.block_contributions
             assert pooled.block_contributions == default.block_contributions
-        assert (p_len // group) % 7 != 0  # ragged last span
 
     def test_flat_measurement(self):
         grid = _flat_layout(1.0, 3, 3)[0]
         part = partition_for(grid)
         # A budget of three rows of a block's fold, M samples: the
         # Rudin-Shapiro chains in spans of 3 M samples; F^-1 phi, and g and f
-        # together, folds of phi's W coefficients, in spans of 3 M / M_phi
-        # rows.
+        # together, folds of phi's W coefficients, in parts of whole rows of
+        # M_phi values.
         budget = 3 * fold_rows(part)[0]
         phi_width = int(np.count_nonzero(bump_profile(grid.frequencies(), 0.025, 0.1)))
-        phi_m_len, phi_p_len = norms._fold_lengths(phi_width, grid.n)
+        phi_m_len = norms._fold_lengths(phi_width, grid.n)[0]
         assert phi_m_len >= grid_module._LEAF  # rows hold whole leaves
         with spans(3, budget) as log:
             pooled = flat_measurement(1.0, 3, 3)
         with spans(1, budget):
             inline = flat_measurement(1.0, 3, 3)
         default = flat_measurement(1.0, 3, 3)
-        assert {module for module, _, _, off_main in log if off_main} == {"measures", "norms"}
+        modules = {module for module, _, _, off_main in log if off_main}
+        assert modules == {"measures", "norms", "experiments"}
         # rudin_shapiro_sup at depth 3: one runner call per chain length
         # t + 1, over the odd o in [n / 2^(t+2), n / 2^(t+1)), each holding
         # t + 3 table rows and three recursion values, pooled where they
@@ -289,16 +301,17 @@ class TestBitIdentical:
         # The folds of F^-1 phi and of g, which gives f too.  The block norm
         # folds nothing, and no pass runs over the blocks or over the n
         # samples of the spectrum.  The plain fold holds the transform
-        # buffer and its magnitudes, counted as two (rows, M) complex
-        # buffers, and the fold with mu-check the transform buffer and
-        # mu-check's three, so their spans take a half and a quarter of the
-        # rows.
-        phi_fold = ("norms", phi_p_len, budget // (2 * phi_m_len), True)
-        product_fold = ("norms", phi_p_len, budget // (4 * phi_m_len), True)
-        assert budget // (4 * phi_m_len) > 1
+        # buffer and its magnitudes, counted as two complex buffers, and the
+        # fold with mu-check the transform buffer and mu-check's three, so
+        # each runs in the parts of one _split_sum of at most a half and a
+        # quarter of the budget's values.
+        phi_fold = ("norms", split_parts(grid.n, budget // 2), 1, True)
+        product_fold = ("norms", split_parts(grid.n, budget // 4), 1, True)
+        assert budget // 4 > phi_m_len
         assert [entry for entry in log if entry[0] == "norms"] == [phi_fold, product_fold]
-        for _, count, span, _ in (phi_fold, product_fold):
-            assert count % span != 0  # ragged last span
+        # The L^1 norms of phi and of f-hat, in parts of the budget's values.
+        l1 = ("experiments", split_parts(grid.n, budget), 1, True)
+        assert [entry for entry in log if entry[0] == "experiments"] == [l1, l1]
         assert pooled == inline == default
 
 
