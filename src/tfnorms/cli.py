@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -193,20 +192,8 @@ def run_experiment(name: str, params: dict):
 def _run_to_dir(item):
     name, params, out_dir = item
     report, merged = run_experiment(name, params)
-    write_report(out_dir, report, {"experiment": name, **_jsonable(merged)})
+    write_report(out_dir, report, {"experiment": name, **merged})
     return report
-
-
-def _jsonable(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        elif isinstance(value, float) and math.isinf(value):
-            out[key] = "inf"
-        else:
-            out[key] = value
-    return out
 
 
 def _print_assertions(report) -> None:

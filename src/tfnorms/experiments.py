@@ -395,9 +395,7 @@ def plateau_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> 
         outside = np.abs(x - center) >= w.support_radius + grid.dx
         tail = float(np.max(np.abs(psi[outside])))
         negativity = max(0.0, -float(np.min(psi.real)))
-        refactor = float(
-            np.max(np.abs(convolve(w.piece1, w.piece2).samples - psi))
-        )
+        refactor = w.factorization_error()
         report.rows.append(
             {
                 "center": center,
@@ -883,7 +881,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     # The L^1 norm of phi summed as over the whole dual grid, so that its
     # bits are those of weighted_lp_norm, from floats: |phi + 0i| is |1 phi|.
     phi_on_grid = _translates(np.array([lo]), [1.0], phi)
-    phi_l1 = float(grid.dual().dx * _split_sum(phi_on_grid, grid.n, 1)[0])
+    phi_l1 = float(grid.dual().dx * _split_sum(phi_on_grid, grid.n, 1)[0, 0])
     # phi masks both rows: a row of ones gives phi, the row nu-hat base.
     invphi_lp = float(_folded_lp(np.ones((1, phi.size)), np.array([0]), phi, p, grid.n, grid.dx)[0])
     steps = part.steps_per_unit
@@ -909,7 +907,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     block_norms[locations + part.max_block_index] = abs(mu.weights[0]) * g_lp
     mod = _norm_report(block_norms, NormSpec.modulation(p, 1.0, 0.0), part).value
     magnitudes = _translates(starts, mu.weights, base)
-    fhat_l1 = float(grid.dual().dx * _split_sum(magnitudes, grid.n, 1)[0])
+    fhat_l1 = float(grid.dual().dx * _split_sum(magnitudes, grid.n, 1)[0, 0])
     return {
         "p": p,
         "m": m,
@@ -1020,9 +1018,10 @@ def _series_partial(kind: str, k0: int, K: int, direct_limit: int = 10**6) -> fl
 
     The terms up to direct_limit are summed as one np.sum of them would be,
     bit for bit, in the parts of ``grid._split_sum``, one span budget each,
-    so no array of all the terms is built.
+    so no array of all the terms is built.  With k0 > direct_limit, the
+    closed forms give the whole sum.
     """
-    cut = min(K, direct_limit)
+    cut = max(k0 - 1, min(K, direct_limit))
 
     def terms(lo: int, hi: int) -> tuple:
         k = np.arange(k0 + lo, k0 + hi, dtype=float)
@@ -1034,7 +1033,7 @@ def _series_partial(kind: str, k0: int, K: int, direct_limit: int = 10**6) -> fl
         return (2.0 / (np.square(k) * np.square(logs)),)
 
     # Each term holds k, its log and two temporaries.
-    total = float(_split_sum(terms, cut + 1 - k0, 4)[0])
+    total = float(_split_sum(terms, cut + 1 - k0, 4)[0, 0])
     if K > cut:
         total += _series_segment(kind, cut, K)
     return total

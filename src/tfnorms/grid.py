@@ -31,8 +31,9 @@ numpy sums a contiguous float array of m values pairwise: up to ``_LEAF`` =
 a multiple of 8, each summed the same way, whose sums are added.
 ``_split_sum`` is the one place that follows this order: it sums each part
 of one span with one ``np.sum`` and adds the parts back along the split, so
-every span-wise total is bitwise ``np.sum`` of all its values, whatever the
-spans and the CPUs that run them.
+every span-wise total, of one array or of each of a sequence of runs, is
+bitwise ``np.sum`` of all its values, whatever the spans and the CPUs that
+run them.
 """
 
 from __future__ import annotations
@@ -151,43 +152,21 @@ def _each_span(fn, count: int, size: int) -> None:
         helper.result()
 
 
-def _leaf_reduce(values, count: int, n: int, size: int, row=1, outputs=1, maximum=False):
-    """np.sum (or np.max) of each of `count` runs of n values, as an (outputs, count) array.
+def _split_sum(values, count: int, size: int, row=1, maximum=False, runs=1) -> np.ndarray:
+    """np.sum (or np.max) of each of `runs` runs of `count` floats, bit for bit, read in parts.
 
-    values(i0, i1) prepares runs [i0, i1) and returns read(a, b), which gives
-    `outputs` arrays of their values [a, b) (n and row <= n are powers of
-    two).  `size` counts the samples a span holds per value: when a run fits
-    in a span (n * size <= _SPAN), a span prepares and reduces whole runs;
-    otherwise each run is prepared once in the calling thread and read in
-    the parts of one ``_split_sum``.
-    """
-    out = np.empty((outputs, count))
-    if n * size > _SPAN:
-        for i in range(count):
-            out[:, i] = _split_sum(values(i, i + 1), n, size, row, maximum)
-        return out
-    reduce = np.max if maximum else np.sum
-
-    def run(lo: int, hi: int) -> None:
-        for j, v in enumerate(values(lo, hi)(0, n)):
-            out[j, lo:hi] = reduce(v.reshape(hi - lo, n), axis=1)
-
-    _each_span(run, count, n * size)
-    return out
-
-
-def _split_sum(values, count: int, size: int, row=1, maximum=False) -> np.ndarray:
-    """np.sum (or np.max) of each array of `count` floats, bit for bit, read in parts.
-
-    values(lo, hi) returns (or yields) arrays of the values [lo, hi), one per
-    output; the result holds one total per output.  numpy's split (see the
-    module docstring) is followed down to parts of at most
-    max(row, _LEAF, _SPAN // size) values, so parts of a power-of-two count
-    hold whole rows of a power-of-two `row`.  Each part is one span of
-    ``_each_span``, reduced with one np.sum (or np.max) of each array and
-    stored by part index, and the part totals are added back along the
-    split, so neither the spans nor the CPUs move a bit.  `size` counts the
-    samples values(lo, hi) holds per value while it runs.
+    The runs lie end to end: values(lo, hi) returns (or yields) arrays of
+    the values [lo, hi) of that sequence, one per output, and the result is
+    an (outputs, runs) array.  numpy's split (see the module docstring) is
+    followed down to parts of at most max(row, _LEAF, _SPAN // size) values,
+    so parts of a power-of-two count hold whole rows of a power-of-two
+    `row`.  A run of one part is read whole, as many runs to a span of
+    ``_each_span`` as the budget holds; otherwise each part of each run is
+    one span.  Every array is reduced with one np.sum (or np.max) per run,
+    the totals are stored by the span's first item, and the part totals are
+    added back along the split, so neither the spans nor the CPUs move a
+    bit.  `size` counts the samples values(lo, hi) holds per value while it
+    runs.
     """
     most = max(row, _LEAF, _SPAN // size)
     reduce = np.max if maximum else np.sum
@@ -203,17 +182,25 @@ def _split_sum(values, count: int, size: int, row=1, maximum=False) -> np.ndarra
         return split(lo, lo + half), split(lo + half, hi)
 
     plan = split(0, count)
-    totals = [None] * len(parts)
+    totals = {}
 
     def run(i0: int, i1: int) -> None:
-        for i in range(i0, i1):
-            totals[i] = np.array([reduce(v) for v in values(*parts[i])])
+        # Items [i0, i1): whole runs, or one part of one run.
+        r, j = divmod(i0, len(parts))
+        lo, hi = parts[j]
+        start = r * count + lo
+        arrays = values(start, start + (i1 - i0) * (hi - lo))
+        totals[i0] = np.array([reduce(v.reshape(i1 - i0, -1), axis=1) for v in arrays])
 
-    _each_span(run, len(parts), most * size)  # one part a span
+    # An item is a run when it is one part, and a part of at most `most`
+    # values otherwise, which fills a span.
+    _each_span(run, runs * len(parts), max(1, min(count, most)) * size)
+    sums = np.concatenate([totals[i] for i in sorted(totals)], axis=1)
+    sums = sums.reshape(len(sums), runs, len(parts))
 
     def total(node) -> np.ndarray:
         if not isinstance(node, tuple):
-            return totals[node]
+            return sums[..., node]
         left, right = total(node[0]), total(node[1])
         return np.maximum(left, right) if maximum else left + right
 
@@ -465,7 +452,7 @@ def weighted_lp_norm(f: SampledSignal, p: float, s: float = 0.0) -> float:
             weighted **= p
         return (weighted,)
 
-    (total,) = _split_sum(values, grid.n, 1, maximum=math.isinf(p))
+    total = _split_sum(values, grid.n, 1, maximum=math.isinf(p))[0, 0]
     return float(total if math.isinf(p) else (grid.dx * total) ** (1.0 / p))
 
 

@@ -21,10 +21,10 @@ power of two >= W and P = n / M, grid index j = b + P a gives
 for the block's W masked coefficients c_m, so one (P, M) batch of length-M
 transforms gives the block at all n grid points exactly, the same values as
 a zero-padded length-n inverse up to rounding, for n log M work instead of
-n log n.  The fold runs in the spans of ``grid._leaf_reduce``, each block
-one run of n values in rows of M, and a block too large for a span in the
-parts of ``grid._split_sum`` (see :mod:`tfnorms.grid` for numpy's
-summation order).  A span's size counts every buffer it holds:
+n log n.  The fold runs in the spans of ``grid._split_sum``, each block
+one run of n values in rows of M: whole blocks a span, or the parts of a
+block too large for a span (see :mod:`tfnorms.grid` for numpy's summation
+order).  A span's size counts every buffer it holds:
 the complex transform buffer and the float magnitudes, 1.5 complex a
 sample, counted as 2; or with a factor h (below) the transform buffer and
 the three complex buffers h holds while it is computed, 4 a sample, whose
@@ -139,7 +139,7 @@ def _block_norm(spectrum: np.ndarray, p: float, part: FrequencyPartition) -> np.
     # precision and keeps the inverse transforms proportional to the
     # occupied band.
     peak = _grid._split_sum(lambda lo, hi: (np.abs(spectrum[lo:hi]),), spectrum.size, 1,
-                            maximum=True)[0]
+                            maximum=True)[0, 0]
     floor = _NOISE_FLOOR * float(peak)
     rows, core = part.block_rows(spectrum), part.core
     count = len(rows)
@@ -160,7 +160,7 @@ def _block_norm(spectrum: np.ndarray, p: float, part: FrequencyPartition) -> np.
     live = peaks > floor
     if p == 2.0:
         block_norms *= live
-    else:
+    elif live.any():
         which = np.flatnonzero(live)
         block_norms[which] = _folded_lp(rows, which, core, p, part.grid.n, part.grid.dx)
     return block_norms
@@ -194,7 +194,7 @@ def _folded_lp(
     """L^p norms of the n-point inverse transforms of the blocks rows[which] * core.
 
     Uses the fold of the module docstring, each block one run of
-    ``grid._leaf_reduce`` in rows of M values.  With `factor`, returns a
+    ``grid._split_sum`` in rows of M values.  With `factor`, returns a
     (2, which.size) array: those norms, bitwise, and the norms of the
     inverse transforms multiplied by factor(r0, r1), the (r1 - r0, M) values
     of a function at the grid indices b + P a, r0 <= b < r1; factor may
@@ -213,17 +213,21 @@ def _folded_lp(
     # whole blocks; otherwise each span builds its own rows in place.
     table = twiddle(0, p_len) if n <= _grid._SPAN else None
 
-    def blocks(i0: int, i1: int):
-        coeffs = rows[which[i0:i1]] * core
-        return lambda a, b: fold(coeffs, a // m_len, b // m_len)
-
-    def fold(coeffs: np.ndarray, r0: int, r1: int):
-        # Yields |IFFT_M(c * twiddle row r)|^p for rows r0 <= r < r1 of the
-        # blocks of coeffs, and, with a factor, |IFFT_M(...) * factor|^p.
-        z = np.empty((len(coeffs), r1 - r0, m_len), dtype=complex)
+    def blocks(lo: int, hi: int):
+        # Yields |IFFT_M(c * twiddle row r)|^p for the values [lo, hi) of the
+        # blocks laid end to end, whole blocks or rows r0 <= r < r1 of one,
+        # and, with a factor, |IFFT_M(...) * factor|^p.
+        i0, a = divmod(lo, n)
+        i1 = i0 + max(1, (hi - lo) // n)
+        r0 = a // m_len
+        r1 = r0 + min(n, hi - lo) // m_len
+        coeffs = rows[which[i0:i1]]  # a copy, masked in place
+        coeffs *= core
+        z = np.empty((i1 - i0, r1 - r0, m_len), dtype=complex)
         head = z[..., :width]
         phases = twiddle(r0, r1, out=head[0]) if table is None else table[r0:r1]
         np.multiply(coeffs[:, None, :], phases, out=head)
+        del coeffs  # gone before the transforms and the factor's buffers
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
         # mags comes after the factor, so that it may take the memory of the
@@ -239,8 +243,7 @@ def _folded_lp(
             yield mags
 
     # Complex buffers per fold sample: z and mags, 1.5, or z and the factor's three.
-    out = _grid._leaf_reduce(blocks, which.size, n, 4 if products else 2, m_len, 1 + products,
-                             math.isinf(p))
+    out = _grid._split_sum(blocks, n, 4 if products else 2, m_len, math.isinf(p), runs=which.size)
     if not math.isinf(p):
         out = (dx * out) ** (1.0 / p)
     return (out if products else out[0]) * (m_len / n / dx)

@@ -51,6 +51,23 @@ class PlateauWindow:
         """Common support radius R0 of the two pieces around the origin."""
         return max(4.0 * self.inner_radius, abs(self.center) + self.inner_radius)
 
+    def factorization_error(self) -> float:
+        """max |psi - psi1 * psi2| at 111 grid points spread over the window's support.
+
+        The convolution is the direct circular sum
+        dx sum_i psi1(x_i) psi2(x_(j - i + n/2 mod n)), not the FFT that
+        built the window.
+        """
+        grid = self.window.grid
+        n, i = grid.n, np.arange(grid.n)
+        inside = np.flatnonzero(np.abs(grid.points() - self.center) <= self.support_radius)
+        points = inside[np.linspace(0, inside.size - 1, 111).round().astype(int)]
+        piece1, piece2 = self.piece1.samples, self.piece2.samples
+        return float(max(
+            abs(self.window.samples[j] - grid.dx * np.sum(piece1 * piece2[(j + n // 2 - i) % n]))
+            for j in points
+        ))
+
 
 def plateau_window(center: float, inner_radius: float, grid: Grid) -> PlateauWindow:
     """Construct the window equal to 1 on [center - R, center + R].

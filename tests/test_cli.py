@@ -471,3 +471,14 @@ class TestRegistry:
         config.write_text(json.dumps(json.loads((first / "report.json").read_text())["config"]))
         assert main([args[0], "--config", str(config), "--out", str(second)]) == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+    def test_infinite_exponents_are_written_and_fed_back(self, tmp_path):
+        # The report writer spells inf as "inf", and --config reads it back.
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["norm", "--p", "inf", "--q", "inf", "--out", str(first)]) == 0
+        written = (first / "report.json").read_text()
+        assert '"p":"inf","q":"inf"' in written.split('"config":', 1)[1].split("}", 1)[0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(written)["config"]))
+        assert main(["norm", "--config", str(config), "--out", str(second)]) == 0
+        assert (second / "report.json").read_bytes() == written.encode()

@@ -79,6 +79,19 @@ class TestSeriesSums:
             tracemalloc.stop()
         assert peak <= cpus * 16 * grid_module._SPAN + 2**19
 
+    def test_closed_forms_start_at_k0_past_the_direct_limit(self):
+        # k0 > direct_limit: no term is summed directly, and the closed
+        # forms cover k0..K, not direct_limit + 1..K.
+        k = np.arange(500, 200001, dtype=float)
+        dense = {
+            "mod": math.sqrt(2.0) / (k * np.log(k)),
+            "beurling": 2.0 / (k * np.log(k) ** 2),
+            "l2": 2.0 / (k**2 * np.log(k) ** 2),
+        }
+        for kind, terms in dense.items():
+            got = _series_partial(kind, 500, 200000, direct_limit=100)
+            assert got == pytest.approx(float(np.sum(terms)), rel=1e-11, abs=0.0), kind
+
     def test_segment_order(self):
         # ascending-k partial sums are reproducible bit for bit
         a = _series_partial("mod", 3, 10**5)

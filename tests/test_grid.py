@@ -1,7 +1,6 @@
 """Fourier core: transform pair, convolution, quadrature, inner products."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from tfnorms.experiments import _translates
 import tfnorms.grid as grid_module
 from tfnorms.grid import (
     _centered_transform,
-    _leaf_reduce,
     _split_sum,
     Grid,
     NormSpec,
@@ -292,8 +290,8 @@ class TestPairwiseTotal:
                         return (values[lo:hi],)
 
                     sums = _split_sum(read, n, size, row)
-                    assert sums.tolist() == [total], f"numpy's pairwise sum changed at n = {n}"
-                    assert _split_sum(read, n, size, row, maximum=True).tolist() == [peak]
+                    assert sums.tolist() == [[total]], f"numpy's pairwise sum changed at n = {n}"
+                    assert _split_sum(read, n, size, row, maximum=True).tolist() == [[peak]]
                     assert all(lo % row == hi % row == 0 for lo, hi in parts), f"n = {n}"
                     # A part of a fold's values is a (1, rows, M) block.
                     block = values.reshape(1, n // row, row)
@@ -302,41 +300,38 @@ class TestPairwiseTotal:
     @pytest.mark.parametrize("count, outputs", [(1, 1), (3, 2)])
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_leaf_reduce_gives_numpys_reduction_of_each_run(self, monkeypatch, count, outputs, cpus):
-        # A budget of 2^12 samples, 2 a value: runs of n <= 2^11 values go
-        # whole into spans, and larger runs in pieces of max(row, 128) values.
+        # _split_sum over `count` runs laid end to end.  A budget of 2^12
+        # samples, 2 a value: runs of n <= max(row, 2^11) values go whole
+        # into spans, and larger runs in parts of whole rows, one run each.
         monkeypatch.setattr(grid_module, "_SPAN", 1 << 12)
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
         rng = np.random.default_rng(count + outputs)
         for log_n in range(3, 21):
             n = 1 << log_n
-            runs = rng.random((outputs, count, n))
+            runs = rng.random((outputs, count * n))
             runs **= 1.5
-            sums = [[np.sum(run) for run in output] for output in runs]
-            maxima = [[np.max(run) for run in output] for output in runs]
+            sums = [[np.sum(run) for run in output.reshape(count, n)] for output in runs]
+            maxima = [[np.max(run) for run in output.reshape(count, n)] for output in runs]
             for row in (r for r in (1, 32, 1024) if r <= n):
-                piece = max(row, min(n, grid_module._LEAF))
-                prepared, reads = [], []
+                most = max(row, grid_module._LEAF, grid_module._SPAN // 2)
+                reads = []
 
-                def values(i0, i1):
-                    prepared.append((i0, i1, threading.current_thread() is threading.main_thread()))
-
-                    def read(a, b):
-                        reads.append((i0, i1, a, b))
-                        return runs[:, i0:i1, a:b]
-
-                    return read
+                def values(lo, hi):
+                    reads.append((lo, hi))
+                    return runs[:, lo:hi]
 
                 for maximum, expected in ((False, sums), (True, maxima)):
-                    got = _leaf_reduce(values, count, n, 2, row, outputs, maximum)
+                    got = _split_sum(values, n, 2, row, maximum, runs=count)
                     assert got.tolist() == expected, f"n = {n}, row = {row}"
-                # Whole runs, or whole pieces of a run prepared once in the
-                # calling thread: each value read once a reduction.
-                if 2 * n <= grid_module._SPAN:
-                    assert all((a, b) == (0, n) for _, _, a, b in reads)
+                # Whole runs, or parts of whole rows of one run: each value
+                # read once a reduction.
+                if n <= most:
+                    assert all(lo % n == hi % n == 0 for lo, hi in reads)
                 else:
-                    assert prepared == 2 * [(i, i + 1, True) for i in range(count)]
-                    assert all(a % piece == b % piece == 0 for _, _, a, b in reads)
-                assert sum((i1 - i0) * (b - a) for i0, i1, a, b in reads) == 2 * count * n
+                    assert all(lo // n == (hi - 1) // n for lo, hi in reads)
+                    assert all(lo % row == hi % row == 0 for lo, hi in reads)
+                    assert all(hi - lo <= most for lo, hi in reads)
+                assert sum(hi - lo for lo, hi in reads) == 2 * count * n
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -359,7 +354,7 @@ class TestPairwiseTotal:
             parts.append((lo, hi))
             return (values[lo:hi],)
 
-        assert _split_sum(read, n, size).tolist() == [np.sum(values)]
+        assert _split_sum(read, n, size).tolist() == [[np.sum(values)]]
         parts.sort()  # pool threads may read the parts in any order
         assert [lo for lo, _ in parts] == [0, *(hi for _, hi in parts[:-1])]
         assert parts[-1][1] == n and all(hi - lo <= most for lo, hi in parts)
@@ -377,7 +372,7 @@ class TestPairwiseTotal:
         for start, w in zip(starts, weights):
             dense[start : start + base.size] = np.abs(w * base)
         values = _translates(starts, weights, base)
-        assert _split_sum(values, dense.size, 1).tolist() == [np.sum(dense)]
+        assert _split_sum(values, dense.size, 1).tolist() == [[np.sum(dense)]]
         assert values(1024, 1280)[0].size == 0
 
 

@@ -69,6 +69,13 @@ class TestModulationNorm:
         report = modulation_norm(SampledSignal.zero(GRID), 2.0, 1.0, 0.0, PART)
         assert report.value == 0.0
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+    def test_zero_signal_has_no_live_block(self, p):
+        # No block rises above the noise floor, so no block is folded.
+        report = modulation_norm(SampledSignal.zero(GRID), p, 1.0, 0.5, PART)
+        assert report.value == report.tail_estimate == 0.0
+        assert all(c == 0.0 for _, c in report.block_contributions)
+
     def test_homogeneity_exact(self):
         f = gaussian()
         r1 = modulation_norm(f, 2.0, 1.0, 0.5, PART)

@@ -64,9 +64,9 @@ def spans(cpus, budget=None):
     """Run with `cpus` CPUs and, when given, a span budget of `budget` samples.
 
     Yields a log of (module, count, items per span, ran_off_main_thread) per
-    runner call.  The runner calls of grid._leaf_reduce and grid._split_sum
-    are logged under the module that called them; grid's own (the parts of
-    weighted_lp_norm) and direct calls of grid._each_span are not logged.
+    runner call.  The runner calls of grid._split_sum are logged under the
+    module that called it; grid's own (the parts of weighted_lp_norm) and
+    direct calls of grid._each_span are not logged.
     The calling thread takes spans too, so in a call with several spans and
     several CPUs it waits in its first span until a pool thread has taken
     one: the log then says whether the call pooled, whatever the timing of
@@ -74,7 +74,7 @@ def spans(cpus, budget=None):
     """
     log = []
     real = grid_module._each_span
-    reducers = (grid_module._leaf_reduce.__code__, grid_module._split_sum.__code__)
+    reducer = grid_module._split_sum.__code__
 
     def recording(module):
         def runner(fn, count, size):
@@ -98,7 +98,7 @@ def spans(cpus, budget=None):
 
     def grid_runner(fn, count, size):
         caller = frame = sys._getframe(1)
-        while frame.f_code in reducers:
+        if frame.f_code is reducer:
             frame = frame.f_back
         module = frame.f_globals["__name__"].rpartition(".")[2]
         if frame is not caller and module != "grid":
@@ -233,11 +233,12 @@ class TestBitIdentical:
         f = band_limited(GRID, seed=91)
         m_len = fold_rows(PART)[0]
         width, blocks = 2 * PART.steps_per_unit, len(PART.block_indices())
-        # A block too large for a span is folded in the parts of one
+        # A block too large for a span is folded in the parts of
         # _split_sum: halves of at most max(M, 128, budget / 2) values, whole
         # rows and whole 128-value leaves.
         assert m_len < grid_module._LEAF
         default = modulation_norm(f, p, 1.0, 0.5, PART)
+        live = sum(c != 0.0 for _, c in default.block_contributions)
         # Three whole blocks per span (2 n samples each: the transform
         # buffer and the magnitudes), then each block in parts of 128 values
         # (a budget of 5 M samples) or of 512 (a budget of 56 M).
@@ -247,22 +248,24 @@ class TestBitIdentical:
             with spans(1, budget):
                 inline = modulation_norm(f, p, 1.0, 0.5, PART)
             # First the noise floor's maximum over the spectrum, in parts of
-            # at most the budget, then the liveness scan over all blocks, W
-            # samples each.
+            # at most the budget (or whole, in one span), then the liveness
+            # scan over all blocks, W samples each.
             floor, scan = log.pop(0), log.pop(0)
             parts = split_parts(GRID.n, max(grid_module._LEAF, budget))
-            assert floor == ("norms", parts, 1, parts > 1)
+            span = 1 if parts > 1 else budget // GRID.n
+            assert floor == ("norms", parts, span, parts > 1)
             assert scan == ("norms", blocks, budget // width, blocks > budget // width)
+            # One runner call over the distinct live blocks: whole blocks,
+            # or the parts of each block, one a span.
+            ((module, count, span, off_main),) = log
             if budget >= 2 * GRID.n:
-                # One runner call over the distinct live blocks.
-                ((module, count, span, off_main),) = log
-                assert (module, span, off_main) == ("norms", 3, True)
+                assert (module, count, span, off_main) == ("norms", live, 3, True)
                 assert count % span != 0  # ragged last span
             else:
-                # One runner call per distinct live block, over its parts.
                 most = max(m_len, grid_module._LEAF, budget // 2)
-                assert len(log) > 1
-                assert set(log) == {("norms", split_parts(GRID.n, most), 1, True)}
+                assert split_parts(GRID.n, most) > 1
+                assert (module, count, span, off_main) == (
+                    "norms", live * split_parts(GRID.n, most), 1, True)
             assert pooled.value == inline.value == default.value
             assert pooled.block_contributions == inline.block_contributions
             assert pooled.block_contributions == default.block_contributions

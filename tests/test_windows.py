@@ -1,11 +1,13 @@
 """Plateau windows and the translation-difference estimate."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tfnorms.grid import Grid
+import tfnorms.windows as windows
+from tfnorms.grid import Grid, SampledSignal, convolve
 from tfnorms.windows import plateau_window, translation_difference_bound
 
 GRID = Grid(4096, 16.0 * math.pi)
@@ -34,11 +36,25 @@ class TestPlateauWindow:
         window_invariants(w, GRID)
 
     def test_factorization(self):
-        from tfnorms.grid import convolve
+        for center, radius in WINDOW_MATRIX:
+            assert plateau_window(center, radius, GRID).factorization_error() <= 1e-8
 
-        w = plateau_window(0.0, 1.0, GRID)
-        again = convolve(w.piece1, w.piece2)
-        assert np.max(np.abs(again.samples - w.window.samples)) <= 1e-8
+    @pytest.mark.parametrize("center,radius", WINDOW_MATRIX)
+    def test_factorization_error_sees_a_scaled_piece(self, center, radius):
+        # psi is 1 on its plateau, so 1.01 psi2 puts psi1 * psi2 1e-2 off psi there.
+        w = plateau_window(center, radius, GRID)
+        scaled = dataclasses.replace(w, piece2=SampledSignal(GRID, 1.01 * w.piece2.samples))
+        assert scaled.factorization_error() == pytest.approx(1e-2, rel=1e-6)
+
+    def test_factorization_error_sees_a_faulty_convolution(self, monkeypatch):
+        # A window built by a convolution one sample off: the check sums the
+        # convolution itself, so it does not repeat the fault.
+        def shifted(f, g):
+            return SampledSignal(f.grid, np.roll(convolve(f, g).samples, 1))
+
+        monkeypatch.setattr(windows, "convolve", shifted)
+        for center, radius in WINDOW_MATRIX:
+            assert plateau_window(center, radius, GRID).factorization_error() > 1e-3
 
     def test_integral_factorizes(self):
         w = plateau_window(2.0, 0.5, GRID)
