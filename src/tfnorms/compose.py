@@ -284,34 +284,29 @@ def series_expm1(center: complex = 0.0) -> PowerSeries:
     return PowerSeries("expm1", z0, np.exp(z0) - 1.0, coeffs, math.inf)
 
 
-SERIES_BUILDERS = {
-    "identity": series_identity,
-    "square": series_square,
-    "mobius": series_mobius,
-    "expm1": series_expm1,
+# name -> (expansion at a center, the function itself), for composition
+# and for its error checks.
+_SERIES = {
+    "identity": (series_identity, lambda z: z),
+    "square": (series_square, lambda z: z * z),
+    "mobius": (series_mobius, lambda z: z / (1.0 + z / 4.0)),
+    "expm1": (series_expm1, np.expm1),
+    "reciprocal": (series_reciprocal, lambda z: 1.0 / z),
 }
 
-_POINTWISE = {
-    "identity": lambda z: z,
-    "square": lambda z: z * z,
-    "mobius": lambda z: z / (1.0 + z / 4.0),
-    "expm1": lambda z: np.expm1(z),
-    "reciprocal": lambda z: 1.0 / z,
-}
+# The families expanded at 0, where 1/z has none.
+SERIES_BUILDERS = {name: expand for name, (expand, _) in _SERIES.items() if name != "reciprocal"}
 
 
 def named_series(name: str, center: complex = 0.0) -> PowerSeries:
-    if name == "reciprocal":
-        return series_reciprocal(center)
-    try:
-        return SERIES_BUILDERS[name](center)
-    except KeyError:
-        raise ValueError(f"unknown series {name!r}; choose from {sorted(SERIES_BUILDERS) + ['reciprocal']}")
+    if name not in _SERIES:
+        raise ValueError(f"unknown series {name!r}; choose from {sorted(_SERIES)}")
+    return _SERIES[name][0](center)
 
 
 def pointwise_oracle(name: str):
     """Direct evaluation of the named function, for composition error checks."""
-    return _POINTWISE[name]
+    return _SERIES[name][1]
 
 
 def _snap_to_grid(grid: Grid, x0: float) -> tuple[int, float]:
@@ -351,29 +346,25 @@ def _check_grid_size(size: int, what: str, grid: str = "grid") -> None:
         )
 
 
-def _refined_progression(
-    h: SampledSignal,
-    factor: int,
-    first: int,
-    stride: int,
-    count: int,
-    spectrum=None,
-) -> np.ndarray:
-    """h's band-limited interpolant at indices first + stride*m of the refined grid.
+def _dilated(h: SampledSignal, num: int, den: int, x_to: float, x_from: float, lo: int,
+             count: int, spectrum=None) -> np.ndarray:
+    """h(x_to + (num / den) (x_j - x_from)) at h's grid points x_j, lo <= j < lo + count.
 
-    The factor-refined grid has the points -L + i dx / factor, i taken mod
-    n * factor (the periodic extension); m = 0 .. count-1.  The values are
-    those of ``upsample(h, factor).samples`` at those indices, from
-    :func:`tfnorms.grid._refined_samples`: one n-point inverse per nonzero
-    residue mod factor that the indices meet.  `spectrum`, when given,
-    returns h's centered spectrum (see ``_refined_samples``).
+    x_to and x_from must be grid points, i_to and i_from their indices, and
+    num, den positive integers.  The point of index j is then the point
+    den i_to + num (j - i_from) of h's den-refined grid, -L + i dx / den
+    with i taken mod n den (the periodic extension), so consecutive j step
+    num refined points.  The values are those of ``upsample(h, den).samples``
+    there, from :func:`tfnorms.grid._refined_samples`: one n-point inverse
+    per nonzero residue mod den that the indices meet, none where they all
+    lie on h's own grid.  `spectrum`, when given, returns h's centered
+    spectrum (see ``_refined_samples``).
     """
-    size = h.grid.n * factor
+    grid = h.grid
+    first = den * _grid_index(grid, x_to) + num * (lo - _grid_index(grid, x_from))
+    size = grid.n * den
     _check_grid_size(size, "dilation", "refined grid")
-    idx = (first + stride * np.arange(count)) % size
-    if factor == 1:
-        return h.samples[idx]
-    return _refined_samples(h, factor, idx, spectrum)[1]
+    return _refined_samples(h, den, (first + num * np.arange(count)) % size, spectrum)[1]
 
 
 def dilation_difference_norm(
@@ -391,9 +382,8 @@ def dilation_difference_norm(
     f is evaluated off the grid by band-limited interpolation, so the
     spectral support assumptions behind the block norms survive the
     rescaling.  x0 must be a grid point and lam an integer or the reciprocal
-    of one; then the points x0 + x_j / lam are points of f's lam-refined grid
-    (integer lam) or every 1/lam-th grid point, and take the values of
-    :func:`tfnorms.grid.upsample` there without building the refined grid.
+    of one; the values f(x0 + x_j / lam) are read by :func:`_dilated`,
+    without building the refined grid.
     ``_spectrum`` is private: it returns f's centered spectrum, for a caller
     that refines f many times.
     """
@@ -412,10 +402,8 @@ def dilation_difference_norm(
             f"[{start:.3g}, {stop:.3g}] vs [{-grid.half_width:.3g}, {grid.half_width:.3g})"
         )
 
-    idx0 = _grid_index(grid, x0)
-    first = num * idx0 + den * (lo - grid.n // 2)
-    values = _refined_progression(f, num, first, den, hi - lo + 1, _spectrum)
-    fx0 = complex(f.samples[idx0])
+    fx0 = complex(f.samples[_grid_index(grid, x0)])
+    values = _dilated(f, den, num, x0, 0.0, lo, hi - lo + 1, _spectrum)
     samples = np.zeros(grid.n, dtype=complex)
     samples[lo : hi + 1] = (values - fx0) * tau.samples[lo : hi + 1]
     return norm_value(SampledSignal(grid, samples), spec, part)
@@ -729,35 +717,27 @@ def global_compose(
     return SampledSignal(grid, values), diagnostics, patches
 
 
-def _dilated_window_samples(
-    base: PlateauWindow,
-    grid: Grid,
-    x0: float,
-    lam: float,
-    support_radius: float,
-    spectrum=None,
-) -> np.ndarray:
-    """Samples of base(lam (x - x0)) for a grid point x0.
+def _dilated_window_samples(base: PlateauWindow, x0: float, lam: float, spectrum=None) -> np.ndarray:
+    """Samples of base(lam (x - x0)) on the base window's grid, for a grid point x0.
 
-    lam must be an integer or the reciprocal of one.  The arguments
-    lam (x_j - x0) are then every lam-th sample of the base window (integer
-    lam) or consecutive points of its 1/lam-refined grid, where they take
-    the values of :func:`tfnorms.grid.upsample` without building that grid.
-    `spectrum`, when given, returns the base window's centered spectrum (see
-    ``grid._refined_samples``), so that several dilations of one window
-    transform it once.
+    lam must be an integer or the reciprocal of one; the samples are read
+    by :func:`_dilated` where lam (x - x0) is within the window's support
+    radius of its center, give or take one sample, and are 0 elsewhere.
+    `spectrum`, when given, returns the base window's centered spectrum
+    (see ``grid._refined_samples``), so that several dilations of one
+    window transform it once.
     """
     num, den = _integer_ratio(lam)
-    idx0 = _grid_index(grid, x0)
+    grid = base.window.grid
+    _grid_index(grid, x0)  # an off-grid center is refused even where the window is empty
     x = grid.points()
     out = np.zeros(grid.n)
-    scaled_lo = (base.center - support_radius) / lam + x0
-    scaled_hi = (base.center + support_radius) / lam + x0
+    scaled_lo = (base.center - base.support_radius) / lam + x0
+    scaled_hi = (base.center + base.support_radius) / lam + x0
     inside = np.nonzero((x >= scaled_lo - grid.dx) & (x <= scaled_hi + grid.dx))[0]
     if inside.size == 0:
         return out
 
-    first = num * (int(inside[0]) - idx0) + den * (grid.n // 2)
-    values = _refined_progression(base.window, den, first, num, inside.size, spectrum)
+    values = _dilated(base.window, num, den, 0.0, x0, int(inside[0]), inside.size, spectrum)
     out[inside] = np.clip(values.real, 0.0, None)
     return out

@@ -497,16 +497,17 @@ def _refined_samples(
     f's samples.  The residues run one at a time, so the working set is a
     few n-length rows; no size-length buffer is built.  The phase comes from
     the exact integer k * r for k = 0 .. n/2 (|k r| <= size / 2), and the
-    phase at -k is its conjugate.  `spectrum`, when given, returns f's
-    centered spectrum ``fourier_forward(f).samples``, so that a caller that
-    refines one f many times transforms it once.
+    phase at -k is its conjugate.  f is transformed at the first residue
+    r > 0, so indices that all lie on f's own grid cost no transform.
+    `spectrum`, when given, returns f's centered spectrum
+    ``fourier_forward(f).samples``, so that a caller that refines one f many
+    times transforms it once.
     """
     n, half = f.grid.n, f.grid.n // 2
     size = n * factor
     fine_grid = Grid(size, f.grid.half_width).dual().dual()
     rows, residues = np.divmod((indices + size // 2) % size, factor)
-    centered = fourier_forward(f).samples if spectrum is None else spectrum()
-    spectrum = np.fft.ifftshift(centered)  # slots k and n - k: k and -k
+    coefficients = None  # f's spectrum in slots k and n - k: k and -k
     k = np.arange(half + 1)
     values = np.empty(indices.size, dtype=complex)
     # The residues that occur, without np.unique, which imports numpy.ma.
@@ -515,12 +516,15 @@ def _refined_samples(
         if r == 0:
             values[at] = f.samples[(rows[at] + half) % n]
             continue
+        if coefficients is None:
+            centered = fourier_forward(f).samples if spectrum is None else spectrum()
+            coefficients = np.fft.ifftshift(centered)
         angle = (k * int(r)) * (2.0 * math.pi / size)
         cos, sin = np.cos(angle), np.sin(angle)
         twisted = np.empty(n, dtype=complex)
         twisted.real[:half], twisted.imag[:half] = cos[:half], sin[:half]
         twisted.real[half:], twisted.imag[half:] = cos[half:0:-1], -sin[half:0:-1]
-        twisted *= spectrum
+        twisted *= coefficients
         # A new array: ifft in place (out=) measured slower.
         values[at] = np.fft.ifft(twisted)[rows[at]] / (factor * fine_grid.dx)
     return fine_grid, values

@@ -368,7 +368,6 @@ class TestCommands:
     def test_bupu_check_passes_on_coarse_grids(self, tmp_path, n):
         assert main(["bupu-check", "--n", n, "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.xfail(strict=True, reason="signal_lp_C bounds f_lp by a factor that falls with r")
     def test_flat_counterexample_passes_at_depth_two(self, tmp_path):
         args = ["counterexample-flat", "--p", "1", "--m", "2", "--r", "4"]
         assert main([*args, "--out", str(tmp_path / "out")]) == 0

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import tfnorms.compose as compose_module
 import tfnorms.grid as grid_module
 from tfnorms.compose import (
+    _SERIES,
     DEFAULT_TERMS,
+    SERIES_BUILDERS,
     TAIL_TOLERANCE,
     _cutoff_samples,
+    _dilated,
     _dilated_window_samples,
-    _refined_progression,
     dilation_difference_norm,
     global_compose,
     glue_local,
@@ -33,7 +35,7 @@ from tfnorms.compose import (
     series_square,
 )
 from tfnorms.errors import CostGateError, CoverError, ToleranceNotReachedError
-from tfnorms.grid import Grid, NormSpec, SampledSignal, fourier_forward, upsample
+from tfnorms.grid import Grid, NormSpec, SampledSignal, _refined_samples, fourier_forward, upsample
 from tfnorms.norms import norm_value, partition_for
 from tfnorms.partition import bump_profile
 from tfnorms.windows import plateau_window
@@ -128,6 +130,18 @@ class TestPowerSeries:
         assert named_series("square", 2.0).constant == 4.0
         with pytest.raises(ValueError):
             named_series("tangent")
+
+    @pytest.mark.parametrize("name", list(_SERIES))
+    def test_every_family_matches_its_function(self, name):
+        # The expansion and the function of one table entry, near a center
+        # well inside the radius (1/z has its pole at 0, so centered at 1).
+        expand, function = _SERIES[name]
+        center = 1.0 if name == "reciprocal" else 0.5
+        z = center + np.array([0.0, 0.01, -0.02j, 0.015 + 0.01j, -0.03])
+        assert np.max(np.abs(evaluate(expand(center), z) - function(z))) <= 1e-12
+        assert pointwise_oracle(name) is function
+        if name in SERIES_BUILDERS:  # global composition needs F(0) = 0
+            assert named_series(name, 0).constant == 0
 
 
 class TestTailBound:
@@ -288,7 +302,7 @@ class TestRefinedGrid:
         grid, base = self.COARSE, self.COARSE_BASE
         x = grid.points()
         x0 = x[grid.n // 2 + offset]
-        window = _dilated_window_samples(base, grid, x0, lam, base.support_radius)
+        window = _dilated_window_samples(base, x0, lam)
         arg = lam * (x - x0)
         inside = np.abs(arg) < grid.half_width
         assert np.all(window[~inside] == 0.0)
@@ -305,7 +319,7 @@ class TestRefinedGrid:
         base = self.BASE
         x = GRID.points()
         x0 = x[GRID.n // 2 + offset]
-        window = _dilated_window_samples(base, GRID, x0, lam, base.support_radius)
+        window = _dilated_window_samples(base, x0, lam)
         arg = lam * (x - x0)
         inside = np.abs(arg) < GRID.half_width
         assert np.all(window[~inside] == 0.0)
@@ -316,12 +330,43 @@ class TestRefinedGrid:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_gaussian_compression_matches_closed_form(self, k):
-        base = SimpleNamespace(center=0.0, window=gaussian())
+        base = SimpleNamespace(center=0.0, window=gaussian(), support_radius=10.0)
         lam = 0.5**k
         for x0 in (0.0, GRID.points()[GRID.n // 2 + 300]):
-            window = _dilated_window_samples(base, GRID, x0, lam, 10.0)
+            window = _dilated_window_samples(base, x0, lam)
             exact = np.exp(-((lam * (GRID.points() - x0)) ** 2) / 2.0)
             assert np.max(np.abs(window - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [2.0, 4.0, 0.5, 0.25])
+    @pytest.mark.parametrize("offset", [0, 300])
+    @pytest.mark.parametrize("coarse", [True, False])
+    @pytest.mark.parametrize("order", ["dilation", "window"])
+    def test_dilated_matches_the_direct_interpolant_sum(self, lam, offset, coarse, order):
+        # Both callers' argument orders: dilation_difference_norm reads
+        # h(x0 + x_j / lam), the dilated window h(lam (x_j - x0)).  The run
+        # starts at the value 0.9, just inside the plateau's edge at 1, so
+        # it crosses the edge.
+        grid, base = (self.COARSE, self.COARSE_BASE) if coarse else (GRID, self.BASE)
+        x = grid.points()
+        x0 = x[grid.n // 2 + offset]
+        num, den = compose_module._integer_ratio(lam)
+        num, den, x_to, x_from = (den, num, x0, 0.0) if order == "dilation" else (num, den, 0.0, x0)
+        lo = int(np.argmax(x_to + num / den * (x - x_from) >= 0.9))
+        count = min(300, grid.n - lo)
+        values = _dilated(base.window, num, den, x_to, x_from, lo, count)
+        start = x_to + num / den * (x[lo] - x_from)
+        direct = resample_progression(base.window, start, num / den * grid.dx, count)
+        assert np.max(np.abs(values - direct)) <= 1e-12
+
+    def test_own_grid_points_cost_no_transform(self):
+        # lam = 1, as at every default compose patch, and an integer
+        # dilation about a grid point read h's own samples.
+        def spectrum():
+            raise AssertionError("h was transformed")
+
+        h = self.COARSE_BASE.window
+        assert np.array_equal(_dilated(h, 1, 1, 0.0, 0.0, 5, 40, spectrum), h.samples[5:45])
+        assert np.array_equal(_dilated(h, 4, 1, 0.0, 0.0, 2040, 20, spectrum), h.samples[2016:2096:4])
 
     @staticmethod
     def dense_refined(h, factor):
@@ -348,8 +393,8 @@ class TestRefinedGrid:
         fine = self.dense_refined(h, factor)
         self.assert_few_ulp(upsample(h, factor).samples, fine, h)
         for first, stride, count in ((-5 * factor, 3, 40), (size - 7, 5, 30), (17, -factor, 2 * size)):
-            values = _refined_progression(h, factor, first, stride, count)
             idx = (first + stride * np.arange(count)) % size
+            values = _refined_samples(h, factor, idx)[1]
             self.assert_few_ulp(values, fine[idx], h)
 
     @settings(max_examples=200, deadline=None)
@@ -369,7 +414,7 @@ class TestRefinedGrid:
         h = SampledSignal(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
         size = grid.n * factor
         idx = (first + stride * np.arange(count)) % size
-        values = _refined_progression(h, factor, first, stride, count)
+        values = _refined_samples(h, factor, idx)[1]
         self.assert_few_ulp(values, self.dense_refined(h, factor)[idx], h)
 
     def test_one_dilation_stays_in_patch_sized_memory(self):
@@ -378,7 +423,7 @@ class TestRefinedGrid:
         tracemalloc.start()
         try:
             base = self.COARSE_BASE
-            _dilated_window_samples(base, self.COARSE, 0.0, 0.5**6, base.support_radius)
+            _dilated_window_samples(base, 0.0, 0.5**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,20 +432,20 @@ class TestRefinedGrid:
     def test_unaligned_center_rejected(self):
         x0 = 0.5 * GRID.dx
         with pytest.raises(ValueError, match="not a grid point"):
-            _dilated_window_samples(self.BASE, GRID, x0, 2.0, self.BASE.support_radius)
+            _dilated_window_samples(self.BASE, x0, 2.0)
         with pytest.raises(ValueError, match="not a grid point"):
             dilation_difference_norm(gaussian(), x0, base_cutoff(), 2.0, SPEC, PART)
 
     def test_non_dyadic_dilation_rejected(self):
         with pytest.raises(ValueError, match="reciprocal"):
-            _dilated_window_samples(self.BASE, GRID, 0.0, 0.3, self.BASE.support_radius)
+            _dilated_window_samples(self.BASE, 0.0, 0.3)
         with pytest.raises(ValueError, match="reciprocal"):
             dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 0.3, SPEC, PART)
 
     def test_refined_grid_gate(self):
         # 8192 * 1024 = 2^23 samples, past the 2^22-sample gate
         with pytest.raises(CostGateError):
-            _dilated_window_samples(self.BASE, GRID, 0.0, 1.0 / 1024, self.BASE.support_radius)
+            _dilated_window_samples(self.BASE, 0.0, 1.0 / 1024)
         with pytest.raises(CostGateError):
             dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 1024.0, SPEC, PART)
 
@@ -655,7 +700,7 @@ class TestPointDitkin:
 
 
 def _ditkin_window_at(f, lam, base):
-    return _dilated_window_samples(base, f.grid, 0.0, lam, base.support_radius)
+    return _dilated_window_samples(base, 0.0, lam)
 
 
 def point_ditkin_window(f, x0, spec, eps, base, part):
@@ -670,7 +715,7 @@ def point_ditkin_window(f, x0, spec, eps, base, part):
     increment = f.samples - f.samples[idx]
     lam = 1.0
     for _ in range(24):
-        window = _dilated_window_samples(base, grid, x0, lam, base.support_radius)
+        window = _dilated_window_samples(base, x0, lam)
         residual = norm_value(SampledSignal(grid, increment * window), spec, part)
         if residual < eps:
             return SampledSignal(grid, window.astype(complex)), lam, residual

@@ -154,7 +154,7 @@ class TestCounterexampleFlat:
         run = flat_measurement(1.0, 3, 3)
         # B and C from the measured quantities
         assert run["fhat_l1"] <= run["nu_hat_sup"] * run["phi_l1"] * (1 + 1e-12)
-        assert run["f_lp"] <= run["nu_hat_sup"] * run["invphi_lp"] * (1 + 1e-12)
+        assert run["f_lp"] <= experiments._signal_lp_bound(1.0, run) * (1 + 1e-12)
         assert run["modulation_norm"] >= run["invphi_lp"] / 4.0
 
     def test_block_norm_is_translation_count_invariant(self):
@@ -166,6 +166,26 @@ class TestCounterexampleFlat:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             flat_measurement(2.0, 3, 3)
+
+    # p, m and r on grids of 2^12-2^15 points, a few ms each.
+    SWEEP = [(p, m, r) for p in (1.0, 1.5) for m in (0, 2) for r in (2, 4)]
+
+    @staticmethod
+    def holds_bound_c(p, m, r):
+        run = flat_measurement(p, m, r)
+        return run["f_lp"] <= experiments._signal_lp_bound(p, run)
+
+    @pytest.mark.parametrize("p, m, r", SWEEP)
+    def test_bound_c_holds_at_every_depth(self, p, m, r):
+        assert self.holds_bound_c(p, m, r)
+
+    def test_the_old_bound_c_fails_the_sweep(self, monkeypatch):
+        # nu_hat_sup falls like 2^(-r (1/p - 1/2)) while f_lp does not
+        # depend on r, so the bound it gave fails once r is large enough.
+        monkeypatch.setattr(experiments, "_signal_lp_bound",
+                            lambda p, run: run["nu_hat_sup"] * run["invphi_lp"])
+        failed = {(p, m, r) for p, m, r in self.SWEEP if not self.holds_bound_c(p, m, r)}
+        assert {(1.0, 2, 4), (1.0, 0, 2)} <= failed
 
     @pytest.mark.parametrize(
         "p, m, r, n", [(1.0, 6, 12, 1 << 27), (1.0, 8, 8, 1 << 25), (1.0, 30, 4, 1 << 43)]
