@@ -162,7 +162,10 @@ class PowerSeries:
         return envelope * rho ** (min(terms, self.max_terms) + 1) / (1.0 - rho)
 
     def choose_truncation(self, w_abs: float, tol: float = TAIL_TOLERANCE) -> int:
-        """Smallest term count whose tail bound is below tol."""
+        """Smallest term count whose tail bound is below tol max(1, |F(center)|).
+
+        The tolerance is relative where F is large, as 1/z is near its pole.
+        """
         if w_abs == 0.0:
             return 1
         if w_abs >= self.radius:
@@ -178,7 +181,7 @@ class PowerSeries:
             raise ToleranceNotReachedError(
                 f"series {self.name}: no finite tail bound at |w| = {w_abs:.4g}"
             )
-        ratio = tol * (1.0 - rho) / envelope
+        ratio = tol * max(1.0, abs(complex(self.constant))) * (1.0 - rho) / envelope
         if math.isinf(ratio):  # a subnormal envelope: one term is within tol
             return 1
         needed = math.log(ratio) / math.log(rho) - 1.0

@@ -783,20 +783,25 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     e^(i s x) nu_(j-1) and nu_j = mu_(j-1) - e^(i s x) nu_(j-1) for
     s = 2^(j-1), whose phase at t is the product of
     e^(2 pi i (s steps b mod n) / n) and e^(2 pi i (s steps a mod M) / M).
-    On the large default grids (one CPU, numpy 2.4) it took 0.47 of the
-    time of Horner's rule on the 2^m weights at m = 6 and 0.8 of it at
-    m = 4, with 1.7e-15 against 3e-14 and 6e-15 of error.
+    The column of rate s repeats after M / gcd(s steps, M) values, which
+    divides per = M / gcd(steps, M), so the recursion runs on the first per
+    columns and its result is tiled to M, each value computed as in a
+    whole-row pass.  On the large default grids (one CPU, numpy 2.4) the
+    whole-row pass took 0.47 of the time of Horner's rule on the 2^m
+    weights at m = 6 and 0.8 of it at m = 4, with 1.7e-15 against 3e-14 and
+    6e-15 of error.
     """
     rates = [2 ** (j - 1) * steps for j in range(1, m + 1)]
-    # The column of a rate repeats after M / gcd(rate, M) values, and only
-    # that period is kept: at most 2 M values for all rates together,
-    # against m M for whole columns (2 MiB at m = 4 on the 2^22 grid).
+    per = m_len // math.gcd(steps, m_len)
+    # Only the period of each column is kept: at most 2 M values for all
+    # rates together, against m M for whole columns (2 MiB at m = 4 on the
+    # 2^22 grid).
     columns = [np.exp(2j * math.pi / m_len * (rate * np.arange(m_len // math.gcd(rate, m_len))
                                               % m_len)) for rate in rates]
 
     def at(r0: int, r1: int) -> np.ndarray:
         b = np.arange(r0, r1)
-        mu = np.ones((r1 - r0, m_len), dtype=complex)
+        mu = np.ones((r1 - r0, per), dtype=complex)
         nu = np.ones_like(mu)
         shifted = np.empty_like(mu)
         for rate, column in zip(rates, columns):
@@ -805,8 +810,9 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
             shifted *= nu
             np.subtract(mu, shifted, out=nu)
             mu += shifted
+        del nu, shifted  # gone before the tiled copy
         mu *= 2.0**-m
-        return mu
+        return np.tile(mu, (1, m_len // per))
 
     return at
 
@@ -840,7 +846,8 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
 
     - phi and nu-hat are evaluated on phi's support only, and the maximum
       of |nu-hat| over the whole grid comes from :func:`rudin_shapiro_sup`,
-      which holds span buffers only.
+      which takes its phases from two tables of about sqrt(n/2) values per
+      step and holds span buffers only.
     - The L^p norms of F^-1 phi, of g = F^-1(nu-hat phi) and of f are
       folds of phi's W coefficients (``norms._folded_lp``): P = n / M
       inverse transforms of length M >= W.  f = mu-check g, where mu-check

@@ -21,27 +21,29 @@ scaled outputs, so the values are bitwise those of one full-length pass
 whatever the number of CPUs.
 
 The maximum of |nu_m^| over the dual grid xi_k = k dxi, k = -n/2 .. n/2 - 1
-(:func:`rudin_shapiro_sup`) rests on two identities that hold bit for bit in
-floating point:
+(:func:`rudin_shapiro_sup`) takes its phases from two small tables per step:
 
-- Doubling.  xi_{2k} = 2 xi_k exactly, since scaling by 2 commutes with
-  rounding, so the phase exp(-i N_j xi_k) of step j at k is that of step
-  j - 1 at 2k.  Write k = 1 .. n/2 - 1 as o 2^u with o odd: the chain of o
-  runs over u = 0 .. t, t the largest with o 2^t < n/2, and its phase at
-  step j and k = o 2^u is F(o 2^(u + j - 1)), F(K) = exp(-i N_1 dxi K).
-  So each chain evaluates t + m exponentials, one table row per power of
-  two, and every k of it reads its m phases off rows u .. u + m - 1.
+- Tables.  Write k = 0 .. n/2 - 1 as k = width h + l, 0 <= l < width, in
+  rows h < height = n / (2 width) of width = 2^floor(bits(n/2) / 2) values,
+  about sqrt(n/2) each.  The phase exp(-i N_j k dxi) of step j is the
+  product of highs_j[h] = exp(-i (N_j width h) dxi) and lows_j[l] =
+  exp(-i (N_j l) dxi).  N_j width h and N_j l are integers, exact in
+  float64, so each argument is rounded once, where the transforms round
+  twice (dxi k, then N_j times it).  That argument error, which dominates
+  once N_j k dxi exceeds a few radians, is at most half the transforms';
+  the second exponential and the product add a few roundings.  So the
+  maximum agrees with the transforms' to within their phase errors, not
+  bit for bit.
 - Mirror.  nu_m^(-xi) = conj nu_m^(xi), because every operation of the
   recursion commutes with conjugation, so the k < 0 side repeats the
   moduli of the k > 0 side.  Only k = -n/2 has no mirror on the grid; it
-  and k = 0 are evaluated on their own.
+  runs through :func:`rudin_shapiro_transforms` on its own.
 
-Together they cut the exponentials from m n to about n (m + 1) / 4.  The
-chains of one length t + 1 (the odd o in [n / 2^(t+2), n / 2^(t+1))) run in
-spans of chains, each building its table, running the recursion for each u
-and keeping only the largest modulus, so no array of the grid's length is
-built.  Moduli are taken on contiguous arrays only, since numpy's modulus
-of a strided view can differ in the last bit.
+Together they cut the exponentials from m n to m (width + height + 1),
+about 2 m sqrt(n/2).  The rows run in spans, each forming its phases from
+the tables, running the recursion and keeping only its largest modulus, so
+no array of the grid's length is built.  The maximum is exact, so neither
+the spans nor the CPUs move a bit of it.
 """
 
 from __future__ import annotations
@@ -252,56 +254,52 @@ def rudin_shapiro_sup(
     normalization: Normalization | str = Normalization.RAW,
     p: float | None = None,
 ) -> float:
-    """max |nu_m^| over ``grid.frequencies()``, with about n (m + 1) / 4 exponentials.
+    """max |nu_m^| over ``grid.frequencies()``, with m (width + height + 1) exponentials.
 
-    Bitwise equal to ``np.max(np.abs(rudin_shapiro_transforms(m,
-    base_spacing, grid.frequencies(), normalization, p)[1]))``: the
-    recursion runs on k = 1 .. n/2 - 1 only, in odd-part chains that share
-    their phases at doubled frequencies (see the module docstring), and
-    k = 0 and k = -n/2 run on their own.  A span holds the phase table of
-    its chains and keeps only its largest modulus.
+    The maximum of ``np.abs(rudin_shapiro_transforms(m, base_spacing,
+    grid.frequencies(), normalization, p)[1])`` to within their phase
+    errors, not bit for bit: the phases of k = 0 .. n/2 - 1 are products of
+    two tables per step, width and height about sqrt(n/2) (see the module
+    docstring), the k < 0 side mirrors them, and k = -n/2 runs on its own.
+    A span of table rows runs the recursion and keeps only its largest
+    modulus.
     """
     if m < 0:
         raise ValueError("depth m must be >= 0")
     normalization = Normalization(normalization)
     scale = _scale_factor(m, normalization, p)
     half = grid.n // 2
-    dxi = grid.dxi
+    width = 1 << (half.bit_length() // 2)
+    height = half // width
+    rates = [2 ** (j - 1) * base_spacing for j in range(1, m + 1)]
+
+    def phases(count: int, stride: int) -> list:
+        # exp(-i c_j stride q dxi) for q < count, each step j: c_j stride q
+        # is an integer, exact in float64 below 2^53, so each argument is
+        # rounded once, at the product with dxi.
+        q = np.arange(count, dtype=float)
+        return [np.exp(-1j * (float(rate * stride) * q * grid.dxi)) for rate in rates]
+
+    highs, lows = phases(height, width), phases(width, 1)
     peaks = []  # one per span, in any order
 
-    def chains(t: int) -> None:
-        # The odd o in [half / 2^(t+1), half / 2^t), whose chains o 2^u,
-        # u = 0 .. t, stay below half.  Row w of the table holds F(o 2^w),
-        # evaluated as the phase of step w + 1 at o; with m = 0 no phase is
-        # read.
-        first, height = (half >> (t + 1)) | 1, t + m if m else 0
+    def run(h0: int, h1: int) -> None:
+        # Rows h0 <= h < h1: k = width h + l, 0 <= l < width.
+        mu_hat = np.ones((h1 - h0, width), dtype=complex)
+        nu_hat = np.ones_like(mu_hat)
+        shifted = np.empty_like(mu_hat)
+        for high, low in zip(highs, lows):
+            np.multiply(high[h0:h1, None], low, out=shifted)
+            shifted *= nu_hat
+            np.subtract(mu_hat, shifted, out=nu_hat)
+            mu_hat += shifted
+        peaks.append(np.max(np.abs(np.multiply(scale, nu_hat, out=nu_hat))))
 
-        def run(lo: int, hi: int) -> None:
-            x = dxi * np.arange(first + 2 * lo, first + 2 * hi, 2)
-            table = np.empty((height, hi - lo), dtype=complex)
-            for w in range(height):
-                np.multiply(-1j * (2**w * base_spacing), x, out=table[w])
-            np.exp(table, out=table)
-            shifted = np.empty(hi - lo, dtype=complex)
-            best = 0.0
-            for u in range(t + 1):
-                mu_hat = np.ones(hi - lo, dtype=complex)
-                nu_hat = np.ones(hi - lo, dtype=complex)
-                for phase in table[u : u + m]:
-                    np.multiply(phase, nu_hat, out=shifted)
-                    np.subtract(mu_hat, shifted, out=nu_hat)
-                    np.add(mu_hat, shifted, out=mu_hat)
-                best = max(best, np.max(np.abs(np.multiply(scale, nu_hat, out=nu_hat))))
-            peaks.append(best)
-
-        # A chain holds its table column and one value of mu^, nu^ and the product.
-        _each_span(run, max(1, half >> (t + 2)), height + 3)
-
-    for t in range(half.bit_length() - 1):
-        chains(t)
-    lone = dxi * np.array([-half, 0])
-    ends = rudin_shapiro_transforms(m, base_spacing, lone, normalization, p)[1]
-    return float(max(*peaks, *np.abs(ends)))
+    # A value holds mu^, nu^, the product and the modulus.
+    _each_span(run, height, 4 * width)
+    lowest = rudin_shapiro_transforms(m, base_spacing, grid.dxi * np.array([-half]),
+                                      normalization, p)[1]
+    return float(max(*peaks, *np.abs(lowest)))
 
 
 def disjointness_spacing(k_halfwidth: float, m: int) -> int:

@@ -101,6 +101,20 @@ class TestPowerSeries:
         truncated = evaluate(s, np.array([z]), terms)[0]
         assert abs(truncated - exact) <= s.tail_bound(w, terms)
 
+    @pytest.mark.parametrize("z0", [1.0, 1e-2, 1e-4, 1e-5, 1e-6])
+    def test_reciprocal_truncates_relative_to_its_value_near_the_pole(self, z0):
+        # 1/z has scale 1/z0 there, so the tail is certified against
+        # 1e-8 / z0; against the absolute 1e-8, z0 = 1e-5 needed 75 terms.
+        s = series_reciprocal(z0)
+        terms = s.choose_truncation(z0 / 2)
+        assert terms == 47
+        assert s.tail_bound(z0 / 2, terms) * z0 < 1e-8
+
+    @pytest.mark.parametrize("z0, stored", [(1e-8, 37), (1e-10, 29)])
+    def test_reciprocal_refuses_when_the_stored_terms_run_out(self, z0, stored):
+        with pytest.raises(ToleranceNotReachedError, match=f"needs 47 terms, only {stored} stored"):
+            series_reciprocal(z0).choose_truncation(z0 / 2)
+
     def test_polynomial_tail_is_zero(self):
         s = series_square(1.0)
         assert s.tail_bound(10.0, 2) == 0.0
@@ -199,9 +213,11 @@ class TestTailBound:
         j = np.arange(1, s.max_terms + 1)
         assert np.array_equal(s.coefficients, (-1.0) ** j / complex(center) ** (j + 1))
         assert math.isfinite(bound)
-        assert s.tail_bound(w_abs, terms) <= TAIL_TOLERANCE
+        # The tail is certified relative to |1 / z0| > 1.
+        tol = TAIL_TOLERANCE * abs(s.constant)
+        assert s.tail_bound(w_abs, terms) <= tol
         z = center + w_abs * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 9))
-        assert np.max(np.abs(evaluate(s, z, terms) - 1.0 / z)) <= TAIL_TOLERANCE
+        assert np.max(np.abs(evaluate(s, z, terms) - 1.0 / z)) <= tol
 
     @pytest.mark.parametrize("family, center", [("expm1", 0j), ("expm1", 2 - 1j),
                                                 ("reciprocal", 1 + 0j), ("mobius", 0j)])

@@ -340,6 +340,27 @@ class TestCounterexampleFlat:
             assert got.shape == (r1 - r0, m_len)
             assert np.max(np.abs(np.abs(got) - np.abs(direct))) <= 1e-13 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("p, m, r", [(1.0, 4, 4), (1.0, 6, 6), (1.5, 2, 8), (1.5, 4, 10)])
+    def test_mu_check_period_is_the_whole_row_pass(self, p, m, r):
+        # The rows at both ends of the fold of each default run, against the
+        # recursion run on whole rows of M values.
+        grid = experiments._flat_layout(p, m, r)[0]
+        steps = partition_for(grid).steps_per_unit
+        phi = bump_profile(grid.frequencies(), 0.025, 0.1)
+        m_len, p_len = norms._fold_lengths(int(np.count_nonzero(phi)), grid.n)
+        at = experiments._mu_check_rows(m, steps, grid.n, m_len)
+        columns = [np.exp(2j * math.pi / m_len * (2 ** (j - 1) * steps * np.arange(m_len) % m_len))
+                   for j in range(1, m + 1)]
+        for r0, r1 in [(0, 3), (p_len - 3, p_len)]:
+            b = np.arange(r0, r1)
+            mu = np.ones((r1 - r0, m_len), dtype=complex)
+            nu = np.ones_like(mu)
+            for j, column in enumerate(columns, 1):
+                row = np.exp(2j * math.pi / grid.n * (2 ** (j - 1) * steps * b % grid.n))
+                shifted = row[:, None] * column * nu
+                mu, nu = mu + shifted, mu - shifted
+            assert at(r0, r1).tobytes() == (mu * 2.0**-m).tobytes()
+
     def test_no_transform_of_the_grid_length(self, monkeypatch):
         lengths = []
         for name in ("fft", "ifft", "rfft", "irfft"):

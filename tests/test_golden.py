@@ -13,7 +13,9 @@ A change that moves report bytes on purpose regenerates the directory with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the git diff of tests/golden/ is then its list of moved values.
+and the git diff of tests/golden/ is then its list of moved values.  The
+script takes no arguments: given any, it prints its usage and exits 2
+without writing.
 """
 
 import json
@@ -139,6 +141,19 @@ def test_a_different_simd_dispatch_selects_the_numeric_mode():
     assert not compares_bytes(recorded)
 
 
+def test_the_script_refuses_arguments_before_writing(tmp_path):
+    # A copy of the script writes next to itself, so a regeneration that
+    # did run would land in tmp_path, not in the committed directory.
+    script = tmp_path / "test_golden.py"
+    shutil.copy(__file__, script)
+    for args in (["--help"], ["all"]):
+        done = subprocess.run([sys.executable, str(script), *args],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: ")
+    assert not (tmp_path / "golden").exists()
+
+
 class TestComparison:
     """Mutations of a copy of the golden directory that the comparison must catch."""
 
@@ -199,5 +214,16 @@ def regenerate() -> None:
     (GOLDEN / PLATFORM).write_text(json.dumps(current_platform(), indent=2) + "\n")
 
 
-if __name__ == "__main__":
+def main(argv: list) -> int:
+    """Regenerate the golden directory; refuse any argument, before anything is written."""
+    if argv:
+        print("usage: PYTHONPATH=src python tests/test_golden.py\n"
+              f"takes no arguments; rewrites {GOLDEN} from a serial `all --seed 0` run",
+              file=sys.stderr)
+        return 2
     regenerate()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -203,22 +203,66 @@ class TestRudinShapiro:
 # The (p, m, r) of the two depths of each default counterexample-flat run.
 FLAT_RUNS = [(1.0, 4, 4), (1.0, 6, 6), (1.5, 2, 8), (1.5, 4, 10)]
 
+UNIT = 2.0**-53  # unit roundoff of float64
+
+
+def value_error(m, spacing, grid, scale, argument_roundings, roundings, unit=UNIT):
+    """Bound on the error of |scale nu_m^| at any grid point, derived from phase errors.
+
+    Step j's phase exp(-i c_j k dxi), c_j = 2^(j-1) spacing, is off by at
+    most argument_roundings unit A_j + roundings unit: A_j = c_j (n/2) dxi
+    bounds the argument on the grid and each rounding of it moves it by at
+    most unit times itself (none when dxi is a power of two, since then
+    every product is exact); an exponential is within one ulp in each part
+    and a complex product within sqrt(5) unit, 3 unit each at most.  A step
+    (mu, nu) -> (mu + e nu, mu - e nu) with |e| = 1 grows an error of the
+    pair by sqrt(2), and |nu_(j-1)^| <= 2^(j/2) by the flatness identity, so
+    step j adds at most 2^((j+1)/2) (delta_j + 4 unit) to the pair's error,
+    its product with nu and its sum counted: after m steps the error is
+    2^((m+1)/2) sum_j (delta_j + 4 unit).  The scaling and the modulus add
+    3 unit of the value.
+    """
+    exact = math.frexp(grid.dxi)[0] == 0.5
+    spans = [2 ** (j - 1) * spacing * (grid.n // 2) * grid.dxi for j in range(1, m + 1)]
+    deltas = [(0.0 if exact else argument_roundings * a) + roundings for a in spans]
+    return scale * 2.0 ** ((m + 1) / 2) * (sum(d + 4.0 for d in deltas) + 3.0) * unit
+
+
+def sup_error(m, spacing, grid, scale):
+    """The sup's bound: arguments rounded once, two exponentials and their product."""
+    return value_error(m, spacing, grid, scale, 1, 9)
+
+
+def transforms_error(m, spacing, grid, scale):
+    """The transforms' bound: arguments rounded twice (dxi k, then c_j xi), one exponential."""
+    return value_error(m, spacing, grid, scale, 2, 3)
+
+
+def table_shape(n):
+    """(width, height) of the sup's phase tables on an n-point grid."""
+    half = n // 2
+    width = 1 << (half.bit_length() // 2)
+    return width, half // width
+
+
+def counted_sup(monkeypatch, cpus, *args):
+    """rudin_shapiro_sup(*args) at `cpus` CPUs, and the number of exponentials it evaluated."""
+    evaluated = []
+    real_exp = np.exp
+
+    def counting_exp(x, *rest, **kwargs):
+        evaluated.append(np.size(x))
+        return real_exp(x, *rest, **kwargs)
+
+    monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(np, "exp", counting_exp)
+    value = rudin_shapiro_sup(*args)
+    monkeypatch.undo()
+    return value, sum(evaluated)
+
 
 class TestRudinShapiroSup:
-    """The identities rudin_shapiro_sup rests on, and what it holds."""
-
-    @pytest.mark.parametrize("p, m, r", FLAT_RUNS)
-    def test_doubled_frequencies_repeat_the_phases(self, p, m, r):
-        grid, spacing = _flat_layout(p, m, r)
-        half = grid.n // 2
-        xi = grid.frequencies()[half:]
-        assert np.array_equal(xi[: half // 2] * 2.0, xi[::2])
-        # Step j's phase at k is step j - 1's at 2k, on a sample of k.
-        k = np.random.default_rng(r).integers(0, half // 2, 4096)
-        for j in range(2, r + 1):
-            later = np.exp(-1j * (2 ** (j - 1) * spacing) * xi[k])
-            earlier = np.exp(-1j * (2 ** (j - 2) * spacing) * xi[2 * k])
-            assert later.tobytes() == earlier.tobytes()
+    """The identity rudin_shapiro_sup rests on, and what it holds."""
 
     @pytest.mark.parametrize("p, m, r", FLAT_RUNS)
     def test_mirrored_frequencies_conjugate_nu_hat(self, p, m, r):
@@ -256,26 +300,53 @@ class TestRudinShapiroSup:
             (1 << 19, 8, 57, 2.0**18),
         ],
     )
-    def test_bitwise_equal_to_the_full_grid_with_counted_exponentials(
+    def test_matches_the_full_grid_with_counted_exponentials(
         self, monkeypatch, n, m, spacing, half_width
     ):
         grid = Grid(n, half_width)
+        scale = _scale_factor(m, Normalization.LP_ATOMS, 1.5)
         full = rudin_shapiro_transforms(m, spacing, grid.frequencies(), "lp_atoms", 1.5)[1]
-        evaluated = []
-        real_exp = np.exp
+        value, evaluated = counted_sup(monkeypatch, 3, m, spacing, grid, "lp_atoms", 1.5)
+        bound = sup_error(m, spacing, grid, scale) + transforms_error(m, spacing, grid, scale)
+        assert abs(value - float(np.max(np.abs(full)))) <= bound
+        # One table of each size per step, and one step per depth at k = -n/2.
+        width, height = table_shape(n)
+        assert evaluated == m * (width + height) + m
 
-        def counting_exp(x, *args, **kwargs):
-            evaluated.append(np.size(x))
-            return real_exp(x, *args, **kwargs)
+    def test_matches_an_extended_precision_maximum(self):
+        # The maximum sits at |k| > n/2 - width, in the last row of the
+        # tables, so a table that reads another k misses it (by 5.8e-5).
+        n, m, spacing = 1 << 17, 7, 124
+        grid = Grid(n, 1234.567)
+        half, width = n // 2, table_shape(n)[0]
+        k = np.arange(-half, half)
+        mu_hat = np.ones(n, dtype=np.clongdouble)
+        nu_hat = np.ones(n, dtype=np.clongdouble)
+        for j in range(1, m + 1):
+            # c_j k is exact in long double, and the product with dxi keeps 64 bits.
+            argument = np.longdouble(2 ** (j - 1) * spacing) * k * np.longdouble(grid.dxi)
+            shifted = np.exp(np.clongdouble(-1j) * argument) * nu_hat
+            mu_hat, nu_hat = mu_hat + shifted, mu_hat - shifted
+        moduli = np.abs(nu_hat)
+        assert abs(k[np.argmax(moduli)]) > half - width
+        reference = value_error(m, spacing, grid, 1.0, 1, 3, unit=2.0**-64)
+        value = rudin_shapiro_sup(m, spacing, grid)
+        assert abs(value - np.max(moduli)) <= sup_error(m, spacing, grid, 1.0) + reference
 
-        monkeypatch.setattr(grid_module, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(np, "exp", counting_exp)
+    def test_large_depth_does_not_overflow(self):
+        # c_j = 2^59 3 at m = 60: c_j l for l >= 6 is past int64, and float64
+        # holds it exactly.  dxi = 2^-5 keeps every argument exact, so both
+        # evaluations are within their exponentials' roundings.  The maximum
+        # sits at k = -29, which the tables cover.
+        m, spacing = 60, 3
+        grid = Grid(64, 32.0 * math.pi)
+        assert grid.dxi == 2.0**-5
+        scale = _scale_factor(m, Normalization.LP_ATOMS, 1.5)
+        full = rudin_shapiro_transforms(m, spacing, grid.frequencies(), "lp_atoms", 1.5)[1]
+        assert np.argmax(np.abs(full)) == 32 - 29
         value = rudin_shapiro_sup(m, spacing, grid, "lp_atoms", 1.5)
-        monkeypatch.undo()
-        assert value == float(np.max(np.abs(full)))
-        # t + m per chain of t + 1 frequencies, over the n / 4 chains that
-        # cover k = 1 .. n/2 - 1, and m for each of k = 0 and k = -n/2.
-        assert sum(evaluated) == n * (m + 1) // 4 - 1 + 2 * m
+        bound = sup_error(m, spacing, grid, scale) + transforms_error(m, spacing, grid, scale)
+        assert abs(value - float(np.max(np.abs(full)))) <= bound
 
     def test_holds_span_buffers_only(self, monkeypatch):
         # One CPU and short spans, so that the span buffers stay small next
@@ -297,13 +368,16 @@ class TestRudinShapiroSup:
             return float(np.max(np.abs(nu_hat)))
 
         value, peak = peak_bytes(lambda: rudin_shapiro_sup(10, 284, grid, "lp_atoms", 1.5))
-        # A span's phase table and recursion values, span complex values in
-        # all, and its temporaries: 1.9 spans measured, 1/32 of one complex
-        # array of the grid's length.
-        assert peak <= 4 * 16 * span
+        # The tables, 10 (128 + 256) complex values, and a span of rows of
+        # mu^, nu^, the product and the modulus, span / 4 values each.
+        width, height = table_shape(n)
+        assert peak <= 10 * (width + height) * 16 + 4 * 16 * span
         # The full-grid path holds mu^, nu^ and the frequencies: 2.5 arrays.
         full, full_peak = peak_bytes(full_grid)
-        assert full == value
+        scale = _scale_factor(10, Normalization.LP_ATOMS, 1.5)
+        assert abs(full - value) <= sup_error(10, 284, grid, scale) + transforms_error(
+            10, 284, grid, scale
+        )
         assert full_peak > 2.5 * 16 * n
 
 

@@ -27,10 +27,17 @@ import tfnorms.norms as norms
 import tfnorms.stft as stft_module
 from tfnorms.experiments import _flat_layout, flat_measurement, stft_experiment
 from tfnorms.grid import Grid, SampledSignal, fourier_inverse
-from tfnorms.measures import Normalization, rudin_shapiro_sup, rudin_shapiro_transforms
+from tfnorms.measures import (
+    Normalization,
+    _scale_factor,
+    rudin_shapiro_sup,
+    rudin_shapiro_transforms,
+)
 from tfnorms.norms import modulation_norm, partition_for
 from tfnorms.partition import bump_profile
 from tfnorms.stft import gaussian_window, stft, stft_gram
+
+from test_measures import sup_error, table_shape, transforms_error
 
 GRID = Grid(4096, 16.0 * math.pi)
 PART = partition_for(GRID)
@@ -288,19 +295,13 @@ class TestBitIdentical:
         default = flat_measurement(1.0, 3, 3)
         modules = {module for module, _, _, off_main in log if off_main}
         assert modules == {"measures", "norms", "experiments"}
-        # rudin_shapiro_sup at depth 3: one runner call per chain length
-        # t + 1, over the odd o in [n / 2^(t+2), n / 2^(t+1)), each holding
-        # t + 3 table rows and three recursion values, pooled where they
-        # make several spans, some of them ragged.
-        half = grid.n // 2
-        levels = half.bit_length() - 1
-        sup = log[:levels]
-        assert [(module, count) for module, count, _, _ in sup] == [
-            ("measures", max(1, half >> (t + 2))) for t in range(levels)
-        ]
-        assert [span for _, _, span, _ in sup] == [budget // (t + 6) for t in range(levels)]
-        assert all(off_main == (count > span) for _, count, span, off_main in sup)
-        assert any(count > span and count % span != 0 for _, count, span, _ in sup)
+        # rudin_shapiro_sup at depth 3: one runner call over the rows of its
+        # phase tables, each row holding width values of mu^, nu^, the
+        # product and the modulus, pooled since they make several spans.
+        width, height = table_shape(grid.n)
+        span = budget // (4 * width)
+        assert log[0] == ("measures", height, span, True)
+        assert height > span
         # The folds of F^-1 phi and of g, which gives f too.  The block norm
         # folds nothing, and no pass runs over the blocks or over the n
         # samples of the spectrum.  The plain fold holds the transform
@@ -391,17 +392,27 @@ class TestRudinShapiroSup:
     # L = n/2 puts -pi at k = -n/2, where |nu_1^| = 2 is largest.
     @example(3, 1, 1, 4.0, Normalization.RAW, 3)
     @example(10, 1, 1, 512.0, Normalization.RAW, 1)
-    def test_bitwise_equal_to_full_grid_maximum(
+    def test_pooled_inline_and_default_agree_bitwise(
         self, log_n, m, base_spacing, half_width, normalization, pieces
     ):
         grid = Grid(1 << log_n, half_width)
         p = 1.5 if normalization is Normalization.LP_ATOMS else None
+        args = (m, base_spacing, grid, normalization, p)
+        # The rows of the tables in about `pieces` spans, the last one often ragged.
+        width, height = table_shape(grid.n)
+        budget = 4 * width * max(1, height // pieces)
+        with spans(3, budget):
+            pooled = rudin_shapiro_sup(*args)
+        with spans(1, budget):
+            inline = rudin_shapiro_sup(*args)
+        default = rudin_shapiro_sup(*args)
+        assert pooled == inline == default
         full = rudin_shapiro_transforms(m, base_spacing, grid.frequencies(), normalization, p)
-        expected = float(np.max(np.abs(full[1])))
-        # The k >= 0 half in about `pieces` spans, the last one often ragged.
-        for cpus in (1, 3):
-            with spans(cpus, max(1, grid.n // 2 // pieces)):
-                assert rudin_shapiro_sup(m, base_spacing, grid, normalization, p) == expected
+        scale = _scale_factor(m, normalization, p)
+        bound = sup_error(m, base_spacing, grid, scale) + transforms_error(
+            m, base_spacing, grid, scale
+        )
+        assert abs(default - float(np.max(np.abs(full[1])))) <= bound
 
 
 class TestFlatnessIdentity:
