@@ -36,8 +36,8 @@ from .grid import (
     _refined_samples,
     fourier_forward,
 )
-from .norms import norm_value, partition_for
-from .partition import FrequencyPartition, bump_profile
+from .norms import norm_value
+from .partition import bump_profile
 from .windows import PlateauWindow
 
 __all__ = [
@@ -349,6 +349,21 @@ def _check_grid_size(size: int, what: str, grid: str = "grid") -> None:
         )
 
 
+def _check_depth(depth: int, name: str, what: str, grid: str = "grid") -> None:
+    """Raise CostGateError when `what` needs a `grid` of at least 2^depth samples, above the gate.
+
+    The depth is refused by its bit count, before 2^depth is formed: the
+    power of a large depth is too large to print, or to build at all.  A
+    depth the gate admits is left to :func:`_check_grid_size`.
+    """
+    bits = _MAX_REFINED_SIZE.bit_length() - 1
+    if depth > bits:
+        raise CostGateError(
+            f"{what} needs a {grid} of at least 2^{depth} points ({name} = {depth}), "
+            f"above the 2^{bits}-point gate"
+        )
+
+
 def _dilated(h: SampledSignal, num: int, den: int, x_to: float, x_from: float, lo: int,
              count: int, spectrum=None) -> np.ndarray:
     """h(x_to + (num / den) (x_j - x_from)) at h's grid points x_j, lo <= j < lo + count.
@@ -376,11 +391,10 @@ def dilation_difference_norm(
     tau: SampledSignal,
     lam: float,
     spec: NormSpec,
-    part: FrequencyPartition | None = None,
     *,
     _spectrum=None,
 ) -> float:
-    """Spec-norm of (f(x0 + x / lam) - f(x0)) tau(x).
+    """Spec-norm of (f(x0 + x / lam) - f(x0)) tau(x), with the partition of f's grid.
 
     f is evaluated off the grid by band-limited interpolation, so the
     spectral support assumptions behind the block norms survive the
@@ -409,7 +423,7 @@ def dilation_difference_norm(
     values = _dilated(f, den, num, x0, 0.0, lo, hi - lo + 1, _spectrum)
     samples = np.zeros(grid.n, dtype=complex)
     samples[lo : hi + 1] = (values - fx0) * tau.samples[lo : hi + 1]
-    return norm_value(SampledSignal(grid, samples), spec, part)
+    return norm_value(SampledSignal(grid, samples), spec)
 
 
 def resample_progression(
@@ -475,7 +489,6 @@ def local_compose(
     series: PowerSeries,
     spec: NormSpec,
     c_hat: float,
-    part: FrequencyPartition | None = None,
     lam_start: float = 1.0,
     *,
     _spectrum=None,
@@ -484,7 +497,8 @@ def local_compose(
 
     The dilation doubles until the rescaled increment norm falls below
     radius / (2 c_hat) (the measured algebra constant with a 2x safety
-    factor) and the pointwise increment stays inside the disk.
+    factor) and the pointwise increment stays inside the disk.  The
+    increment norms use the partition of f's grid.
     ``_spectrum`` is private: it returns f's centered spectrum, for a caller
     that refines f many times.
     """
@@ -493,8 +507,6 @@ def local_compose(
     if c_hat <= 0:
         raise ValueError("need a positive measured algebra constant")
     grid = f.grid
-    if part is None:
-        part = partition_for(grid)
     idx, x0g = _snap_to_grid(grid, x0)
     fx0 = complex(f.samples[idx])
     if abs(series.center - fx0) > 1e-9 * (1.0 + abs(fx0)):
@@ -509,7 +521,7 @@ def local_compose(
     history = []
     while True:
         increment_norm = dilation_difference_norm(
-            f, x0g, base_tau, lam, spec, part, _spectrum=_spectrum
+            f, x0g, base_tau, lam, spec, _spectrum=_spectrum
         )
         tau_l = _cutoff_samples(grid, x0g, lam)
         support = np.flatnonzero(tau_l)  # one run: the cutoff does not wrap
@@ -608,9 +620,10 @@ def _patch_cover(
     make_series,
     spec: NormSpec,
     c_hat: float,
-    part: FrequencyPartition,
 ) -> list:
     """Greedy left-to-right patch placement until the interval is covered.
+
+    The patches are normed with the partition of f's grid.
 
     Every dilation of every patch refines f, from one transform of f, made
     when the first dilation needs it.
@@ -628,7 +641,6 @@ def _patch_cover(
             make_series(complex(f.samples[idx])),
             spec,
             c_hat,
-            part,
             lam_start=lam_hint,
             _spectrum=spectrum,
         )
@@ -644,12 +656,12 @@ def reciprocal_on_compact(
     interval: tuple,
     spec: NormSpec,
     c_hat: float,
-    part: FrequencyPartition | None = None,
 ) -> tuple:
-    """g with f g = 1 on the interval, from glued local 1/z expansions."""
+    """g with f g = 1 on the interval, from glued local 1/z expansions.
+
+    The patches are normed with the partition of f's grid.
+    """
     grid = f.grid
-    if part is None:
-        part = partition_for(grid)
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"interval needs a < b, got ({a:g}, {b:g})")
@@ -659,7 +671,7 @@ def reciprocal_on_compact(
     minimum = float(np.min(np.abs(f.samples[inside])))
     if minimum <= 0.0:
         raise ValueError("f vanishes on the interval; no reciprocal exists there")
-    patches = _patch_cover(f, (a, b), series_reciprocal, spec, c_hat, part)
+    patches = _patch_cover(f, (a, b), series_reciprocal, spec, c_hat)
     glued = glue_local((a, b), patches)
     return glued.values, glued, patches
 
@@ -669,19 +681,19 @@ def global_compose(
     series: PowerSeries,
     spec: NormSpec,
     c_hat: float,
-    part: FrequencyPartition | None = None,
 ) -> tuple:
     """Compose F (analytic near the closed range of f, F(0) = 0) with f globally.
 
     Splits f into a small-tail part handled by the series at 0 and a
     compactly supported part handled by glued local patches:
-    g = (1 - tau0) g0 + tau0 g1.
+    g = (1 - tau0) g0 + tau0 g1.  The tail and the patches are normed with
+    the partition of f's grid.
     """
     if abs(series.center) > 0 or abs(series.constant) > 1e-14:
         raise ValueError("global composition needs a series at 0 with F(0) = 0")
+    if c_hat <= 0:
+        raise ValueError("need a positive measured algebra constant")
     grid = f.grid
-    if part is None:
-        part = partition_for(grid)
     threshold = series.radius / (2.0 * c_hat)
 
     width = 1.0
@@ -689,7 +701,7 @@ def global_compose(
     while True:
         plateau = bump_profile(grid.points() / width, inner=1.0, outer=2.0)
         tail = SampledSignal(grid, (1.0 - plateau) * f.samples)
-        tail_norm = norm_value(tail, spec, part)
+        tail_norm = norm_value(tail, spec)
         tail_sup = float(np.max(np.abs(tail.samples)))
         history.append((width, tail_norm, tail_sup))
         if tail_norm < threshold and tail_sup < 0.95 * series.radius:
@@ -706,7 +718,7 @@ def global_compose(
     support_radius = 2.0 * width  # cutoff plateau ends here
     tau0 = bump_profile(grid.points(), inner=support_radius, outer=support_radius + 2.0)
     patch_interval = (-support_radius - 2.0, support_radius + 2.0)
-    patches = _patch_cover(f, patch_interval, series.recenter, spec, c_hat, part)
+    patches = _patch_cover(f, patch_interval, series.recenter, spec, c_hat)
     glued = glue_local(patch_interval, patches)
 
     values = (1.0 - tau0) * g0 + tau0 * glued.values.samples

@@ -50,6 +50,7 @@ from .norms import (
 )
 from .partition import bump_profile, partition_defect, partition_profile
 from .compose import (
+    _check_depth,
     _check_grid_size,
     _dilated_window_samples,
     global_compose,
@@ -463,7 +464,7 @@ def _algebra_pairs(corpus, seed: int, count: int):
 def _cached_algebra_constant(spec: NormSpec, n: int, L: float, seed: int, count: int) -> float:
     grid = Grid(n, L)
     corpus = make_corpus(grid, seed=seed)
-    return algebra_constant(_algebra_pairs(corpus, seed + 17, count), spec, partition_for(grid))
+    return algebra_constant(_algebra_pairs(corpus, seed + 17, count), spec)
 
 
 def measured_algebra_constant(
@@ -486,19 +487,18 @@ def compose_experiment(
     _check_grid_size(n, "compose")
     report = SweepReport("compose", axis="x")
     grid = Grid(n, L)
-    part = partition_for(grid)
     spec = NormSpec.modulation(p, 1.0, s)
     c_hat = measured_algebra_constant(spec, min(n, 4096), L, seed)
     f = make_signal("gaussian-unit", grid, seed)
     series = named_series(function, 0.0)
-    g, diag, patches = global_compose(f, series, spec, c_hat, part)
+    g, diag, patches = global_compose(f, series, spec, c_hat)
     oracle = pointwise_oracle(function)(f.samples)
     sup_error = float(np.max(np.abs(g.samples - oracle)))
     tolerance = 1e-7 if function in ("square", "identity") else 1e-6
     report.extras = {
         "function": function,
         "c_hat": c_hat,
-        "norm_of_result": norm_value(g, spec, part),
+        "norm_of_result": norm_value(g, spec),
         **{k: float(v) for k, v in diag.items()},
     }
     report.rows = [
@@ -528,13 +528,12 @@ def reciprocal_experiment(
 
     def run(n_run):
         grid = Grid(n_run, L)
-        part = partition_for(grid)
         c_hat = measured_algebra_constant(spec, min(n_run, 4096), L, seed)
         f = SampledSignal(grid, (2.0 + np.sin(grid.points())).astype(complex))
-        g, glued, _ = reciprocal_on_compact(f, (a, b), spec, c_hat, part)
+        g, glued, _ = reciprocal_on_compact(f, (a, b), spec, c_hat)
         inside = (grid.points() >= a) & (grid.points() <= b)
         sup = float(np.max(np.abs(f.samples[inside] * g.samples[inside] - 1.0)))
-        return sup, norm_value(g, spec, part), glued
+        return sup, norm_value(g, spec), glued
 
     sup_coarse, norm_coarse, glued = run(n)
     sup_fine, norm_fine, _ = run(2 * n)
@@ -562,7 +561,6 @@ def approx_unit_experiment(
     """Widening plateau multipliers: the residual ||f - psi_lam f|| must fall."""
     report = SweepReport("approx-unit", axis="lam")
     grid = Grid(n, L)
-    part = partition_for(grid)
     spec = NormSpec.modulation(p, q, s)
     if not spec.in_algebra_regime():
         raise ValueError("approximate-unit sweep needs an algebra-regime spec")
@@ -570,10 +568,11 @@ def approx_unit_experiment(
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     # The smallest lam, 2^-halvings, samples the window on the finest
     # refined grid; refuse it before computing the coarser ones.
+    _check_depth(halvings, "halvings", "dilation", "refined grid")
     _check_grid_size(n * 2**halvings, "dilation", "refined grid")
     f = make_signal(signal, grid, seed)
     base = plateau_window(0.0, 1.0, grid)
-    f_norm = norm_value(f, spec, part)
+    f_norm = norm_value(f, spec)
 
     # Every halving refines the same base window, from one transform of it.
     spectrum = functools.cache(lambda: fourier_forward(base.window).samples)
@@ -581,7 +580,7 @@ def approx_unit_experiment(
     lams = [0.5**k for k in range(halvings + 1)]
     for lam in lams:
         window = _dilated_window_samples(base, 0.0, lam, spectrum)
-        residual = norm_value(SampledSignal(grid, (1.0 - window) * f.samples), spec, part)
+        residual = norm_value(SampledSignal(grid, (1.0 - window) * f.samples), spec)
         residuals.append(residual)
         report.rows.append({"lam": lam, "residual": residual})
 
@@ -628,10 +627,9 @@ def embedding_sweep(
     maxima = {}
     for n_run in (n, 2 * n):
         grid = Grid(n_run, L)
-        part = partition_for(grid)
         best = [0.0] * len(cases)
         for sig_name, f in make_corpus(grid, seed=seed):
-            values = _norm_values(f, specs, part)
+            values = _norm_values(f, specs)
             for i, (_, frm, to, only) in enumerate(cases):
                 if only is None or sig_name.startswith(only):
                     best[i] = max(best[i], values[to] / values[frm])
@@ -749,13 +747,15 @@ def _flat_layout(p: float, m: int, r: int) -> tuple[Grid, int]:
 
     The spacing keeps the translates of F^-1 phi by the support of nu
     disjoint; the grid fits the translate train with margin, and its
-    frequency grid resolves every occupied block.  A negative depth, named,
-    and a grid above compose's refined-grid gate are refused before anything
-    is built.
+    frequency grid resolves every occupied block.  A negative depth, a depth
+    whose power alone is above compose's refined-grid gate, both named, and
+    a grid above that gate are refused before anything is built.
     """
     for name, depth in (("m", m), ("r", r)):
         if depth < 0:
             raise ValueError(f"depth {name} must be >= 0, got {depth}")
+        # The grid has more than 2^m and more than 2^r samples.
+        _check_depth(depth, name, f"flat counterexample at m={m}, r={r}")
     r_half = _invphi_tail_halfwidth(p, _TAIL_FRACTION.get(p, 1e-3))
     n_nu = disjointness_spacing(r_half, r)
     support = n_nu * (2**r - 1) + 2.2 * r_half
@@ -1085,6 +1085,12 @@ def counterexample_l2(
         raise ValueError(f"checkpoints must be at least k0 = {k0}, got {checkpoints[0]}")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
+    # The closed forms of the l2 series take k^3 as a float.
+    if checkpoints[-1] ** 3 > sys.float_info.max:
+        raise ValueError(
+            f"checkpoints must be at most {sys.float_info.max ** (1 / 3):.3g}, so that k^3 is a "
+            f"finite float, got {float(checkpoints[-1]):.3g}"
+        )
     report = SweepReport("counterexample-l2", axis="K")
 
     mod_sums = [_series_partial("mod", k0, K) for K in checkpoints]

@@ -4,7 +4,11 @@ The canonical modulation norm is the block characterization
 
     ||f||_(p,q,s) = ( sum_k <k>^(sq) ||block_k(f)||_p^q )^(1/q),
 
-computed with the partition of unity from :mod:`tfnorms.partition`.
+computed with the partition of unity from :mod:`tfnorms.partition`.  Each
+grid has one partition, cached by :func:`partition_for`.
+:func:`modulation_norm` takes it as an argument; :func:`norm_value`,
+``_norm_values`` and :func:`algebra_constant` look up the one of the
+signal's grid.
 
 All blocks are read at once from a block tensor: the window of phi(. - k) is
 [k - 1, k + 1), W = 2w samples of the frequency grid (w samples per unit),
@@ -45,15 +49,16 @@ The body, ``_block_norm``, stops at the vector of block L^p norms for one
 p, since q and s enter only when ``_norm_report`` combines that vector:
 sum_k (<k>^s ||block_k||_p)^q, and the two outermost blocks as the tail.  So
 a caller that needs several (q, s) of one spectrum folds each p once;
-``_norm_values`` gives every spec of one signal from one transform that way
-(the embedding sweep), and :func:`algebra_constant` norms each signal and
-each product once.  Nothing is cached across calls by the bytes of a
-spectrum or a row.  A block holding -c_m folds to the negated intermediates
-of one holding c_m, because under round-to-nearest negation commutes with
-the twiddle product, every FFT butterfly and abs, and a zero of either sign
-stays a zero; so the two norms are bitwise equal.  The flat counterexample
-folds no block: its blocks are +-2^-m times frequency translates of g-hat,
-whose norms are 2^-m ||g||_p (:func:`tfnorms.experiments.flat_measurement`).
+``_norm_values`` gives every spec of one signal from one transform and one
+partition lookup that way (the embedding sweep), and
+:func:`algebra_constant` norms each signal and each product once.  Nothing
+is cached across calls by the bytes of a spectrum or a row.  A block holding
+-c_m folds to the negated intermediates of one holding c_m, because under
+round-to-nearest negation commutes with the twiddle product, every FFT
+butterfly and abs, and a zero of either sign stays a zero; so the two norms
+are bitwise equal.  The flat counterexample folds no block: its blocks are
++-2^-m times frequency translates of g-hat, whose norms are 2^-m ||g||_p
+(:func:`tfnorms.experiments.flat_measurement`).
 
 The sum over blocks is truncated at the frequency grid edge and the mass of
 the outermost two blocks is reported as a tail estimate.
@@ -279,14 +284,10 @@ def partition_for(grid: Grid) -> FrequencyPartition:
     return _cached_partition(grid)
 
 
-def norm_value(
-    f: SampledSignal, spec: NormSpec, part: FrequencyPartition | None = None
-) -> float:
-    """Evaluate any NormSpec on a signal."""
+def norm_value(f: SampledSignal, spec: NormSpec) -> float:
+    """Evaluate any NormSpec on a signal; block norms use ``partition_for(f.grid)``."""
     if spec.space is Space.MODULATION:
-        if part is None:
-            part = partition_for(f.grid)
-        return modulation_norm(f, spec.p, spec.q, spec.s, part).value
+        return modulation_norm(f, spec.p, spec.q, spec.s, partition_for(f.grid)).value
     if spec.space is Space.FOURIER_BEURLING:
         return fourier_beurling_norm(f, spec.s)
     if spec.space is Space.FOURIER_SEGAL:
@@ -294,14 +295,13 @@ def norm_value(
     return weighted_lp_norm(f, spec.p, spec.s)
 
 
-def _norm_values(f: SampledSignal, specs, part: FrequencyPartition) -> dict:
-    """{spec: norm_value(f, spec, part)} for each spec, bit for bit, from one transform of f.
+def _norm_values(f: SampledSignal, specs) -> dict:
+    """{spec: norm_value(f, spec)} for each spec, bit for bit, from one transform of f.
 
-    The modulation specs share their block norms: each p is folded once and
-    combined for each (q, s).
+    The modulation specs share their block norms: each p is folded once,
+    with the partition of f's grid, and combined for each (q, s).
     """
-    if not part.grid.compatible(f.grid):
-        raise ValueError("partition was built for a different grid")
+    part = partition_for(f.grid)
     spectrum = fourier_forward(f)
     blocks: dict = {}  # p -> block norms
 
@@ -312,16 +312,17 @@ def _norm_values(f: SampledSignal, specs, part: FrequencyPartition) -> dict:
             return _norm_report(blocks[spec.p], spec, part).value
         if spec.space is Space.FOURIER_BEURLING:
             return weighted_lp_norm(spectrum, 1.0, spec.s)
-        return norm_value(f, spec, part)
+        return norm_value(f, spec)
 
     return {spec: value(spec) for spec in specs}
 
 
-def algebra_constant(pairs, spec: NormSpec, part: FrequencyPartition) -> float:
+def algebra_constant(pairs, spec: NormSpec) -> float:
     """Empirical multiplication constant: max ||f g|| / (||f|| ||g||) over signal pairs.
 
     Downstream series constructions gate convergence on this measured value
-    (with their own safety margin); it is an estimate, not a proof.
+    (with their own safety margin); it is an estimate, not a proof.  Each
+    norm is :func:`norm_value`'s, with the partition of the signal's grid.
 
     Each tag's signal is normed once, and each product once per ordered
     pair of tags.  A product reuses a norm only when its samples are bitwise
@@ -337,7 +338,7 @@ def algebra_constant(pairs, spec: NormSpec, part: FrequencyPartition) -> float:
 
     def signal_norm(tag, sig):
         if tag not in signal_norms:
-            signal_norms[tag] = norm_value(sig, spec, part)
+            signal_norms[tag] = norm_value(sig, spec)
         return signal_norms[tag]
 
     def product_norm(tag_f, f, tag_g, g):
@@ -349,7 +350,7 @@ def algebra_constant(pairs, spec: NormSpec, part: FrequencyPartition) -> float:
             return signal_norm(tag_g, g)
         if (tag_g, tag_f) in product_norms and bits == (g * f).samples.tobytes():
             return product_norms[tag_g, tag_f]
-        return norm_value(fg, spec, part)
+        return norm_value(fg, spec)
 
     for tag_f, f, tag_g, g in pairs:
         nf = signal_norm(tag_f, f)

@@ -137,6 +137,15 @@ class TestSignalFiles:
         with pytest.raises(ValueError):
             load_signal(path)
 
+    def test_column_count_mismatch_detected(self, tmp_path):
+        # The sidecar's row count with a fourth column is still the wrong shape.
+        path = tmp_path / "sig.csv"
+        save_signal(path, SampledSignal.zero(Grid(256, 8.0)))
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header + ",extra", *(row + ",0" for row in rows)]) + "\n")
+        with pytest.raises(ValueError, match=r"has shape \(256, 4\), expected \(256, 3\)"):
+            load_signal(path)
+
 
 class TestCommands:
     def test_list(self, tmp_path):
@@ -259,6 +268,14 @@ class TestCommands:
             # Below the one gate: the STFT's corpus and per-row Grams are not built either.
             (["moyal", "--n", str(1 << 22)], "the STFT is gated at n <= 4096 (got n=4194304); "
              "use the frequency-block norm path for larger grids"),
+            # Depths refused by their bit count, before 2^depth is formed: 2^1023 - 1
+            # overflowed a float, and the grid sizes of the other two were too long to print.
+            (["counterexample-flat", "--r", "1023"], "flat counterexample at m=4, r=1023 needs a "
+             "grid of at least 2^1023 points (r = 1023), above the 2^22-point gate"),
+            (["counterexample-flat", "--m", "20000"], "flat counterexample at m=20000, r=4 needs a "
+             "grid of at least 2^20000 points (m = 20000), above the 2^22-point gate"),
+            (["approx-unit", "--halvings", "100000"], "dilation needs a refined grid of at least "
+             "2^100000 points (halvings = 100000), above the 2^22-point gate"),
             # Not a grid: the pair count, refused before any pair is drawn.
             (["algebra-sweep", "--pairs", str(10**6 + 1)], "algebra-sweep asks for 1000001 pairs, "
              "above the 1000000-pair gate"),
@@ -293,6 +310,10 @@ class TestCommands:
             ),
             (["counterexample-flat", "--r", "-1"], "depth r must be >= 0, got -1"),
             (["rudin-shapiro", "--m", "-1"], "depth m must be >= 0, got -1"),
+            (
+                ["counterexample-l2", "--checkpoints", "1e150,1e200"],
+                "checkpoints must be at most 5.64e+102, so that k^3 is a finite float, got 1e+200",
+            ),
         ],
     )
     def test_bad_input_exits_one_with_its_message(self, tmp_path, capsys, args, message):
@@ -424,6 +445,13 @@ class TestRegistry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'bogus'" in err
         assert not out.exists()
+
+    def test_null_config_value_keeps_the_default(self, tmp_path):
+        # null is read as a key left out, not converted as the text "None".
+        config = tmp_path / "config.json"
+        config.write_text('{"m_max": null, "samples": 512}')
+        args = argparse.Namespace(config=str(config))
+        assert cli._collect_params("rudin-shapiro", args) == {"samples": 512}
 
     @pytest.mark.parametrize(
         "command, config, message",

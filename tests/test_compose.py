@@ -36,12 +36,11 @@ from tfnorms.compose import (
 )
 from tfnorms.errors import CostGateError, CoverError, ToleranceNotReachedError
 from tfnorms.grid import Grid, NormSpec, SampledSignal, _refined_samples, fourier_forward, upsample
-from tfnorms.norms import norm_value, partition_for
+from tfnorms.norms import norm_value
 from tfnorms.partition import bump_profile
 from tfnorms.windows import plateau_window
 
 GRID = Grid(8192, 16.0 * math.pi)
-PART = partition_for(GRID)
 SPEC = NormSpec.modulation(2.0, 1.0, 0.0)
 
 
@@ -191,7 +190,8 @@ class TestTailBound:
         # c_j = (-1)^(j - 1) 6^-(j - 1) (1 - 2 / 6) / 1.5, subnormal there.
         j = np.arange(398, 401)
         exact = (-1.0) ** (j - 1) * 6.0 ** -(j - 1.0) * (2.0 / 3.0) / 1.5
-        assert s.coefficients[j - 1] == pytest.approx(exact, rel=1e-9)
+        # No absolute slack: approx's default 1e-12 would pass either sign.
+        assert s.coefficients[j - 1] == pytest.approx(exact, rel=1e-9, abs=0.0)
         # Below the overflow the coefficients are the plain formula's, bit for bit.
         with np.errstate(all="ignore"):
             plain = (-1.0) ** (j - 5) / (1.5 * (6.0 + 0j) ** (j - 5)) * (1.0 - 2.0 / 6.0)
@@ -401,6 +401,11 @@ class TestRefinedGrid:
         bound = 8 * np.finfo(float).eps * np.max(np.abs(h.samples))
         assert np.max(np.abs(values - expected)) <= bound
 
+    def test_upsample_refuses_a_non_integer_factor(self):
+        # int(1.5) is 1, which would return h unrefined.
+        with pytest.raises(ValueError, match="positive integer, got 1.5"):
+            upsample(self.COARSE_BASE.window, 1.5)
+
     @pytest.mark.parametrize("factor", [1, 2, 16])
     def test_refined_progression_matches_dense_inverse(self, factor):
         # Indices below 0 and past n * factor wrap onto the periodic grid.
@@ -450,31 +455,31 @@ class TestRefinedGrid:
         with pytest.raises(ValueError, match="not a grid point"):
             _dilated_window_samples(self.BASE, x0, 2.0)
         with pytest.raises(ValueError, match="not a grid point"):
-            dilation_difference_norm(gaussian(), x0, base_cutoff(), 2.0, SPEC, PART)
+            dilation_difference_norm(gaussian(), x0, base_cutoff(), 2.0, SPEC)
 
     def test_non_dyadic_dilation_rejected(self):
         with pytest.raises(ValueError, match="reciprocal"):
             _dilated_window_samples(self.BASE, 0.0, 0.3)
         with pytest.raises(ValueError, match="reciprocal"):
-            dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 0.3, SPEC, PART)
+            dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 0.3, SPEC)
 
     def test_refined_grid_gate(self):
         # 8192 * 1024 = 2^23 samples, past the 2^22-sample gate
         with pytest.raises(CostGateError):
             _dilated_window_samples(self.BASE, 0.0, 1.0 / 1024)
         with pytest.raises(CostGateError):
-            dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 1024.0, SPEC, PART)
+            dilation_difference_norm(gaussian(), 0.0, base_cutoff(), 1024.0, SPEC)
 
 
 class TestDilationDifference:
     def test_constant_signal_is_zero(self):
         f = SampledSignal(GRID, np.full(GRID.n, 1.5 + 0.0j))
-        assert dilation_difference_norm(f, 0.0, base_cutoff(), 4.0, SPEC, PART) == 0.0
+        assert dilation_difference_norm(f, 0.0, base_cutoff(), 4.0, SPEC) == 0.0
 
     def test_gaussian_sweep_decreases(self):
         f = gaussian()
         values = [
-            dilation_difference_norm(f, 0.0, base_cutoff(), float(lam), SPEC, PART)
+            dilation_difference_norm(f, 0.0, base_cutoff(), float(lam), SPEC)
             for lam in (1, 2, 4, 8, 16, 32, 64)
         ]
         for a, b in zip(values, values[1:]):
@@ -486,7 +491,7 @@ class TestDilationDifference:
         plateau = bump_profile(GRID.points(), 4.0, 8.0)
         f = SampledSignal(GRID, GRID.points() * plateau + 0.0j)
         values = [
-            dilation_difference_norm(f, 0.0, base_cutoff(), float(lam), SPEC, PART)
+            dilation_difference_norm(f, 0.0, base_cutoff(), float(lam), SPEC)
             for lam in (2, 4, 8, 16)
         ]
         for a, b in zip(values, values[1:]):
@@ -495,14 +500,14 @@ class TestDilationDifference:
     def test_domain_guard(self):
         f = gaussian()
         with pytest.raises(ValueError, match="domain"):
-            dilation_difference_norm(f, GRID.half_width - 1.0, base_cutoff(), 0.01, SPEC, PART)
+            dilation_difference_norm(f, GRID.half_width - 1.0, base_cutoff(), 0.01, SPEC)
 
 
 class TestLocalCompose:
     def test_identity_series(self):
         f = gaussian()
         idx = int(round((0.25 + GRID.half_width) / GRID.dx))
-        patch = local_compose(f, 0.25, series_identity(f.samples[idx]), SPEC, 1.0, PART)
+        patch = local_compose(f, 0.25, series_identity(f.samples[idx]), SPEC, 1.0)
         x = GRID.points()
         plateau = np.abs(x - patch.center) <= patch.plateau_radius
         err = np.max(np.abs(on_grid(patch, patch.window_values)[plateau] - f.samples[plateau]))
@@ -511,7 +516,7 @@ class TestLocalCompose:
     def test_square_series(self):
         f = gaussian()
         idx = GRID.n // 2
-        patch = local_compose(f, 0.0, series_square(f.samples[idx]), SPEC, 1.0, PART)
+        patch = local_compose(f, 0.0, series_square(f.samples[idx]), SPEC, 1.0)
         x = GRID.points()
         plateau = np.abs(x - patch.center) <= patch.plateau_radius
         err = np.max(np.abs(on_grid(patch, patch.window_values)[plateau] - f.samples[plateau] ** 2))
@@ -521,7 +526,7 @@ class TestLocalCompose:
         f = SampledSignal(GRID, (2.0 + np.sin(GRID.points())).astype(complex))
         idx = GRID.n // 2 + 57
         x0 = float(GRID.points()[idx])
-        patch = local_compose(f, x0, series_reciprocal(complex(f.samples[idx])), SPEC, 1.0, PART)
+        patch = local_compose(f, x0, series_reciprocal(complex(f.samples[idx])), SPEC, 1.0)
         x = GRID.points()
         plateau = np.abs(x - patch.center) <= patch.plateau_radius
         values = on_grid(patch, patch.window_values)
@@ -531,13 +536,13 @@ class TestLocalCompose:
     def test_center_mismatch_rejected(self):
         f = gaussian()
         with pytest.raises(ValueError, match="centered"):
-            local_compose(f, 0.0, series_square(0.123), SPEC, 1.0, PART)
+            local_compose(f, 0.0, series_square(0.123), SPEC, 1.0)
 
 
 class TestGlue:
     def test_single_patch_covers(self):
         f = gaussian()
-        patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0, PART)
+        patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0)
         rho = patch.glue_radius
         glued = glue_local((-rho / 2.0, rho / 2.0), [patch])
         x = GRID.points()
@@ -548,10 +553,10 @@ class TestGlue:
     def test_two_overlapping_patches_square(self):
         f = gaussian()
         idx = GRID.n // 2
-        p1 = local_compose(f, 0.0, series_square(f.samples[idx]), SPEC, 1.0, PART)
+        p1 = local_compose(f, 0.0, series_square(f.samples[idx]), SPEC, 1.0)
         x1 = p1.center + p1.glue_radius
         idx1 = int(round((x1 + GRID.half_width) / GRID.dx))
-        p2 = local_compose(f, x1, series_square(f.samples[idx1]), SPEC, 1.0, PART)
+        p2 = local_compose(f, x1, series_square(f.samples[idx1]), SPEC, 1.0)
         interval = (0.0, p2.center + p2.glue_radius)
         glued = glue_local(interval, [p1, p2])
         x = GRID.points()
@@ -565,10 +570,10 @@ class TestGlue:
         if source == "reciprocal":
             f = SampledSignal(GRID, (2.0 + np.sin(GRID.points())).astype(complex))
             interval = (-5.0, 5.0)
-            _, glued, patches = reciprocal_on_compact(f, interval, SPEC, 1.0, PART)
+            _, glued, patches = reciprocal_on_compact(f, interval, SPEC, 1.0)
         else:
             f = gaussian()
-            _, diag, patches = global_compose(f, series_mobius(0.0), SPEC, 1.0, PART)
+            _, diag, patches = global_compose(f, series_mobius(0.0), SPEC, 1.0)
             interval = (-2.0 * diag["tail_width"] - 2.0, 2.0 * diag["tail_width"] + 2.0)
             glued = glue_local(interval, patches)
         assert len(patches) > 5
@@ -580,7 +585,7 @@ class TestGlue:
         # The window is where the cutoff is nonzero, and there the values
         # are bitwise those of the full-grid series; outside they are 0.
         f = SampledSignal(GRID, (2.0 + np.sin(GRID.points())).astype(complex))
-        _, _, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0, PART)
+        _, _, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0)
         for p in patches[::7]:
             idx = int(round((p.center + GRID.half_width) / GRID.dx))
             series = series_reciprocal(complex(f.samples[idx]))
@@ -602,7 +607,7 @@ class TestGlue:
 
     def test_cover_gap_detected(self):
         f = gaussian()
-        patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0, PART)
+        patch = local_compose(f, 0.0, series_square(f.samples[GRID.n // 2]), SPEC, 1.0)
         with pytest.raises(CoverError):
             glue_local((-10.0, 10.0), [patch])
 
@@ -610,13 +615,13 @@ class TestGlue:
 class TestReciprocal:
     def test_constant_two(self):
         f = SampledSignal(GRID, np.full(GRID.n, 2.0 + 0.0j))
-        g, glued, _ = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0, PART)
+        g, glued, _ = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0)
         inside = np.abs(GRID.points()) <= 5.0
         assert np.max(np.abs(g.samples[inside] - 0.5)) <= 1e-10
 
     def test_two_plus_sine(self):
         f = SampledSignal(GRID, (2.0 + np.sin(GRID.points())).astype(complex))
-        g, glued, _ = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0, PART)
+        g, glued, _ = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0)
         inside = np.abs(GRID.points()) <= 5.0
         assert np.max(np.abs(f.samples[inside] * g.samples[inside] - 1.0)) <= 1e-6
         assert glued.partition_defect <= 1e-10
@@ -625,11 +630,10 @@ class TestReciprocal:
         # 37 patches at the measured constant of the reciprocal run; three
         # full-grid complex arrays each would hold 37 * 3 * 16 n = 28 MiB.
         grid = Grid(16384, 16.0 * math.pi)
-        part = partition_for(grid)
         f = SampledSignal(grid, (2.0 + np.sin(grid.points())).astype(complex))
         tracemalloc.start()
         try:
-            _, glued, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 0.43, part)
+            _, glued, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 0.43)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -640,7 +644,6 @@ class TestReciprocal:
         # Every dilation of every patch refines f from one transform of f.
         # At this constant the dilations transformed f 34 times, one each.
         grid = Grid(16384, 16.0 * math.pi)
-        part = partition_for(grid)
         f = SampledSignal(grid, (2.0 + np.sin(grid.points())).astype(complex))
         of_f = []
 
@@ -650,37 +653,42 @@ class TestReciprocal:
 
         monkeypatch.setattr(grid_module, "fourier_forward", counted)
         monkeypatch.setattr(compose_module, "fourier_forward", counted)
-        _, _, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 0.43, part)
+        _, _, patches = reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 0.43)
         assert max(patch.lam for patch in patches) > 1.0  # dilations refined f
         assert sum(of_f) == 1
 
     def test_vanishing_rejected(self):
         f = SampledSignal(GRID, np.sin(GRID.points()).astype(complex))
         with pytest.raises(ValueError, match="vanishes"):
-            reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0, PART)
+            reciprocal_on_compact(f, (-5.0, 5.0), SPEC, 1.0)
 
 
 class TestGlobalCompose:
     def test_square_on_gaussian(self):
         f = gaussian()
-        g, diag, _ = global_compose(f, series_square(0.0), SPEC, 1.0, PART)
+        g, diag, _ = global_compose(f, series_square(0.0), SPEC, 1.0)
         assert np.max(np.abs(g.samples - f.samples**2)) <= 1e-7
 
     def test_identity(self):
         f = gaussian()
-        g, _, _ = global_compose(f, series_identity(0.0), SPEC, 1.0, PART)
+        g, _, _ = global_compose(f, series_identity(0.0), SPEC, 1.0)
         assert np.max(np.abs(g.samples - f.samples)) <= 1e-9
 
     def test_mobius_on_gaussian(self):
         f = gaussian()
-        g, _, _ = global_compose(f, series_mobius(0.0), SPEC, 1.0, PART)
+        g, _, _ = global_compose(f, series_mobius(0.0), SPEC, 1.0)
         oracle = pointwise_oracle("mobius")(f.samples)
         assert np.max(np.abs(g.samples - oracle)) <= 1e-6
 
     def test_requires_vanishing_constant(self):
         f = gaussian()
         with pytest.raises(ValueError, match="F\\(0\\) = 0"):
-            global_compose(f, series_reciprocal(1.0), SPEC, 1.0, PART)
+            global_compose(f, series_reciprocal(1.0), SPEC, 1.0)
+
+    def test_requires_positive_constant(self):
+        # The constant measured at p = 1e308 is 0, which divided the radius by zero.
+        with pytest.raises(ValueError, match="positive measured algebra constant"):
+            global_compose(gaussian(), series_square(0.0), SPEC, 0.0)
 
 
 class TestPointDitkin:
@@ -689,7 +697,7 @@ class TestPointDitkin:
     def test_constant_signal(self):
         f = SampledSignal(GRID, np.full(GRID.n, 3.0 + 0.0j))
         window, lam, residual = point_ditkin_window(
-            f, 0.0, NormSpec.modulation(1.0, 1.0, 0.5), 1e-6, self.BASE, PART
+            f, 0.0, NormSpec.modulation(1.0, 1.0, 0.5), 1e-6, self.BASE
         )
         assert residual == 0.0
         assert lam == 1.0
@@ -701,14 +709,14 @@ class TestPointDitkin:
         residuals = []
         for lam in (2.0, 4.0, 8.0, 16.0):
             window = _ditkin_window_at(f, lam, self.BASE)
-            residuals.append(norm_value(SampledSignal(GRID, (f.samples - 0.0) * window), spec, PART))
+            residuals.append(norm_value(SampledSignal(GRID, (f.samples - 0.0) * window), spec))
         for a, b in zip(residuals, residuals[1:]):
             assert b / a == pytest.approx(0.5, rel=0.15)
 
     def test_gaussian_search_terminates(self):
         f = gaussian()
         spec = NormSpec.modulation(1.0, 1.0, 0.5)
-        window, lam, residual = point_ditkin_window(f, 0.0, spec, 1e-3, self.BASE, PART)
+        window, lam, residual = point_ditkin_window(f, 0.0, spec, 1e-3, self.BASE)
         assert residual < 1e-3
         x = GRID.points()
         plateau = np.abs(x) <= self.BASE.inner_radius / lam
@@ -719,7 +727,7 @@ def _ditkin_window_at(f, lam, base):
     return _dilated_window_samples(base, 0.0, lam)
 
 
-def point_ditkin_window(f, x0, spec, eps, base, part):
+def point_ditkin_window(f, x0, spec, eps, base):
     """Double the dilation of a plateau window until ||(f - f(x0)) w|| < eps.
 
     x0 must be a grid point.  The dilated window w(x) = base(lam (x - x0))
@@ -732,7 +740,7 @@ def point_ditkin_window(f, x0, spec, eps, base, part):
     lam = 1.0
     for _ in range(24):
         window = _dilated_window_samples(base, x0, lam)
-        residual = norm_value(SampledSignal(grid, increment * window), spec, part)
+        residual = norm_value(SampledSignal(grid, increment * window), spec)
         if residual < eps:
             return SampledSignal(grid, window.astype(complex)), lam, residual
         lam *= 2.0

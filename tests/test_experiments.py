@@ -188,7 +188,7 @@ class TestCounterexampleFlat:
         assert {(1.0, 2, 4), (1.0, 0, 2)} <= failed
 
     @pytest.mark.parametrize(
-        "p, m, r, n", [(1.0, 6, 12, 1 << 27), (1.0, 8, 8, 1 << 25), (1.0, 30, 4, 1 << 43)]
+        "p, m, r, n", [(1.0, 6, 12, 1 << 27), (1.0, 8, 8, 1 << 25), (1.0, 22, 4, 1 << 35)]
     )
     def test_layout_above_the_gate_is_refused(self, p, m, r, n):
         # The layout only computes n, so a missing gate fails here without
@@ -588,9 +588,9 @@ class TestFoldOnce:
                 heads.setdefault(((rows[b] * core).tobytes(), p, n), []).append(owner[0])
             return fold(rows, which, core, p, n, *args)
 
-        def valued(f, spec, part=None):
+        def valued(f, spec):
             owner[0] = _digest(f)
-            return value(f, spec, part)
+            return value(f, spec)
 
         monkeypatch.setattr(norms, "_folded_lp", folded)
         monkeypatch.setattr(norms, "norm_value", valued)
