@@ -778,18 +778,20 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     n = 2^22.
 
     Returns at(r0, r1): mu-check at the indices t = b + P a of fold rows
-    r0 <= b < r1, a < M = m_len, P = n / M, as an (r1 - r0, M) array.  It
-    runs the recursion of :func:`rudin_shapiro` on values, mu_j = mu_(j-1) +
-    e^(i s x) nu_(j-1) and nu_j = mu_(j-1) - e^(i s x) nu_(j-1) for
-    s = 2^(j-1), whose phase at t is the product of
-    e^(2 pi i (s steps b mod n) / n) and e^(2 pi i (s steps a mod M) / M).
-    The column of rate s repeats after M / gcd(s steps, M) values, which
-    divides per = M / gcd(steps, M), so the recursion runs on the first per
-    columns and its result is tiled to M, each value computed as in a
-    whole-row pass.  On the large default grids (one CPU, numpy 2.4) the
-    whole-row pass took 0.47 of the time of Horner's rule on the 2^m
-    weights at m = 6 and 0.8 of it at m = 4, with 1.7e-15 against 3e-14 and
-    6e-15 of error.
+    r0 <= b < r1, P = n / M, M = m_len, on one period in a: an
+    (r1 - r0, per) array, per = M / gcd(steps, M), whose column a holds the
+    values at every a' < M with a' = a mod per, the factor of
+    ``norms._folded_lp``.  It runs the recursion of :func:`rudin_shapiro`
+    on values, mu_j = mu_(j-1) + e^(i s x) nu_(j-1) and
+    nu_j = mu_(j-1) - e^(i s x) nu_(j-1) for s = 2^(j-1), whose phase at t
+    is the product of e^(2 pi i (s steps b mod n) / n) and
+    e^(2 pi i (s steps a mod M) / M).  The column of rate s repeats after
+    M / gcd(s steps, M) values, which divides per, so mu-check repeats after
+    per values and the recursion runs on the first per columns, each value
+    computed as in a whole-row pass.  On the large default grids (one CPU,
+    numpy 2.4) the whole-row pass took 0.47 of the time of Horner's rule on
+    the 2^m weights at m = 6 and 0.8 of it at m = 4, with 1.7e-15 against
+    3e-14 and 6e-15 of error.
     """
     rates = [2 ** (j - 1) * steps for j in range(1, m + 1)]
     per = m_len // math.gcd(steps, m_len)
@@ -810,9 +812,8 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
             shifted *= nu
             np.subtract(mu, shifted, out=nu)
             mu += shifted
-        del nu, shifted  # gone before the tiled copy
         mu *= 2.0**-m
-        return np.tile(mu, (1, m_len // per))
+        return mu
 
     return at
 
@@ -853,7 +854,9 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       inverse transforms of length M >= W.  f = mu-check g, where mu-check
       is the Rudin-Shapiro polynomial of the translates (see
       :func:`_mu_check_rows`), so one fold of nu-hat phi gives ||g||_p and,
-      multiplied by mu-check at every grid point, ||f||_p.
+      with |g|^p multiplied by |mu-check|^p at every grid point, ||f||_p.
+      mu-check is computed on one period of each fold row, per <= M
+      values, and broadcast over the row.
     - The spectrum of f is 2^m disjoint translates of base = nu-hat phi,
       weighted +-2^-m, and is never built.  base lives on |xi| < 0.1, where
       the partition's cutoff of block 0 is 1 and those of its neighbours

@@ -36,14 +36,19 @@ memory the magnitudes reuse.  So a span holds at most ``grid._SPAN``
 samples of buffers (or one row, when M is larger).  Each span does all of
 its work while the data is still in cache: twiddle product, length-M
 inverse transforms into span-local buffers, and |.|^p, which the helper
-reduces.  The (P, W) twiddle table is built once per call when n fits in
-a span (n samples at most), and each span reads its rows of it; otherwise
-each span builds its own rows of it, in place in its transform buffer.
-One fold gives the L^p norms of both g, the inverse transform of one row,
-and h g, with h known at every grid point (the flat counterexample's
-Rudin-Shapiro polynomial): each span reduces |.|^p of its transforms,
-multiplies them in place by h at their grid indices b + P a, and reduces
-again.
+reduces.  The (P, W) twiddle table e^(2 pi i a m / n) comes from two short
+tables: with m = T h + l for T a power of two about sqrt(W), row a is the
+outer product of e^(2 pi i a T h / n), h < ceil(W / T), and
+e^(2 pi i a l / n), l < T, so P (T + ceil(W / T)) exponentials give it.
+One builder makes it, and row a depends on a alone: once per call when n
+fits in a span (n samples at most), each span reading its rows, and
+otherwise span by span, each span writing its own rows in place in its
+transform buffer.  One fold gives the L^p norms of both g, the inverse
+transform of one row, and h g, with h known at every grid point (the flat
+counterexample's Rudin-Shapiro polynomial) and periodic in a with a
+period that divides M: each span reduces |g|^p, multiplies it in place by
+|h|^p, computed on one period of each row and broadcast over the M / per
+copies, and reduces again.
 
 The body, ``_block_norm``, stops at the vector of block L^p norms for one
 p, since q and s enter only when ``_norm_report`` combines that vector:
@@ -187,6 +192,22 @@ def _fold_lengths(width: int, n: int) -> tuple[int, int]:
     return m_len, n // m_len
 
 
+def _twiddle(r0: int, r1: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Write rows r0 <= a < r1 of the fold's table e^(2 pi i a m / n) into `out`; return it.
+
+    out is an (r1 - r0, H, T) array, m = T h + l for h < H and l < T, and
+    row a is the outer product of e^(2 pi i a T h / n) and
+    e^(2 pi i a l / n): (r1 - r0) (H + T) exponentials.  a T h and a l are
+    integers, exact in float64 below 2^53, so each argument is rounded once,
+    at the product with 2 pi / n.  Row a depends on a alone.
+    """
+    high, low = out.shape[1:]
+    a = np.arange(r0, r1, dtype=float)[:, None]
+    highs = np.exp(2j * math.pi / n * (a * np.arange(0, high * low, low, dtype=float)))
+    lows = np.exp(2j * math.pi / n * (a * np.arange(low, dtype=float)))
+    return np.multiply(highs[:, :, None], lows[:, None, :], out=out)
+
+
 def _folded_lp(
     rows: np.ndarray,
     which: np.ndarray,
@@ -201,22 +222,25 @@ def _folded_lp(
     Uses the fold of the module docstring, each block one run of
     ``grid._split_sum`` in rows of M values.  With `factor`, returns a
     (2, which.size) array: those norms, bitwise, and the norms of the
-    inverse transforms multiplied by factor(r0, r1), the (r1 - r0, M) values
-    of a function at the grid indices b + P a, r0 <= b < r1; factor may
-    hold three complex buffers of that shape while it runs.
+    inverse transforms multiplied by a function h.  h is periodic in a with
+    a period `per` that divides M, and factor(r0, r1) gives its values on a
+    period, the (r1 - r0, per) values h(b + P a) for r0 <= b < r1 and
+    a < per; factor may hold three complex (r1 - r0, M) buffers while it
+    runs.
     """
     width = core.size
     m_len, p_len = _fold_lengths(width, n)
     products = factor is not None
-
-    def twiddle(r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
-        # Rows [r0, r1) of the (P, W) table e^(2 pi i a m / n).
-        out = np.multiply(2j * math.pi / n, np.outer(np.arange(r0, r1), np.arange(width)), out=out)
-        return np.exp(out, out=out)
-
+    # m = T h + l for T = low, a power of two about sqrt(W), so that it
+    # divides M, and h < high = ceil(W / T).
+    low = 1 << (width.bit_length() // 2)
+    high = -(-width // low)
     # One table of n samples at most, shared by every span, when spans hold
     # whole blocks; otherwise each span builds its own rows in place.
-    table = twiddle(0, p_len) if n <= _grid._SPAN else None
+    table = None
+    if n <= _grid._SPAN:
+        table = _twiddle(0, p_len, n, np.empty((p_len, high, low), dtype=complex))
+        table = table.reshape(p_len, -1)[:, :width]
 
     def blocks(lo: int, hi: int):
         # Yields |IFFT_M(c * twiddle row r)|^p for the values [lo, hi) of the
@@ -230,21 +254,27 @@ def _folded_lp(
         coeffs *= core
         z = np.empty((i1 - i0, r1 - r0, m_len), dtype=complex)
         head = z[..., :width]
-        phases = twiddle(r0, r1, out=head[0]) if table is None else table[r0:r1]
-        np.multiply(coeffs[:, None, :], phases, out=head)
+        if table is None:
+            _twiddle(r0, r1, n, z[0].reshape(r1 - r0, -1, low)[:, :high])
+        np.multiply(coeffs[:, None, :], head[0] if table is None else table[r0:r1], out=head)
         del coeffs  # gone before the transforms and the factor's buffers
         z[..., width:] = 0.0
         np.fft.ifft(z, axis=-1, out=z)
         # mags comes after the factor, so that it may take the memory of the
         # factor's temporaries.
         h = factor(r0, r1) if products else None
-        mags = np.empty(z.shape)
-        for j in range(1 + products):
-            if j:
-                z *= h
-            np.abs(z, out=mags)
+        mags = np.abs(z)
+        if p != 1.0 and not math.isinf(p):
+            mags **= p
+        yield mags
+        if products:
+            # |g h|^p = |g|^p |h|^p, with |h|^p on one period of each row
+            # broadcast over the M / per copies.
+            h = np.abs(h)
             if p != 1.0 and not math.isinf(p):
-                mags **= p
+                h **= p
+            copies = mags.reshape(*mags.shape[:2], -1, h.shape[1])
+            np.multiply(copies, h[:, None, :], out=copies)
             yield mags
 
     # Complex buffers per fold sample: z and mags, 1.5, or z and the factor's three.
@@ -331,14 +361,25 @@ def algebra_constant(pairs, spec: NormSpec) -> float:
     reversed pair normed before.  f g and g f are compared, not assumed
     equal, because numpy's SIMD complex multiply can round the two orders
     differently in the last bit.
+
+    A norm that is not a finite number (one that overflowed, say at
+    p = 1e308) is refused with a ValueError naming the spec and the signal.
     """
     best = 0.0
     signal_norms: dict = {}  # tag -> norm
     product_norms: dict = {}  # (tag_f, tag_g) -> norm of f g
 
+    def finite(value: float, what: str) -> float:
+        if not math.isfinite(value):
+            raise ValueError(
+                f"the {spec.space.value} norm (p={spec.p:g}, q={spec.q:g}, s={spec.s:g}) "
+                f"of {what} is {value}, not a finite number"
+            )
+        return value
+
     def signal_norm(tag, sig):
         if tag not in signal_norms:
-            signal_norms[tag] = norm_value(sig, spec)
+            signal_norms[tag] = finite(norm_value(sig, spec), tag)
         return signal_norms[tag]
 
     def product_norm(tag_f, f, tag_g, g):
@@ -350,7 +391,7 @@ def algebra_constant(pairs, spec: NormSpec) -> float:
             return signal_norm(tag_g, g)
         if (tag_g, tag_f) in product_norms and bits == (g * f).samples.tobytes():
             return product_norms[tag_g, tag_f]
-        return norm_value(fg, spec)
+        return finite(norm_value(fg, spec), f"{tag_f} * {tag_g}")
 
     for tag_f, f, tag_g, g in pairs:
         nf = signal_norm(tag_f, f)

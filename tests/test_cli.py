@@ -330,6 +330,27 @@ class TestCommands:
         assert "invalid comma_separated value: '1e400'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, spec",
+        [
+            (["compose", "--p", "1e308"], "p=1e+308, q=1, s=0"),
+            (["reciprocal", "--s", "1e308"], "p=2, q=1, s=1e+308"),
+        ],
+    )
+    def test_overflowing_norm_is_refused_by_its_spec(self, tmp_path, args, spec):
+        # The measured algebra constant's first norm overflows.  In a child
+        # process, since this suite turns the overflow's RuntimeWarning into
+        # an exception; the warning is printed before the error line.
+        result = subprocess.run(
+            [sys.executable, "-m", "tfnorms.cli", *args, "--n", "512", "--out", "out"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            f"error: the modulation norm ({spec}) of bump-8 is inf, not a finite number"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--n", "1024"], ["--L", "30"]])
     def test_all_rejects_grid_flags(self, tmp_path, capsys, flag):
         # `all` runs each experiment on its own grid; a grid flag would be ignored.

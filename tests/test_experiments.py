@@ -231,9 +231,10 @@ class TestCounterexampleFlat:
         # A span holds at most one budget, 16 _SPAN bytes, of buffers: the
         # plain fold's transform buffer and its float magnitudes (1.5 complex
         # a sample, counted as 2), or the transform buffer and mu-check's
-        # three (rows, M) complex buffers.  With one span in flight per CPU a
-        # fold peaks within one budget per CPU, and a quarter budget more for
-        # the block's n / 128 leaf sums and the spans' twiddle indices.  With
+        # three complex buffers, (rows, M) at the longest period.  With one
+        # span in flight per CPU a fold peaks within one budget per CPU, and
+        # a quarter budget more for the block's n / 128 leaf sums and the
+        # spans' short twiddle tables.  With
         # the magnitudes left out of the count, the plain fold traced 3.4 and
         # 6.4 MiB at one and two CPUs.
         grid_module = importlib.import_module("tfnorms.grid")
@@ -323,11 +324,12 @@ class TestCounterexampleFlat:
     @pytest.mark.parametrize("p, m, r", [(1.0, 4, 4), (1.0, 3, 3), (1.5, 2, 6)])
     def test_mu_check_matches_the_atom_sum(self, p, m, r):
         # Rows at both ends of the fold, so that the grid index t = b + P a
-        # runs up to n - 1, where t dx is largest.
+        # runs up to n - 1, where t dx is largest.  The period's column a
+        # holds mu-check at every a' = a mod per of the row.
         grid = experiments._flat_layout(p, m, r)[0]
         steps = partition_for(grid).steps_per_unit
         m_len = 1 << 11
-        p_len = grid.n // m_len
+        p_len, per = grid.n // m_len, m_len // math.gcd(steps, m_len)
         at = experiments._mu_check_rows(m, steps, grid.n, m_len)
         mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
         for r0, r1 in [(0, 3), (p_len - 3, p_len)]:
@@ -337,17 +339,21 @@ class TestCounterexampleFlat:
                 for loc, w in zip(mu.locations, mu.weights)
             )
             got = at(r0, r1)
-            assert got.shape == (r1 - r0, m_len)
+            assert got.shape == (r1 - r0, per)
+            got = got[:, np.arange(m_len) % per]
             assert np.max(np.abs(np.abs(got) - np.abs(direct))) <= 1e-13 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("p, m, r", [(1.0, 4, 4), (1.0, 6, 6), (1.5, 2, 8), (1.5, 4, 10)])
     def test_mu_check_period_is_the_whole_row_pass(self, p, m, r):
         # The rows at both ends of the fold of each default run, against the
-        # recursion run on whole rows of M values.
+        # recursion run on whole rows of M values: the returned period is
+        # their first per columns, bit for bit, and they repeat it.
         grid = experiments._flat_layout(p, m, r)[0]
         steps = partition_for(grid).steps_per_unit
         phi = bump_profile(grid.frequencies(), 0.025, 0.1)
         m_len, p_len = norms._fold_lengths(int(np.count_nonzero(phi)), grid.n)
+        per = m_len // math.gcd(steps, m_len)
+        assert per < m_len
         at = experiments._mu_check_rows(m, steps, grid.n, m_len)
         columns = [np.exp(2j * math.pi / m_len * (2 ** (j - 1) * steps * np.arange(m_len) % m_len))
                    for j in range(1, m + 1)]
@@ -359,7 +365,9 @@ class TestCounterexampleFlat:
                 row = np.exp(2j * math.pi / grid.n * (2 ** (j - 1) * steps * b % grid.n))
                 shifted = row[:, None] * column * nu
                 mu, nu = mu + shifted, mu - shifted
-            assert at(r0, r1).tobytes() == (mu * 2.0**-m).tobytes()
+            period = at(r0, r1)
+            assert period.shape == (r1 - r0, per)
+            assert np.tile(period, (1, m_len // per)).tobytes() == (mu * 2.0**-m).tobytes()
 
     def test_no_transform_of_the_grid_length(self, monkeypatch):
         lengths = []

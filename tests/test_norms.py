@@ -384,48 +384,69 @@ class TestFoldedBlockNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One span's complex and float buffers next to its twiddle rows as
-        # they are built (43 floats a sample measured), and the block's
-        # n / 128 leaf sums; no n floats of the block.
+        # One span's complex and float buffers, its twiddle rows built in
+        # place from two short tables (20 bytes a budget sample measured),
+        # and the block's n / 128 leaf sums; no n floats of the block.
         assert peak <= 8 * n // 128 + 48 * grid_module._SPAN
 
 
-def _fold_reference(row, core, p, n, dx, factor):
-    """The L^p norm of one block's inverse transform, times `factor` when given.
+def _twiddle_split(width):
+    """(H, T) of the fold's two phase tables: T a power of two about sqrt(W), H = ceil(W / T)."""
+    low = 1 << (width.bit_length() // 2)
+    return -(-width // low), low
 
-    The fold of the norms module on the whole (P, M) array at once: inverse
-    transforms, the factor, |.|^p, and one np.sum over the block's values
-    (or their maximum).
+
+def _two_table_twiddle(p_len, width, n):
+    """The fold's (P, W) table e^(2 pi i a m / n), m = T h + l, from its two short tables."""
+    high, low = _twiddle_split(width)
+    a = np.arange(p_len, dtype=float)[:, None]
+    highs = np.exp(2j * math.pi / n * (a * (low * np.arange(high, dtype=float))))
+    lows = np.exp(2j * math.pi / n * (a * np.arange(low, dtype=float)))
+    return (highs[:, :, None] * lows[:, None, :]).reshape(p_len, -1)[:, :width]
+
+
+def _fold_reference(row, core, p, n, dx, period):
+    """The L^p norm of one block's inverse transform, times a periodic factor when given.
+
+    The fold of the norms module on the whole (P, M) array at once: the
+    two-table twiddle, inverse transforms, |.|^p, times |period|^p tiled to
+    M when a period is given, and one np.sum over the block's values (or
+    their maximum).
     """
     width = core.size
     m_len, p_len = norms._fold_lengths(width, n)
-    table = np.exp(np.multiply(2j * math.pi / n, np.outer(np.arange(p_len), np.arange(width))))
     z = np.zeros((p_len, m_len), dtype=complex)
-    np.multiply((row * core)[None, :], table, out=z[:, :width])
+    np.multiply((row * core)[None, :], _two_table_twiddle(p_len, width, n), out=z[:, :width])
     np.fft.ifft(z, axis=-1, out=z)
-    if factor is not None:
-        z *= factor(0, p_len)
     mags = np.abs(z)
+    if p != 1.0 and not math.isinf(p):
+        mags **= p
+    if period is not None:
+        factor = np.abs(period)
+        if p != 1.0 and not math.isinf(p):
+            factor **= p
+        mags *= np.tile(factor, (1, m_len // factor.shape[1]))
     if math.isinf(p):
         return float(np.max(mags)) * (m_len / n / dx)
-    if p != 1.0:
-        mags **= p
     return float(((dx * np.array([np.sum(mags)])) ** (1.0 / p) * (m_len / n / dx))[0])
 
 
 class TestSharedFold:
     # n = 2^12 is one span; n = 2^14 past a span of 2^12 splits each block
-    # into spans of rows, two rows of M = 64 a leaf for W = 50.
+    # into spans of rows, two rows of M = 64 a leaf for W = 50.  The factor
+    # has a period of M (the worst case) or M / 4 values.
+    @pytest.mark.parametrize("copies", [1, 4])
     @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
     @pytest.mark.parametrize("n, width", [(1 << 12, 50), (1 << 14, 50), (1 << 14, 300)])
-    def test_both_outputs_are_bitwise_the_single_folds(self, monkeypatch, n, width, p):
+    def test_both_outputs_are_bitwise_the_single_folds(self, monkeypatch, n, width, p, copies):
         monkeypatch.setattr(grid_module, "_SPAN", 1 << 12)
         monkeypatch.setattr(grid_module, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(n + width)
         rows = rng.standard_normal((4, width)) + 1j * rng.standard_normal((4, width))
         core = np.hanning(width)
         m_len, p_len = norms._fold_lengths(width, n)
-        values = rng.standard_normal((p_len, m_len)) + 1j * rng.standard_normal((p_len, m_len))
+        per = m_len // copies
+        values = rng.standard_normal((p_len, per)) + 1j * rng.standard_normal((p_len, per))
         which, dx = np.array([3, 0, 2]), 0.01
 
         def factor(r0, r1):
@@ -436,8 +457,97 @@ class TestSharedFold:
         assert both.shape == (2, which.size)
         assert both[0].tobytes() == plain.tobytes()
         assert [_fold_reference(rows[b], core, p, n, dx, None) for b in which] == plain.tolist()
-        assert [_fold_reference(rows[b], core, p, n, dx, factor) for b in which] == both[1].tolist()
+        assert [_fold_reference(rows[b], core, p, n, dx, values) for b in which] == both[1].tolist()
         assert not np.any(both[0] == both[1])
+
+
+# (n, W) of the folds of F^-1 phi and of g at each default flat-counterexample
+# run, (p, m, r) = (1, 4, 4), (1, 6, 6), (1.5, 2, 8) and (1.5, 4, 10), and a
+# small fold of one span.
+FLAT_FOLDS = [(1 << 12, 50), (1 << 17, 445), (1 << 21, 1773), (1 << 19, 5319), (1 << 22, 21271)]
+
+
+class TestTwiddle:
+    """The fold's twiddle rows: two short tables per row, one builder."""
+
+    @pytest.mark.parametrize("n, width", FLAT_FOLDS)
+    def test_matches_extended_precision_phases(self, n, width):
+        # Each argument 2 pi / n times the integer a T h or a l is rounded
+        # twice (math.pi, then the product), so it is off by at most 2 unit
+        # times itself, and the two add up to 2 unit theta, theta =
+        # 2 pi a m / n < 2 pi.  An exponential is within one ulp in each part
+        # and the complex product within sqrt(5) unit, 3 unit each at most.
+        # The reference reduces a m mod n exactly in integers and evaluates
+        # the phase in long double, to a few of its own units.
+        unit, unit_ld = 2.0**-53, float(np.finfo(np.longdouble).eps)
+        high, low = _twiddle_split(width)
+        m_len, p_len = norms._fold_lengths(width, n)
+        assert low * high >= width and m_len % low == 0
+        pi = 4 * np.arctan(np.longdouble(1))
+        for r0, r1 in [(0, 3), (p_len - 3, p_len)]:
+            got = norms._twiddle(r0, r1, n, np.empty((r1 - r0, high, low), dtype=complex))
+            got = got.reshape(r1 - r0, -1)
+            turns = np.arange(r0, r1)[:, None] * np.arange(high * low) % n
+            theta = 2 * pi * turns.astype(np.longdouble) / n
+            exact = np.cos(theta) + np.clongdouble(1j) * np.sin(theta)
+            bound = (2.0 * theta + 9.0) * unit + 8.0 * unit_ld
+            assert np.all(np.abs(got.astype(np.clongdouble) - exact) <= bound)
+
+    @pytest.mark.parametrize("n, width", [(1 << 12, 50), (1 << 14, 300)])
+    def test_span_rows_are_the_table_rows(self, n, width):
+        # The shared table for n <= _SPAN and rows built span by span into a
+        # transform buffer of M columns come from one builder: any run of
+        # rows is the same bytes as those rows of the whole table.
+        high, low = _twiddle_split(width)
+        m_len, p_len = norms._fold_lengths(width, n)
+        table = norms._twiddle(0, p_len, n, np.empty((p_len, high, low), dtype=complex))
+        for r0, r1 in [(0, 1), (1, 4), (5, 12), (p_len - 3, p_len)]:
+            z = np.empty((r1 - r0, m_len), dtype=complex)
+            rows = norms._twiddle(r0, r1, n, z.reshape(r1 - r0, -1, low)[:, :high])
+            assert rows.tobytes() == table[r0:r1].tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+    def test_table_and_span_rows_fold_to_the_same_bytes(self, monkeypatch, p, cpus):
+        # n = 2^14 fits the default span, so the fold reads one table; with
+        # a span of 2^12 each span builds its own rows.
+        monkeypatch.setattr(grid_module, "_cpu_count", lambda: cpus)
+        n, width, dx = 1 << 14, 300, 0.01
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
+        core, which = np.hanning(width), np.array([2, 0])
+        m_len, p_len = norms._fold_lengths(width, n)
+        values = rng.standard_normal((p_len, m_len // 8)) + 0j
+
+        def factor(r0, r1):
+            return values[r0:r1]
+
+        assert n <= grid_module._SPAN
+        table = norms._folded_lp(rows, which, core, p, n, dx, factor)
+        monkeypatch.setattr(grid_module, "_SPAN", 1 << 12)
+        spans = norms._folded_lp(rows, which, core, p, n, dx, factor)
+        assert table.tobytes() == spans.tobytes()
+
+    @pytest.mark.parametrize("n, width", [(1 << 14, 300), (1 << 18, 820)])
+    def test_one_fold_evaluates_two_short_tables(self, monkeypatch, n, width):
+        # One block: n = 2^14 reads one table, n = 2^18 builds its rows span
+        # by span.  Either way P (T + ceil(W / T)) exponentials, against
+        # P W for the table evaluated entry by entry.
+        evaluated = []
+        real_exp = np.exp
+
+        def counting_exp(x, *rest, **kwargs):
+            evaluated.append(np.size(x))
+            return real_exp(x, *rest, **kwargs)
+
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((1, width)) + 1j * rng.standard_normal((1, width))
+        monkeypatch.setattr(np, "exp", counting_exp)
+        norms._folded_lp(rows, np.array([0]), np.hanning(width), 1.5, n, 0.01)
+        monkeypatch.undo()
+        high, low = _twiddle_split(width)
+        p_len = norms._fold_lengths(width, n)[1]
+        assert 0 < sum(evaluated) <= p_len * (low + high) < p_len * width / 4
 
 
 # What each block of a spectrum of grouped_spectra holds, around its centre k:

@@ -73,6 +73,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="m \\* pi"):
             build_frequency_partition(Grid(4096, 40.0))
 
+    def test_rejects_a_grid_near_an_integer_shift(self):
+        # L / pi = 3 (1 + 1e-7) is off an integer by 3e-7, far above the
+        # rounding of L = 3 pi: a shift of k frequency units would land
+        # 3e-7 k samples off the grid.
+        grid = Grid(4096, 3.0 * (1.0 + 1e-7) * math.pi)
+        with pytest.raises(ValueError, match="integer shifts on the grid"):
+            build_frequency_partition(grid)
+        assert build_frequency_partition(Grid(4096, 3.0 * math.pi)).steps_per_unit == 3
+
     def test_steps_per_unit(self):
         assert PART.steps_per_unit == 16
         assert PART.max_block_index == GRID.n // 32 - 1
