@@ -228,7 +228,7 @@ def run_all(args: argparse.Namespace) -> int:
 
     # jobs is deliberately not part of the config: the report is identical
     # whatever the concurrency level.
-    summary = exp.SweepReport("all", axis="experiment", rows=rows, assertions=assertions)
+    summary = exp.SweepReport("all", rows=rows, assertions=assertions)
     config = {"experiment": "all", "seed": args.seed}
     write_report(out_root, summary, config)
     return 0 if summary.all_passed else 2

@@ -105,7 +105,6 @@ class Assertion:
 @dataclass
 class SweepReport:
     name: str
-    axis: str
     rows: list = field(default_factory=list)
     assertions: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -168,7 +167,7 @@ def stft_experiment(
     the CSV file in row order, so the dump holds no n x n array either.
     """
     _check_stft_size(n)
-    report = SweepReport("stft", axis="xi")
+    report = SweepReport("stft")
     grid = Grid(n, L)
     g = gaussian_window(grid)
     x = grid.points()
@@ -224,7 +223,7 @@ def moyal_experiment(n: int = 2048, L: float = 30.0, seed: int = 0) -> SweepRepo
     Both come from one Gram matrix of the corpus STFTs (:func:`stft_gram`).
     """
     _check_stft_size(n)
-    report = SweepReport("moyal", axis="pair")
+    report = SweepReport("moyal")
     grid = Grid(n, L)
     window = gaussian_window(grid)
     corpus = make_corpus(grid, seed=seed)
@@ -277,7 +276,7 @@ def norm_experiment(
     that was measured.
     """
     _check_grid_size(n, "norm")
-    report = SweepReport("norm", axis="k")
+    report = SweepReport("norm")
     grid = Grid(n, L)
     if str(signal).endswith(".csv"):
         f = load_signal(signal)
@@ -303,7 +302,7 @@ def norm_experiment(
 def bupu_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> SweepReport:
     """Partition-of-unity identity and reconstruction from the block rows on the corpus."""
     _check_grid_size(n, "bupu-check")
-    report = SweepReport("bupu-check", axis="signal")
+    report = SweepReport("bupu-check")
     grid = Grid(n, L)
     part = partition_for(grid)
     report.check_le("partition_sum_defect", partition_defect(part), 1e-12)
@@ -342,7 +341,7 @@ def rudin_shapiro_experiment(m_max: int = 12, samples: int = 4096, seed: int = 0
             f"depth m must be <= {deepest}, so that 2^(m+1) is a finite float, got {m_max}"
         )
     _check_grid_size(samples, "rudin-shapiro", "frequency grid")
-    report = SweepReport("rudin-shapiro", axis="depth")
+    report = SweepReport("rudin-shapiro")
     xis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     tv_scale = _scale_factor(m_max, Normalization.TOTAL_VARIATION, None)
     # One pass over the depths, span by span.  Per span: the largest
@@ -386,7 +385,7 @@ def rudin_shapiro_experiment(m_max: int = 12, samples: int = 4096, seed: int = 0
 def plateau_experiment(n: int = 4096, L: float = PARTITION_L, seed: int = 0) -> SweepReport:
     """Plateau, support, and factorization invariants over the test matrix."""
     _check_grid_size(n, "plateau")
-    report = SweepReport("plateau", axis="window")
+    report = SweepReport("plateau")
     grid = Grid(n, L)
     for center, radius in [(0.0, 1.0), (2.0, 0.5), (-3.0, 0.25)]:
         w = plateau_window(center, radius, grid)
@@ -421,7 +420,7 @@ def translation_bound_experiment(
 ) -> SweepReport:
     """Fit the translation-difference constant on half the sweep, verify on the rest."""
     _check_grid_size(n, "translation-bound")
-    report = SweepReport("translation-bound", axis="theta")
+    report = SweepReport("translation-bound")
     grid = Grid(n, L)
     w = plateau_window(0.0, 1.0, grid)
     thetas = np.geomspace(0.1, 10.0, 16)
@@ -485,7 +484,7 @@ def compose_experiment(
 ) -> SweepReport:
     """Global composition of a named analytic function with a Gaussian."""
     _check_grid_size(n, "compose")
-    report = SweepReport("compose", axis="x")
+    report = SweepReport("compose")
     grid = Grid(n, L)
     spec = NormSpec.modulation(p, 1.0, s)
     c_hat = measured_algebra_constant(spec, min(n, 4096), L, seed)
@@ -523,7 +522,7 @@ def reciprocal_experiment(
         raise ValueError(f"interval needs two end points, got {len(interval)}")
     a, b = map(float, interval)
     _check_grid_size(2 * n, "reciprocal", "refined grid")
-    report = SweepReport("reciprocal", axis="n")
+    report = SweepReport("reciprocal")
     spec = NormSpec.modulation(p, 1.0, s)
 
     def run(n_run):
@@ -559,7 +558,7 @@ def approx_unit_experiment(
     halvings: int = 6,
 ) -> SweepReport:
     """Widening plateau multipliers: the residual ||f - psi_lam f|| must fall."""
-    report = SweepReport("approx-unit", axis="lam")
+    report = SweepReport("approx-unit")
     grid = Grid(n, L)
     spec = NormSpec.modulation(p, q, s)
     if not spec.in_algebra_regime():
@@ -608,7 +607,7 @@ def embedding_sweep(
     """Corpus maxima of norm ratios for the standard embeddings, with
     refinement verdicts."""
     _check_grid_size(2 * n, "embedding-sweep", "refined grid")
-    report = SweepReport("embedding-sweep", axis="pair")
+    report = SweepReport("embedding-sweep")
 
     mod = NormSpec.modulation
     fb = NormSpec.fourier_beurling
@@ -657,7 +656,7 @@ def algebra_sweep(
     if count > _MAX_PAIRS:
         raise CostGateError(f"algebra-sweep asks for {count} pairs, above the {_MAX_PAIRS}-pair gate")
     _check_grid_size(2 * n, "algebra-sweep", "refined grid")
-    report = SweepReport("algebra-sweep", axis="spec")
+    report = SweepReport("algebra-sweep")
     specs = [NormSpec.modulation(2.0, 1.0, 0.0), NormSpec.modulation(1.0, 1.0, 0.5)]
     for spec in specs:
         coarse = measured_algebra_constant(spec, n, L, seed, count)
@@ -679,14 +678,14 @@ def algebra_sweep(
 def _invphi_tail_halfwidth(p: float, frac: float) -> float:
     """Half-width containing all but `frac` of the L^p mass of F^-1 phi.
 
-    The mass dx |F^-1 phi(x_j)|^p is added up point by point outward in
-    radius |x_j|, one running sum in np.cumsum's order, and the first radius
-    at which it reaches (1 - frac) of the total is returned.  The order is
-    x = 0, then the pairs x_(n/2 - i), x_(n/2 + i) for i = 1 .. n/2 - 1, the
-    smaller radius first (the left one when the two are equal), and x_0 = -L
-    last.  After the one n-point inverse transform and its |.|^p, the walk
-    runs in chunks of pairs, twice (for the total, then for the radius), so
-    no other array of the grid's length is built.
+    The grid points x_(n/2 - i) and x_(n/2 + i) sit at the same radius
+    i dx, so the mass |F^-1 phi|^p at radius i dx is the sum of that pair
+    (the single point x = 0 at i = 0), and the far point x_0 = -L comes
+    last, at i = n/2.  The masses are added up outward in i by one
+    np.cumsum, and the first radius i dx at which the running sum reaches
+    (1 - frac) of the total is returned.  The pair sums and the running
+    sum are taken in place in the magnitudes of the one n-point inverse
+    transform, so no other array of the grid's length is built.
     """
     ref = Grid(1 << 17, 2048.0 * math.pi)
     n, half = ref.n, ref.n // 2
@@ -704,39 +703,11 @@ def _invphi_tail_halfwidth(p: float, frac: float) -> float:
     mags = np.abs(values)
     del values
     mags **= p
-
-    def radius(j: np.ndarray) -> np.ndarray:
-        return np.abs(-ref.half_width + ref.dx * j)  # |ref.points()[j]|
-
-    def chunks():
-        # (radii, masses) of the points in the order of the docstring.
-        yield radius(np.array([half])), mags[:1]
-        for i0 in range(1, half, 1 << 12):
-            i = np.arange(i0, min(i0 + (1 << 12), half))
-            left, right = radius(half - i), radius(half + i)
-            left_mass, right_mass = mags[n - i[-1] : n - i0 + 1][::-1], mags[i]
-            swap = right < left
-            radii = np.stack((np.where(swap, right, left), np.where(swap, left, right)), axis=1)
-            masses = np.stack((np.where(swap, right_mass, left_mass),
-                               np.where(swap, left_mass, right_mass)), axis=1)
-            yield radii.ravel(), masses.ravel()
-        yield radius(np.array([0])), mags[half : half + 1]
-
-    def walk():
-        # (radii, dx times the running sum of the masses), chunk by chunk.
-        carry = 0.0
-        for radii, masses in chunks():
-            running = np.cumsum(np.concatenate(([carry], masses)))[1:]
-            carry = running[-1]
-            yield radii, running * ref.dx
-
-    for radii, running in walk():
-        total = running[-1]
-    target = (1.0 - frac) * total
-    for radii, running in walk():
-        if running[-1] >= target:
-            return float(radii[np.searchsorted(running, target)])
-    return float(radii[-1])
+    # Output indices i and n - i hold the pair at radius i dx, and n/2 holds x_0.
+    mass = mags[: half + 1]
+    mass[1:half] += mags[:half:-1]
+    np.cumsum(mass, out=mass)
+    return ref.dx * float(np.searchsorted(mass, (1.0 - frac) * mass[-1]))
 
 
 _TAIL_FRACTION = {1.0: 1e-2, 1.5: 1e-3}
@@ -818,25 +789,6 @@ def _mu_check_rows(m: int, steps: int, n: int, m_len: int):
     return at
 
 
-def _translates(starts: np.ndarray, weights, base: np.ndarray):
-    """values(a, b) of ``grid._split_sum`` for a grid holding translates of |base|, 0 elsewhere.
-
-    Translate i is |weights[i] base| from grid index starts[i] on.  A part
-    holds the slices of the translates that meet it, each computed on its
-    own; a part that none meets is an empty array, whose sum is the 0.0
-    that its zeros would give.
-    """
-    def values(a: int, b: int):
-        meets = np.flatnonzero((starts < b) & (starts + base.size > a))
-        out = np.zeros(b - a if meets.size else 0)
-        for i in meets:
-            s0, s1 = max(a, starts[i]), min(b, starts[i] + base.size)
-            out[s0 - a : s1 - a] = np.abs(weights[i] * base[s0 - starts[i] : s1 - starts[i]])
-        return (out,)
-
-    return values
-
-
 def flat_measurement(p: float, m: int, r: int) -> dict:
     """One run of the flat-spectrum construction; returns measured quantities.
 
@@ -863,10 +815,12 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
       are 0, so block k of f-hat is w_k base(. - k) for each atom
       w_k delta_k of mu, and 0 for every other k.  A shift in frequency
       only modulates the inverse transform, so that block's L^p norm is
-      |w_k| ||g||_p, and |w_k| = 2^-m for every atom.  The L^1 norms of
-      phi and of f-hat are ``grid._split_sum`` totals over the grid, whose
-      parts hold the slices of the translates that meet them and are empty
-      elsewhere.  No array of the grid's length is built.
+      |w_k| ||g||_p, and |w_k| = 2^-m for every atom.
+    - The L^1 norm of phi is dxi times the sum of phi over its support.
+      The 2^m translates of base in f-hat are disjoint, since the plateau
+      check below holds only for a base narrower than the unit shift, and
+      their |w_k| sum to exactly 1, so the L^1 norm of f-hat is dxi times
+      the sum of |base|.  No array of the grid's length is built.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the flat counterexample needs p in [1, 2)")
@@ -876,22 +830,19 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     # The bump vanishes on |xi| >= 0.1, so only the frequencies k dxi with
     # |k| < reach are built; they and the bump are elementwise, so their
     # values are those of a full-grid evaluation.  [first, last) is the
-    # bump's support in xi, [lo, hi) in grid indices.
+    # bump's support in xi; it starts at grid index lo.
     half = grid.n // 2
     reach = min(int(0.1 / grid.dxi) + 2, half)
     xi = grid.dxi * np.arange(-reach, reach)
     phi = bump_profile(xi, 0.025, 0.1)
     inside = np.flatnonzero(phi > 0)
     first, last = int(inside[0]), int(inside[-1]) + 1
-    lo, hi = first + half - reach, last + half - reach
+    lo = first + half - reach
     phi = phi[first:last]
     nu_inf = rudin_shapiro_sup(r, n_nu, grid, Normalization.LP_ATOMS, p=p)
     nu_hat = rudin_shapiro_transforms(r, n_nu, xi[first:last], Normalization.LP_ATOMS, p=p)[1]
 
-    # The L^1 norm of phi summed as over the whole dual grid, so that its
-    # bits are those of weighted_lp_norm, from floats: |phi + 0i| is |1 phi|.
-    phi_on_grid = _translates(np.array([lo]), [1.0], phi)
-    phi_l1 = float(grid.dual().dx * _split_sum(phi_on_grid, grid.n, 1)[0, 0])
+    phi_l1 = grid.dxi * float(np.sum(phi))
     # phi masks both rows: a row of ones gives phi, the row nu-hat base.
     invphi_lp = float(_folded_lp(np.ones((1, phi.size)), np.array([0]), phi, p, grid.n, grid.dx)[0])
     steps = part.steps_per_unit
@@ -901,13 +852,12 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     del mu_check  # mu_check holds one period of each of its m columns
     base = nu_hat * phi
 
-    # f-hat is w base on [lo + shift, hi + shift) for each atom w delta_loc
+    # f-hat is w base from lo + shift on for each atom w delta_loc
     # of mu, shift = loc * steps; block loc is that alone, of norm |w| g_lp,
     # if base sits on its core's plateau: at `offset` in the block window the
     # core must be 1 and the neighbouring cores, half a window away, 0.
     mu = rudin_shapiro(m, 1, Normalization.TOTAL_VARIATION).mu
     locations = np.round(mu.locations).astype(int)
-    starts = lo + locations * steps
     core, offset = part.core, lo - part.window_start(0)
     taken = np.arange(offset, offset + base.size)
     if (offset < 0 or taken[-1] >= core.size or np.any(core[taken] != 1.0)
@@ -916,8 +866,7 @@ def flat_measurement(p: float, m: int, r: int) -> dict:
     block_norms = np.zeros(len(part.block_indices()))
     block_norms[locations + part.max_block_index] = abs(mu.weights[0]) * g_lp
     mod = _norm_report(block_norms, NormSpec.modulation(p, 1.0, 0.0), part).value
-    magnitudes = _translates(starts, mu.weights, base)
-    fhat_l1 = float(grid.dual().dx * _split_sum(magnitudes, grid.n, 1)[0, 0])
+    fhat_l1 = grid.dxi * float(np.sum(np.abs(base)))
     return {
         "p": p,
         "m": m,
@@ -968,7 +917,7 @@ def counterexample_flat(
     default_m, default_r = (4, 4) if p == 1.0 else (2, 8)
     m = default_m if m is None else m
     r = default_r if r is None else r
-    report = SweepReport("counterexample-flat", axis="depth")
+    report = SweepReport("counterexample-flat")
     runs = [flat_measurement(p, m, r), flat_measurement(p, m + 2, r + 2)]
     for run in runs:
         report.rows.append(run)
@@ -1094,7 +1043,7 @@ def counterexample_l2(
             f"checkpoints must be at most {sys.float_info.max ** (1 / 3):.3g}, so that k^3 is a "
             f"finite float, got {float(checkpoints[-1]):.3g}"
         )
-    report = SweepReport("counterexample-l2", axis="K")
+    report = SweepReport("counterexample-l2")
 
     mod_sums = [_series_partial("mod", k0, K) for K in checkpoints]
     fb_sums = [_series_partial("beurling", k0, K) for K in checkpoints]

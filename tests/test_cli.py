@@ -333,22 +333,24 @@ class TestCommands:
     @pytest.mark.parametrize(
         "args, spec",
         [
-            (["compose", "--p", "1e308"], "p=1e+308, q=1, s=0"),
-            (["reciprocal", "--s", "1e308"], "p=2, q=1, s=1e+308"),
+            (["compose", "--p", "1e308", "--n", "512"], "p=1e+308, q=1, s=0"),
+            (["reciprocal", "--s", "1e308", "--n", "512"], "p=2, q=1, s=1e+308"),
+            (["norm", "--p", "1e308"], "p=1e+308, q=1, s=0"),
         ],
     )
     def test_overflowing_norm_is_refused_by_its_spec(self, tmp_path, args, spec):
-        # The measured algebra constant's first norm overflows.  In a child
-        # process, since this suite turns the overflow's RuntimeWarning into
-        # an exception; the warning is printed before the error line.
+        # The first norm overflows: the measured algebra constant's, or the
+        # norm run's own, which was written as inf with exit status 0.  In a
+        # child process, so that numpy's RuntimeWarning, which this suite
+        # turns into an exception, would show on stderr before the error
+        # line (numpy warned in the pool threads of the fold and on the
+        # caller's thread at a large s).
         result = subprocess.run(
-            [sys.executable, "-m", "tfnorms.cli", *args, "--n", "512", "--out", "out"],
+            [sys.executable, "-m", "tfnorms.cli", *args, "--out", "out"],
             cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 1, result.stderr
-        assert result.stderr.splitlines()[-1] == (
-            f"error: the modulation norm ({spec}) of bump-8 is inf, not a finite number"
-        )
+        assert result.stderr == f"error: the modulation norm ({spec}) is inf, not a finite number\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [["--n", "1024"], ["--L", "30"]])
@@ -387,7 +389,7 @@ class TestCommands:
 
         def run(task):
             ran.append(task[0])
-            return experiments.SweepReport(task[0], axis="none")
+            return experiments.SweepReport(task[0])
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_run_to_dir", run)

@@ -196,6 +196,18 @@ class TestCounterexampleFlat:
         with pytest.raises(CostGateError, match=f"needs a {n}-point grid, above the 4194304-point"):
             experiments._flat_layout(p, m, r)
 
+    def test_default_layouts_are_pinned(self):
+        # (n, L / pi, nu spacing) at both depths of both default runs; the
+        # tail half-width reaches them only through L and the spacing.
+        layouts = [
+            (grid.n, grid.half_width, n_nu)
+            for grid, n_nu in (experiments._flat_layout(p, m, r)
+                               for p, m, r in [(1.0, 4, 4), (1.0, 6, 6), (1.5, 2, 8), (1.5, 4, 10)])
+        ]
+        assert layouts == [(n, half_width * math.pi, n_nu) for n, half_width, n_nu in [
+            (131072, 2228, 378), (2097152, 8870, 378), (524288, 26624, 284), (4194304, 106466, 284),
+        ]]
+
     def test_default_layouts_stay_within_the_gate(self):
         # Both depths of both default runs; the largest sits on the gate.
         sizes = [
@@ -314,7 +326,8 @@ class TestCounterexampleFlat:
         run, dense = flat_measurement(p, m, r), _dense_flat_measurement(p, m, r)
         assert run["n"] <= 1 << 17
         assert run.keys() == dense.keys()
-        moved = ("invphi_lp", "modulation_norm", "f_lp", "segal_norm", "headline_ratio")
+        moved = ("phi_l1", "invphi_lp", "modulation_norm", "f_lp", "fhat_l1", "segal_norm",
+                 "headline_ratio")
         for key in moved:
             assert run[key] == pytest.approx(dense[key], rel=1e-14, abs=0.0), key
         assert {k: v for k, v in run.items() if k not in moved} == {
@@ -472,10 +485,12 @@ def _dense_flat_measurement(p: float, m: int, r: int) -> dict:
 def _dense_invphi_tail_halfwidth(p: float, frac: float) -> float:
     """experiments._invphi_tail_halfwidth on full-length arrays.
 
-    F^-1 phi by fourier_inverse, the radii of all grid points sorted by
-    np.argsort, and the running sum of the sorted masses by one np.cumsum.
-    argsort does not fix the order of equal radii, which the walk of the
-    package fixes (left point first).
+    F^-1 phi by fourier_inverse on the whole dual grid, and the masses
+    |F^-1 phi(x_j)|^p binned by the radius index i = |x_j| / dx with
+    np.bincount: the point x = 0 at i = 0, the pair x_(n/2 - i), x_(n/2 + i)
+    at 0 < i < n/2, and x_0 = -L at i = n/2.  One np.cumsum over the bins,
+    and the first radius i dx whose running sum reaches (1 - frac) of the
+    total.
     """
     ref = Grid(1 << 17, 2048.0 * math.pi)
     half = ref.n // 2
@@ -485,13 +500,10 @@ def _dense_invphi_tail_halfwidth(p: float, frac: float) -> float:
     spectrum[half - reach : half + reach] = bump_profile(xi, 0.025, 0.1)
     mags = np.abs(fourier_inverse(SampledSignal(ref.dual(), spectrum)).samples)
     mags **= p
-    radii = np.abs(ref.points())
-    order = np.argsort(radii)
-    sorted_mass = np.cumsum(mags[order])
-    sorted_mass *= ref.dx
-    total = sorted_mass[-1]
-    pos = int(np.searchsorted(sorted_mass, (1.0 - frac) * total))
-    return float(radii[order[min(pos, ref.n - 1)]])
+    radius_index = np.rint(np.abs(ref.points()) / ref.dx).astype(int)
+    assert np.bincount(radius_index).tolist() == [1] + [2] * (half - 1) + [1]
+    running = np.cumsum(np.bincount(radius_index, weights=mags))
+    return ref.dx * float(np.searchsorted(running, (1.0 - frac) * running[-1]))
 
 
 class TestInvphiTailHalfwidth:
